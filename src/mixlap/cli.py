@@ -422,18 +422,37 @@ _DISPATCH = {
 }
 
 
+def _replaceable(target: Path) -> bool:
+    """Whether an existing output path may be replaced: an empty directory,
+    or one holding a top-level JSON report of an earlier mixlap run."""
+    if not target.is_dir():
+        return False
+    for path in target.glob("*.json"):
+        try:
+            report = json.loads(path.read_text())
+        except (OSError, ValueError):
+            continue
+        if isinstance(report, dict) and {"pipeline", "version"} <= report.keys():
+            return True
+    return not any(target.iterdir())
+
+
 def run(cfg: RunConfig, pipeline: str) -> int:
     """Execute a pipeline; stage outputs and rename into place on completion."""
     if pipeline not in _DISPATCH:
         raise ConfigError(f"unknown pipeline {pipeline!r}")
     cfg.validate()
     target = Path(cfg.directory)
+    if target.exists() and not _replaceable(target):
+        raise ConfigError(f"output: {target} holds no mixlap report; refusing to replace it")
     target.parent.mkdir(parents=True, exist_ok=True)
     stage = Path(tempfile.mkdtemp(prefix=".stage-", dir=target.parent))
     try:
         try:
             certified = _DISPATCH[pipeline](cfg, stage)
             status = 0 if certified else 1
+        except ConfigError:
+            raise
         except (ResonanceError, RuntimeError, FloatingPointError, ValueError) as exc:
             payload = _report_base(cfg, pipeline)
             payload.update({"error": {"type": type(exc).__name__, "message": str(exc)}})

@@ -53,6 +53,35 @@ def _quiet_dblquad(func, x0, x1, y0, y1, eps):
     return val
 
 
+def _exterior_entry_oracle(
+    mesh: MeshInterval, s: float, i: int, j: int, eps: float = 1e-10
+) -> float:
+    """Adaptive-quadrature exterior collar part of the pairing of hats i and j."""
+    phi_i = _hat(mesh, i)
+    phi_j = _hat(mesh, j)
+    expo = 1.0 + 2.0 * s
+
+    def collar_weight(d: float) -> float:
+        # int_0^inf (d + u)^(-1-2s) du via u = t / (1 - t)
+        return _quiet_quad(
+            lambda t: (d + t / (1.0 - t)) ** (-expo) / (1.0 - t) ** 2,
+            0.0,
+            1.0,
+            epsabs=eps,
+            epsrel=eps,
+            limit=200,
+        )
+
+    def exterior_integrand(x):
+        return phi_i(x) * phi_j(x) * (collar_weight(x - mesh.a) + collar_weight(mesh.b - x))
+
+    ext = 0.0
+    for k in sorted({i - 1, i} & {j - 1, j}):  # cells in both supports
+        x0, x1 = mesh.a + k * mesh.h, mesh.a + (k + 1) * mesh.h
+        ext += _quiet_quad(exterior_integrand, x0, x1, epsabs=eps, epsrel=eps, limit=200)
+    return 2.0 * ext
+
+
 def gagliardo_entry_oracle(
     mesh: MeshInterval, s: float, i: int, j: int, eps: float = 1e-10
 ) -> float:
@@ -60,9 +89,9 @@ def gagliardo_entry_oracle(
 
     The Omega x Omega part is integrated cell pair by cell pair with
     ``dblquad`` (identical cells are split along the diagonal x = y so the
-    kernel singularity sits on the region boundary).  The exterior part is
-    integrated adaptively as well, with the unbounded inner integral mapped
-    onto (0, 1) by u = t / (1 - t).
+    kernel singularity sits on the region boundary).  The exterior part,
+    ``_exterior_entry_oracle``, is integrated adaptively as well, with the
+    unbounded inner integral mapped onto (0, 1) by u = t / (1 - t).
     """
     a = mesh.a
     h = mesh.h
@@ -93,27 +122,7 @@ def gagliardo_entry_oracle(
             else:
                 total += _quiet_dblquad(integrand, x0, x1, lambda x: y0, lambda x: y1, eps)
 
-    def collar_weight(d: float) -> float:
-        # int_0^inf (d + u)^(-1-2s) du via u = t / (1 - t)
-        return _quiet_quad(
-            lambda t: (d + t / (1.0 - t)) ** (-expo) / (1.0 - t) ** 2,
-            0.0,
-            1.0,
-            epsabs=eps,
-            epsrel=eps,
-            limit=200,
-        )
-
-    def exterior_integrand(x):
-        return phi_i(x) * phi_j(x) * (collar_weight(x - mesh.a) + collar_weight(mesh.b - x))
-
-    ext = 0.0
-    for k in range(n_el):
-        if not (cell_touches_support(k, i) and cell_touches_support(k, j)):
-            continue
-        x0, x1 = a + k * h, a + (k + 1) * h
-        ext += _quiet_quad(exterior_integrand, x0, x1, epsabs=eps, epsrel=eps, limit=200)
-    return total + 2.0 * ext
+    return total + _exterior_entry_oracle(mesh, s, i, j, eps)
 
 
 def gagliardo_matrix_oracle(mesh: MeshInterval, s: float, eps: float = 1e-10) -> np.ndarray:

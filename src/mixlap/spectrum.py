@@ -136,8 +136,10 @@ def solve_pencil(sys: OperatorSystem, m: Optional[int] = None, residual_tol: flo
         m = min(n, 12)
     if not 1 <= m <= n:
         raise ValueError(f"need 1 <= m <= ndof={n}, got m={m}")
+    # M is tridiagonal, so factoring its upper band decides definiteness
+    band = np.vstack([np.r_[0.0, np.diag(sys.M, 1)], np.diag(sys.M)])
     try:
-        linalg.cholesky(sys.M)
+        linalg.cholesky_banded(band)
     except linalg.LinAlgError as exc:
         raise SpectrumError("mass matrix is not positive definite") from exc
     try:

@@ -8,9 +8,8 @@ eigenvalue is negative, so the same slope lambda_1/2 lies strictly between
 the first two eigenvalues: the splitting level is 1, not 0.  There 10b checks
 that the ground-level search refuses the broken geometry and that the level-1
 linking search finds a nontrivial critical point whose level converges at
-second order under mesh refinement.  `test_criterion_10s_*` add the
-indefinite ground level with the slope placed below lambda_1, and a k = 1
-linking run at the stated parameters on one mesh.
+second order under mesh refinement.  `test_criterion_10s_indefinite_ground_level`
+adds the indefinite ground level with the slope placed below lambda_1.
 """
 
 import json
@@ -307,19 +306,6 @@ def test_criterion_10s_indefinite_ground_level(threshold256):
         js[n] = rep.J_value
     rel = abs(js[128] - js[256]) / abs(js[256])
     check("10s", "indefinite ground level (slope < lambda_1)", rel <= 1e-3, f"rel={rel:.1e}")
-
-
-def test_criterion_10s_stated_parameters_solved_by_linking(threshold256):
-    # supplementary: the stated parameters (slope lambda_1/2 between
-    # lambda_1 < 0 and lambda_2) are the level-1 linking configuration
-    alpha = threshold256.alpha_star - 0.5
-    sys, lam1 = _mp_model_at(alpha, 128)
-    spec = solve_pencil(sys, 2)
-    assert spec.lambdas[0] < lam1 / 2 < spec.lambdas[1]
-    rep = linking_search(sys, PowerPerturbed(lam1 / 2, 4.0), 1, SolverConfig(tol=1e-6))
-    ok = rep.converged and rep.classification == "nontrivial" and rep.J_value > 0
-    check("10s", "stated parameters via k=1 linking", ok,
-          f"J={rep.J_value:.6f} gn={rep.grad_norm:.1e}")
 
 
 def test_criterion_11_linking(sys64_zero):

@@ -1,7 +1,9 @@
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import toeplitz
 
 from mixlap import (
     FeField,
@@ -14,11 +16,12 @@ from mixlap import (
     norms,
 )
 from mixlap.assembly import (
+    _gagliardo_column,
     assemble_gagliardo,
-    assemble_gagliardo_parts,
     assemble_local_stiffness,
     assemble_mass,
 )
+from mixlap.oracles import _exterior_entry_oracle
 
 
 def test_stiffness_minimal():
@@ -95,13 +98,72 @@ def test_gagliardo_rejects_bad_order():
 
 
 def test_exterior_part_positive():
-    # dropping the collar strictly decreases the form on any nonzero field
+    # the exterior collar part of the form is positive definite: dropping it
+    # strictly decreases the form on any nonzero field
     mesh = build_mesh(0, 1, 8)
-    inter, ext = assemble_gagliardo_parts(mesh, 0.5)
+    idx = range(1, mesh.ndof + 1)
+    ext = np.array([[_exterior_entry_oracle(mesh, 0.5, i, j) for j in idx] for i in idx])
     rng = np.random.default_rng(0)
     for _ in range(20):
         u = rng.standard_normal(7)
         assert float(u @ ext @ u) > 0
+
+
+def _mp_column(s, h, ks, dps):
+    """c_k = h^(1-2s) / (s (2-2s) (3-2s)) * delta^4 g(k) in mpmath, with
+    g(x) = x^2 expm1((1-2s) log|x|) / (1-2s), g(0) = 0, x^2 log|x| at s = 1/2."""
+    with mp.workdps(dps):
+        s, h = mp.mpf(s), mp.mpf(h)
+        e = 1 - 2 * s
+
+        def g(x):
+            x = abs(mp.mpf(x))
+            if x == 0:
+                return mp.mpf(0)
+            return x**2 * (mp.log(x) if e == 0 else mp.expm1(e * mp.log(x)) / e)
+
+        scale = h**e / (s * (2 - 2 * s) * (3 - 2 * s))
+        gs = {x: g(x) for x in {abs(int(k) + j) for k in ks for j in range(-2, 3)}}
+        return [
+            scale * sum(w * gs[abs(int(k) + j)] for w, j in zip((1, -4, 6, -4, 1), range(-2, 3)))
+            for k in ks
+        ]
+
+
+@pytest.mark.parametrize("s", [0.1, 0.25, 0.5, 0.5 - 1e-9, 0.5 + 1e-9, 0.75, 0.9])
+@pytest.mark.parametrize("n", [64, 2048])
+def test_gagliardo_closed_form_matches_mpmath(s, n):
+    mesh = build_mesh(0, 1, n)
+    S = assemble_gagliardo(mesh, s)
+    ref = np.array([float(c) for c in _mp_column(s, mesh.h, range(mesh.ndof), dps=60)])
+    rel = np.abs(S - toeplitz(ref)) / np.abs(toeplitz(ref))
+    worst = np.unravel_index(np.argmax(rel), rel.shape)
+    assert rel[worst] <= 1e-10, f"s={s} n={n}: entry {worst} off by {rel[worst]:.1e}"
+
+
+@pytest.mark.parametrize("s", [0.1, 0.25, 0.5, 0.5 - 1e-9, 0.5 + 1e-9, 0.75, 0.9])
+def test_gagliardo_far_field_matches_mpmath(s):
+    # out to offsets no dense matrix reaches, through the column helper
+    ks = np.unique(np.geomspace(1, 1e5, 60).astype(int))
+    col = _gagliardo_column(s, ks)
+    ref = _mp_column(s, 1.0, ks, dps=80)
+    rel = [abs((mp.mpf(float(c)) - r) / r) for c, r in zip(col, ref)]
+    worst = int(np.argmax(rel))
+    assert rel[worst] <= 1e-10, f"s={s}: k={ks[worst]} off by {float(rel[worst]):.1e}"
+
+
+@pytest.mark.parametrize("s", [0.25, 0.5, 0.75])
+def test_gagliardo_is_toeplitz(s):
+    S = assemble_gagliardo(build_mesh(0, 1, 33), s)
+    np.testing.assert_array_equal(S, toeplitz(S[:, 0]))
+
+
+@pytest.mark.parametrize("s", [0.1, 0.5, 0.9])
+def test_gagliardo_mesh_width_scaling(s):
+    # on (-1, 2) the mesh width is three times that of (0, 1)
+    unit = assemble_gagliardo(build_mesh(0, 1, 32), s)
+    wide = assemble_gagliardo(build_mesh(-1, 2, 32), s)
+    np.testing.assert_allclose(wide, 3.0 ** (1 - 2 * s) * unit, rtol=1e-14, atol=0)
 
 
 def test_refinement_consistency():

@@ -144,6 +144,40 @@ def test_broken_config_no_artifacts(tmp_path):
     assert not out.exists()
 
 
+def test_pipeline_config_error_no_artifacts(tmp_path):
+    # an alpha grid is a valid config that only the spectrum pipeline accepts
+    out = tmp_path / "out_mp"
+    text = MINIMAL.replace("n_elem = 64", "n_elem = 16").replace("alpha = -5", "alpha = -1:0:3")
+    code = main(["mountain-pass", "--config", str(write_cfg(tmp_path / "c.ini", text)), "--out", str(out)])
+    assert code == 2
+    assert not out.exists()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["c.ini"]
+
+
+def test_refuses_to_replace_foreign_directory(tmp_path):
+    cfgfile = write_cfg(tmp_path / "c.ini", MINIMAL.replace("n_elem = 64", "n_elem = 16"))
+    out = tmp_path / "keep"
+    out.mkdir()
+    (out / "notes.txt").write_text("not mixlap output\n")
+    (out / "data.json").write_text('{"pipeline": "mine"}\n')
+    code = main(["spectrum", "--config", str(cfgfile), "--out", str(out)])
+    assert code == 2
+    assert sorted(p.name for p in out.iterdir()) == ["data.json", "notes.txt"]
+    assert (out / "notes.txt").read_text() == "not mixlap output\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["c.ini", "keep"]
+
+
+def test_replaces_own_and_empty_directories(tmp_path):
+    cfgfile = write_cfg(tmp_path / "c.ini", MINIMAL.replace("n_elem = 64", "n_elem = 16"))
+    out = tmp_path / "empty"
+    out.mkdir()
+    assert main(["spectrum", "--config", str(cfgfile), "--out", str(out)]) == 0
+    (out / "stale.csv").write_text("left by an earlier run\n")
+    assert main(["spectrum", "--config", str(cfgfile), "--out", str(out)]) == 0
+    assert not (out / "stale.csv").exists()
+    assert (out / "report.json").exists()
+
+
 def test_cli_flag_overrides(tmp_path):
     cfgfile = write_cfg(
         tmp_path / "c.ini",

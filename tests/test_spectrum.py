@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from mixlap import FeField, build_mesh, build_system
+from mixlap import FeField, OperatorSystem, build_mesh, build_system
 from mixlap.oracles import pencil_eigenvalues_oracle, rayleigh_min_oracle
 from mixlap.spectrum import (
     DegenerateSpectrumError,
@@ -53,6 +53,15 @@ def test_orthogonality_and_rayleigh_residuals(spec64_neg5, sys64_neg5):
 def test_solve_pencil_rejects_bad_m(sys8_neg5):
     with pytest.raises(ValueError):
         solve_pencil(sys8_neg5, 8)
+
+
+def test_solve_pencil_rejects_indefinite_mass(sys8_neg5):
+    flipped = OperatorSystem(
+        K=sys8_neg5.K, S=sys8_neg5.S, M=-sys8_neg5.M,
+        alpha=sys8_neg5.alpha, s=sys8_neg5.s, mesh=sys8_neg5.mesh,
+    )
+    with pytest.raises(SpectrumError, match="mass matrix is not positive definite"):
+        solve_pencil(flipped, 3)
 
 
 def test_characterization_unconstrained(spec64_neg5, sys64_neg5):
