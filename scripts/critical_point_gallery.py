@@ -37,11 +37,11 @@ def main() -> int:
     args = ap.parse_args()
 
     mesh = build_mesh(0.0, 1.0, args.n_elem)
-    thr = alpha_threshold(mesh, args.s, (-10.0, 0.0), tol=1e-8)
+    base = build_system(mesh, args.s, 0.0)
+    thr = alpha_threshold(base, (-10.0, 0.0), tol=1e-8)
     print(f"alpha* = {thr.alpha_star:.6f}")
     print(f"{'alpha':>10s} {'regime':>12s} {'route':>14s} {'J':>12s} {'grad':>9s} {'ok':>3s}")
 
-    base = build_system(mesh, args.s, 0.0)
     for alpha in (0.0, thr.alpha_star + 0.25, thr.alpha_star - 0.5):
         sys = base.with_alpha(float(alpha))
         spec = solve_pencil(sys, 2)

@@ -43,7 +43,7 @@ def main() -> int:
     args.out.write_text("\n".join(lines) + "\n")
     print(f"wrote {args.out} ({args.points} grid points, m={args.m})")
 
-    thr = alpha_threshold(mesh, args.s, (args.alpha_min, max(args.alpha_max, 0.0)), tol=1e-8)
+    thr = alpha_threshold(base, (args.alpha_min, max(args.alpha_max, 0.0)), tol=1e-8)
     C = embedding_constant(base).value
     print(f"bottom eigenvalue crosses zero at alpha* = {thr.alpha_star:.8f}")
     print(f"discrete embedding constant gives   -1/C = {-1.0 / C:.8f}")

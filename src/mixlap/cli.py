@@ -11,6 +11,7 @@ into the files.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import shutil
 import sys as _sys
@@ -18,22 +19,21 @@ import tempfile
 from pathlib import Path
 
 import numpy as np
+from scipy import linalg
 
 from . import __version__
-from .assembly import build_system, dump_matrix, load_matrix
+from .assembly import OperatorSystem, build_system, dump_matrix, load_matrix
 from .analysis import embedding_constant, interpolation_constant, young_split_audit
 from .config import ConfigError, RunConfig, parse_config
 from .functional import AffineLinear, J_eval, J_gradient, PowerPerturbed
 from .mesh import FeField, build_mesh, interpolate
 from .oracles import gagliardo_matrix_oracle, pencil_eigenvalues_oracle
 from .solvers import (
-    ProbeConfig,
     ResonanceError,
     SolverConfig,
     linking_search,
     mountain_pass,
     solve_resolvent,
-    verify_geometry,
     weak_residual,
 )
 from .spectrum import (
@@ -101,9 +101,7 @@ def _solution_rows(u: FeField) -> list[list]:
 # ---------------------------------------------------------------------------
 
 
-def _spectrum_single(cfg: RunConfig, alpha: float, out_dir: Path) -> bool:
-    mesh = build_mesh(cfg.a, cfg.b, cfg.n_elem)
-    sys = build_system(mesh, cfg.s, alpha)
+def _spectrum_single(cfg: RunConfig, sys: OperatorSystem, out_dir: Path) -> bool:
     spec = solve_pencil(sys, cfg.m)
     A, M = sys.A, sys.M
     V = spec.vectors
@@ -126,9 +124,9 @@ def _spectrum_single(cfg: RunConfig, alpha: float, out_dir: Path) -> bool:
     payload = _report_base(cfg, "spectrum")
     payload.update(
         {
-            "alpha": alpha,
+            "alpha": sys.alpha,
             "s": cfg.s,
-            "mesh": {"a": cfg.a, "b": cfg.b, "n_elem": cfg.n_elem, "h": mesh.h},
+            "mesh": {"a": cfg.a, "b": cfg.b, "n_elem": cfg.n_elem, "h": sys.mesh.h},
             "n0": spec.n0,
             "gamma": garding_constant(sys),
             "certified": certified,
@@ -142,14 +140,15 @@ def _spectrum_single(cfg: RunConfig, alpha: float, out_dir: Path) -> bool:
 
 
 def _pipeline_spectrum(cfg: RunConfig, out_dir: Path) -> bool:
+    base = build_system(build_mesh(cfg.a, cfg.b, cfg.n_elem), cfg.s, cfg.alpha[0])
     if len(cfg.alpha) == 1:
-        return _spectrum_single(cfg, cfg.alpha[0], out_dir)
+        return _spectrum_single(cfg, base, out_dir)
     all_ok = True
     summary = []
     for i, alpha in enumerate(cfg.alpha):
         sub = out_dir / f"alpha_{i:03d}"
         sub.mkdir()
-        ok = _spectrum_single(cfg, alpha, sub)
+        ok = _spectrum_single(cfg, base.with_alpha(alpha), sub)
         summary.append({"alpha": alpha, "directory": sub.name, "certified": ok})
         all_ok = all_ok and ok
     payload = _report_base(cfg, "spectrum")
@@ -182,18 +181,13 @@ def _pipeline_constants(cfg: RunConfig, out_dir: Path) -> bool:
 
 
 def _pipeline_threshold(cfg: RunConfig, out_dir: Path) -> bool:
-    mesh = build_mesh(cfg.a, cfg.b, cfg.n_elem)
-    result = alpha_threshold(mesh, cfg.s, (cfg.bracket_lo, cfg.bracket_hi), tol=cfg.threshold_tol)
-    from .assembly import assemble_gagliardo, assemble_local_stiffness, assemble_mass
-    from scipy import linalg as _lin
-
-    K = assemble_local_stiffness(mesh)
-    S = assemble_gagliardo(mesh, cfg.s)
-    M = assemble_mass(mesh)
+    # alpha* does not depend on the coupling the system is built with
+    sys = build_system(build_mesh(cfg.a, cfg.b, cfg.n_elem), cfg.s, 0.0)
+    result = alpha_threshold(sys, (cfg.bracket_lo, cfg.bracket_hi), tol=cfg.threshold_tol)
     grid = np.linspace(cfg.bracket_lo, cfg.bracket_hi, 9)
     rows = []
     for a in grid:
-        lam1 = float(_lin.eigh(K + a * S, M, eigvals_only=True, subset_by_index=[0, 0])[0])
+        lam1 = float(linalg.eigh(sys.K + a * sys.S, sys.M, eigvals_only=True, subset_by_index=[0, 0])[0])
         rows.append([float(a), lam1])
     _write_csv(out_dir / "lambda1_vs_alpha.csv", ["alpha", "lambda1"], rows)
     payload = _report_base(cfg, "threshold")
@@ -242,11 +236,11 @@ def _pipeline_linking(cfg: RunConfig, out_dir: Path) -> bool:
     alpha = _scalar_alpha(cfg, "linking")
     mesh = build_mesh(cfg.a, cfg.b, cfg.n_elem)
     sys = build_system(mesh, cfg.s, alpha)
-    probe = ProbeConfig(seed=cfg.seed)
-    geometry = verify_geometry(sys, _nonlinearity(cfg), cfg.k, probe)
-    report = linking_search(sys, _nonlinearity(cfg), cfg.k, _solver_config(cfg), probe)
+    report = linking_search(sys, _nonlinearity(cfg), cfg.k, _solver_config(cfg))
     payload = _report_base(cfg, "linking")
-    payload.update({"alpha": alpha, "k": cfg.k, "geometry": geometry.to_dict(), "report": report.to_dict()})
+    payload.update(
+        {"alpha": alpha, "k": cfg.k, "geometry": report.geometry.to_dict(), "report": report.to_dict()}
+    )
     _write_json(out_dir / "report.json", payload)
     _write_csv(out_dir / "solution.csv", ["x", "u"], _solution_rows(report.u))
     return report.converged
@@ -336,7 +330,8 @@ def _audit_checks(cfg: RunConfig, alpha: float) -> list[dict]:
         lhs = float(u @ sys.A @ u) + gamma * float(u @ sys.M @ u)
         worst = max(worst, (0.5 * qk - lhs) / max(1.0, qk))
     add("garding_certificate", worst, 1e-10)
-    young = young_split_audit(sys, n_random=200, seed=cfg.seed)
+    interp = interpolation_constant(sys, seed=cfg.seed)
+    young = young_split_audit(sys, n_random=200, seed=cfg.seed, interp=interp)
     add("young_split_violations", float(young.violations), 0.0)
     if sys.alpha < 0:
         add(
@@ -366,7 +361,6 @@ def _audit_checks(cfg: RunConfig, alpha: float) -> list[dict]:
     add("gradient_fd", worst, 1e-6)
 
     # interpolation constant audit
-    interp = interpolation_constant(sys, seed=cfg.seed)
     from .analysis import _interp_ratio
 
     worst = -np.inf
@@ -389,7 +383,7 @@ def _audit_checks(cfg: RunConfig, alpha: float) -> list[dict]:
 
     # threshold vs embedding constant
     emb = embedding_constant(sys)
-    thr = alpha_threshold(mesh, cfg.s, (cfg.bracket_lo, cfg.bracket_hi), tol=cfg.threshold_tol)
+    thr = alpha_threshold(sys, (cfg.bracket_lo, cfg.bracket_hi), tol=cfg.threshold_tol)
     add("threshold_embedding", thr.alpha_star - (-1.0 / emb.value), 1e-6)
     sys_past = sys.with_alpha(thr.alpha_star - 1.0)
     spec_past = solve_pencil(sys_past, m=min(sys.ndof, cfg.m))
@@ -437,6 +431,15 @@ def _replaceable(target: Path) -> bool:
     return not any(target.iterdir())
 
 
+def _remove_empty(dirs: list[Path]) -> None:
+    """Remove the given directories, deepest first, while they are empty."""
+    for path in dirs:
+        try:
+            path.rmdir()
+        except OSError:
+            return
+
+
 def run(cfg: RunConfig, pipeline: str) -> int:
     """Execute a pipeline; stage outputs and rename into place on completion."""
     if pipeline not in _DISPATCH:
@@ -445,9 +448,12 @@ def run(cfg: RunConfig, pipeline: str) -> int:
     target = Path(cfg.directory)
     if target.exists() and not _replaceable(target):
         raise ConfigError(f"output: {target} holds no mixlap report; refusing to replace it")
+    # ancestors this run creates, deepest first; removed again if it fails
+    created = list(itertools.takewhile(lambda p: not p.exists(), target.parents))
     target.parent.mkdir(parents=True, exist_ok=True)
-    stage = Path(tempfile.mkdtemp(prefix=".stage-", dir=target.parent))
+    stage = None
     try:
+        stage = Path(tempfile.mkdtemp(prefix=".stage-", dir=target.parent))
         try:
             certified = _DISPATCH[pipeline](cfg, stage)
             status = 0 if certified else 1
@@ -462,7 +468,9 @@ def run(cfg: RunConfig, pipeline: str) -> int:
             shutil.rmtree(target)
         stage.replace(target)
     except BaseException:
-        shutil.rmtree(stage, ignore_errors=True)
+        if stage is not None:
+            shutil.rmtree(stage, ignore_errors=True)
+        _remove_empty(created)
         raise
     return status
 

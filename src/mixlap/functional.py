@@ -8,7 +8,9 @@ The energy of a discrete field u is
 with the integral evaluated by a fixed 4-point Gauss rule per element on the
 piecewise-linear reconstruction u_h.  The gradient uses the same rule, so it
 is the exact derivative of the discrete energy, not merely a consistent
-approximation of the continuum one.
+approximation of the continuum one.  ``J_values`` and ``J_gradients``
+evaluate a block of fields, the rows of a (batch, ndof) array, in one pass;
+``J_eval`` and ``J_gradient`` are the same code with a batch of one.
 """
 
 from __future__ import annotations
@@ -36,6 +38,8 @@ __all__ = [
     "fprime_eval",
     "J_eval",
     "J_gradient",
+    "J_values",
+    "J_gradients",
     "load_vector",
     "weighted_mass",
     "check_hypotheses",
@@ -140,7 +144,11 @@ class PowerPerturbed:
 
 @dataclass(frozen=True)
 class Custom:
-    """User-supplied pair (f, F); F' = f is spot-checked at construction."""
+    """User-supplied pair (f, F); F' = f is spot-checked at construction.
+
+    The energy calls them with Gauss points x of shape (n_elem, 4) and values
+    t of shape (batch, n_elem, 4), so they must broadcast like numpy ufuncs.
+    """
 
     f_fn: Callable
     F_fn: Callable
@@ -198,49 +206,80 @@ def _quad_points(mesh: MeshInterval) -> tuple[np.ndarray, np.ndarray, np.ndarray
     return xq, wq, shapes
 
 
-def _field_at_quad(u: FeField) -> np.ndarray:
-    nodal = u.padded()
-    _, _, shapes = _quad_points(u.mesh)
-    left = nodal[:-1]
-    right = nodal[1:]
-    return left[:, None] * shapes[0][None, :] + right[:, None] * shapes[1][None, :]
+def _field_at_quad(mesh: MeshInterval, U: np.ndarray) -> np.ndarray:
+    """Values of the fields in the rows of U, shape (..., ndof), at the
+    Gauss points: shape (..., n_elem, 4)."""
+    _, _, shapes = _quad_points(mesh)
+    nodal = np.zeros(U.shape[:-1] + (mesh.n_elem + 1,))
+    nodal[..., 1:-1] = U
+    return nodal[..., :-1, None] * shapes[0] + nodal[..., 1:, None] * shapes[1]
+
+
+def _scatter_quad(mesh: MeshInterval, vals: np.ndarray) -> np.ndarray:
+    """Assemble sum_q w_q vals(x_q) phi_i(x_q) into interior-node entries:
+    shape (..., n_elem, 4) to (..., ndof)."""
+    _, wq, shapes = _quad_points(mesh)
+    per_left = np.sum(vals * (wq * shapes[0]), axis=-1)
+    per_right = np.sum(vals * (wq * shapes[1]), axis=-1)
+    return per_left[..., 1:] + per_right[..., :-1]
+
+
+def _apply_rows(mat: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """mat @ x for every row x of X in one stacked product.  Each row goes
+    through the same BLAS matrix-vector call as a single product, so it is
+    bit-identical to ``mat @ x``; a matrix-matrix product would not be."""
+    return np.matmul(mat, X[..., None])[..., 0]
+
+
+def _dot_rows(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """x @ y for every pair of rows, bit-identical to the single dot product."""
+    return np.matmul(X[..., None, :], Y[..., :, None])[..., 0, 0]
+
+
+def _block(sys: OperatorSystem, U) -> np.ndarray:
+    U = np.asarray(U, dtype=float)
+    if U.ndim != 2 or U.shape[1] != sys.ndof:
+        raise ValueError(
+            f"field block has shape {U.shape}, the system needs (batch, {sys.ndof})"
+        )
+    return U
+
+
+def J_values(sys: OperatorSystem, nl, U) -> np.ndarray:
+    """Energies 0.5 B(u, u) - int F(x, u_h) of the fields in the rows of U,
+    shape (batch, ndof); returns shape (batch,)."""
+    U = _block(sys, U)
+    xq, wq, _ = _quad_points(sys.mesh)
+    Fq = nl.F(xq, _field_at_quad(sys.mesh, U))
+    if not np.all(np.isfinite(Fq)):
+        raise FloatingPointError("non-finite primitive value at a quadrature point")
+    quadratic = 0.5 * _dot_rows(U, _apply_rows(sys.A, U))
+    return quadratic - np.sum(Fq * wq, axis=(1, 2))
+
+
+def J_gradients(sys: OperatorSystem, nl, U) -> np.ndarray:
+    """Exact gradients (K + alpha S) u - quad(f phi) of the discrete energy at
+    the fields in the rows of U, shape (batch, ndof)."""
+    U = _block(sys, U)
+    xq, _, _ = _quad_points(sys.mesh)
+    fq = nl.f(xq, _field_at_quad(sys.mesh, U))
+    if not np.all(np.isfinite(fq)):
+        raise FloatingPointError("non-finite nonlinearity value at a quadrature point")
+    return _apply_rows(sys.A, U) - _scatter_quad(sys.mesh, fq)
 
 
 def J_eval(sys: OperatorSystem, nl, u: FeField) -> float:
     """Energy 0.5 B(u, u) - int F(x, u_h)."""
     if u.mesh != sys.mesh:
         raise ValueError("field mesh does not match the assembled system")
-    xq, wq, _ = _quad_points(sys.mesh)
-    uq = _field_at_quad(u)
-    Fq = nl.F(xq, uq)
-    if not np.all(np.isfinite(Fq)):
-        raise FloatingPointError("non-finite primitive value at a quadrature point")
-    quadratic = 0.5 * float(u.coeffs @ (sys.A @ u.coeffs))
-    return quadratic - float(np.sum(Fq * wq[None, :]))
-
-
-def _scatter_quad(mesh: MeshInterval, vals: np.ndarray) -> np.ndarray:
-    """Assemble sum_q w_q vals(x_q) phi_i(x_q) into interior-node entries."""
-    _, wq, shapes = _quad_points(mesh)
-    per_left = np.sum(vals * (wq[None, :] * shapes[0][None, :]), axis=1)
-    per_right = np.sum(vals * (wq[None, :] * shapes[1][None, :]), axis=1)
-    full = np.zeros(mesh.n_elem + 1)
-    full[:-1] += per_left
-    full[1:] += per_right
-    return full[1:-1]
+    return float(J_values(sys, nl, u.coeffs[None, :])[0])
 
 
 def J_gradient(sys: OperatorSystem, nl, u: FeField) -> FeField:
     """Exact gradient of the discrete energy: (K + alpha S) u - quad(f phi)."""
     if u.mesh != sys.mesh:
         raise ValueError("field mesh does not match the assembled system")
-    xq, _, _ = _quad_points(sys.mesh)
-    uq = _field_at_quad(u)
-    fq = nl.f(xq, uq)
-    if not np.all(np.isfinite(fq)):
-        raise FloatingPointError("non-finite nonlinearity value at a quadrature point")
-    g = sys.A @ u.coeffs - _scatter_quad(sys.mesh, fq)
-    return FeField(g, sys.mesh)
+    return FeField(J_gradients(sys, nl, u.coeffs[None, :])[0], sys.mesh)
 
 
 def load_vector(mesh: MeshInterval, fn: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
@@ -276,7 +315,7 @@ def quad_points(mesh: MeshInterval) -> tuple[np.ndarray, np.ndarray]:
 
 
 def field_at_quad(u: FeField) -> np.ndarray:
-    return _field_at_quad(u)
+    return _field_at_quad(u.mesh, u.coeffs)
 
 
 # ---------------------------------------------------------------------------

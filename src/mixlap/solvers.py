@@ -31,6 +31,10 @@ from .functional import (
     AffineLinear,
     J_eval,
     J_gradient,
+    J_gradients,
+    J_values,
+    _apply_rows,
+    _dot_rows,
     asymptotic_slopes,
     field_at_quad,
     load_vector,
@@ -98,6 +102,7 @@ class CriticalPointReport:
     status: str
     message: str = ""
     path_history: list = field(default_factory=list)
+    geometry: Optional[LinkingGeometryReport] = None  # the probe that gated a linking search
 
     def to_dict(self) -> dict:
         return {
@@ -170,6 +175,18 @@ def weak_residual(sys: OperatorSystem, nl, u: FeField) -> float:
 
 def _x_norm(sys: OperatorSystem, c: np.ndarray) -> float:
     return math.sqrt(max(0.0, float(c @ sys.K @ c)))
+
+
+def _x_norms(sys: OperatorSystem, W: np.ndarray) -> np.ndarray:
+    """X norms of the rows of W, each bit-identical to ``_x_norm``."""
+    return np.sqrt(np.maximum(0.0, _dot_rows(_apply_rows(sys.K.T, W), W)))
+
+
+def _slope_at_zero(sys: OperatorSystem, nl):
+    """Sampled slope of f at t = 0, at 9 evenly spaced interior mesh nodes."""
+    nodes = sys.mesh.nodes
+    picks = np.linspace(0, nodes.size - 1, 9).round().astype(int)
+    return asymptotic_slopes(nl, "at_zero", x_samples=nodes[picks])
 
 
 def _classify(sys: OperatorSystem, c: np.ndarray, threshold: float) -> str:
@@ -308,9 +325,7 @@ def newton_refine(
 
 def _reparameterize(sys: OperatorSystem, path: np.ndarray, n_nodes: int) -> np.ndarray:
     """Resample the polyline to n_nodes equal arclength steps in the K norm."""
-    seg = np.array(
-        [_x_norm(sys, path[i + 1] - path[i]) for i in range(path.shape[0] - 1)]
-    )
+    seg = _x_norms(sys, np.diff(path, axis=0))
     arc = np.concatenate([[0.0], np.cumsum(seg)])
     total = arc[-1]
     if total == 0.0:
@@ -358,7 +373,7 @@ def mountain_pass(sys: OperatorSystem, nl, cfg: SolverConfig | None = None) -> C
     cfg = cfg or SolverConfig()
     spec = solve_pencil(sys, m=min(sys.ndof, 2))
     lam1 = float(spec.lambdas[0])
-    theta = asymptotic_slopes(nl, "at_zero")
+    theta = _slope_at_zero(sys, nl)
     if theta.diverged or theta.inconclusive:
         return _geometry_failure(sys, "slope estimate at zero is unreliable: " + (
             "diverged" if theta.diverged else "inconclusive"))
@@ -402,13 +417,13 @@ def mountain_pass(sys: OperatorSystem, nl, cfg: SolverConfig | None = None) -> C
 
     newton_gate = math.inf
     for it in range(cfg.max_iter):
-        jvals = np.array([J_eval(sys, nl, FeField(p, sys.mesh)) for p in path])
+        jvals = J_values(sys, nl, path)
         m_idx = int(np.argmax(jvals))
         if m_idx in (0, n_nodes - 1):
             status = "geometry_violation"
             message = "path maximum collapsed to an endpoint; minimax level is not positive"
             break
-        if max(_x_norm(sys, p) for p in path) > cfg.blowup_bound:
+        if np.max(_x_norms(sys, path)) > cfg.blowup_bound:
             status = "blowup"
             message = "path iterate exceeded the boundedness guard"
             break
@@ -443,7 +458,7 @@ def mountain_pass(sys: OperatorSystem, nl, cfg: SolverConfig | None = None) -> C
             trial = path.copy()
             trial[m_idx] = path[m_idx] - sigma * gd
             trial = _reparameterize(sys, trial, n_nodes)
-            j_trial = max(J_eval(sys, nl, FeField(p, sys.mesh)) for p in trial)
+            j_trial = float(np.max(J_values(sys, nl, trial)))
             if j_trial < j_max_old - 1e-4 * sigma * gn * gn:
                 path = trial
                 accepted = True
@@ -494,50 +509,53 @@ def _sphere_min(
     restarts: int,
     iters: int,
     rng: np.random.Generator,
-) -> tuple[float, np.ndarray, float]:
+) -> tuple[float, float]:
     """Multistart projected descent of J on the X-sphere of radius rho inside
-    the span of the columns of V.  Returns (min value, argmin, spread)."""
+    the span of the columns of V.  Returns (min value, spread).
+
+    The starts run in lockstep, one block evaluation of J or its gradient per
+    step.  Each start keeps its own step length and acceptance test, and
+    leaves the block when it converges or its line search fails.
+    """
     nsub = V.shape[1]
     KV = sys.K @ V
-    results = []
-    best_c = None
     starts = [np.eye(nsub)[j] for j in range(min(nsub, 3))]
     starts += [rng.standard_normal(nsub) for _ in range(restarts)]
-    for c in starts:
-        c = c.copy()
-        for _ in range(iters):
-            w = V @ c
-            r = _x_norm(sys, w)
-            u = (rho / r) * w
-            g = J_gradient(sys, nl, FeField(u, sys.mesh)).coeffs
-            # chain rule through the radial projection
-            gc = (rho / r) * (V.T @ g - (float(w @ g) / r**2) * (KV.T @ w))
-            gn = np.linalg.norm(gc)
-            val = J_eval(sys, nl, FeField(u, sys.mesh))
-            if gn < 1e-12 * max(1.0, abs(val)):
-                break
-            step = 0.5 / max(1.0, gn)
-            improved = False
-            while step > 1e-14:
-                c_try = c - step * gc
-                w_try = V @ c_try
-                u_try = (rho / _x_norm(sys, w_try)) * w_try
-                if J_eval(sys, nl, FeField(u_try, sys.mesh)) < val - 1e-12:
-                    c = c_try
-                    improved = True
-                    break
-                step *= 0.5
-            if not improved:
-                break
-        w = V @ c
-        u = (rho / _x_norm(sys, w)) * w
-        results.append(float(J_eval(sys, nl, FeField(u, sys.mesh))))
-        if results[-1] == min(results):
-            best_c = u
-    results = sorted(results)
-    second = results[1] if len(results) > 1 else results[0]
+    C = np.array(starts)
+
+    def on_sphere(Cb):
+        W = _apply_rows(V, Cb)
+        r = _x_norms(sys, W)
+        return W, r, (rho / r)[:, None] * W
+
+    active = np.arange(len(C))
+    for _ in range(iters):
+        if active.size == 0:
+            break
+        W, r, U = on_sphere(C[active])
+        G = J_gradients(sys, nl, U)
+        # chain rule through the radial projection
+        GC = (rho / r)[:, None] * (
+            _apply_rows(V.T, G) - (_dot_rows(W, G) / r**2)[:, None] * _apply_rows(KV.T, W)
+        )
+        gn = np.sqrt(_dot_rows(GC, GC))
+        val = J_values(sys, nl, U)
+        step = 0.5 / np.maximum(1.0, gn)
+        improved = np.zeros(active.size, dtype=bool)
+        trying = (gn >= 1e-12 * np.maximum(1.0, np.abs(val))) & (step > 1e-14)
+        while trying.any():
+            t = np.flatnonzero(trying)
+            C_try = C[active[t]] - step[t, None] * GC[t]
+            ok = J_values(sys, nl, on_sphere(C_try)[2]) < val[t] - 1e-12
+            C[active[t[ok]]] = C_try[ok]
+            improved[t[ok]] = True
+            step[t[~ok]] *= 0.5
+            trying[t] = ~ok & (step[t] > 1e-14)
+        active = active[improved]
+    results = np.sort(J_values(sys, nl, on_sphere(C)[2]))
+    second = results[1] if results.size > 1 else results[0]
     spread = (second - results[0]) / (1.0 + abs(results[0]))
-    return results[0], best_c, spread
+    return float(results[0]), float(spread)
 
 
 def _delta_boundary_max(
@@ -552,7 +570,8 @@ def _delta_boundary_max(
     """Max of J sampled over the boundary of the half-cylinder
     (X-ball of radius rho in span U) + [0, rho] * v_dir."""
     k = U.shape[1]
-    ts = np.linspace(0.0, rho, 33)
+    ts = np.linspace(0.0, rho, 33)[:, None]
+    rs = np.linspace(0.0, rho, 17)[:, None]
 
     def ball_dirs(count):
         if k == 0:
@@ -566,30 +585,22 @@ def _delta_boundary_max(
         n = _x_norm(sys, w)
         return w / n if n > 0 else w
 
+    def sup(block):
+        return float(np.max(J_values(sys, nl, block)))
+
+    # at k = 0 the ball is the origin, the side face is empty and the
+    # boundary reduces to the two segment endpoints
     best = -math.inf
     # bottom face t = 0, |w| <= rho  (includes the origin)
     for d in ball_dirs(samples // 4):
-        w = x_normalize(U @ d) if k else np.zeros(sys.ndof)
-        for r in np.linspace(0.0, rho, 17):
-            best = max(best, J_eval(sys, nl, FeField(r * w, sys.mesh)))
+        best = max(best, sup(rs * x_normalize(U @ d)))
     # side face |w| = rho, t in [0, rho]
     for d in ball_dirs(samples // 4):
-        w = x_normalize(U @ d) if k else None
-        if w is None:
-            continue
-        for t in ts:
-            best = max(best, J_eval(sys, nl, FeField(rho * w + t * v_dir, sys.mesh)))
+        if k:
+            best = max(best, sup(rho * x_normalize(U @ d) + ts * v_dir))
     # top face t = rho, |w| <= rho
     for d in ball_dirs(samples // 4):
-        w = x_normalize(U @ d) if k else np.zeros(sys.ndof)
-        for r in np.linspace(0.0, rho, 17):
-            best = max(best, J_eval(sys, nl, FeField(r * w + rho * v_dir, sys.mesh)))
-    if k == 0:
-        # boundary reduces to the two segment endpoints
-        best = max(
-            J_eval(sys, nl, FeField.zero(sys.mesh)),
-            J_eval(sys, nl, FeField(rho * v_dir, sys.mesh)),
-        )
+        best = max(best, sup(rs * x_normalize(U @ d) + rho * v_dir))
     return best
 
 
@@ -660,7 +671,7 @@ def verify_geometry(
     best_rho = probe.rho_grid[0]
     spread_at_best = 0.0
     for rho in probe.rho_grid:
-        val, _, spread = _sphere_min(sys, nl, V, rho, probe.restarts, probe.iters, rng)
+        val, spread = _sphere_min(sys, nl, V, rho, probe.restarts, probe.iters, rng)
         if val > best_val:
             best_val, best_rho, spread_at_best = val, rho, spread
     alpha_tilde = best_val
@@ -745,7 +756,8 @@ def linking_search(
     span(u_1..u_k, v); the outer stage descends the ray direction along the
     Riesz gradient of J at the peak.  The converged peak is Newton-refined
     and certified like the ground-level search.  Requires the geometry probe
-    to certify the linking (or saddle) structure first.
+    to certify the linking (or saddle) structure first; every report carries
+    that probe as ``geometry``.
     """
     cfg = cfg or SolverConfig()
     probe = probe or ProbeConfig(seed=cfg.seed)
@@ -756,6 +768,7 @@ def linking_search(
             f"linking geometry not certified at k={k}: "
             f"alpha_tilde={geometry.alpha_tilde:.6g}, boundary_sup={geometry.boundary_sup:.6g}",
         )
+        rep.geometry = geometry
         return rep
 
     full = solve_pencil(sys, m=sys.ndof)
@@ -764,7 +777,7 @@ def linking_search(
     v = full.vectors[:, k].copy()
     v /= math.sqrt(float(v @ M @ v))
 
-    theta = asymptotic_slopes(nl, "at_zero")
+    theta = _slope_at_zero(sys, nl)
     resonance_note = ""
     if k >= 1 and not theta.diverged and not theta.inconclusive:
         lam_k = float(full.lambdas[k - 1])
@@ -830,6 +843,7 @@ def linking_search(
         rep = _geometry_failure(sys, message)
         rep.status = status
         rep.path_history = hist
+        rep.geometry = geometry
         return rep
 
     refined = newton_refine(sys, nl, FeField(p_coeffs, sys.mesh), cfg)
@@ -854,4 +868,5 @@ def linking_search(
         status="converged" if converged else (status if status != "descent_converged" else "not_certified"),
         message=message,
         path_history=hist,
+        geometry=geometry,
     )

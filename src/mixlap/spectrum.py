@@ -16,7 +16,7 @@ from typing import Optional
 import numpy as np
 from scipy import linalg
 
-from .assembly import OperatorSystem, assemble_gagliardo, assemble_local_stiffness, assemble_mass, build_system
+from .assembly import OperatorSystem
 from .mesh import FeField, MeshInterval
 
 __all__ = [
@@ -291,14 +291,13 @@ def garding_constant(sys: OperatorSystem) -> float:
     return max(0.0, -float(w[0]))
 
 
-def _lambda1(K: np.ndarray, S: np.ndarray, M: np.ndarray, alpha: float) -> float:
-    w = linalg.eigh(K + alpha * S, M, eigvals_only=True, subset_by_index=[0, 0])
+def _lambda1(sys: OperatorSystem, alpha: float) -> float:
+    w = linalg.eigh(sys.K + alpha * sys.S, sys.M, eigvals_only=True, subset_by_index=[0, 0])
     return float(w[0])
 
 
 def alpha_threshold(
-    mesh: MeshInterval,
-    s: float,
+    sys: OperatorSystem,
     bracket: tuple[float, float],
     tol: float = 1e-6,
     max_iter: int = 200,
@@ -307,16 +306,14 @@ def alpha_threshold(
 
     lambda_1(alpha) is a minimum of affine functions of alpha with
     nonnegative slopes, hence continuous and nondecreasing; plain bisection
-    applies.  The bracket must satisfy lambda_1(lo) < 0 < lambda_1(hi).
+    applies.  The bracket must satisfy lambda_1(lo) < 0 < lambda_1(hi).  Only
+    the system's K, S and M are used, not its coupling.
     """
-    K = assemble_local_stiffness(mesh)
-    S = assemble_gagliardo(mesh, s)
-    M = assemble_mass(mesh)
     lo, hi = float(bracket[0]), float(bracket[1])
     if lo >= hi:
         raise ValueError(f"invalid bracket: need lo < hi, got {bracket}")
-    f_lo = _lambda1(K, S, M, lo)
-    f_hi = _lambda1(K, S, M, hi)
+    f_lo = _lambda1(sys, lo)
+    f_hi = _lambda1(sys, hi)
     if not (f_lo < 0.0 < f_hi):
         raise ValueError(
             f"bracket does not straddle the crossing: lambda1({lo})={f_lo:.6e}, "
@@ -326,7 +323,7 @@ def alpha_threshold(
     mid, f_mid = lo, f_lo
     for iterations in range(1, max_iter + 1):
         mid = 0.5 * (lo + hi)
-        f_mid = _lambda1(K, S, M, mid)
+        f_mid = _lambda1(sys, mid)
         if abs(f_mid) <= tol:
             break
         if f_mid < 0.0:

@@ -39,8 +39,8 @@ def spec64_neg5(sys64_neg5):
 @pytest.fixture(scope="session")
 def threshold256():
     """Crossing of the bottom eigenvalue for s = 0.5 on (0, 1), n_elem = 256."""
-    mesh = build_mesh(0.0, 1.0, 256)
-    return alpha_threshold(mesh, 0.5, (-10.0, 0.0), tol=1e-8)
+    sys = build_system(build_mesh(0.0, 1.0, 256), 0.5, 0.0)
+    return alpha_threshold(sys, (-10.0, 0.0), tol=1e-8)
 
 
 @pytest.fixture(scope="session")

@@ -154,6 +154,16 @@ def test_pipeline_config_error_no_artifacts(tmp_path):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["c.ini"]
 
 
+def test_failed_run_removes_the_directories_it_created(tmp_path):
+    # the refused run created pd/new/deeper; an existing pd/keep stays
+    (tmp_path / "pd" / "keep").mkdir(parents=True)
+    out = tmp_path / "pd" / "new" / "deeper" / "out"
+    text = MINIMAL.replace("n_elem = 64", "n_elem = 16").replace("alpha = -5", "alpha = -1:0:3")
+    code = main(["mountain-pass", "--config", str(write_cfg(tmp_path / "c.ini", text)), "--out", str(out)])
+    assert code == 2
+    assert sorted(p.name for p in (tmp_path / "pd").iterdir()) == ["keep"]
+
+
 def test_refuses_to_replace_foreign_directory(tmp_path):
     cfgfile = write_cfg(tmp_path / "c.ini", MINIMAL.replace("n_elem = 64", "n_elem = 16"))
     out = tmp_path / "keep"

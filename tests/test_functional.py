@@ -14,6 +14,8 @@ from mixlap.functional import (
     F_eval,
     J_eval,
     J_gradient,
+    J_gradients,
+    J_values,
     asymptotic_slopes,
     check_hypotheses,
     f_eval,
@@ -172,6 +174,46 @@ def test_nonfinite_primitive_rejected(sys64_zero):
     with np.errstate(over="ignore"):
         with pytest.raises(FloatingPointError):
             J_eval(sys64_zero, nl, big)
+
+
+@pytest.mark.parametrize(
+    "nl",
+    [
+        AffineLinear(2.5, lambda x: np.sin(2 * x)),
+        PowerPerturbed(-3.0, 4.5),
+        Custom(
+            f_fn=lambda x, t: np.cos(x) * t + t**3,
+            F_fn=lambda x, t: np.cos(x) * t**2 / 2 + t**4 / 4,
+        ),
+    ],
+)
+def test_block_energy_matches_single_fields(sys64_neg5, nl):
+    mesh = sys64_neg5.mesh
+    U = np.random.default_rng(3).standard_normal((7, mesh.ndof))
+    vals = J_values(sys64_neg5, nl, U)
+    grads = J_gradients(sys64_neg5, nl, U)
+    assert vals.shape == (7,) and grads.shape == (7, mesh.ndof)
+    for u, val, grad in zip(U, vals, grads):
+        want = J_eval(sys64_neg5, nl, FeField(u, mesh))
+        assert abs(val - want) <= 1e-13 * max(1.0, abs(want))
+        want_g = J_gradient(sys64_neg5, nl, FeField(u, mesh)).coeffs
+        assert np.max(np.abs(grad - want_g)) <= 1e-13 * max(1.0, np.max(np.abs(want_g)))
+
+
+def test_block_energy_rejects_a_nonfinite_row(sys64_zero):
+    nl = Custom(
+        f_fn=lambda x, t: np.asarray(t, dtype=float),
+        F_fn=lambda x, t: np.asarray(t, dtype=float) ** 2 / 2,
+    )
+    U = np.zeros((3, sys64_zero.ndof))
+    U[1, 5] = np.inf
+    with np.errstate(invalid="ignore"):
+        with pytest.raises(FloatingPointError):
+            J_values(sys64_zero, nl, U)
+        with pytest.raises(FloatingPointError):
+            J_gradients(sys64_zero, nl, U)
+    with pytest.raises(ValueError, match="batch"):
+        J_values(sys64_zero, nl, U[0])
 
 
 def test_model_hypotheses_pass():

@@ -3,7 +3,7 @@ import pytest
 from scipy import linalg
 
 from mixlap import FeField, build_mesh, build_system, interpolate
-from mixlap.functional import AffineLinear, J_eval, J_gradient, PowerPerturbed
+from mixlap.functional import AffineLinear, Custom, J_eval, J_gradient, PowerPerturbed
 from mixlap.solvers import (
     ProbeConfig,
     ResonanceError,
@@ -164,6 +164,22 @@ def test_mountain_pass_geometry_violation(sys64_zero):
     assert not rep.converged
 
 
+def test_mountain_pass_samples_the_slope_on_its_own_domain():
+    # f = c(x) t + t^3 with c = 0 on [0, 1] and c = 50 > lambda_1 beyond: on
+    # (2, 3) the slope at zero is 50, so the ground-level geometry fails
+    sys = build_system(build_mesh(2.0, 3.0, 32), 0.5, 0.0)
+    lam1 = float(solve_pencil(sys, 1).lambdas[0])
+    assert lam1 < 50.0
+
+    def c(x):
+        return np.where(np.asarray(x) > 1.0, 50.0, 0.0)
+
+    nl = Custom(f_fn=lambda x, t: c(x) * t + t**3, F_fn=lambda x, t: c(x) * t**2 / 2 + t**4 / 4)
+    rep = mountain_pass(sys, nl, SolverConfig())
+    assert rep.status == "geometry_violation"
+    assert "slope at zero 50 is not below the first eigenvalue" in rep.message
+
+
 def test_mountain_pass_certificates_agree(sys64_zero):
     lam1 = float(solve_pencil(sys64_zero, 1).lambdas[0])
     rep = mountain_pass(sys64_zero, PowerPerturbed(lam1 / 2, 4.0), SolverConfig(tol=1e-8))
@@ -285,6 +301,10 @@ def test_linking_level_one(sys64_zero):
     assert rep.classification == "nontrivial"
     assert rep.grad_norm <= 1e-6
     assert rep.J_value > 0
+    # the report carries the geometry probe that gated the search
+    assert rep.geometry.certified
+    assert rep.geometry.boundary_sup <= 0.0
+    assert rep.geometry.alpha_tilde > 0.0
 
 
 def test_linking_reduces_to_mountain_pass(sys64_zero):
@@ -302,12 +322,16 @@ def test_linking_geometry_not_certified_reported(sys64_zero):
     rep = linking_search(sys64_zero, PowerPerturbed(lam, 4.0), 1, SolverConfig())
     assert rep.status == "geometry_violation"
     assert not rep.converged
+    assert rep.geometry is not None and not rep.geometry.certified
 
 
-def test_linking_boundary_nonpositive_when_certified(sys64_zero):
-    spec = solve_pencil(sys64_zero, 2)
-    lam = 0.5 * (spec.lambdas[0] + spec.lambdas[1])
-    geo = verify_geometry(sys64_zero, PowerPerturbed(lam, 4.0), 1, ProbeConfig(seed=0))
-    assert geo.certified
-    assert geo.boundary_sup <= 0.0
-    assert geo.alpha_tilde > 0.0
+def test_geometry_probe_reference_values(sys64_zero):
+    # seed-0 reference values of the k = 1 probe at lambda = 25 (the geometry
+    # of the linking benchmark run); the lockstep multistart must keep them
+    geo = verify_geometry(sys64_zero, PowerPerturbed(25.0, 4.0), 1, ProbeConfig(seed=0))
+    assert geo.alpha_tilde == pytest.approx(1.8122226969268116, rel=1e-9)
+    assert geo.spread == pytest.approx(0.6323619070030969, rel=1e-9)
+    assert (geo.k, geo.rho_small, geo.rho_big, geo.boundary_sup) == (
+        1, 3.1622776601683795, 50.59644256269407, 0.0
+    )
+    assert (geo.certified, geo.mode, geo.inconclusive) == (True, "linking", True)

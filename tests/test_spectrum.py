@@ -215,9 +215,9 @@ def test_threshold_regression_value(threshold256):
 
 
 def test_threshold_invalid_bracket():
-    mesh = build_mesh(0, 1, 32)
+    sys = build_system(build_mesh(0, 1, 32), 0.5, 0.0)
     with pytest.raises(ValueError, match="lambda1"):
-        alpha_threshold(mesh, 0.5, (-0.1, 0.0), tol=1e-6)
+        alpha_threshold(sys, (-0.1, 0.0), tol=1e-6)
 
 
 def test_monotonicity_in_alpha(mesh64):
