@@ -1,9 +1,10 @@
 """Batch front door: parse a config, dispatch a pipeline, emit reports.
 
-Pipelines write machine-readable artifacts (JSON reports with the full
-effective config and package version embedded, CSV data files with header
-rows) into a staging directory that is renamed into place only on success,
-so interrupted runs never leave partial fixtures.  Identical (config, seed)
+Pipelines write machine-readable artifacts (JSON reports with the
+effective config, less the output path, and the package version embedded,
+CSV data files with header rows) into a staging directory that is renamed
+into place only on success, so interrupted runs never leave partial
+fixtures.  Identical (config, seed)
 pairs produce byte-identical outputs: nothing time- or path-dependent goes
 into the files.
 """
@@ -27,7 +28,6 @@ from .analysis import embedding_constant, interpolation_constant, young_split_au
 from .config import ConfigError, RunConfig, parse_config
 from .functional import AffineLinear, J_eval, J_gradient, PowerPerturbed
 from .mesh import FeField, build_mesh, interpolate
-from .oracles import gagliardo_matrix_oracle, pencil_eigenvalues_oracle
 from .solvers import (
     ResonanceError,
     SolverConfig,
@@ -261,6 +261,8 @@ def _pipeline_dump_matrices(cfg: RunConfig, out_dir: Path) -> bool:
 
 def _audit_checks(cfg: RunConfig, alpha: float) -> list[dict]:
     """Every oracle cross-check at desk scale; deterministic given the seed."""
+    from .oracles import gagliardo_matrix_oracle, pencil_eigenvalues_oracle, threshold_oracle
+
     checks: list[dict] = []
 
     def add(name: str, metric: float, tolerance: float, note: str = ""):
@@ -381,10 +383,10 @@ def _audit_checks(cfg: RunConfig, alpha: float) -> list[dict]:
             0.0,
         )
 
-    # threshold vs embedding constant
-    emb = embedding_constant(sys)
+    # threshold vs inertia bisection
     thr = alpha_threshold(sys, (cfg.bracket_lo, cfg.bracket_hi), tol=cfg.threshold_tol)
-    add("threshold_embedding", thr.alpha_star - (-1.0 / emb.value), 1e-6)
+    orc = threshold_oracle(sys.K, sys.S, (cfg.bracket_lo, cfg.bracket_hi))
+    add("threshold_oracle", abs(thr.alpha_star - orc), 1e-6)
     sys_past = sys.with_alpha(thr.alpha_star - 1.0)
     spec_past = solve_pencil(sys_past, m=min(sys.ndof, cfg.m))
     add("indefinite_past_threshold", 2.0 - first_positive_index(spec_past), 0.0,

@@ -97,6 +97,8 @@ class RunConfig:
             raise ConfigError(f"solver: threshold_tol must be positive, got {self.threshold_tol}")
 
     def to_dict(self) -> dict:
+        """The config as embedded in reports.  The output directory is left
+        out, so a report's bytes do not depend on where it is written."""
         return {
             "domain": {"a": self.a, "b": self.b, "n_elem": self.n_elem},
             "operator": {"s": self.s, "alpha": list(self.alpha)},
@@ -116,7 +118,6 @@ class RunConfig:
                 "bracket_hi": self.bracket_hi,
                 "threshold_tol": self.threshold_tol,
             },
-            "output": {"directory": self.directory},
         }
 
 

@@ -33,9 +33,6 @@ __all__ = [
     "GrowthConstants",
     "HypothesisReport",
     "SlopeEstimate",
-    "f_eval",
-    "F_eval",
-    "fprime_eval",
     "J_eval",
     "J_gradient",
     "J_values",
@@ -51,6 +48,7 @@ _GQ_X = 0.5 * (_GQ_X + 1.0)  # reference element [0, 1]
 _GQ_W = 0.5 * _GQ_W
 
 CONDITIONS = ("f_lg", "i", "ii", "iii", "slopes_infinity", "slopes_zero", "eq_1.8")
+SLOPE_TOL = 1e-2  # relative precision of a sampled asymptotic slope
 
 
 @dataclass(frozen=True)
@@ -181,18 +179,6 @@ class Custom:
 Nonlinearity = AffineLinear | PowerPerturbed | Custom
 
 
-def f_eval(nl, x, t):
-    return nl.f(x, t)
-
-
-def F_eval(nl, x, t):
-    return nl.F(x, t)
-
-
-def fprime_eval(nl, x, t):
-    return nl.fprime(x, t)
-
-
 @lru_cache(maxsize=32)
 def _quad_points(mesh: MeshInterval) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Gauss points per element, their weights, and the two shape values."""
@@ -308,16 +294,6 @@ def weighted_mass(mesh: MeshInterval, weight_at_quad: np.ndarray) -> np.ndarray:
     return out[1:-1, 1:-1]
 
 
-def quad_points(mesh: MeshInterval) -> tuple[np.ndarray, np.ndarray]:
-    """Public view of the quadrature nodes (n_elem, 4) and weights (4,)."""
-    xq, wq, _ = _quad_points(mesh)
-    return xq, wq
-
-
-def field_at_quad(u: FeField) -> np.ndarray:
-    return _field_at_quad(u.mesh, u.coeffs)
-
-
 # ---------------------------------------------------------------------------
 # hypothesis audits
 # ---------------------------------------------------------------------------
@@ -364,11 +340,12 @@ def _worst(violations: np.ndarray, xs: np.ndarray, ts: np.ndarray):
 def asymptotic_slopes(
     nl,
     mode: str,
+    x_samples: np.ndarray,
     grid: Optional[np.ndarray] = None,
-    x_samples: Optional[np.ndarray] = None,
-    stab_tol: float = 1e-2,
+    stab_tol: float = SLOPE_TOL,
 ) -> SlopeEstimate:
-    """Sampled liminf/limsup of f(x, t) / t for |t| -> infinity or t -> 0.
+    """Sampled liminf/limsup of f(x, t) / t for |t| -> infinity or t -> 0,
+    over the points `x_samples` of the caller's domain.
 
     Estimates come from the outermost decade of the sample grid; the
     neighbouring decade is used for a stabilization check.  Divergence is
@@ -379,8 +356,6 @@ def asymptotic_slopes(
         raise ValueError(f"mode must be 'at_infinity' or 'at_zero', got {mode!r}")
     if grid is None:
         grid = _default_grid()
-    if x_samples is None:
-        x_samples = np.linspace(0.05, 0.95, 9)
     mags = np.abs(grid[grid != 0.0])
     lo_m, hi_m = float(np.min(mags)), float(np.max(mags))
     if mode == "at_infinity":
@@ -410,23 +385,24 @@ def asymptotic_slopes(
 
 def check_hypotheses(
     nl,
+    x_samples: np.ndarray,
     grid: Optional[np.ndarray] = None,
-    x_samples: Optional[np.ndarray] = None,
     conditions: Optional[list[str]] = None,
     tol: float = 1e-9,
 ) -> list[HypothesisReport]:
-    """Sampled audit of the declared growth inequalities.
+    """Sampled audit of the declared growth inequalities at the points
+    `x_samples` of the caller's domain.
 
     Each report gives the worst violation over the (x, t) grid, measured
     relative to the magnitude of the compared terms (the model cases hit the
     inequalities with equality, where absolute residuals are pure round-off).
-    These are falsification checks, not proofs.  Requesting a condition whose
-    constants were not declared raises ``ValueError``.
+    The slope conditions require a stable sampled slope; with a declared
+    ``A``, ``slopes_zero`` also requires the slope at zero to be A within
+    ``SLOPE_TOL``.  These are falsification checks, not proofs.  Requesting a
+    condition whose constants were not declared raises ``ValueError``.
     """
     if grid is None:
         grid = _default_grid()
-    if x_samples is None:
-        x_samples = np.linspace(0.05, 0.95, 9)
     g = nl.growth
     if conditions is None:
         # audit the conditions matching the declared constants: the linear
@@ -500,9 +476,15 @@ def check_hypotheses(
             reports.append(HypothesisReport(cond, worst <= tol, worst, wit))
         elif cond in ("slopes_infinity", "slopes_zero"):
             mode = "at_infinity" if cond == "slopes_infinity" else "at_zero"
-            est = asymptotic_slopes(nl, mode, grid=grid, x_samples=x_samples)
+            est = asymptotic_slopes(nl, mode, x_samples, grid=grid)
             ok = not (est.diverged or est.inconclusive)
             note = "diverged" if est.diverged else ("inconclusive" if est.inconclusive else "")
             worst = math.inf if est.diverged else (abs(est.upper - est.lower))
+            if cond == "slopes_zero" and ok and g.A is not None:
+                # f = A t + o(t) at zero: the sampled slope must be the declared A
+                off = max(abs(est.lower - g.A), abs(est.upper - g.A)) / max(1.0, abs(g.A))
+                worst = max(worst, off)
+                if off > SLOPE_TOL:
+                    ok, note = False, f"slope at zero is not the declared A={g.A:g}"
             reports.append(HypothesisReport(cond, ok, worst, (float(xs[0]), math.inf if est.diverged else 0.0), note))
     return reports

@@ -5,7 +5,8 @@ the nonlocal-form oracle integrates the defining double integral with
 adaptive quadrature (element pair by element pair, splitting along the
 diagonal where the kernel is singular, and with the exterior integral mapped
 to a finite domain instead of using its closed form), the pencil oracle
-locates eigenvalues by inertia bisection on LDL^T factorizations, and the
+locates eigenvalues by inertia bisection on LDL^T factorizations, the
+threshold oracle bisects the coupling on the same inertia count, and the
 quotient oracles use direct randomized search.  They are slow and only meant
 for desk-scale matrices.
 """
@@ -23,6 +24,7 @@ __all__ = [
     "gagliardo_entry_oracle",
     "gagliardo_matrix_oracle",
     "pencil_eigenvalues_oracle",
+    "threshold_oracle",
     "rayleigh_min_oracle",
     "quotient_max_oracle",
 ]
@@ -184,6 +186,32 @@ def pencil_eigenvalues_oracle(
                 break
         out[k - 1] = 0.5 * (lo + hi)
     return out
+
+
+def threshold_oracle(K: np.ndarray, S: np.ndarray, bracket: tuple[float, float]) -> float:
+    """Coupling alpha* where K + alpha S turns indefinite, to 1e-10, by
+    bisection on the number of negative LDL^T pivots (no eigensolver).
+
+    K + alpha S has no negative eigenvalue for alpha > alpha* and at least
+    one below it; the bracket must hold the crossing, lo < alpha* <= hi.
+    """
+    lo, hi = float(bracket[0]), float(bracket[1])
+
+    def negative(alpha: float) -> bool:
+        # eigenvalues of (K, -S) below alpha = negative pivots of K + alpha S
+        return _inertia(K, -S, alpha) > 0
+
+    if not (negative(lo) and not negative(hi)):
+        raise ValueError(f"bracket ({lo}, {hi}) does not hold the indefiniteness crossing")
+    for _ in range(200):
+        if hi - lo <= 1e-10:
+            break
+        mid = 0.5 * (lo + hi)
+        if negative(mid):
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
 
 
 def rayleigh_min_oracle(

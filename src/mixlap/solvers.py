@@ -35,10 +35,10 @@ from .functional import (
     J_values,
     _apply_rows,
     _dot_rows,
+    _field_at_quad,
+    _quad_points,
     asymptotic_slopes,
-    field_at_quad,
     load_vector,
-    quad_points,
     weighted_mass,
 )
 from .mesh import FeField
@@ -186,7 +186,7 @@ def _slope_at_zero(sys: OperatorSystem, nl):
     """Sampled slope of f at t = 0, at 9 evenly spaced interior mesh nodes."""
     nodes = sys.mesh.nodes
     picks = np.linspace(0, nodes.size - 1, 9).round().astype(int)
-    return asymptotic_slopes(nl, "at_zero", x_samples=nodes[picks])
+    return asymptotic_slopes(nl, "at_zero", nodes[picks])
 
 
 def _classify(sys: OperatorSystem, c: np.ndarray, threshold: float) -> str:
@@ -251,9 +251,8 @@ def solve_resolvent(
 
 
 def _newton_jacobian(sys: OperatorSystem, nl, c: np.ndarray) -> np.ndarray:
-    u = FeField(c, sys.mesh)
-    xq, _ = quad_points(sys.mesh)
-    uq = field_at_quad(u)
+    xq, _, _ = _quad_points(sys.mesh)
+    uq = _field_at_quad(sys.mesh, c)
     w = np.asarray(nl.fprime(xq, uq), dtype=float)
     w = np.broadcast_to(w, xq.shape)
     return sys.A - weighted_mass(sys.mesh, w)
@@ -702,7 +701,7 @@ def coercivity_gap(sys: OperatorSystem, theta_bar, k: int) -> float:
     """Smallest value of (B(u,u) - int theta u^2) / |u|_X^2 over the
     complement of the first k eigenfields: an eigenvalue of the projected
     pencil against the local stiffness."""
-    xq, _ = quad_points(sys.mesh)
+    xq, _, _ = _quad_points(sys.mesh)
     if callable(theta_bar):
         w = np.asarray(theta_bar(xq), dtype=float)
         w = np.broadcast_to(w, xq.shape)

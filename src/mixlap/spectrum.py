@@ -297,41 +297,31 @@ def _lambda1(sys: OperatorSystem, alpha: float) -> float:
 
 
 def alpha_threshold(
-    sys: OperatorSystem,
-    bracket: tuple[float, float],
-    tol: float = 1e-6,
-    max_iter: int = 200,
+    sys: OperatorSystem, bracket: tuple[float, float], tol: float = 1e-6
 ) -> ThresholdResult:
     """Coupling value where the bottom eigenvalue crosses zero.
 
-    lambda_1(alpha) is a minimum of affine functions of alpha with
-    nonnegative slopes, hence continuous and nondecreasing; plain bisection
-    applies.  The bracket must satisfy lambda_1(lo) < 0 < lambda_1(hi).  Only
-    the system's K, S and M are used, not its coupling.
+    K + alpha S is singular exactly when -1/alpha is an eigenvalue of the
+    pencil (S, K); lambda_1(alpha) is nondecreasing in alpha, so it first
+    reaches zero at alpha* = -1/mu with mu the top eigenvalue of (S, K).  One
+    further eigensolve of (K + alpha* S, M) certifies |lambda_1(alpha*)| <= tol.
+    The bracket must satisfy lo < alpha* < hi, that is lambda_1(lo) < 0 <
+    lambda_1(hi).  Only the system's K, S and M are used, not its coupling.
     """
     lo, hi = float(bracket[0]), float(bracket[1])
     if lo >= hi:
         raise ValueError(f"invalid bracket: need lo < hi, got {bracket}")
-    f_lo = _lambda1(sys, lo)
-    f_hi = _lambda1(sys, hi)
-    if not (f_lo < 0.0 < f_hi):
+    n = sys.ndof
+    mu = float(linalg.eigh(sys.S, sys.K, eigvals_only=True, subset_by_index=[n - 1, n - 1])[0])
+    alpha_star = -1.0 / mu
+    if not lo < alpha_star < hi:
         raise ValueError(
-            f"bracket does not straddle the crossing: lambda1({lo})={f_lo:.6e}, "
-            f"lambda1({hi})={f_hi:.6e}"
+            f"bracket ({lo}, {hi}) misses the crossing lambda1(alpha*) = 0 at "
+            f"alpha* = {alpha_star:.9g}"
         )
-    iterations = 0
-    mid, f_mid = lo, f_lo
-    for iterations in range(1, max_iter + 1):
-        mid = 0.5 * (lo + hi)
-        f_mid = _lambda1(sys, mid)
-        if abs(f_mid) <= tol:
-            break
-        if f_mid < 0.0:
-            lo = mid
-        else:
-            hi = mid
-    else:
-        raise SpectrumError(f"bisection did not reach |lambda1| <= {tol} in {max_iter} steps")
+    lambda1_at_star = _lambda1(sys, alpha_star)
+    if abs(lambda1_at_star) > tol:
+        raise SpectrumError(f"|lambda1(alpha*)| = {abs(lambda1_at_star):.3e} exceeds {tol}")
     return ThresholdResult(
-        alpha_star=mid, bracket=(lo, hi), lambda1_at_star=f_mid, iterations=iterations
+        alpha_star=alpha_star, bracket=(lo, hi), lambda1_at_star=lambda1_at_star, iterations=0
     )

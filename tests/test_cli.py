@@ -209,7 +209,7 @@ m = 5
     report = json.loads((out / "report.json").read_text())
     assert report["config"]["solver"]["seed"] == 9
     assert report["config"]["solver"]["tol"] == 1e-7
-    assert report["config"]["output"]["directory"] == str(out)
+    assert sorted(p.name for p in out.iterdir()) == ["report.json", "spectrum.csv"]
 
 
 def test_repeated_runs_byte_identical(tmp_path):
@@ -220,6 +220,17 @@ def test_repeated_runs_byte_identical(tmp_path):
     assert run(cfg, "spectrum") == 0
     second = {p.name: p.read_bytes() for p in out.iterdir()}
     assert first == second
+
+
+def test_reports_do_not_depend_on_the_output_path(tmp_path):
+    text = MINIMAL.replace("n_elem = 64", "n_elem = 16").replace("alpha = -5", "alpha = -2:0:2")
+    cfgfile = write_cfg(tmp_path / "c.ini", text)
+    outputs = []
+    for out in (tmp_path / "one", tmp_path / "elsewhere" / "two"):
+        assert main(["spectrum", "--config", str(cfgfile), "--out", str(out)]) == 0
+        outputs.append({p.relative_to(out): p.read_bytes() for p in out.rglob("*") if p.is_file()})
+    assert len(outputs[0]) == 5
+    assert outputs[0] == outputs[1]
 
 
 def test_console_entry_point(tmp_path):

@@ -10,17 +10,20 @@ from mixlap import FeField, build_mesh, build_system, interpolate
 from mixlap.functional import (
     AffineLinear,
     Custom,
+    GrowthConstants,
     PowerPerturbed,
-    F_eval,
     J_eval,
     J_gradient,
     J_gradients,
     J_values,
     asymptotic_slopes,
     check_hypotheses,
-    f_eval,
 )
 from mixlap.spectrum import solve_pencil
+
+
+# sample points of the unit interval for the hypothesis audits
+X01 = np.linspace(0.05, 0.95, 9)
 
 
 def zero_a(x):
@@ -29,14 +32,14 @@ def zero_a(x):
 
 def test_power_eval_values():
     nl = PowerPerturbed(1.0, 4.0)
-    assert f_eval(nl, 0.3, 2.0) == 10.0
-    assert F_eval(nl, 0.3, 2.0) == 6.0
+    assert nl.f(0.3, 2.0) == 10.0
+    assert nl.F(0.3, 2.0) == 6.0
 
 
 def test_affine_at_zero_returns_a():
     nl = AffineLinear(3.0, lambda x: np.cos(x))
     xs = np.linspace(0, 1, 7)
-    np.testing.assert_allclose(f_eval(nl, xs, np.zeros_like(xs)), np.cos(xs))
+    np.testing.assert_allclose(nl.f(xs, np.zeros_like(xs)), np.cos(xs))
 
 
 def test_custom_primitive_quadrature():
@@ -49,7 +52,7 @@ def test_custom_primitive_quadrature():
     for t in (-2.0, -0.5, 0.7, 3.0):
         # numeric primitive of f from 0 to t against the declared F
         approx, _ = quad(np.cos, 0.0, t, epsabs=1e-13, epsrel=1e-13)
-        assert abs(F_eval(nl, 0.0, t) - approx) < 1e-10
+        assert abs(nl.F(0.0, t) - approx) < 1e-10
 
 
 def test_custom_rejects_wrong_primitive():
@@ -67,7 +70,7 @@ def test_custom_rejects_wrong_primitive():
 )
 def test_primitive_vanishes_at_zero(nl):
     xs = np.linspace(-1, 1, 11)
-    assert np.all(F_eval(nl, xs, np.zeros_like(xs)) == 0.0)
+    assert np.all(nl.F(xs, np.zeros_like(xs)) == 0.0)
 
 
 def test_primitive_derivative_matches_f():
@@ -76,8 +79,8 @@ def test_primitive_derivative_matches_f():
     xs = rng.uniform(0, 1, 1000)
     ts = rng.uniform(-5, 5, 1000)
     eps = 1e-6
-    fd = (F_eval(nl, xs, ts + eps) - F_eval(nl, xs, ts - eps)) / (2 * eps)
-    fv = f_eval(nl, xs, ts)
+    fd = (nl.F(xs, ts + eps) - nl.F(xs, ts - eps)) / (2 * eps)
+    fv = nl.f(xs, ts)
     assert np.max(np.abs(fd - fv) / np.maximum(1.0, np.abs(fv))) < 1e-7
 
 
@@ -218,14 +221,14 @@ def test_block_energy_rejects_a_nonfinite_row(sys64_zero):
 
 def test_model_hypotheses_pass():
     nl = PowerPerturbed(1.0, 4.0)
-    reports = {r.condition: r for r in check_hypotheses(nl)}
+    reports = {r.condition: r for r in check_hypotheses(nl, X01)}
     for cond in ("i", "ii", "iii", "slopes_zero"):
         assert reports[cond].passed, cond
 
 
 def test_affine_growth_passes():
     nl = AffineLinear(3.0, lambda x: 1.0 + np.sin(x) ** 2)
-    reports = {r.condition: r for r in check_hypotheses(nl)}
+    reports = {r.condition: r for r in check_hypotheses(nl, X01)}
     assert reports["f_lg"].passed
     assert reports["f_lg"].worst_violation <= 0.0
     assert reports["slopes_infinity"].passed
@@ -234,7 +237,7 @@ def test_affine_growth_passes():
 def test_wrong_mu_fails_with_witness():
     base = PowerPerturbed(1.0, 4.0)
     bad = PowerPerturbed(1.0, 4.0, growth=replace(base.growth, mu=8.0))
-    rep = check_hypotheses(bad, conditions=["iii"])[0]
+    rep = check_hypotheses(bad, X01, conditions=["iii"])[0]
     assert not rep.passed
     assert abs(rep.witness[1]) >= bad.growth.R
 
@@ -242,12 +245,12 @@ def test_wrong_mu_fails_with_witness():
 def test_missing_metadata_raises():
     nl = PowerPerturbed(1.0, 4.0, growth=replace(PowerPerturbed(1.0, 4.0).growth, mu=None))
     with pytest.raises(ValueError, match="mu"):
-        check_hypotheses(nl, conditions=["iii"])
+        check_hypotheses(nl, X01, conditions=["iii"])
 
 
 def test_slopes_affine_at_infinity():
     nl = AffineLinear(2.5, lambda x: np.cos(x))
-    est = asymptotic_slopes(nl, "at_infinity")
+    est = asymptotic_slopes(nl, "at_infinity", X01)
     assert not est.diverged and not est.inconclusive
     assert est.lower == pytest.approx(2.5, abs=1e-4)
     assert est.upper == pytest.approx(2.5, abs=1e-4)
@@ -255,14 +258,35 @@ def test_slopes_affine_at_infinity():
 
 def test_slopes_power_at_zero():
     nl = PowerPerturbed(-1.5, 4.0)
-    est = asymptotic_slopes(nl, "at_zero")
+    est = asymptotic_slopes(nl, "at_zero", X01)
     assert est.lower == pytest.approx(-1.5, abs=1e-9)
     assert est.upper == pytest.approx(-1.5, abs=1e-9)
 
 
 def test_slopes_power_diverges_at_infinity():
-    est = asymptotic_slopes(PowerPerturbed(1.0, 4.0), "at_infinity")
+    est = asymptotic_slopes(PowerPerturbed(1.0, 4.0), "at_infinity", X01)
     assert est.diverged and est.upper == math.inf
+
+
+def test_slopes_sample_the_callers_domain():
+    # f = c(x) t + t^3 with c = 0 on [0, 1] and c = 50 beyond, declared as
+    # f = 0 t + o(t): on (2, 3) the slope at zero is 50, which falsifies it
+    def c(x):
+        return np.where(np.asarray(x) > 1.0, 50.0, 0.0)
+
+    nl = Custom(
+        f_fn=lambda x, t: c(x) * t + t**3,
+        F_fn=lambda x, t: c(x) * t**2 / 2 + t**4 / 4,
+        growth=GrowthConstants(A=0.0),
+    )
+    xs = build_mesh(2.0, 3.0, 32).nodes
+    est = asymptotic_slopes(nl, "at_zero", xs)
+    assert est.upper == pytest.approx(50.0, rel=1e-9)
+    rep = {r.condition: r for r in check_hypotheses(nl, xs)}["slopes_zero"]
+    assert not rep.passed
+    assert "declared A=0" in rep.note
+    # the unit interval reads c = 0 and finds nothing wrong
+    assert {r.condition: r for r in check_hypotheses(nl, X01)}["slopes_zero"].passed
 
 
 @given(t=st.floats(-100, 100), lam=st.floats(-10, 10), p=st.floats(2.1, 6.0))
@@ -270,4 +294,4 @@ def test_slopes_power_diverges_at_infinity():
 def test_power_primitive_identity(t, lam, p):
     nl = PowerPerturbed(lam, p)
     want = 0.5 * lam * t * t + abs(t) ** p / p
-    assert F_eval(nl, 0.0, t) == pytest.approx(want, rel=1e-12, abs=1e-300)
+    assert nl.F(0.0, t) == pytest.approx(want, rel=1e-12, abs=1e-300)

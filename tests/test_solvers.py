@@ -275,9 +275,9 @@ def test_coercivity_gap_multistart_oracle(mesh8):
     theta = 0.5 * (spec.lambdas[0] + spec.lambdas[1])
     beta = coercivity_gap(sys, float(theta), k)
     # direct multistart minimization of the quotient over the complement
-    from mixlap.functional import weighted_mass, quad_points
+    from mixlap.functional import _quad_points, weighted_mass
 
-    xq, _ = quad_points(mesh8)
+    xq, _, _ = _quad_points(mesh8)
     M_th = weighted_mass(mesh8, np.full_like(xq, theta))
     V = solve_pencil(sys, 7).vectors[:, k:]
     Ar = V.T @ (sys.A - M_th) @ V

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from mixlap import FeField, OperatorSystem, build_mesh, build_system
-from mixlap.oracles import pencil_eigenvalues_oracle, rayleigh_min_oracle
+from mixlap.oracles import pencil_eigenvalues_oracle, rayleigh_min_oracle, threshold_oracle
 from mixlap.spectrum import (
     DegenerateSpectrumError,
     Spectrum,
@@ -218,6 +218,17 @@ def test_threshold_invalid_bracket():
     sys = build_system(build_mesh(0, 1, 32), 0.5, 0.0)
     with pytest.raises(ValueError, match="lambda1"):
         alpha_threshold(sys, (-0.1, 0.0), tol=1e-6)
+    with pytest.raises(ValueError, match="lambda1"):
+        alpha_threshold(sys, (-10.0, -1.0), tol=1e-6)
+
+
+@pytest.mark.parametrize("n", [8, 64, 256])
+def test_threshold_matches_inertia_bisection_oracle(n):
+    sys = build_system(build_mesh(0, 1, n), 0.5, 0.0)
+    tol = 1e-6
+    result = alpha_threshold(sys, (-10.0, 0.0), tol=tol)
+    assert result.iterations == 0 and result.bracket == (-10.0, 0.0)
+    assert abs(result.alpha_star - threshold_oracle(sys.K, sys.S, (-10.0, 0.0))) <= tol
 
 
 def test_monotonicity_in_alpha(mesh64):
