@@ -75,9 +75,10 @@ class YoungSplitReport:
 def embedding_constant(sys: OperatorSystem) -> ConstantEstimate:
     """Sharp discrete constant of [u]_s^2 <= C |u|_X^2: the top eigenvalue of
     (S, K).  Nondecreasing under refinement (nested subspaces)."""
-    w, v = linalg.eigh(sys.S, sys.K)
-    value = float(w[-1])
-    vec = v[:, -1]
+    n = sys.ndof
+    w, v = linalg.eigh(sys.S, sys.K, subset_by_index=[n - 1, n - 1])
+    value = float(w[0])
+    vec = v[:, 0]
     lead = int(np.argmax(np.abs(vec)))
     if vec[lead] < 0:
         vec = -vec

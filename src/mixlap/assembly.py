@@ -22,7 +22,8 @@ lives in ``mixlap.oracles``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -124,7 +125,8 @@ class OperatorSystem:
     """Assembled forms for the operator -Laplace + alpha * (-Laplace)^s.
 
     K is the Dirichlet stiffness, S the Gagliardo form, M the mass matrix;
-    the energy pairing is B(u, v) = u^T (K + alpha S) v.
+    the energy pairing is B(u, v) = u^T (K + alpha S) v.  What is derived
+    from the forms (``A``, ``eigenpairs``, ``k_factor``) is kept on first use.
     """
 
     K: np.ndarray
@@ -133,18 +135,28 @@ class OperatorSystem:
     alpha: float
     s: float
     mesh: MeshInterval
-    _cache: dict = field(default_factory=dict, repr=False)
 
     @property
     def ndof(self) -> int:
         return self.mesh.ndof
 
-    @property
+    @cached_property
     def A(self) -> np.ndarray:
         """The form matrix K + alpha * S."""
-        if "A" not in self._cache:
-            self._cache["A"] = self.K + self.alpha * self.S
-        return self._cache["A"]
+        return self.K + self.alpha * self.S
+
+    @cached_property
+    def eigenpairs(self) -> tuple[np.ndarray, np.ndarray]:
+        """All eigenpairs (w, v) of the pencil (A, M), ascending and unprocessed."""
+        return linalg.eigh(self.A, self.M)
+
+    @cached_property
+    def k_factor(self) -> np.ndarray:
+        """Upper banded Cholesky factor of the tridiagonal K."""
+        ab = np.zeros((2, self.ndof))
+        ab[1] = np.diag(self.K)
+        ab[0, 1:] = np.diag(self.K, 1)
+        return linalg.cholesky_banded(ab)
 
     def with_alpha(self, alpha: float) -> "OperatorSystem":
         """Same discretization, different coupling constant (S is reused)."""

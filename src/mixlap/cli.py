@@ -20,7 +20,6 @@ import tempfile
 from pathlib import Path
 
 import numpy as np
-from scipy import linalg
 
 from . import __version__
 from .assembly import OperatorSystem, build_system, dump_matrix, load_matrix
@@ -37,6 +36,7 @@ from .solvers import (
     weak_residual,
 )
 from .spectrum import (
+    _lambda1,
     alpha_threshold,
     bound_checks,
     first_positive_index,
@@ -185,10 +185,7 @@ def _pipeline_threshold(cfg: RunConfig, out_dir: Path) -> bool:
     sys = build_system(build_mesh(cfg.a, cfg.b, cfg.n_elem), cfg.s, 0.0)
     result = alpha_threshold(sys, (cfg.bracket_lo, cfg.bracket_hi), tol=cfg.threshold_tol)
     grid = np.linspace(cfg.bracket_lo, cfg.bracket_hi, 9)
-    rows = []
-    for a in grid:
-        lam1 = float(linalg.eigh(sys.K + a * sys.S, sys.M, eigvals_only=True, subset_by_index=[0, 0])[0])
-        rows.append([float(a), lam1])
+    rows = [[float(a), _lambda1(sys, a)] for a in grid]
     _write_csv(out_dir / "lambda1_vs_alpha.csv", ["alpha", "lambda1"], rows)
     payload = _report_base(cfg, "threshold")
     payload.update(
@@ -466,9 +463,16 @@ def run(cfg: RunConfig, pipeline: str) -> int:
             payload.update({"error": {"type": type(exc).__name__, "message": str(exc)}})
             _write_json(stage / "error.json", payload)
             status = 1
-        if target.exists():
-            shutil.rmtree(target)
-        stage.replace(target)
+        # an earlier report is moved aside, not deleted, until the stage is in place
+        aside = target.replace(stage.with_name(stage.name + ".old")) if target.exists() else None
+        try:
+            stage.replace(target)
+        except OSError:
+            if aside is not None:
+                aside.replace(target)
+            raise
+        if aside is not None:
+            shutil.rmtree(aside)
     except BaseException:
         if stage is not None:
             shutil.rmtree(stage, ignore_errors=True)

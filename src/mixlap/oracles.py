@@ -32,11 +32,12 @@ __all__ = [
 
 def _hat(mesh: MeshInterval, i: int):
     """Hat function of interior node i (1-based), zero outside its support."""
-    xi = mesh.nodes[i - 1]
+    xi = float(mesh.nodes[i - 1])
     h = mesh.h
 
-    def phi(x):
-        return np.maximum(0.0, 1.0 - np.abs(np.asarray(x) - xi) / h)
+    def phi(x: float) -> float:
+        # quad and dblquad pass scalars: scalar math avoids numpy's per-call overhead
+        return max(0.0, 1.0 - abs(x - xi) / h)
 
     return phi
 

@@ -148,19 +148,9 @@ class LinkingGeometryReport:
 # ---------------------------------------------------------------------------
 
 
-def _k_band(sys: OperatorSystem) -> np.ndarray:
-    if "kband" not in sys._cache:
-        n = sys.ndof
-        ab = np.zeros((2, n))
-        ab[1] = np.diag(sys.K)
-        ab[0, 1:] = np.diag(sys.K, 1)
-        sys._cache["kband"] = linalg.cholesky_banded(ab)
-    return sys._cache["kband"]
-
-
 def _riesz(sys: OperatorSystem, g: np.ndarray) -> np.ndarray:
     """K^{-1} g: Riesz representative of the functional in the local energy."""
-    return linalg.cho_solve_banded((_k_band(sys), False), g)
+    return linalg.cho_solve_banded((sys.k_factor, False), g)
 
 
 def _dual_norm(sys: OperatorSystem, g: np.ndarray) -> float:
@@ -191,6 +181,10 @@ def _slope_at_zero(sys: OperatorSystem, nl):
 
 def _classify(sys: OperatorSystem, c: np.ndarray, threshold: float) -> str:
     return "nontrivial" if _x_norm(sys, c) >= threshold else "trivial"
+
+
+def _small_residuals(grad_norm: float, weak_res: float, cfg: SolverConfig) -> bool:
+    return grad_norm <= cfg.tol and weak_res <= 10.0 * cfg.tol
 
 
 # ---------------------------------------------------------------------------
@@ -303,7 +297,7 @@ def newton_refine(
     u = FeField(c, sys.mesh)
     wr = weak_residual(sys, nl, u)
     threshold = cfg.nontrivial_tol if cfg.nontrivial_tol is not None else 1e-6
-    converged = status == "converged" and gn <= cfg.tol and wr <= 10.0 * cfg.tol
+    converged = status == "converged" and _small_residuals(gn, wr, cfg)
     return CriticalPointReport(
         u=u,
         J_value=J_eval(sys, nl, u),
@@ -343,18 +337,52 @@ def _reparameterize(sys: OperatorSystem, path: np.ndarray, n_nodes: int) -> np.n
     return out
 
 
-def _geometry_failure(sys: OperatorSystem, message: str) -> CriticalPointReport:
-    z = FeField.zero(sys.mesh)
+def _geometry_failure(
+    sys: OperatorSystem, message: str, status: str = "geometry_violation", hist=(), geometry=None
+) -> CriticalPointReport:
+    """The zero field, for a search that stopped before Newton after len(hist) steps."""
     return CriticalPointReport(
-        u=z,
+        u=FeField.zero(sys.mesh),
         J_value=0.0,
         grad_norm=math.nan,
         weak_residual=math.nan,
         classification="trivial",
-        iterations=0,
+        iterations=len(hist),
         converged=False,
-        status="geometry_violation",
+        status=status,
         message=message,
+        path_history=list(hist),
+        geometry=geometry,
+    )
+
+
+def _certify(
+    sys: OperatorSystem, nl, c: np.ndarray, cfg: SolverConfig, radius: float, hist: list,
+    status: str, message: str, geometry=None,
+) -> CriticalPointReport:
+    """Newton-refine the descent iterate c and certify the result: gradient
+    norm <= tol, weak residual <= 10 tol, X norm >= nontrivial_tol (default
+    1e-4 * radius) and J > 0; otherwise the report keeps the descent's status."""
+    refined = newton_refine(sys, nl, FeField(c, sys.mesh), cfg)
+    threshold = cfg.nontrivial_tol if cfg.nontrivial_tol is not None else 1e-4 * radius
+    classification = _classify(sys, refined.u.coeffs, threshold)
+    converged = (
+        _small_residuals(refined.grad_norm, refined.weak_residual, cfg)
+        and classification == "nontrivial"
+        and refined.J_value > 0.0
+    )
+    return CriticalPointReport(
+        u=refined.u,
+        J_value=refined.J_value,
+        grad_norm=refined.grad_norm,
+        weak_residual=refined.weak_residual,
+        classification=classification,
+        iterations=len(hist) + refined.iterations,
+        converged=converged,
+        status="converged" if converged else status,
+        message=message,
+        path_history=hist,
+        geometry=geometry,
     )
 
 
@@ -404,16 +432,7 @@ def mountain_pass(sys: OperatorSystem, nl, cfg: SolverConfig | None = None) -> C
     message = ""
     sigma0 = 1.0
     m_idx = 0
-    threshold = cfg.nontrivial_tol if cfg.nontrivial_tol is not None else 1e-4 * _x_norm(sys, endpoint)
-
-    def certified(rep: CriticalPointReport) -> bool:
-        return (
-            rep.grad_norm <= cfg.tol
-            and rep.weak_residual <= 10.0 * cfg.tol
-            and _classify(sys, rep.u.coeffs, threshold) == "nontrivial"
-            and rep.J_value > 0.0
-        )
-
+    radius = _x_norm(sys, endpoint)
     newton_gate = math.inf
     for it in range(cfg.max_iter):
         jvals = J_values(sys, nl, path)
@@ -433,15 +452,9 @@ def mountain_pass(sys: OperatorSystem, nl, cfg: SolverConfig | None = None) -> C
             newton_gate = cfg.newton_gate_factor * gn
         if gn <= 10.0 * cfg.tol or gn <= newton_gate:
             # the path maximum looks localized: try to certify it right away
-            refined = newton_refine(sys, nl, FeField(path[m_idx], sys.mesh), cfg)
-            if certified(refined):
-                refined.iterations += len(hist)
-                refined.path_history = hist
-                refined.converged = True
-                refined.status = "converged"
-                refined.classification = "nontrivial"
-                refined.message = message
-                return refined
+            rep = _certify(sys, nl, path[m_idx], cfg, radius, hist, status, message)
+            if rep.converged:
+                return rep
             newton_gate *= 0.25
             if gn <= 10.0 * cfg.tol:
                 status = "stagnation"
@@ -472,27 +485,8 @@ def mountain_pass(sys: OperatorSystem, nl, cfg: SolverConfig | None = None) -> C
         hist.append((it, float(j_trial), gn))
 
     if status in ("geometry_violation", "blowup"):
-        rep = _geometry_failure(sys, message)
-        rep.status = status
-        rep.path_history = hist
-        rep.iterations = len(hist)
-        return rep
-
-    refined = newton_refine(sys, nl, FeField(path[m_idx], sys.mesh), cfg)
-    classification = _classify(sys, refined.u.coeffs, threshold)
-    converged = certified(refined)
-    return CriticalPointReport(
-        u=refined.u,
-        J_value=refined.J_value,
-        grad_norm=refined.grad_norm,
-        weak_residual=refined.weak_residual,
-        classification=classification,
-        iterations=len(hist) + refined.iterations,
-        converged=converged,
-        status="converged" if converged else status,
-        message=message,
-        path_history=hist,
-    )
+        return _geometry_failure(sys, message, status, hist)
+    return _certify(sys, nl, path[m_idx], cfg, radius, hist, status, message)
 
 
 # ---------------------------------------------------------------------------
@@ -762,13 +756,12 @@ def linking_search(
     probe = probe or ProbeConfig(seed=cfg.seed)
     geometry = verify_geometry(sys, nl, k, probe)
     if not geometry.certified:
-        rep = _geometry_failure(
+        return _geometry_failure(
             sys,
             f"linking geometry not certified at k={k}: "
             f"alpha_tilde={geometry.alpha_tilde:.6g}, boundary_sup={geometry.boundary_sup:.6g}",
+            geometry=geometry,
         )
-        rep.geometry = geometry
-        return rep
 
     full = solve_pencil(sys, m=sys.ndof)
     U = full.vectors[:, :k]
@@ -806,7 +799,7 @@ def linking_search(
         gn = math.sqrt(max(0.0, float(g @ gd)))
         hist.append((it, peak_val, gn))
         if gn <= 10.0 * cfg.tol:
-            status = "descent_converged"
+            status = "not_certified"
             break
         if _x_norm(sys, p_coeffs) > cfg.blowup_bound:
             status = "blowup"
@@ -839,33 +832,5 @@ def linking_search(
         sigma0 = min(1.0, sigma * 4.0)
 
     if status == "blowup":
-        rep = _geometry_failure(sys, message)
-        rep.status = status
-        rep.path_history = hist
-        rep.geometry = geometry
-        return rep
-
-    refined = newton_refine(sys, nl, FeField(p_coeffs, sys.mesh), cfg)
-    threshold = (
-        cfg.nontrivial_tol if cfg.nontrivial_tol is not None else 1e-4 * geometry.rho_small
-    )
-    classification = _classify(sys, refined.u.coeffs, threshold)
-    converged = (
-        refined.grad_norm <= cfg.tol
-        and refined.weak_residual <= 10.0 * cfg.tol
-        and classification == "nontrivial"
-        and refined.J_value > 0.0
-    )
-    return CriticalPointReport(
-        u=refined.u,
-        J_value=refined.J_value,
-        grad_norm=refined.grad_norm,
-        weak_residual=refined.weak_residual,
-        classification=classification,
-        iterations=len(hist) + refined.iterations,
-        converged=converged,
-        status="converged" if converged else (status if status != "descent_converged" else "not_certified"),
-        message=message,
-        path_history=hist,
-        geometry=geometry,
-    )
+        return _geometry_failure(sys, message, status, hist, geometry)
+    return _certify(sys, nl, p_coeffs, cfg, geometry.rho_small, hist, status, message, geometry)

@@ -86,30 +86,20 @@ class BoundCheckReport:
         return max(self.max_violation_upper, self.max_violation_lower)
 
 
-def _full_eigh(sys: OperatorSystem) -> tuple[np.ndarray, np.ndarray]:
-    if "eigh" not in sys._cache:
-        w, v = linalg.eigh(sys.A, sys.M)
-        sys._cache["eigh"] = (w, v)
-    return sys._cache["eigh"]
-
-
-def _postprocess_vectors(w: np.ndarray, v: np.ndarray, M: np.ndarray) -> np.ndarray:
-    """Deterministic eigenvector representatives.
+def _representatives(w: np.ndarray, v: np.ndarray, M: np.ndarray, m: int) -> np.ndarray:
+    """Deterministic representatives of the first m eigenvectors, as a copy.
 
     Inside each eigenvalue cluster the vectors are re-orthonormalized
     symmetrically in the M inner product, reordered by the index of their
     dominant coefficient, and sign-fixed so the dominant coefficient is
-    positive.
+    positive.  A cluster that straddles column m is processed whole, so the
+    columns do not depend on m.
     """
-    v = v.copy()
-    n = w.size
     scale = max(1.0, float(np.max(np.abs(w))))
-    start = 0
-    while start < n:
-        end = start + 1
-        while end < n and w[end] - w[end - 1] < CLUSTER_TOL * scale:
-            end += 1
-        if end - start > 1:
+    bounds = np.r_[0, np.flatnonzero(np.diff(w) >= CLUSTER_TOL * scale) + 1, w.size]
+    v = v[:, : bounds[np.searchsorted(bounds, m)]].copy()
+    for start, end in zip(bounds[:-1], bounds[1:]):
+        if start < m and end - start > 1:
             block = v[:, start:end]
             gram = block.T @ M @ block
             evals, evecs = np.linalg.eigh(gram)
@@ -117,8 +107,8 @@ def _postprocess_vectors(w: np.ndarray, v: np.ndarray, M: np.ndarray) -> np.ndar
             block = block @ inv_sqrt
             order = np.argsort([int(np.argmax(np.abs(block[:, c]))) for c in range(block.shape[1])])
             v[:, start:end] = block[:, order]
-        start = end
-    for c in range(n):
+    v = np.ascontiguousarray(v[:, :m])
+    for c in range(m):
         lead = int(np.argmax(np.abs(v[:, c])))
         if v[lead, c] < 0:
             v[:, c] = -v[:, c]
@@ -143,11 +133,11 @@ def solve_pencil(sys: OperatorSystem, m: Optional[int] = None, residual_tol: flo
     except linalg.LinAlgError as exc:
         raise SpectrumError("mass matrix is not positive definite") from exc
     try:
-        w, v = _full_eigh(sys)
+        w, v = sys.eigenpairs
     except linalg.LinAlgError as exc:
         raise SpectrumError("generalized eigensolver failed") from exc
-    v = _postprocess_vectors(w, v, sys.M)
-    w, v = w[:m].copy(), v[:, :m].copy()
+    v = _representatives(w, v, sys.M, m)
+    w = w[:m].copy()
 
     scale = float(np.max(np.abs(sys.A)) + np.max(np.abs(w)) * np.max(np.abs(sys.M)))
     res = sys.A @ v - sys.M @ v * w[None, :]
@@ -165,14 +155,13 @@ def solve_pencil(sys: OperatorSystem, m: Optional[int] = None, residual_tol: flo
 
 
 def first_positive_index(spec: Spectrum) -> int:
-    """Smallest 1-based k with lambda_k > 0."""
-    pos = np.flatnonzero(spec.lambdas > 0.0)
-    if not pos.size:
+    """Smallest 1-based k with lambda_k > 0 (``spec.n0``)."""
+    if spec.n0 is None:
         raise SpectrumError(
             "all computed eigenvalues are nonpositive; increase m to locate the "
             "first positive eigenvalue"
         )
-    return int(pos[0]) + 1
+    return spec.n0
 
 
 def _feasible_basis(sys: OperatorSystem, vectors: np.ndarray, k: int) -> np.ndarray:

@@ -3,6 +3,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import linalg
 from scipy.linalg import toeplitz
 
 from mixlap import (
@@ -263,3 +264,15 @@ def test_dump_load_roundtrip(tmp_path):
 def test_dump_rejects_unknown_kind(tmp_path):
     with pytest.raises(ValueError, match="kind"):
         dump_matrix(tmp_path / "x.txt", np.eye(2), "sparse")
+
+
+def test_with_alpha_derives_its_own_forms():
+    sys = build_system(build_mesh(0.0, 1.0, 16), 0.5, -5.0)
+    w, _ = sys.eigenpairs
+    assert np.array_equal(sys.A, sys.K - 5.0 * sys.S)
+    other = sys.with_alpha(2.0)
+    assert other.K is sys.K and other.S is sys.S and other.M is sys.M
+    assert np.array_equal(other.A, sys.K + 2.0 * sys.S)
+    w_other, _ = other.eigenpairs
+    assert np.array_equal(w_other, linalg.eigh(sys.K + 2.0 * sys.S, sys.M)[0])
+    assert w_other[0] > 0.0 > w[0]

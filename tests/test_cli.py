@@ -188,6 +188,28 @@ def test_replaces_own_and_empty_directories(tmp_path):
     assert (out / "report.json").exists()
 
 
+def test_failed_move_keeps_the_earlier_report(tmp_path, monkeypatch):
+    cfgfile = write_cfg(tmp_path / "c.ini", MINIMAL.replace("n_elem = 64", "n_elem = 16"))
+    out = tmp_path / "out"
+    assert main(["spectrum", "--config", str(cfgfile), "--out", str(out)]) == 0
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    real_replace = Path.replace
+    moved = []
+
+    def failing_replace(self, target):
+        if Path(target) == out and not moved:
+            moved.append(self.name)
+            raise OSError("injected failure at the stage move")
+        return real_replace(self, target)
+
+    monkeypatch.setattr(Path, "replace", failing_replace)
+    with pytest.raises(OSError, match="injected"):
+        main(["spectrum", "--config", str(cfgfile), "--out", str(out), "--seed", "7"])
+    assert moved[0].startswith(".stage-")
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["c.ini", "out"]
+
+
 def test_cli_flag_overrides(tmp_path):
     cfgfile = write_cfg(
         tmp_path / "c.ini",

@@ -210,6 +210,17 @@ def test_mountain_pass_blowup_guard(sys64_zero):
     assert not rep.converged
 
 
+def test_blowup_reports_count_their_iterations():
+    sys = build_system(build_mesh(0.0, 1.0, 32), 0.5, 0.0)
+    rep = linking_search(sys, PowerPerturbed(25.0, 4.0), 1, SolverConfig(blowup_bound=1e-3))
+    assert rep.status == "blowup" and not rep.converged
+    assert rep.iterations == len(rep.path_history) == 1
+    lam1 = float(solve_pencil(sys, 1).lambdas[0])
+    rep = mountain_pass(sys, PowerPerturbed(lam1 / 2, 4.0), SolverConfig(blowup_bound=1e-9))
+    assert rep.status == "blowup"
+    assert rep.iterations == len(rep.path_history)
+
+
 # ---------------------------------------------------------------------------
 # geometry probe and coercivity gap
 # ---------------------------------------------------------------------------
@@ -335,3 +346,24 @@ def test_geometry_probe_reference_values(sys64_zero):
         1, 3.1622776601683795, 50.59644256269407, 0.0
     )
     assert (geo.certified, geo.mode, geo.inconclusive) == (True, "linking", True)
+
+
+def test_one_full_eigensolve_serves_every_consumer(monkeypatch):
+    sys = build_system(build_mesh(0.0, 1.0, 16), 0.5, 0.0)
+    A = sys.A
+    real_eigh = linalg.eigh
+    full_solves = []
+
+    def counting_eigh(a, *args, **kwargs):
+        if a is A:
+            full_solves.append(kwargs)
+        return real_eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(linalg, "eigh", counting_eigh)
+    spec = solve_pencil(sys, 2)
+    solve_pencil(sys, sys.ndof)
+    lam = 0.5 * (spec.lambdas[0] + spec.lambdas[1])
+    verify_geometry(sys, PowerPerturbed(lam, 4.0), 1)
+    assert linking_search(sys, PowerPerturbed(lam, 4.0), 1, SolverConfig(tol=1e-6)).converged
+    assert solve_resolvent(sys, 1.0, ones_field(sys.mesh)).converged
+    assert full_solves == [{}]

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from mixlap import FeField, OperatorSystem, build_mesh, build_system
+from mixlap.assembly import assemble_mass
 from mixlap.oracles import pencil_eigenvalues_oracle, rayleigh_min_oracle, threshold_oracle
 from mixlap.spectrum import (
     DegenerateSpectrumError,
@@ -48,6 +49,18 @@ def test_orthogonality_and_rayleigh_residuals(spec64_neg5, sys64_neg5):
     scale = max(1.0, np.max(np.abs(spec64_neg5.lambdas)))
     assert np.max(np.abs(gram_m - np.eye(V.shape[1]))) <= 1e-8
     assert np.max(np.abs(gram_b - np.diag(spec64_neg5.lambdas))) <= 1e-8 * scale
+
+
+def test_solve_pencil_columns_do_not_depend_on_m(sys64_neg5, mesh8):
+    # with K = M and S = 0 every eigenvalue is 1: one cluster straddles every m
+    M = assemble_mass(mesh8)
+    flat = OperatorSystem(K=M, S=np.zeros_like(M), M=M, alpha=-1.0, s=0.5, mesh=mesh8)
+    for sys in (sys64_neg5, flat):
+        full = solve_pencil(sys, sys.ndof)
+        for m in (1, 2, 5):
+            spec = solve_pencil(sys, m)
+            assert np.array_equal(spec.vectors, full.vectors[:, :m])
+            assert np.array_equal(spec.lambdas, full.lambdas[:m])
 
 
 def test_solve_pencil_rejects_bad_m(sys8_neg5):
@@ -108,15 +121,10 @@ def test_first_positive_index_baseline(sys64_zero):
 
 
 def test_first_positive_index_definition(mesh8):
-    spec = Spectrum(
-        lambdas=np.array([-2.0, -0.5, 3.1, 9.0]),
-        vectors=np.eye(7)[:, :4],
-        n0=None,
-        alpha=0.0,
-        s=0.5,
-        mesh=mesh8,
-    )
-    assert first_positive_index(spec) == 3
+    # alpha = -1.5 leaves two negative eigenvalues at n = 8
+    spec = solve_pencil(build_system(mesh8, 0.5, -1.5), 4)
+    assert spec.lambdas[1] <= 0.0 < spec.lambdas[2]
+    assert first_positive_index(spec) == spec.n0 == 3
 
 
 def test_first_positive_index_needs_positive(mesh8):
