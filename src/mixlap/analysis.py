@@ -34,6 +34,8 @@ __all__ = [
     "young_split_audit",
 ]
 
+SPLIT_SLACK = 1e-10  # round-off allowance in the audited split inequalities
+
 
 @dataclass
 class ConstantEstimate:
@@ -98,28 +100,22 @@ def _interp_ratio(sys: OperatorSystem, c: np.ndarray) -> float:
     return qs / (qm ** (1.0 - sys.s) * qh**sys.s)
 
 
-def interpolation_constant(
-    sys: OperatorSystem,
-    restarts: int = 64,
-    iters: int = 400,
-    seed: int = 0,
-    improve_tol: float = 1e-12,
-) -> ConstantEstimate:
+def interpolation_constant(sys: OperatorSystem, seed: int = 0) -> ConstantEstimate:
     """Estimate the sharp discrete interpolation constant by multistart
     projected gradient ascent of the scale-free quotient.
 
     Iterates are renormalized in the mass inner product; ascent follows the
-    gradient of log R with backtracking.  Starts include random fields and
-    the extreme eigenfields of the (S, K) and (S, M) pencils.  If no restart
-    improves on its starting value beyond `improve_tol`, the result is
-    flagged inconclusive.
+    gradient of log R with backtracking, at most 400 steps per start.  Starts
+    include 64 random fields and the extreme eigenfields of the (S, K) and
+    (S, M) pencils.  If no start improves on its value by more than 1e-12
+    relative, the result is flagged inconclusive.
     """
     rng = np.random.default_rng(seed)
     n = sys.ndof
     s = sys.s
     H = sys.K + sys.M
 
-    starts = [rng.standard_normal(n) for _ in range(restarts)]
+    starts = [rng.standard_normal(n) for _ in range(64)]
     for pencil in ((sys.S, sys.K), (sys.S, sys.M)):
         w, v = linalg.eigh(*pencil)
         starts.append(v[:, -1])
@@ -150,7 +146,7 @@ def interpolation_constant(
         c = c / math.sqrt(float(c @ sys.M @ c))
         val = _interp_ratio(sys, c)
         val0 = val
-        for _ in range(iters):
+        for _ in range(400):
             qs = float(c @ sys.S @ c)
             qm = float(c @ sys.M @ c)
             qh = float(c @ H @ c)
@@ -172,7 +168,7 @@ def interpolation_constant(
                 step *= 0.5
             if not improved:
                 break
-        if val > val0 + improve_tol * max(1.0, abs(val0)):
+        if val > val0 + 1e-12 * max(1.0, abs(val0)):
             any_improved = True
         if val > best_val:
             best_val, best_c = val, c
@@ -196,11 +192,9 @@ def interpolation_constant(
 
 def young_split_audit(
     sys: OperatorSystem,
-    epsilon_grid=None,
     n_random: int = 1000,
     seed: int = 0,
     interp: Optional[ConstantEstimate] = None,
-    slack: float = 1e-10,
 ) -> YoungSplitReport:
     """Derive split constants from the interpolation bound and audit them.
 
@@ -213,6 +207,7 @@ def young_split_audit(
     The choice eps = 1 / (2 c1 |alpha|) turns the split into the coercivity
     bound with the constructive shift gamma_split = |alpha| c2(eps), which is
     checked on random fields and compared against the eigenvalue-sharp shift.
+    The split itself is checked at that choice of eps and at 1/8 and 8 times it.
     """
     alpha = sys.alpha
     gamma_exact = garding_constant(sys)
@@ -232,15 +227,14 @@ def young_split_audit(
     s = sys.s
     c1 = C * s
     eps_star = 1.0 / (2.0 * c1 * abs(alpha))
-    if epsilon_grid is None:
-        epsilon_grid = [eps_star / 8.0, eps_star, 8.0 * eps_star]
+    epsilons = [eps_star / 8.0, eps_star, 8.0 * eps_star]
 
     rng = np.random.default_rng(seed)
     n = sys.ndof
     H = sys.K + sys.M
     violations = 0
     trials = 0
-    for eps in epsilon_grid:
+    for eps in epsilons:
         c2 = C * ((1.0 - s) * eps ** (-s / (1.0 - s)) + s * eps)
         for _ in range(n_random):
             u = rng.standard_normal(n)
@@ -250,7 +244,7 @@ def young_split_audit(
             lhs = abs(alpha) * qs
             rhs = abs(alpha) * c1 * eps * qk + abs(alpha) * c2 * qm
             trials += 1
-            if lhs > rhs * (1.0 + slack) + slack:
+            if lhs > rhs * (1.0 + SPLIT_SLACK) + SPLIT_SLACK:
                 violations += 1
 
     c2_star = C * ((1.0 - s) * eps_star ** (-s / (1.0 - s)) + s * eps_star)
@@ -262,11 +256,11 @@ def young_split_audit(
         qm = float(u @ sys.M @ u)
         qb = float(u @ sys.A @ u)
         trials += 1
-        if qb + gamma_split * qm < 0.5 * qk - slack * max(1.0, qk):
+        if qb + gamma_split * qm < 0.5 * qk - SPLIT_SLACK * max(1.0, qk):
             violations += 1
     factor = gamma_split / gamma_exact if gamma_exact > 0 else None
     return YoungSplitReport(
-        epsilons=list(epsilon_grid),
+        epsilons=epsilons,
         c1=c1,
         c2_at_choice=c2_star,
         gamma_split=gamma_split,

@@ -28,6 +28,7 @@ from .config import ConfigError, RunConfig, parse_config
 from .functional import AffineLinear, J_eval, J_gradient, PowerPerturbed
 from .mesh import FeField, build_mesh, interpolate
 from .solvers import (
+    CriticalPointReport,
     ResonanceError,
     SolverConfig,
     linking_search,
@@ -83,17 +84,26 @@ def _solver_config(cfg: RunConfig) -> SolverConfig:
     return SolverConfig(tol=cfg.tol, max_iter=cfg.max_iter, seed=cfg.seed)
 
 
-def _scalar_alpha(cfg: RunConfig, pipeline: str) -> float:
+def _scalar_system(cfg: RunConfig, pipeline: str) -> OperatorSystem:
+    """The system at the config's one alpha; a pipeline that needs this
+    rejects an alpha grid."""
     if len(cfg.alpha) != 1:
         raise ConfigError(f"pipeline {pipeline!r} needs a scalar alpha, got a grid of {len(cfg.alpha)}")
-    return cfg.alpha[0]
+    return build_system(build_mesh(cfg.a, cfg.b, cfg.n_elem), cfg.s, cfg.alpha[0])
 
 
-def _solution_rows(u: FeField) -> list[list]:
-    mesh = u.mesh
+def _write_critical_point(
+    cfg: RunConfig, pipeline: str, report: CriticalPointReport, out_dir: Path, **extra
+) -> bool:
+    """report.json and solution.csv of a critical-point pipeline."""
+    payload = _report_base(cfg, pipeline)
+    payload.update({"alpha": cfg.alpha[0], "report": report.to_dict(), **extra})
+    _write_json(out_dir / "report.json", payload)
+    mesh = report.u.mesh
     xs = np.concatenate([[mesh.a], mesh.nodes, [mesh.b]])
-    vals = u.padded()
-    return [[float(x), float(v)] for x, v in zip(xs, vals)]
+    rows = [[float(x), float(v)] for x, v in zip(xs, report.u.padded())]
+    _write_csv(out_dir / "solution.csv", ["x", "u"], rows)
+    return report.converged
 
 
 # ---------------------------------------------------------------------------
@@ -158,9 +168,7 @@ def _pipeline_spectrum(cfg: RunConfig, out_dir: Path) -> bool:
 
 
 def _pipeline_constants(cfg: RunConfig, out_dir: Path) -> bool:
-    alpha = _scalar_alpha(cfg, "constants")
-    mesh = build_mesh(cfg.a, cfg.b, cfg.n_elem)
-    sys = build_system(mesh, cfg.s, alpha)
+    sys = _scalar_system(cfg, "constants")
     emb = embedding_constant(sys)
     interp = interpolation_constant(sys, seed=cfg.seed)
     young = young_split_audit(sys, seed=cfg.seed, interp=interp)
@@ -202,61 +210,41 @@ def _pipeline_threshold(cfg: RunConfig, out_dir: Path) -> bool:
 
 
 def _pipeline_solve_linear(cfg: RunConfig, out_dir: Path) -> bool:
-    alpha = _scalar_alpha(cfg, "solve-linear")
     if cfg.kind != "affine_linear":
         raise ConfigError("pipeline 'solve-linear' needs nonlinearity kind affine_linear")
-    mesh = build_mesh(cfg.a, cfg.b, cfg.n_elem)
-    sys = build_system(mesh, cfg.s, alpha)
+    sys = _scalar_system(cfg, "solve-linear")
     a_const = cfg.a_const
-    a_field = interpolate(lambda x: np.full_like(x, a_const), mesh)
+    a_field = interpolate(lambda x: np.full_like(x, a_const), sys.mesh)
     report = solve_resolvent(sys, cfg.lam, a_field, _solver_config(cfg))
-    payload = _report_base(cfg, "solve-linear")
-    payload.update({"alpha": alpha, "report": report.to_dict()})
-    _write_json(out_dir / "report.json", payload)
-    _write_csv(out_dir / "solution.csv", ["x", "u"], _solution_rows(report.u))
-    return report.converged
+    return _write_critical_point(cfg, "solve-linear", report, out_dir)
 
 
 def _pipeline_mountain_pass(cfg: RunConfig, out_dir: Path) -> bool:
-    alpha = _scalar_alpha(cfg, "mountain-pass")
-    mesh = build_mesh(cfg.a, cfg.b, cfg.n_elem)
-    sys = build_system(mesh, cfg.s, alpha)
+    sys = _scalar_system(cfg, "mountain-pass")
     report = mountain_pass(sys, _nonlinearity(cfg), _solver_config(cfg))
-    payload = _report_base(cfg, "mountain-pass")
-    payload.update({"alpha": alpha, "report": report.to_dict()})
-    _write_json(out_dir / "report.json", payload)
-    _write_csv(out_dir / "solution.csv", ["x", "u"], _solution_rows(report.u))
-    return report.converged
+    return _write_critical_point(cfg, "mountain-pass", report, out_dir)
 
 
 def _pipeline_linking(cfg: RunConfig, out_dir: Path) -> bool:
-    alpha = _scalar_alpha(cfg, "linking")
-    mesh = build_mesh(cfg.a, cfg.b, cfg.n_elem)
-    sys = build_system(mesh, cfg.s, alpha)
+    sys = _scalar_system(cfg, "linking")
     report = linking_search(sys, _nonlinearity(cfg), cfg.k, _solver_config(cfg))
-    payload = _report_base(cfg, "linking")
-    payload.update(
-        {"alpha": alpha, "k": cfg.k, "geometry": report.geometry.to_dict(), "report": report.to_dict()}
+    return _write_critical_point(
+        cfg, "linking", report, out_dir, k=cfg.k, geometry=report.geometry.to_dict()
     )
-    _write_json(out_dir / "report.json", payload)
-    _write_csv(out_dir / "solution.csv", ["x", "u"], _solution_rows(report.u))
-    return report.converged
 
 
 def _pipeline_dump_matrices(cfg: RunConfig, out_dir: Path) -> bool:
-    alpha = _scalar_alpha(cfg, "dump-matrices")
-    mesh = build_mesh(cfg.a, cfg.b, cfg.n_elem)
-    sys = build_system(mesh, cfg.s, alpha)
+    sys = _scalar_system(cfg, "dump-matrices")
     dump_matrix(out_dir / "K.txt", sys.K, "banded")
     dump_matrix(out_dir / "M.txt", sys.M, "banded")
     dump_matrix(out_dir / "S.txt", sys.S, "dense")
     payload = _report_base(cfg, "dump-matrices")
-    payload.update({"alpha": alpha, "files": ["K.txt", "M.txt", "S.txt"]})
+    payload.update({"alpha": cfg.alpha[0], "files": ["K.txt", "M.txt", "S.txt"]})
     _write_json(out_dir / "manifest.json", payload)
     return True
 
 
-def _audit_checks(cfg: RunConfig, alpha: float) -> list[dict]:
+def _audit_checks(cfg: RunConfig, sys: OperatorSystem) -> list[dict]:
     """Every oracle cross-check at desk scale; deterministic given the seed."""
     from .oracles import gagliardo_matrix_oracle, pencil_eigenvalues_oracle, threshold_oracle
 
@@ -273,8 +261,7 @@ def _audit_checks(cfg: RunConfig, alpha: float) -> list[dict]:
             }
         )
 
-    mesh = build_mesh(cfg.a, cfg.b, cfg.n_elem)
-    sys = build_system(mesh, cfg.s, alpha)
+    mesh = sys.mesh
     rng = np.random.default_rng(cfg.seed)
 
     # symmetry and positivity of the assembled forms
@@ -317,7 +304,7 @@ def _audit_checks(cfg: RunConfig, alpha: float) -> list[dict]:
     add("characterization", worst, 1e-8)
 
     # two-sided Rayleigh bounds
-    rep = bound_checks(spec, sys, k=min(3, spec.count - 1), trials=1000, seed=cfg.seed)
+    rep = bound_checks(spec, sys, k=min(3, spec.count - 1), seed=cfg.seed)
     add("two_sided_bounds", rep.max_violation, 1e-9)
 
     # coercivity shift on random fields
@@ -392,11 +379,10 @@ def _audit_checks(cfg: RunConfig, alpha: float) -> list[dict]:
 
 
 def _pipeline_full_audit(cfg: RunConfig, out_dir: Path) -> bool:
-    alpha = _scalar_alpha(cfg, "full-audit")
-    checks = _audit_checks(cfg, alpha)
+    checks = _audit_checks(cfg, _scalar_system(cfg, "full-audit"))
     ok = all(c["passed"] for c in checks)
     payload = _report_base(cfg, "full-audit")
-    payload.update({"alpha": alpha, "checks": checks, "certified": ok})
+    payload.update({"alpha": cfg.alpha[0], "checks": checks, "certified": ok})
     _write_json(out_dir / "audit.json", payload)
     rows = [[c["name"], c["metric"], c["tolerance"], c["passed"]] for c in checks]
     _write_csv(out_dir / "audit.csv", ["check", "metric", "tolerance", "passed"], rows)

@@ -14,9 +14,8 @@ rejected):
 from __future__ import annotations
 
 import configparser
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional
 
 import numpy as np
 
@@ -43,6 +42,7 @@ _SCHEMA: dict[str, dict[str, type]] = {
     },
     "output": {"directory": str},
 }
+_FIELDS = {"lambda": "lam"}  # config keys whose RunConfig field has another name
 
 
 @dataclass
@@ -99,26 +99,13 @@ class RunConfig:
     def to_dict(self) -> dict:
         """The config as embedded in reports.  The output directory is left
         out, so a report's bytes do not depend on where it is written."""
-        return {
-            "domain": {"a": self.a, "b": self.b, "n_elem": self.n_elem},
-            "operator": {"s": self.s, "alpha": list(self.alpha)},
-            "nonlinearity": {
-                "kind": self.kind,
-                "lambda": self.lam,
-                "p": self.p,
-                "a_const": self.a_const,
-            },
-            "solver": {
-                "tol": self.tol,
-                "max_iter": self.max_iter,
-                "seed": self.seed,
-                "m": self.m,
-                "k": self.k,
-                "bracket_lo": self.bracket_lo,
-                "bracket_hi": self.bracket_hi,
-                "threshold_tol": self.threshold_tol,
-            },
+        out = {
+            section: {key: getattr(self, _FIELDS.get(key, key)) for key in keys}
+            for section, keys in _SCHEMA.items()
+            if section != "output"
         }
+        out["operator"]["alpha"] = list(self.alpha)
+        return out
 
 
 def _parse_alpha(raw: str) -> tuple[float, ...]:
@@ -158,7 +145,6 @@ def parse_config(path: str | Path) -> RunConfig:
         for key, raw in parser.items(section):
             if key not in _SCHEMA[section]:
                 raise ConfigError(f"unknown key {key!r} in section [{section}]")
-            target = "lam" if key == "lambda" else key
             if section == "operator" and key == "alpha":
                 cfg.alpha = _parse_alpha(raw)
                 continue
@@ -169,6 +155,6 @@ def parse_config(path: str | Path) -> RunConfig:
                 raise ConfigError(
                     f"key {key!r} in [{section}]: cannot convert {raw!r} to {caster.__name__}"
                 ) from exc
-            setattr(cfg, target, value)
+            setattr(cfg, _FIELDS.get(key, key), value)
     cfg.validate()
     return cfg

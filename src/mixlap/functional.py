@@ -49,6 +49,9 @@ _GQ_W = 0.5 * _GQ_W
 
 CONDITIONS = ("f_lg", "i", "ii", "iii", "slopes_infinity", "slopes_zero", "eq_1.8")
 SLOPE_TOL = 1e-2  # relative precision of a sampled asymptotic slope
+HYPOTHESIS_TOL = 1e-9  # largest relative violation a sampled growth inequality passes with
+_MAGS = np.logspace(-6.0, 6.0, 200)
+_T_GRID = np.concatenate([-_MAGS[::-1], _MAGS])  # sample values of t, 1e-6 <= |t| <= 1e6
 
 
 @dataclass(frozen=True)
@@ -316,11 +319,6 @@ class SlopeEstimate:
     inconclusive: bool = False
 
 
-def _default_grid(t_max: float = 1e6, t_min: float = 1e-6, n: int = 200) -> np.ndarray:
-    mags = np.logspace(math.log10(t_min), math.log10(t_max), n)
-    return np.concatenate([-mags[::-1], mags])
-
-
 def _require(growth: GrowthConstants, names: list[str], condition: str) -> list[float]:
     vals = []
     for name in names:
@@ -337,27 +335,18 @@ def _worst(violations: np.ndarray, xs: np.ndarray, ts: np.ndarray):
     return float(violations[i, j]), (float(xs[i]), float(ts[j]))
 
 
-def asymptotic_slopes(
-    nl,
-    mode: str,
-    x_samples: np.ndarray,
-    grid: Optional[np.ndarray] = None,
-    stab_tol: float = SLOPE_TOL,
-) -> SlopeEstimate:
+def asymptotic_slopes(nl, mode: str, x_samples: np.ndarray) -> SlopeEstimate:
     """Sampled liminf/limsup of f(x, t) / t for |t| -> infinity or t -> 0,
     over the points `x_samples` of the caller's domain.
 
     Estimates come from the outermost decade of the sample grid; the
-    neighbouring decade is used for a stabilization check.  Divergence is
-    reported with infinite sentinels and the `diverged` flag rather than a
-    large float.
+    neighbouring decade is used for a stabilization check to within
+    ``SLOPE_TOL``.  Divergence is reported with infinite sentinels and the
+    `diverged` flag rather than a large float.
     """
     if mode not in ("at_infinity", "at_zero"):
         raise ValueError(f"mode must be 'at_infinity' or 'at_zero', got {mode!r}")
-    if grid is None:
-        grid = _default_grid()
-    mags = np.abs(grid[grid != 0.0])
-    lo_m, hi_m = float(np.min(mags)), float(np.max(mags))
+    lo_m, hi_m = float(_MAGS[0]), float(_MAGS[-1])
     if mode == "at_infinity":
         outer = (hi_m / 10.0, hi_m)
         inner = (hi_m / 100.0, hi_m / 10.0)
@@ -366,7 +355,7 @@ def asymptotic_slopes(
         inner = (lo_m * 10.0, lo_m * 100.0)
 
     def decade_bounds(band):
-        sel = grid[(np.abs(grid) >= band[0]) & (np.abs(grid) <= band[1])]
+        sel = _T_GRID[(np.abs(_T_GRID) >= band[0]) & (np.abs(_T_GRID) <= band[1])]
         ratios = np.array([nl.f(x, sel) / sel for x in x_samples])
         return float(np.min(ratios)), float(np.max(ratios))
 
@@ -378,31 +367,26 @@ def asymptotic_slopes(
         inf = math.inf if hi_out > 0 else -math.inf
         return SlopeEstimate(lower=inf, upper=inf, diverged=True)
     spread = max(abs(lo_out - lo_in), abs(hi_out - hi_in)) / max(1.0, mag_out)
-    if spread > stab_tol:
+    if spread > SLOPE_TOL:
         return SlopeEstimate(lower=lo_out, upper=hi_out, inconclusive=True)
     return SlopeEstimate(lower=lo_out, upper=hi_out)
 
 
 def check_hypotheses(
-    nl,
-    x_samples: np.ndarray,
-    grid: Optional[np.ndarray] = None,
-    conditions: Optional[list[str]] = None,
-    tol: float = 1e-9,
+    nl, x_samples: np.ndarray, conditions: Optional[list[str]] = None
 ) -> list[HypothesisReport]:
     """Sampled audit of the declared growth inequalities at the points
     `x_samples` of the caller's domain.
 
     Each report gives the worst violation over the (x, t) grid, measured
     relative to the magnitude of the compared terms (the model cases hit the
-    inequalities with equality, where absolute residuals are pure round-off).
+    inequalities with equality, where absolute residuals are pure round-off);
+    a condition passes with a worst violation of at most ``HYPOTHESIS_TOL``.
     The slope conditions require a stable sampled slope; with a declared
     ``A``, ``slopes_zero`` also requires the slope at zero to be A within
     ``SLOPE_TOL``.  These are falsification checks, not proofs.  Requesting a
     condition whose constants were not declared raises ``ValueError``.
     """
-    if grid is None:
-        grid = _default_grid()
     g = nl.growth
     if conditions is None:
         # audit the conditions matching the declared constants: the linear
@@ -422,7 +406,7 @@ def check_hypotheses(
     if unknown:
         raise ValueError(f"unknown condition ids: {sorted(unknown)}")
     xs = np.asarray(x_samples, dtype=float)
-    ts = np.asarray(grid, dtype=float)
+    ts = _T_GRID
     X = xs[:, None]
     T = ts[None, :]
     fv = nl.f(X, T)
@@ -441,18 +425,18 @@ def check_hypotheses(
                 raise ValueError("condition 'f_lg' needs declared constant 'a_bound'")
             viol = (np.abs(fv) - env) / np.maximum(1.0, np.abs(env))
             worst, wit = _worst(viol, xs, ts)
-            reports.append(HypothesisReport(cond, worst <= tol, worst, wit))
+            reports.append(HypothesisReport(cond, worst <= HYPOTHESIS_TOL, worst, wit))
         elif cond == "i":
             f0 = np.abs(nl.f(xs, np.zeros_like(xs)))
             i0 = int(np.argmax(f0))
             worst = float(f0[i0])
-            reports.append(HypothesisReport(cond, worst <= tol, worst, (float(xs[i0]), 0.0)))
+            reports.append(HypothesisReport(cond, worst <= HYPOTHESIS_TOL, worst, (float(xs[i0]), 0.0)))
         elif cond == "ii":
             a_b, b, r = _require(g, ["a_bound", "b", "r"], cond)
             env = a_b + b * np.abs(T) ** (r - 1.0)
             viol = (np.abs(fv) - env) / np.maximum(1.0, np.abs(env))
             worst, wit = _worst(viol, xs, ts)
-            reports.append(HypothesisReport(cond, worst <= tol, worst, wit))
+            reports.append(HypothesisReport(cond, worst <= HYPOTHESIS_TOL, worst, wit))
         elif cond == "iii":
             mu, mu_t, R, c, d, A = _require(g, ["mu", "mu_tilde", "R", "c", "d", "A"], cond)
             core = mu * (Fv - A * T**2 / 2.0)  # must stay strictly positive
@@ -466,17 +450,17 @@ def check_hypotheses(
             viol_growth = (growth_env - Fv) / denom2
             viol = np.maximum(viol_ar, viol_growth)
             worst, wit = _worst(viol, xs, ts)
-            reports.append(HypothesisReport(cond, worst <= tol, worst, wit))
+            reports.append(HypothesisReport(cond, worst <= HYPOTHESIS_TOL, worst, wit))
         elif cond == "eq_1.8":
             (lam_k,) = _require(g, ["lambda_k"], cond)
             floor = lam_k * T**2 / 2.0
             denom = np.maximum(1.0, np.maximum(np.abs(Fv), np.abs(floor)))
             viol = (floor - Fv) / denom
             worst, wit = _worst(viol, xs, ts)
-            reports.append(HypothesisReport(cond, worst <= tol, worst, wit))
+            reports.append(HypothesisReport(cond, worst <= HYPOTHESIS_TOL, worst, wit))
         elif cond in ("slopes_infinity", "slopes_zero"):
             mode = "at_infinity" if cond == "slopes_infinity" else "at_zero"
-            est = asymptotic_slopes(nl, mode, x_samples, grid=grid)
+            est = asymptotic_slopes(nl, mode, x_samples)
             ok = not (est.diverged or est.inconclusive)
             note = "diverged" if est.diverged else ("inconclusive" if est.inconclusive else "")
             worst = math.inf if est.diverged else (abs(est.upper - est.lower))

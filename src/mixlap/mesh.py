@@ -88,9 +88,6 @@ class FeField:
         xp = np.concatenate(([mesh.a], mesh.nodes, [mesh.b]))
         return np.interp(np.asarray(x, dtype=float), xp, self.padded())
 
-    def as_function(self) -> Callable[[np.ndarray], np.ndarray]:
-        return self.evaluate
-
 
 def interpolate(g: Callable[[float], float], mesh: MeshInterval) -> FeField:
     """Nodal interpolant of g on the interior nodes."""

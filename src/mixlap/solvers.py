@@ -1,10 +1,12 @@
 """Certified critical-point searches for the semilinear problem.
 
-Solvers produce a ``CriticalPointReport`` carrying two independent
-certificates: the dual norm of the discrete energy gradient and the weak
-residual (the same functional re-evaluated through the weak form); a report
-claims convergence only when both are below tolerance, the iterate is
-nontrivial, and the energy level matches the geometry that produced it.
+Solvers produce a ``CriticalPointReport`` carrying the dual norm of the
+discrete energy gradient and the weak residual, the dual norm of
+phi -> B(u, phi) - int f(x, u) phi.  Both come from the same ``J_gradient``
+evaluation, so they agree bit for bit; the weak residual is not an
+independent check.  A report claims convergence only when both are below
+tolerance, the iterate is nontrivial, and the energy level matches the
+geometry that produced it.
 
 Search strategies:
 
@@ -21,10 +23,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
-from scipy import linalg, optimize
+from scipy import linalg
 
 from .assembly import OperatorSystem
 from .functional import (
@@ -46,7 +48,6 @@ from .spectrum import DegenerateSpectrumError, Spectrum, solve_pencil
 
 __all__ = [
     "SolverConfig",
-    "ProbeConfig",
     "CriticalPointReport",
     "LinkingGeometryReport",
     "ResonanceError",
@@ -64,30 +65,25 @@ class ResonanceError(RuntimeError):
     """The requested linear level sits on (or too close to) an eigenvalue."""
 
 
+# mountain pass and linking search
+PATH_NODES = 41  # nodes of the discretized mountain-pass path
+T_MAX = 1e3  # largest multiple of u_1 tried as the negative-energy endpoint
+BLOWUP_BOUND = 1e6  # X-norm guard on the path and peak iterates
+NEWTON_MAX_ITER = 40
+NEWTON_TOL = 1e-12
+NEWTON_GATE_FACTOR = 0.25  # early-Newton trigger relative to the first gradient
+
+# linking geometry probe
+RHO_GRID = tuple(float(x) for x in np.logspace(-3, 0.5, 8))  # sphere radii searched
+PROBE_RESTARTS = 12  # random starts per sphere (and random directions, affine kind)
+RHO_BIG_MAX = 1e4  # largest half-cylinder (or sphere) radius tried
+
+
 @dataclass
 class SolverConfig:
     tol: float = 1e-8
     max_iter: int = 600
     seed: int = 0
-    path_nodes: int = 41
-    t_max: float = 1e3
-    blowup_bound: float = 1e6
-    newton_max_iter: int = 40
-    newton_tol: float = 1e-12
-    newton_gate_factor: float = 0.25  # early-Newton trigger relative to the first gradient
-    eig_tol_rel: float = 1e-8  # resonance guard: |lam - lam_k| < eig_tol_rel * (1 + |lam|)
-    nontrivial_tol: Optional[float] = None  # default: 1e-4 * geometry radius
-
-
-@dataclass
-class ProbeConfig:
-    rho_grid: tuple = tuple(float(x) for x in np.logspace(-3, 0.5, 8))
-    restarts: int = 12
-    iters: int = 300
-    seed: int = 0
-    spread_tol: float = 0.5
-    rho_big_max: float = 1e4
-    samples_per_face: int = 400
 
 
 @dataclass
@@ -207,7 +203,7 @@ def solve_resolvent(
     eigs = solve_pencil(sys, m=sys.ndof).lambdas
     gaps = np.abs(eigs - lam)
     k_near = int(np.argmin(gaps))
-    if gaps[k_near] < cfg.eig_tol_rel * (1.0 + abs(lam)):
+    if gaps[k_near] < 1e-8 * (1.0 + abs(lam)):
         raise ResonanceError(
             f"lambda={lam!r} is within tolerance of eigenvalue k={k_near + 1} "
             f"(lambda_k={eigs[k_near]!r}); the linear problem is resonant"
@@ -222,17 +218,16 @@ def solve_resolvent(
             break
         x = x + linalg.lu_solve(lu, r)
     u = FeField(x, sys.mesh)
-    nl = AffineLinear(lam, a.as_function())
+    nl = AffineLinear(lam, a.evaluate)
     gn = _dual_norm(sys, J_gradient(sys, nl, u).coeffs)
     wr = weak_residual(sys, nl, u)
-    threshold = cfg.nontrivial_tol if cfg.nontrivial_tol is not None else 1e-12
     ok = gn <= max(cfg.tol, 1e-10) and wr <= max(cfg.tol, 1e-10)
     return CriticalPointReport(
         u=u,
         J_value=J_eval(sys, nl, u),
         grad_norm=gn,
         weak_residual=wr,
-        classification=_classify(sys, x, threshold),
+        classification=_classify(sys, x, 1e-12),
         iterations=1,
         converged=ok,
         status="converged" if ok else "residual_above_tolerance",
@@ -267,9 +262,9 @@ def newton_refine(
     it = 0
     g = J_gradient(sys, nl, FeField(c, sys.mesh)).coeffs
     gn = _dual_norm(sys, g)
-    for it in range(cfg.newton_max_iter):
+    for it in range(NEWTON_MAX_ITER):
         hist.append((it, J_eval(sys, nl, FeField(c, sys.mesh)), gn))
-        if gn <= cfg.newton_tol or gn <= 1e-16:
+        if gn <= NEWTON_TOL or gn <= 1e-16:
             status = "converged"
             break
         jac = _newton_jacobian(sys, nl, c)
@@ -292,18 +287,17 @@ def newton_refine(
             status = "diverged"
             break
     else:
-        if gn <= cfg.newton_tol:
+        if gn <= NEWTON_TOL:
             status = "converged"
     u = FeField(c, sys.mesh)
     wr = weak_residual(sys, nl, u)
-    threshold = cfg.nontrivial_tol if cfg.nontrivial_tol is not None else 1e-6
     converged = status == "converged" and _small_residuals(gn, wr, cfg)
     return CriticalPointReport(
         u=u,
         J_value=J_eval(sys, nl, u),
         grad_norm=gn,
         weak_residual=wr,
-        classification=_classify(sys, c, threshold),
+        classification=_classify(sys, c, 1e-6),
         iterations=it,
         converged=converged,
         status=status,
@@ -361,11 +355,10 @@ def _certify(
     status: str, message: str, geometry=None,
 ) -> CriticalPointReport:
     """Newton-refine the descent iterate c and certify the result: gradient
-    norm <= tol, weak residual <= 10 tol, X norm >= nontrivial_tol (default
-    1e-4 * radius) and J > 0; otherwise the report keeps the descent's status."""
+    norm <= tol, weak residual <= 10 tol, X norm >= 1e-4 * radius and J > 0;
+    otherwise the report keeps the descent's status."""
     refined = newton_refine(sys, nl, FeField(c, sys.mesh), cfg)
-    threshold = cfg.nontrivial_tol if cfg.nontrivial_tol is not None else 1e-4 * radius
-    classification = _classify(sys, refined.u.coeffs, threshold)
+    classification = _classify(sys, refined.u.coeffs, 1e-4 * radius)
     converged = (
         _small_residuals(refined.grad_norm, refined.weak_residual, cfg)
         and classification == "nontrivial"
@@ -415,18 +408,17 @@ def mountain_pass(sys: OperatorSystem, nl, cfg: SolverConfig | None = None) -> C
     u1 = u1 / _x_norm(sys, u1)
     t = 1.0
     endpoint = None
-    while t <= cfg.t_max:
+    while t <= T_MAX:
         if J_eval(sys, nl, FeField(t * u1, sys.mesh)) < 0.0:
             endpoint = t * u1
             break
         t *= 2.0
     if endpoint is None:
         return _geometry_failure(
-            sys, f"no negative-energy endpoint along the first eigenfield up to t={cfg.t_max:g}"
+            sys, f"no negative-energy endpoint along the first eigenfield up to t={T_MAX:g}"
         )
 
-    n_nodes = cfg.path_nodes
-    path = np.linspace(0.0, 1.0, n_nodes)[:, None] * endpoint[None, :]
+    path = np.linspace(0.0, 1.0, PATH_NODES)[:, None] * endpoint[None, :]
     hist: list[tuple[int, float, float]] = []
     status = "max_iterations"
     message = ""
@@ -437,11 +429,11 @@ def mountain_pass(sys: OperatorSystem, nl, cfg: SolverConfig | None = None) -> C
     for it in range(cfg.max_iter):
         jvals = J_values(sys, nl, path)
         m_idx = int(np.argmax(jvals))
-        if m_idx in (0, n_nodes - 1):
+        if m_idx in (0, PATH_NODES - 1):
             status = "geometry_violation"
             message = "path maximum collapsed to an endpoint; minimax level is not positive"
             break
-        if np.max(_x_norms(sys, path)) > cfg.blowup_bound:
+        if np.max(_x_norms(sys, path)) > BLOWUP_BOUND:
             status = "blowup"
             message = "path iterate exceeded the boundedness guard"
             break
@@ -449,7 +441,7 @@ def mountain_pass(sys: OperatorSystem, nl, cfg: SolverConfig | None = None) -> C
         gd = _riesz(sys, g)
         gn = math.sqrt(max(0.0, float(g @ gd)))
         if newton_gate is math.inf:
-            newton_gate = cfg.newton_gate_factor * gn
+            newton_gate = NEWTON_GATE_FACTOR * gn
         if gn <= 10.0 * cfg.tol or gn <= newton_gate:
             # the path maximum looks localized: try to certify it right away
             rep = _certify(sys, nl, path[m_idx], cfg, radius, hist, status, message)
@@ -469,7 +461,7 @@ def mountain_pass(sys: OperatorSystem, nl, cfg: SolverConfig | None = None) -> C
         while sigma >= 2.0**-30:
             trial = path.copy()
             trial[m_idx] = path[m_idx] - sigma * gd
-            trial = _reparameterize(sys, trial, n_nodes)
+            trial = _reparameterize(sys, trial, PATH_NODES)
             j_trial = float(np.max(J_values(sys, nl, trial)))
             if j_trial < j_max_old - 1e-4 * sigma * gn * gn:
                 path = trial
@@ -495,16 +487,11 @@ def mountain_pass(sys: OperatorSystem, nl, cfg: SolverConfig | None = None) -> C
 
 
 def _sphere_min(
-    sys: OperatorSystem,
-    nl,
-    V: np.ndarray,
-    rho: float,
-    restarts: int,
-    iters: int,
-    rng: np.random.Generator,
+    sys: OperatorSystem, nl, V: np.ndarray, rho: float, rng: np.random.Generator
 ) -> tuple[float, float]:
-    """Multistart projected descent of J on the X-sphere of radius rho inside
-    the span of the columns of V.  Returns (min value, spread).
+    """Multistart projected descent of J, at most 300 steps, on the X-sphere
+    of radius rho inside the span of the columns of V.  Returns (min value,
+    spread).
 
     The starts run in lockstep, one block evaluation of J or its gradient per
     step.  Each start keeps its own step length and acceptance test, and
@@ -513,7 +500,7 @@ def _sphere_min(
     nsub = V.shape[1]
     KV = sys.K @ V
     starts = [np.eye(nsub)[j] for j in range(min(nsub, 3))]
-    starts += [rng.standard_normal(nsub) for _ in range(restarts)]
+    starts += [rng.standard_normal(nsub) for _ in range(PROBE_RESTARTS)]
     C = np.array(starts)
 
     def on_sphere(Cb):
@@ -522,7 +509,7 @@ def _sphere_min(
         return W, r, (rho / r)[:, None] * W
 
     active = np.arange(len(C))
-    for _ in range(iters):
+    for _ in range(300):
         if active.size == 0:
             break
         W, r, U = on_sphere(C[active])
@@ -552,26 +539,21 @@ def _sphere_min(
 
 
 def _delta_boundary_max(
-    sys: OperatorSystem,
-    nl,
-    U: np.ndarray,
-    v_dir: np.ndarray,
-    rho: float,
-    samples: int,
-    rng: np.random.Generator,
+    sys: OperatorSystem, nl, U: np.ndarray, v_dir: np.ndarray, rho: float, rng: np.random.Generator
 ) -> float:
     """Max of J sampled over the boundary of the half-cylinder
-    (X-ball of radius rho in span U) + [0, rho] * v_dir."""
+    (X-ball of radius rho in span U) + [0, rho] * v_dir, along 100 random
+    ball directions per face."""
     k = U.shape[1]
     ts = np.linspace(0.0, rho, 33)[:, None]
     rs = np.linspace(0.0, rho, 17)[:, None]
 
-    def ball_dirs(count):
+    def ball_dirs():
         if k == 0:
             return np.zeros((1, 0))
         if k == 1:
             return np.array([[1.0], [-1.0]])
-        d = rng.standard_normal((count, k))
+        d = rng.standard_normal((100, k))
         return d / np.linalg.norm(d, axis=1, keepdims=True)
 
     def x_normalize(w):
@@ -585,21 +567,19 @@ def _delta_boundary_max(
     # boundary reduces to the two segment endpoints
     best = -math.inf
     # bottom face t = 0, |w| <= rho  (includes the origin)
-    for d in ball_dirs(samples // 4):
+    for d in ball_dirs():
         best = max(best, sup(rs * x_normalize(U @ d)))
     # side face |w| = rho, t in [0, rho]
-    for d in ball_dirs(samples // 4):
+    for d in ball_dirs():
         if k:
             best = max(best, sup(rho * x_normalize(U @ d) + ts * v_dir))
     # top face t = rho, |w| <= rho
-    for d in ball_dirs(samples // 4):
+    for d in ball_dirs():
         best = max(best, sup(rs * x_normalize(U @ d) + rho * v_dir))
     return best
 
 
-def verify_geometry(
-    sys: OperatorSystem, nl, k: int, probe: ProbeConfig | None = None
-) -> LinkingGeometryReport:
+def verify_geometry(sys: OperatorSystem, nl, k: int, seed: int = 0) -> LinkingGeometryReport:
     """Probe the minimax geometry around the spectral splitting at level k.
 
     Superlinear kinds: estimates the infimum of J on spheres inside the
@@ -609,10 +589,10 @@ def verify_geometry(
     until the supremum is nonpositive.  Affine kind: the exact infimum over
     the complement (a convex quadratic) against the supremum on the sphere
     in the spanned subspace.  Pure probe: never raises, flags inconclusive
-    multistart scatter instead.
+    multistart scatter instead.  ``seed`` drives the random starts and
+    directions.
     """
-    probe = probe or ProbeConfig()
-    rng = np.random.default_rng(probe.seed)
+    rng = np.random.default_rng(seed)
     full = solve_pencil(sys, m=sys.ndof)
     if k >= 1 and np.any(np.abs(full.lambdas[:k]) < 1e-10):
         raise DegenerateSpectrumError(
@@ -635,10 +615,10 @@ def verify_geometry(
         # quadratic drop dominates the linear term
         boundary_sup = math.inf
         T = max(1.0, 2.0 * rho_small)
-        while T <= probe.rho_big_max:
+        while T <= RHO_BIG_MAX:
             best = -math.inf
             dirs = [np.eye(k)[j] for j in range(k)]
-            dirs += [rng.standard_normal(k) for _ in range(probe.restarts)]
+            dirs += [rng.standard_normal(k) for _ in range(PROBE_RESTARTS)]
             for d in dirs:
                 w = U @ d
                 w = (T / _x_norm(sys, w)) * w
@@ -661,10 +641,10 @@ def verify_geometry(
 
     # superlinear: sphere infimum over a radius grid
     best_val = -math.inf
-    best_rho = probe.rho_grid[0]
+    best_rho = RHO_GRID[0]
     spread_at_best = 0.0
-    for rho in probe.rho_grid:
-        val, spread = _sphere_min(sys, nl, V, rho, probe.restarts, probe.iters, rng)
+    for rho in RHO_GRID:
+        val, spread = _sphere_min(sys, nl, V, rho, rng)
         if val > best_val:
             best_val, best_rho, spread_at_best = val, rho, spread
     alpha_tilde = best_val
@@ -672,8 +652,8 @@ def verify_geometry(
 
     rho_big = max(1.0, 4.0 * rho_small)
     boundary_sup = math.inf
-    while rho_big <= probe.rho_big_max:
-        boundary_sup = _delta_boundary_max(sys, nl, U, v_dir, rho_big, probe.samples_per_face, rng)
+    while rho_big <= RHO_BIG_MAX:
+        boundary_sup = _delta_boundary_max(sys, nl, U, v_dir, rho_big, rng)
         if boundary_sup <= 0.0:
             break
         rho_big *= 2.0
@@ -686,7 +666,7 @@ def verify_geometry(
         boundary_sup=boundary_sup,
         certified=certified,
         mode="linking",
-        inconclusive=spread_at_best > probe.spread_tol,
+        inconclusive=spread_at_best > 0.5,
         spread=spread_at_best,
     )
 
@@ -723,6 +703,7 @@ def _peak(
     sys: OperatorSystem, nl, W: np.ndarray, c0: np.ndarray
 ) -> tuple[np.ndarray, float]:
     """Maximize J over the span of the columns of W (warm start c0)."""
+    from scipy import optimize  # only the linking search needs it: keep the CLI import light
 
     def neg_val(c):
         return -J_eval(sys, nl, FeField(W @ c, sys.mesh))
@@ -739,8 +720,7 @@ def _peak(
 
 
 def linking_search(
-    sys: OperatorSystem, nl, k: int, cfg: SolverConfig | None = None,
-    probe: ProbeConfig | None = None,
+    sys: OperatorSystem, nl, k: int, cfg: SolverConfig | None = None
 ) -> CriticalPointReport:
     """Minimax search over deformations of the spectral half-cylinder.
 
@@ -750,11 +730,10 @@ def linking_search(
     Riesz gradient of J at the peak.  The converged peak is Newton-refined
     and certified like the ground-level search.  Requires the geometry probe
     to certify the linking (or saddle) structure first; every report carries
-    that probe as ``geometry``.
+    that probe as ``geometry``; the probe draws from ``cfg.seed``.
     """
     cfg = cfg or SolverConfig()
-    probe = probe or ProbeConfig(seed=cfg.seed)
-    geometry = verify_geometry(sys, nl, k, probe)
+    geometry = verify_geometry(sys, nl, k, cfg.seed)
     if not geometry.certified:
         return _geometry_failure(
             sys,
@@ -801,7 +780,7 @@ def linking_search(
         if gn <= 10.0 * cfg.tol:
             status = "not_certified"
             break
-        if _x_norm(sys, p_coeffs) > cfg.blowup_bound:
+        if _x_norm(sys, p_coeffs) > BLOWUP_BOUND:
             status = "blowup"
             message = "peak iterate exceeded the boundedness guard"
             break

@@ -10,14 +10,13 @@ energy, and the coupling threshold where the bottom eigenvalue crosses zero.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 from scipy import linalg
 
 from .assembly import OperatorSystem
-from .mesh import FeField, MeshInterval
 
 __all__ = [
     "Spectrum",
@@ -35,6 +34,8 @@ __all__ = [
 
 ZERO_TOL = 1e-10  # |lambda| below this counts as a zero eigenvalue
 CLUSTER_TOL = 1e-9
+RESIDUAL_TOL = 1e-8  # largest eigenpair residual accepted, relative to the matrix scale
+BOUND_TRIALS = 1000  # random fields per side in ``bound_checks``
 
 
 class SpectrumError(RuntimeError):
@@ -53,17 +54,10 @@ class Spectrum:
     lambdas: np.ndarray
     vectors: np.ndarray
     n0: Optional[int]
-    alpha: float
-    s: float
-    mesh: MeshInterval
 
     @property
     def count(self) -> int:
         return self.lambdas.size
-
-    def eigenfield(self, k: int) -> FeField:
-        """k-th eigenfield, 1-based."""
-        return FeField(self.vectors[:, k - 1], self.mesh)
 
 
 @dataclass
@@ -115,15 +109,13 @@ def _representatives(w: np.ndarray, v: np.ndarray, M: np.ndarray, m: int) -> np.
     return v
 
 
-def solve_pencil(sys: OperatorSystem, m: Optional[int] = None, residual_tol: float = 1e-8) -> Spectrum:
+def solve_pencil(sys: OperatorSystem, m: int) -> Spectrum:
     """m algebraically smallest eigenpairs of (K + alpha S, M).
 
     Raises ``SpectrumError`` when the mass factorization fails or an
-    eigenpair residual exceeds ``residual_tol`` relative to the matrix scale.
+    eigenpair residual exceeds ``RESIDUAL_TOL`` relative to the matrix scale.
     """
     n = sys.ndof
-    if m is None:
-        m = min(n, 12)
     if not 1 <= m <= n:
         raise ValueError(f"need 1 <= m <= ndof={n}, got m={m}")
     # M is tridiagonal, so factoring its upper band decides definiteness
@@ -142,16 +134,16 @@ def solve_pencil(sys: OperatorSystem, m: Optional[int] = None, residual_tol: flo
     scale = float(np.max(np.abs(sys.A)) + np.max(np.abs(w)) * np.max(np.abs(sys.M)))
     res = sys.A @ v - sys.M @ v * w[None, :]
     worst = float(np.max(np.linalg.norm(res, axis=0)))
-    if worst > residual_tol * scale:
+    if worst > RESIDUAL_TOL * scale:
         raise SpectrumError(
-            f"eigenpair residual {worst:.3e} exceeds {residual_tol:.1e} * scale={scale:.3e}"
+            f"eigenpair residual {worst:.3e} exceeds {RESIDUAL_TOL:.1e} * scale={scale:.3e}"
         )
 
     n0: Optional[int] = None
     pos = np.flatnonzero(w > 0.0)
     if pos.size:
         n0 = int(pos[0]) + 1
-    return Spectrum(lambdas=w, vectors=v, n0=n0, alpha=sys.alpha, s=sys.s, mesh=sys.mesh)
+    return Spectrum(lambdas=w, vectors=v, n0=n0)
 
 
 def first_positive_index(spec: Spectrum) -> int:
@@ -188,13 +180,13 @@ def verify_characterization(
     k: int,
     trials: int = 8,
     seed: int = 0,
-    max_iter: int = 200,
 ) -> float:
     """|min constrained Rayleigh quotient - lambda_k|.
 
     The minimum of u^T A u / u^T M u over the B-orthogonal complement of the
     first k-1 eigenfields is computed twice: by a projected eigensolve and by
-    `trials` runs of constrained descent from random starts.  The smaller of
+    `trials` runs of at most 200 steps of constrained descent from random
+    starts.  The smaller of
     the two is compared against the pencil eigenvalue.
 
     Raises ``DegenerateSpectrumError`` if one of the first k-1 eigenvalues
@@ -218,7 +210,7 @@ def verify_characterization(
     for _ in range(trials):
         c = rng.standard_normal(nr)
         c /= np.sqrt(c @ Mr @ c)
-        for _ in range(max_iter):
+        for _ in range(200):
             rho = c @ Ar @ c
             g = 2.0 * (Ar @ c - rho * (Mr @ c))
             if np.linalg.norm(g) < 1e-13 * max(1.0, abs(rho)):
@@ -236,10 +228,9 @@ def verify_characterization(
     return abs(best - float(spec.lambdas[k - 1]))
 
 
-def bound_checks(
-    spec: Spectrum, sys: OperatorSystem, k: int, trials: int = 1000, seed: int = 0
-) -> BoundCheckReport:
-    """Randomized audit of the two-sided Rayleigh bounds.
+def bound_checks(spec: Spectrum, sys: OperatorSystem, k: int, seed: int = 0) -> BoundCheckReport:
+    """Randomized audit of the two-sided Rayleigh bounds on ``BOUND_TRIALS``
+    random fields per side.
 
     For u in the span of the first k eigenfields, B(u,u) <= lambda_k |u|_M^2;
     for u spanned by the remaining computed eigenfields (a subset of the
@@ -254,8 +245,8 @@ def bound_checks(
     lam_k1 = spec.lambdas[k]
     A, M = sys.A, sys.M
 
-    c_low = rng.standard_normal((trials, k))
-    c_high = rng.standard_normal((trials, V.shape[1]))
+    c_low = rng.standard_normal((BOUND_TRIALS, k))
+    c_high = rng.standard_normal((BOUND_TRIALS, V.shape[1]))
     up = 0.0
     low = 0.0
     for c in c_low:
@@ -266,7 +257,9 @@ def bound_checks(
         u = V @ c
         qm = u @ M @ u
         low = max(low, float(lam_k1 * qm - u @ A @ u))
-    return BoundCheckReport(k=k, trials=trials, max_violation_upper=up, max_violation_lower=low)
+    return BoundCheckReport(
+        k=k, trials=BOUND_TRIALS, max_violation_upper=up, max_violation_lower=low
+    )
 
 
 def garding_constant(sys: OperatorSystem) -> float:

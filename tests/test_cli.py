@@ -1,3 +1,4 @@
+import configparser
 import json
 import subprocess
 import sys
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 
 from mixlap.cli import main, run
-from mixlap.config import ConfigError, RunConfig, parse_config
+from mixlap.config import _SCHEMA, ConfigError, RunConfig, parse_config
 
 
 def write_cfg(path: Path, text: str) -> Path:
@@ -34,6 +35,61 @@ def test_parse_minimal_fills_defaults(tmp_path):
     assert cfg.tol == 1e-8
     assert cfg.seed == 0
     assert cfg.kind == "power_perturbed"
+
+
+EVERY_KEY = """
+[domain]
+a = -1.0
+b = 2.0
+n_elem = 20
+
+[operator]
+s = 0.3
+alpha = -2.5
+
+[nonlinearity]
+kind = affine_linear
+lambda = 3.5
+p = 5.0
+a_const = 0.25
+
+[solver]
+tol = 1e-7
+max_iter = 50
+seed = 4
+m = 6
+k = 2
+bracket_lo = -30.0
+bracket_hi = 1.0
+threshold_tol = 1e-5
+
+[output]
+directory = elsewhere
+"""
+
+
+def test_every_config_key_round_trips_into_the_report(tmp_path):
+    parser = configparser.ConfigParser()
+    parser.read_string(EVERY_KEY)
+    assert {name: set(parser[name]) for name in parser.sections()} == {
+        name: set(keys) for name, keys in _SCHEMA.items()
+    }
+    cfg = parse_config(write_cfg(tmp_path / "c.ini", EVERY_KEY))
+    assert cfg.to_dict() == {
+        "domain": {"a": -1.0, "b": 2.0, "n_elem": 20},
+        "operator": {"s": 0.3, "alpha": [-2.5]},
+        "nonlinearity": {"kind": "affine_linear", "lambda": 3.5, "p": 5.0, "a_const": 0.25},
+        "solver": {
+            "tol": 1e-7,
+            "max_iter": 50,
+            "seed": 4,
+            "m": 6,
+            "k": 2,
+            "bracket_lo": -30.0,
+            "bracket_hi": 1.0,
+            "threshold_tol": 1e-5,
+        },
+    }
 
 
 def test_parse_rejects_bad_s(tmp_path):
@@ -276,3 +332,15 @@ m = 5
     )
     assert proc.returncode == 0, proc.stderr
     assert (out / "report.json").exists()
+
+
+def test_cli_import_loads_no_optimizer_integrator_or_oracle():
+    # scipy.optimize belongs to the linking search alone, and the oracles
+    # (with scipy.integrate) to full-audit: importing the CLI loads neither
+    code = (
+        "import sys, mixlap.cli; "
+        "print(sorted(set(sys.modules) & {'scipy.optimize', 'scipy.integrate', 'mixlap.oracles'}))"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

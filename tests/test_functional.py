@@ -92,7 +92,7 @@ def test_energy_affine_matches_matrix_arithmetic(sys64_neg5):
     mesh = sys64_neg5.mesh
     lam = 2.5
     a_field = interpolate(lambda x: np.sin(2 * x), mesh)
-    nl = AffineLinear(lam, a_field.as_function())
+    nl = AffineLinear(lam, a_field.evaluate)
     rng = np.random.default_rng(1)
     u = FeField(rng.standard_normal(mesh.ndof), mesh)
     got = J_eval(sys64_neg5, nl, u)

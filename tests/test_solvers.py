@@ -2,10 +2,9 @@ import numpy as np
 import pytest
 from scipy import linalg
 
-from mixlap import FeField, build_mesh, build_system, interpolate
+from mixlap import FeField, build_mesh, build_system, interpolate, solvers
 from mixlap.functional import AffineLinear, Custom, J_eval, J_gradient, PowerPerturbed
 from mixlap.solvers import (
-    ProbeConfig,
     ResonanceError,
     SolverConfig,
     coercivity_gap,
@@ -73,7 +72,7 @@ def test_resolvent_unique_critical_point(sys64_neg5):
     lam = 0.5 * (spec.lambdas[1] + spec.lambdas[2])
     a = ones_field(mesh)
     target = solve_resolvent(sys64_neg5, lam, a).u.coeffs
-    nl = AffineLinear(lam, a.as_function())
+    nl = AffineLinear(lam, a.evaluate)
     rng = np.random.default_rng(7)
     cfg = SolverConfig(tol=1e-9)
     for _ in range(20):
@@ -92,7 +91,7 @@ def test_weak_residual_matrix_oracle(sys64_neg5):
     mesh = sys64_neg5.mesh
     lam = 4.2
     a = interpolate(lambda x: np.cos(2 * x), mesh)
-    nl = AffineLinear(lam, a.as_function())
+    nl = AffineLinear(lam, a.evaluate)
     rng = np.random.default_rng(5)
     u = FeField(rng.standard_normal(mesh.ndof), mesh)
     got = weak_residual(sys64_neg5, nl, u)
@@ -189,11 +188,12 @@ def test_mountain_pass_certificates_agree(sys64_zero):
     assert hi / lo <= 10.0
 
 
-def test_mountain_pass_path_maximum_decreases(sys64_zero):
+def test_mountain_pass_path_maximum_decreases(sys64_zero, monkeypatch):
     lam1 = float(solve_pencil(sys64_zero, 1).lambdas[0])
     nl = PowerPerturbed(lam1 / 2, 4.0)
     # suppress early Newton so the descent history is populated
-    cfg = SolverConfig(tol=1e-8, newton_gate_factor=0.0, max_iter=120)
+    monkeypatch.setattr(solvers, "NEWTON_GATE_FACTOR", 0.0)
+    cfg = SolverConfig(tol=1e-8, max_iter=120)
     rep = mountain_pass(sys64_zero, nl, cfg)
     descent = [j for _, j, _ in rep.path_history]
     assert len(descent) >= 2
@@ -201,22 +201,24 @@ def test_mountain_pass_path_maximum_decreases(sys64_zero):
         assert b <= a + 1e-12
 
 
-def test_mountain_pass_blowup_guard(sys64_zero):
+def test_mountain_pass_blowup_guard(sys64_zero, monkeypatch):
     lam1 = float(solve_pencil(sys64_zero, 1).lambdas[0])
     nl = PowerPerturbed(lam1 / 2, 4.0)
-    cfg = SolverConfig(blowup_bound=1e-9)
-    rep = mountain_pass(sys64_zero, nl, cfg)
+    monkeypatch.setattr(solvers, "BLOWUP_BOUND", 1e-9)
+    rep = mountain_pass(sys64_zero, nl, SolverConfig())
     assert rep.status == "blowup"
     assert not rep.converged
 
 
-def test_blowup_reports_count_their_iterations():
+def test_blowup_reports_count_their_iterations(monkeypatch):
     sys = build_system(build_mesh(0.0, 1.0, 32), 0.5, 0.0)
-    rep = linking_search(sys, PowerPerturbed(25.0, 4.0), 1, SolverConfig(blowup_bound=1e-3))
+    monkeypatch.setattr(solvers, "BLOWUP_BOUND", 1e-3)
+    rep = linking_search(sys, PowerPerturbed(25.0, 4.0), 1, SolverConfig())
     assert rep.status == "blowup" and not rep.converged
     assert rep.iterations == len(rep.path_history) == 1
     lam1 = float(solve_pencil(sys, 1).lambdas[0])
-    rep = mountain_pass(sys, PowerPerturbed(lam1 / 2, 4.0), SolverConfig(blowup_bound=1e-9))
+    monkeypatch.setattr(solvers, "BLOWUP_BOUND", 1e-9)
+    rep = mountain_pass(sys, PowerPerturbed(lam1 / 2, 4.0), SolverConfig())
     assert rep.status == "blowup"
     assert rep.iterations == len(rep.path_history)
 
@@ -228,7 +230,7 @@ def test_blowup_reports_count_their_iterations():
 
 def test_geometry_ground_level_power(sys64_zero):
     lam1 = float(solve_pencil(sys64_zero, 1).lambdas[0])
-    geo = verify_geometry(sys64_zero, PowerPerturbed(lam1 / 2, 4.0), 0, ProbeConfig(seed=0))
+    geo = verify_geometry(sys64_zero, PowerPerturbed(lam1 / 2, 4.0), 0)
     assert geo.mode == "linking"
     assert geo.alpha_tilde > 0
     assert geo.certified
@@ -237,7 +239,7 @@ def test_geometry_ground_level_power(sys64_zero):
 def test_geometry_quadratic_eigenexpansion(sys64_zero):
     spec = solve_pencil(sys64_zero, 3)
     lam = 0.5 * (spec.lambdas[0] + spec.lambdas[1])
-    geo = verify_geometry(sys64_zero, AffineLinear(lam, zero_a), 1, ProbeConfig(seed=0))
+    geo = verify_geometry(sys64_zero, AffineLinear(lam, zero_a), 1)
     assert geo.mode == "saddle"
     assert geo.certified
     # with zero forcing the infimum over the complement is attained at zero
@@ -253,7 +255,7 @@ def test_geometry_quadratic_eigenexpansion(sys64_zero):
 def test_geometry_violated_slope_above_next_eigenvalue(sys64_zero):
     spec = solve_pencil(sys64_zero, 3)
     lam = 1.5 * spec.lambdas[1]  # above lambda_2: k=1 coercivity gap closes
-    geo = verify_geometry(sys64_zero, PowerPerturbed(lam, 4.0), 1, ProbeConfig(seed=0))
+    geo = verify_geometry(sys64_zero, PowerPerturbed(lam, 4.0), 1)
     assert not geo.certified
     beta = coercivity_gap(sys64_zero, lam, 1)
     assert beta <= 0
@@ -339,13 +341,21 @@ def test_linking_geometry_not_certified_reported(sys64_zero):
 def test_geometry_probe_reference_values(sys64_zero):
     # seed-0 reference values of the k = 1 probe at lambda = 25 (the geometry
     # of the linking benchmark run); the lockstep multistart must keep them
-    geo = verify_geometry(sys64_zero, PowerPerturbed(25.0, 4.0), 1, ProbeConfig(seed=0))
+    geo = verify_geometry(sys64_zero, PowerPerturbed(25.0, 4.0), 1)
     assert geo.alpha_tilde == pytest.approx(1.8122226969268116, rel=1e-9)
     assert geo.spread == pytest.approx(0.6323619070030969, rel=1e-9)
     assert (geo.k, geo.rho_small, geo.rho_big, geo.boundary_sup) == (
         1, 3.1622776601683795, 50.59644256269407, 0.0
     )
     assert (geo.certified, geo.mode, geo.inconclusive) == (True, "linking", True)
+
+
+def test_linking_search_probes_with_its_seed():
+    sys = build_system(build_mesh(0.0, 1.0, 16), 0.5, 0.0)
+    nl = PowerPerturbed(25.0, 4.0)
+    rep = linking_search(sys, nl, 1, SolverConfig(seed=3))
+    assert rep.geometry == verify_geometry(sys, nl, 1, seed=3)
+    assert rep.geometry != verify_geometry(sys, nl, 1, seed=0)
 
 
 def test_one_full_eigensolve_serves_every_consumer(monkeypatch):
