@@ -35,6 +35,8 @@ from .mesh import FeField, MeshInterval
 
 __all__ = [
     "OperatorSystem",
+    "parity_blocks",
+    "parity_lift",
     "assemble_local_stiffness",
     "assemble_mass",
     "assemble_gagliardo",
@@ -120,6 +122,52 @@ def assemble_gagliardo(mesh: MeshInterval, s: float) -> np.ndarray:
     return linalg.toeplitz(mesh.h ** (1.0 - 2.0 * s) * _gagliardo_column(s, np.arange(mesh.ndof)))
 
 
+def parity_blocks(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Even and odd blocks of a centrosymmetric matrix (J X J = X, J the flip).
+
+    With p = n // 2 the blocks are X11 + X12 J and X11 - X12 J, the top-left
+    p x p corner and its neighbour reflected.  For odd n the middle node
+    joins the even block, coupled by sqrt(2) X[:p, p].  The orthogonal change
+    of basis in ``parity_lift`` takes X to diag(even, odd) (Cantoni & Butler,
+    Linear Algebra Appl. 13, 1976), so a pencil of two such matrices splits
+    into two pencils of half size.  Raises ``ValueError`` unless J X J = X
+    holds exactly.
+    """
+    if not np.array_equal(X, X[::-1, ::-1]):
+        raise ValueError("matrix is not centrosymmetric: the parity split does not apply")
+    n = X.shape[0]
+    p = n // 2
+    corner, reflected = X[:p, :p], X[:p, ::-1][:, :p]
+    odd = corner - reflected
+    if n % 2 == 0:
+        return corner + reflected, odd
+    even = np.empty((p + 1, p + 1))
+    even[:p, :p] = corner + reflected
+    even[:p, p] = even[p, :p] = math.sqrt(2.0) * X[:p, p]
+    even[p, p] = X[p, p]
+    return even, odd
+
+
+def parity_lift(ve: np.ndarray, vo: np.ndarray, n: int) -> np.ndarray:
+    """Full-length columns [even | odd] of the block vectors ``ve`` and ``vo``.
+
+    An even column is (x, [m,] J x) / sqrt(2) with the middle entry m = ve[p]
+    unscaled for odd n; an odd column is (x, [0,] -J x) / sqrt(2).  The map is
+    orthogonal, so the lifted columns keep the blocks' M-orthonormality.
+    """
+    p = n // 2
+    r = math.sqrt(0.5)
+    ke = ve.shape[1]
+    out = np.zeros((n, ke + vo.shape[1]))
+    out[:p, :ke] = r * ve[:p]
+    out[n - p :, :ke] = r * ve[:p][::-1]
+    out[:p, ke:] = r * vo
+    out[n - p :, ke:] = -r * vo[::-1]
+    if n % 2:
+        out[p, :ke] = ve[p]
+    return out
+
+
 @dataclass(eq=False)
 class OperatorSystem:
     """Assembled forms for the operator -Laplace + alpha * (-Laplace)^s.
@@ -147,8 +195,20 @@ class OperatorSystem:
 
     @cached_property
     def eigenpairs(self) -> tuple[np.ndarray, np.ndarray]:
-        """All eigenpairs (w, v) of the pencil (A, M), ascending and unprocessed."""
-        return linalg.eigh(self.A, self.M)
+        """All eigenpairs (w, v) of the pencil (A, M), ascending and unprocessed.
+
+        The even and odd blocks of the pencil (``parity_blocks``) are solved
+        apart and merged by a stable sort of their eigenvalues.
+        """
+        (we, ve), (wo, vo) = (
+            linalg.eigh(a, m)
+            for a, m in zip(parity_blocks(self.A), parity_blocks(self.M))
+        )
+        w = np.concatenate([we, wo])
+        order = np.argsort(w, kind="stable")
+        v = parity_lift(ve, vo, self.ndof)
+        del ve, vo  # the column permutation below copies v; keep the peak low
+        return w[order], v[:, order]
 
     @cached_property
     def k_factor(self) -> np.ndarray:

@@ -1,7 +1,11 @@
 """Generalized eigenproblem (K + alpha S) u = lambda M u and its certificates.
 
-The pencil is reduced through the SPD mass matrix (Cholesky inside LAPACK's
-sygvd driver), never through the possibly indefinite energy form.  On top of
+On a uniform mesh K, S and M are symmetric Toeplitz, hence centrosymmetric,
+so every pencil is first split into its even and odd blocks of half size
+(``assembly.parity_blocks``).  Each block is reduced through its SPD mass
+block (Cholesky inside LAPACK's sygvd driver), never through the possibly
+indefinite energy form.  The eigenvalue oracles in ``mixlap.oracles`` solve
+the unsplit pencil, so they stay an independent check.  On top of
 the solver sit the certified quantities: the recursive variational
 characterization of each eigenvalue, the index of the first positive
 eigenvalue, the coercivity shift making the form dominate half the local
@@ -16,7 +20,7 @@ from typing import Optional
 import numpy as np
 from scipy import linalg
 
-from .assembly import OperatorSystem
+from .assembly import OperatorSystem, parity_blocks
 
 __all__ = [
     "Spectrum",
@@ -262,20 +266,29 @@ def bound_checks(spec: Spectrum, sys: OperatorSystem, k: int, seed: int = 0) -> 
     )
 
 
+def _extreme_eigenvalue(X: np.ndarray, Y: np.ndarray, top: bool = False) -> float:
+    """Lowest (or top) eigenvalue of the centrosymmetric pencil (X, Y): the
+    min (or max) over the extreme eigenvalues of its even and odd blocks."""
+    values = []
+    for xb, yb in zip(parity_blocks(X), parity_blocks(Y)):
+        if xb.size:
+            i = xb.shape[0] - 1 if top else 0
+            values.append(float(linalg.eigh(xb, yb, eigvals_only=True, subset_by_index=[i, i])[0]))
+    return max(values) if top else min(values)
+
+
 def garding_constant(sys: OperatorSystem) -> float:
     """Smallest gamma >= 0 with B(u,u) + gamma |u|_M^2 >= 0.5 |u|_K^2 for all
     discrete u: gamma = max(0, -lambda_min(K + alpha S - K/2, M))."""
-    shifted = sys.A - 0.5 * sys.K
     try:
-        w = linalg.eigh(shifted, sys.M, eigvals_only=True, subset_by_index=[0, 0])
+        lam = _extreme_eigenvalue(sys.A - 0.5 * sys.K, sys.M)
     except linalg.LinAlgError as exc:
         raise SpectrumError("eigensolver failed while computing the coercivity shift") from exc
-    return max(0.0, -float(w[0]))
+    return max(0.0, -lam)
 
 
 def _lambda1(sys: OperatorSystem, alpha: float) -> float:
-    w = linalg.eigh(sys.K + alpha * sys.S, sys.M, eigvals_only=True, subset_by_index=[0, 0])
-    return float(w[0])
+    return _extreme_eigenvalue(sys.K + alpha * sys.S, sys.M)
 
 
 def alpha_threshold(
@@ -293,8 +306,7 @@ def alpha_threshold(
     lo, hi = float(bracket[0]), float(bracket[1])
     if lo >= hi:
         raise ValueError(f"invalid bracket: need lo < hi, got {bracket}")
-    n = sys.ndof
-    mu = float(linalg.eigh(sys.S, sys.K, eigvals_only=True, subset_by_index=[n - 1, n - 1])[0])
+    mu = _extreme_eigenvalue(sys.S, sys.K, top=True)
     alpha_star = -1.0 / mu
     if not lo < alpha_star < hi:
         raise ValueError(

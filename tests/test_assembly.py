@@ -8,6 +8,7 @@ from scipy.linalg import toeplitz
 
 from mixlap import (
     FeField,
+    OperatorSystem,
     bilinear_B,
     build_mesh,
     build_system,
@@ -21,6 +22,8 @@ from mixlap.assembly import (
     assemble_gagliardo,
     assemble_local_stiffness,
     assemble_mass,
+    parity_blocks,
+    parity_lift,
 )
 from mixlap.oracles import _exterior_entry_oracle
 
@@ -274,5 +277,43 @@ def test_with_alpha_derives_its_own_forms():
     assert other.K is sys.K and other.S is sys.S and other.M is sys.M
     assert np.array_equal(other.A, sys.K + 2.0 * sys.S)
     w_other, _ = other.eigenpairs
-    assert np.array_equal(w_other, linalg.eigh(sys.K + 2.0 * sys.S, sys.M)[0])
+    unsplit = linalg.eigh(sys.K + 2.0 * sys.S, sys.M, eigvals_only=True)
+    assert np.max(np.abs(w_other - unsplit)) <= 1e-13 * np.max(np.abs(unsplit))
     assert w_other[0] > 0.0 > w[0]
+
+
+@pytest.mark.parametrize("n_elem", [8, 9, 64, 65])
+def test_parity_split_matches_the_unsplit_pencil(n_elem):
+    sys = build_system(build_mesh(0.0, 1.0, n_elem), 0.5, -5.0)
+    w, v = sys.eigenpairs
+    unsplit = linalg.eigh(sys.A, sys.M, eigvals_only=True)
+    assert np.max(np.abs(w - unsplit)) <= 1e-13 * np.max(np.abs(unsplit))
+    # every lifted column is even or odd under the flip, and M-orthonormal
+    flip = v[::-1]
+    parity = np.minimum(np.abs(flip - v).max(axis=0), np.abs(flip + v).max(axis=0))
+    assert parity.max() <= 1e-13
+    assert np.abs(v.T @ sys.M @ v - np.eye(sys.ndof)).max() <= 1e-13
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 6])
+def test_parity_blocks_are_an_orthogonal_change_of_basis(n):
+    rng = np.random.default_rng(n)
+    X = rng.standard_normal((n, n))
+    X = X + X.T
+    X = X + X[::-1, ::-1]
+    even, odd = parity_blocks(X)
+    assert even.shape == ((n + 1) // 2,) * 2 and odd.shape == (n // 2,) * 2
+    Q = parity_lift(np.eye(even.shape[0]), np.eye(odd.shape[0]), n)
+    assert np.abs(Q.T @ Q - np.eye(n)).max() <= 1e-15
+    assert np.abs(Q.T @ X @ Q - linalg.block_diag(even, odd)).max() <= 1e-13 * np.abs(X).max()
+
+
+def test_parity_split_rejects_a_non_centrosymmetric_system():
+    sys = build_system(build_mesh(0.0, 1.0, 8), 0.5, -5.0)
+    M = sys.M.copy()
+    M[0, 0] *= 1.5
+    lopsided = OperatorSystem(K=sys.K, S=sys.S, M=M, alpha=sys.alpha, s=sys.s, mesh=sys.mesh)
+    with pytest.raises(ValueError, match="not centrosymmetric"):
+        lopsided.eigenpairs
+    with pytest.raises(ValueError, match="not centrosymmetric"):
+        parity_blocks(np.arange(4.0).reshape(2, 2))

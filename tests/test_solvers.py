@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy import linalg
 
-from mixlap import FeField, build_mesh, build_system, interpolate, solvers
+from mixlap import FeField, assembly, build_mesh, build_system, interpolate, solvers
 from mixlap.functional import AffineLinear, Custom, J_eval, J_gradient, PowerPerturbed
 from mixlap.solvers import (
     ResonanceError,
@@ -361,14 +361,22 @@ def test_linking_search_probes_with_its_seed():
 def test_one_full_eigensolve_serves_every_consumer(monkeypatch):
     sys = build_system(build_mesh(0.0, 1.0, 16), 0.5, 0.0)
     A = sys.A
+    real_blocks = assembly.parity_blocks
     real_eigh = linalg.eigh
+    blocks_of_A = []  # holds the blocks, so no other array can reuse their identity
     full_solves = []
 
+    def recording_blocks(x):
+        even, odd = real_blocks(x)
+        if x is A:
+            blocks_of_A.extend([("even", even), ("odd", odd)])
+        return even, odd
+
     def counting_eigh(a, *args, **kwargs):
-        if a is A:
-            full_solves.append(kwargs)
+        full_solves.extend((name, kwargs) for name, block in blocks_of_A if a is block)
         return real_eigh(a, *args, **kwargs)
 
+    monkeypatch.setattr(assembly, "parity_blocks", recording_blocks)
     monkeypatch.setattr(linalg, "eigh", counting_eigh)
     spec = solve_pencil(sys, 2)
     solve_pencil(sys, sys.ndof)
@@ -376,4 +384,4 @@ def test_one_full_eigensolve_serves_every_consumer(monkeypatch):
     verify_geometry(sys, PowerPerturbed(lam, 4.0), 1)
     assert linking_search(sys, PowerPerturbed(lam, 4.0), 1, SolverConfig(tol=1e-6)).converged
     assert solve_resolvent(sys, 1.0, ones_field(sys.mesh)).converged
-    assert full_solves == [{}]
+    assert full_solves == [("even", {}), ("odd", {})]

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy import linalg
 
 from mixlap import FeField, OperatorSystem, build_mesh, build_system, spectrum
 from mixlap.assembly import assemble_mass
@@ -207,6 +208,19 @@ def test_threshold_bracketing(threshold256):
 
     assert lam1(threshold256.alpha_star - delta) < 0 < lam1(threshold256.alpha_star + delta)
     assert abs(threshold256.lambda1_at_star) <= 1e-8
+
+
+@pytest.mark.parametrize("n_elem", [8, 9, 64, 65])
+def test_extreme_eigenvalues_match_the_unsplit_formulas(n_elem):
+    sys = build_system(build_mesh(0.0, 1.0, n_elem), 0.5, -5.0)
+    n = sys.ndof
+    gamma = -linalg.eigh(sys.A - 0.5 * sys.K, sys.M, eigvals_only=True, subset_by_index=[0, 0])[0]
+    lam1 = linalg.eigh(sys.K + 0.3 * sys.S, sys.M, eigvals_only=True, subset_by_index=[0, 0])[0]
+    mu = linalg.eigh(sys.S, sys.K, eigvals_only=True, subset_by_index=[n - 1, n - 1])[0]
+    assert garding_constant(sys) == pytest.approx(gamma, rel=1e-12)
+    assert spectrum._lambda1(sys, 0.3) == pytest.approx(lam1, rel=1e-12)
+    alpha_star = alpha_threshold(sys, (-10.0, 0.0), tol=1e-6).alpha_star
+    assert alpha_star == pytest.approx(-1.0 / mu, rel=1e-12)
 
 
 def test_threshold_regression_value(threshold256):
