@@ -37,6 +37,7 @@ __all__ = [
     "OperatorSystem",
     "parity_blocks",
     "parity_lift",
+    "extreme_eigenvalue",
     "assemble_local_stiffness",
     "assemble_mass",
     "assemble_gagliardo",
@@ -168,6 +169,17 @@ def parity_lift(ve: np.ndarray, vo: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
+def extreme_eigenvalue(X: np.ndarray, Y: np.ndarray, top: bool = False) -> float:
+    """Lowest (or top) eigenvalue of the centrosymmetric pencil (X, Y): the
+    min (or max) over the extreme eigenvalues of its even and odd blocks."""
+    values = []
+    for xb, yb in zip(parity_blocks(X), parity_blocks(Y)):
+        if xb.size:
+            i = xb.shape[0] - 1 if top else 0
+            values.append(float(linalg.eigh(xb, yb, eigvals_only=True, subset_by_index=[i, i])[0]))
+    return max(values) if top else min(values)
+
+
 @dataclass(eq=False)
 class OperatorSystem:
     """Assembled forms for the operator -Laplace + alpha * (-Laplace)^s.
@@ -198,10 +210,11 @@ class OperatorSystem:
         """All eigenpairs (w, v) of the pencil (A, M), ascending and unprocessed.
 
         The even and odd blocks of the pencil (``parity_blocks``) are solved
-        apart and merged by a stable sort of their eigenvalues.
+        apart and merged by a stable sort of their eigenvalues; the odd block
+        of a single node is empty and is not passed to LAPACK.
         """
         (we, ve), (wo, vo) = (
-            linalg.eigh(a, m)
+            linalg.eigh(a, m) if a.size else (np.empty(0), np.empty((0, 0)))
             for a, m in zip(parity_blocks(self.A), parity_blocks(self.M))
         )
         w = np.concatenate([we, wo])

@@ -1,8 +1,9 @@
 """Generalized eigenproblem (K + alpha S) u = lambda M u and its certificates.
 
 On a uniform mesh K, S and M are symmetric Toeplitz, hence centrosymmetric,
-so every pencil is first split into its even and odd blocks of half size
-(``assembly.parity_blocks``).  Each block is reduced through its SPD mass
+so every pencil is first split into its even and odd blocks of half size;
+``mixlap.assembly`` owns the split (``OperatorSystem.eigenpairs`` for all
+eigenpairs, ``extreme_eigenvalue`` for the lowest or top one).  Each block is reduced through its SPD mass
 block (Cholesky inside LAPACK's sygvd driver), never through the possibly
 indefinite energy form.  The eigenvalue oracles in ``mixlap.oracles`` solve
 the unsplit pencil, so they stay an independent check.  On top of
@@ -20,7 +21,7 @@ from typing import Optional
 import numpy as np
 from scipy import linalg
 
-from .assembly import OperatorSystem, parity_blocks
+from .assembly import OperatorSystem, extreme_eigenvalue
 
 __all__ = [
     "Spectrum",
@@ -266,29 +267,18 @@ def bound_checks(spec: Spectrum, sys: OperatorSystem, k: int, seed: int = 0) -> 
     )
 
 
-def _extreme_eigenvalue(X: np.ndarray, Y: np.ndarray, top: bool = False) -> float:
-    """Lowest (or top) eigenvalue of the centrosymmetric pencil (X, Y): the
-    min (or max) over the extreme eigenvalues of its even and odd blocks."""
-    values = []
-    for xb, yb in zip(parity_blocks(X), parity_blocks(Y)):
-        if xb.size:
-            i = xb.shape[0] - 1 if top else 0
-            values.append(float(linalg.eigh(xb, yb, eigvals_only=True, subset_by_index=[i, i])[0]))
-    return max(values) if top else min(values)
-
-
 def garding_constant(sys: OperatorSystem) -> float:
     """Smallest gamma >= 0 with B(u,u) + gamma |u|_M^2 >= 0.5 |u|_K^2 for all
     discrete u: gamma = max(0, -lambda_min(K + alpha S - K/2, M))."""
     try:
-        lam = _extreme_eigenvalue(sys.A - 0.5 * sys.K, sys.M)
+        lam = extreme_eigenvalue(sys.A - 0.5 * sys.K, sys.M)
     except linalg.LinAlgError as exc:
         raise SpectrumError("eigensolver failed while computing the coercivity shift") from exc
     return max(0.0, -lam)
 
 
 def _lambda1(sys: OperatorSystem, alpha: float) -> float:
-    return _extreme_eigenvalue(sys.K + alpha * sys.S, sys.M)
+    return extreme_eigenvalue(sys.K + alpha * sys.S, sys.M)
 
 
 def alpha_threshold(
@@ -306,7 +296,7 @@ def alpha_threshold(
     lo, hi = float(bracket[0]), float(bracket[1])
     if lo >= hi:
         raise ValueError(f"invalid bracket: need lo < hi, got {bracket}")
-    mu = _extreme_eigenvalue(sys.S, sys.K, top=True)
+    mu = extreme_eigenvalue(sys.S, sys.K, top=True)
     alpha_star = -1.0 / mu
     if not lo < alpha_star < hi:
         raise ValueError(

@@ -282,7 +282,7 @@ def test_with_alpha_derives_its_own_forms():
     assert w_other[0] > 0.0 > w[0]
 
 
-@pytest.mark.parametrize("n_elem", [8, 9, 64, 65])
+@pytest.mark.parametrize("n_elem", [2, 3, 8, 9, 64, 65])
 def test_parity_split_matches_the_unsplit_pencil(n_elem):
     sys = build_system(build_mesh(0.0, 1.0, n_elem), 0.5, -5.0)
     w, v = sys.eigenpairs
