@@ -34,7 +34,6 @@ from .solvers import (
     linking_search,
     mountain_pass,
     solve_resolvent,
-    weak_residual,
 )
 from .spectrum import (
     _lambda1,
@@ -297,7 +296,7 @@ def _audit_checks(cfg: RunConfig, sys: OperatorSystem) -> list[dict]:
     add("pencil_oracle", worst, 1e-8)
 
     # recursive characterization
-    spec = solve_pencil(sys, m=min(sys.ndof, cfg.m))
+    spec = solve_pencil(sys, m=cfg.m)
     worst = 0.0
     for k in range(1, min(4, spec.count) + 1):
         worst = max(worst, verify_characterization(spec, sys, k, trials=4, seed=cfg.seed))
@@ -372,7 +371,7 @@ def _audit_checks(cfg: RunConfig, sys: OperatorSystem) -> list[dict]:
     orc = threshold_oracle(sys.K, sys.S, (cfg.bracket_lo, cfg.bracket_hi))
     add("threshold_oracle", abs(thr.alpha_star - orc), 1e-6)
     sys_past = sys.with_alpha(thr.alpha_star - 1.0)
-    spec_past = solve_pencil(sys_past, m=min(sys.ndof, cfg.m))
+    spec_past = solve_pencil(sys_past, m=cfg.m)
     add("indefinite_past_threshold", 2.0 - first_positive_index(spec_past), 0.0,
         "first positive index must be >= 2 below the threshold")
     return checks

@@ -8,8 +8,8 @@ The energy of a discrete field u is
 with the integral evaluated by a fixed 4-point Gauss rule per element on the
 piecewise-linear reconstruction u_h.  The gradient uses the same rule, so it
 is the exact derivative of the discrete energy, not merely a consistent
-approximation of the continuum one.  ``J_values`` and ``J_gradients``
-evaluate a block of fields, the rows of a (batch, ndof) array, in one pass;
+approximation of the continuum one, and ``J_hessian`` is its exact second
+derivative under the same rule.  ``J_values`` and ``J_gradients`` evaluate a block of fields, the rows of a (batch, ndof) array, in one pass;
 ``J_eval`` and ``J_gradient`` are the same code with a batch of one.
 """
 
@@ -37,6 +37,7 @@ __all__ = [
     "J_gradient",
     "J_values",
     "J_gradients",
+    "J_hessian",
     "load_vector",
     "weighted_mass",
     "check_hypotheses",
@@ -271,21 +272,31 @@ def J_gradient(sys: OperatorSystem, nl, u: FeField) -> FeField:
     return FeField(J_gradients(sys, nl, u.coeffs[None, :])[0], sys.mesh)
 
 
+def J_hessian(sys: OperatorSystem, nl, u: FeField) -> np.ndarray:
+    """Exact Hessian of the discrete energy: (K + alpha S) - quad(f'(x, u) phi_i phi_j)."""
+    if u.mesh != sys.mesh:
+        raise ValueError("field mesh does not match the assembled system")
+    uq = _field_at_quad(sys.mesh, u.coeffs)
+    return sys.A - weighted_mass(sys.mesh, lambda x: nl.fprime(x, uq))
+
+
 def load_vector(mesh: MeshInterval, fn: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
     """Quadrature-consistent load: entries int fn(x) phi_i(x) dx."""
     xq, _, _ = _quad_points(mesh)
     return _scatter_quad(mesh, np.asarray(fn(xq), dtype=float) * np.ones_like(xq))
 
 
-def weighted_mass(mesh: MeshInterval, weight_at_quad: np.ndarray) -> np.ndarray:
+def weighted_mass(mesh: MeshInterval, weight) -> np.ndarray:
     """Tridiagonal matrix int w(x) phi_i phi_j dx under the shared 4-point rule.
 
-    `weight_at_quad` has shape (n_elem, 4) matching `_quad_points`.
+    `weight` is a constant or a function of x that broadcasts like a numpy
+    ufunc; it is evaluated at the Gauss points.
     """
-    _, wq, shapes = _quad_points(mesh)
+    xq, wq, shapes = _quad_points(mesh)
     n = mesh.ndof
     out = np.zeros((n + 2, n + 2))
-    w = weight_at_quad * wq[None, :]
+    w = weight(xq) if callable(weight) else weight
+    w = np.broadcast_to(np.asarray(w, dtype=float), xq.shape) * wq[None, :]
     d_ll = np.sum(w * shapes[0] * shapes[0], axis=1)
     d_lr = np.sum(w * shapes[0] * shapes[1], axis=1)
     d_rr = np.sum(w * shapes[1] * shapes[1], axis=1)

@@ -1,12 +1,11 @@
 """Certified critical-point searches for the semilinear problem.
 
-Solvers produce a ``CriticalPointReport`` carrying the dual norm of the
-discrete energy gradient and the weak residual, the dual norm of
-phi -> B(u, phi) - int f(x, u) phi.  Both come from the same ``J_gradient``
-evaluation, so they agree bit for bit; the weak residual is not an
-independent check.  A report claims convergence only when both are below
-tolerance, the iterate is nontrivial, and the energy level matches the
-geometry that produced it.
+Solvers produce a ``CriticalPointReport`` carrying the dual norm, in the K^{-1}
+inner product, of the discrete energy gradient phi -> B(u, phi) - int f(x, u) phi.
+A report claims convergence only when that norm is below tolerance, the
+iterate is nontrivial, and the energy level matches the geometry that
+produced it.  The searches above level 0 work in the spectral splitting
+span(u_1..u_k) + its M-orthogonal complement, which ``_splitting`` computes.
 
 Search strategies:
 
@@ -34,24 +33,22 @@ from .functional import (
     J_eval,
     J_gradient,
     J_gradients,
+    J_hessian,
     J_values,
     _apply_rows,
     _dot_rows,
-    _field_at_quad,
-    _quad_points,
     asymptotic_slopes,
     load_vector,
     weighted_mass,
 )
 from .mesh import FeField
-from .spectrum import DegenerateSpectrumError, Spectrum, solve_pencil
+from .spectrum import ZERO_TOL, DegenerateSpectrumError, solve_pencil
 
 __all__ = [
     "SolverConfig",
     "CriticalPointReport",
     "LinkingGeometryReport",
     "ResonanceError",
-    "weak_residual",
     "solve_resolvent",
     "newton_refine",
     "mountain_pass",
@@ -91,7 +88,6 @@ class CriticalPointReport:
     u: FeField
     J_value: float
     grad_norm: float
-    weak_residual: float
     classification: str  # trivial | nontrivial
     iterations: int
     converged: bool
@@ -104,7 +100,6 @@ class CriticalPointReport:
         return {
             "J_value": self.J_value,
             "grad_norm": self.grad_norm,
-            "weak_residual": self.weak_residual,
             "classification": self.classification,
             "iterations": self.iterations,
             "converged": self.converged,
@@ -140,7 +135,7 @@ class LinkingGeometryReport:
 
 
 # ---------------------------------------------------------------------------
-# dual norm and residuals
+# dual norm
 # ---------------------------------------------------------------------------
 
 
@@ -151,12 +146,6 @@ def _riesz(sys: OperatorSystem, g: np.ndarray) -> np.ndarray:
 
 def _dual_norm(sys: OperatorSystem, g: np.ndarray) -> float:
     return math.sqrt(max(0.0, float(g @ _riesz(sys, g))))
-
-
-def weak_residual(sys: OperatorSystem, nl, u: FeField) -> float:
-    """Dual norm (in the K^{-1} inner product) of phi -> B(u, phi) - int f(x,u) phi."""
-    g = J_gradient(sys, nl, u)
-    return _dual_norm(sys, g.coeffs)
 
 
 def _x_norm(sys: OperatorSystem, c: np.ndarray) -> float:
@@ -179,10 +168,6 @@ def _classify(sys: OperatorSystem, c: np.ndarray, threshold: float) -> str:
     return "nontrivial" if _x_norm(sys, c) >= threshold else "trivial"
 
 
-def _small_residuals(grad_norm: float, weak_res: float, cfg: SolverConfig) -> bool:
-    return grad_norm <= cfg.tol and weak_res <= 10.0 * cfg.tol
-
-
 # ---------------------------------------------------------------------------
 # linear resolvent
 # ---------------------------------------------------------------------------
@@ -195,7 +180,7 @@ def solve_resolvent(
 
     The right-hand side is the piecewise-linear field a; the certificate is
     evaluated against the affine nonlinearity built from its interpolant, so
-    the weak residual of the direct solve is at round-off level.
+    the gradient norm of the direct solve is at round-off level.
     """
     cfg = cfg or SolverConfig()
     if a.mesh != sys.mesh:
@@ -220,13 +205,11 @@ def solve_resolvent(
     u = FeField(x, sys.mesh)
     nl = AffineLinear(lam, a.evaluate)
     gn = _dual_norm(sys, J_gradient(sys, nl, u).coeffs)
-    wr = weak_residual(sys, nl, u)
-    ok = gn <= max(cfg.tol, 1e-10) and wr <= max(cfg.tol, 1e-10)
+    ok = gn <= max(cfg.tol, 1e-10)
     return CriticalPointReport(
         u=u,
         J_value=J_eval(sys, nl, u),
         grad_norm=gn,
-        weak_residual=wr,
         classification=_classify(sys, x, 1e-12),
         iterations=1,
         converged=ok,
@@ -239,14 +222,6 @@ def solve_resolvent(
 # ---------------------------------------------------------------------------
 
 
-def _newton_jacobian(sys: OperatorSystem, nl, c: np.ndarray) -> np.ndarray:
-    xq, _, _ = _quad_points(sys.mesh)
-    uq = _field_at_quad(sys.mesh, c)
-    w = np.asarray(nl.fprime(xq, uq), dtype=float)
-    w = np.broadcast_to(w, xq.shape)
-    return sys.A - weighted_mass(sys.mesh, w)
-
-
 def newton_refine(
     sys: OperatorSystem, nl, u0: FeField, cfg: SolverConfig | None = None
 ) -> CriticalPointReport:
@@ -256,30 +231,29 @@ def newton_refine(
     Riesz gradient direction when the Jacobian solve fails.
     """
     cfg = cfg or SolverConfig()
-    c = u0.coeffs.copy()
+    u = FeField(u0.coeffs, sys.mesh)
     hist: list[tuple[int, float, float]] = []
     status = "max_iterations"
     it = 0
-    g = J_gradient(sys, nl, FeField(c, sys.mesh)).coeffs
+    g = J_gradient(sys, nl, u).coeffs
     gn = _dual_norm(sys, g)
     for it in range(NEWTON_MAX_ITER):
-        hist.append((it, J_eval(sys, nl, FeField(c, sys.mesh)), gn))
+        hist.append((it, J_eval(sys, nl, u), gn))
         if gn <= NEWTON_TOL or gn <= 1e-16:
             status = "converged"
             break
-        jac = _newton_jacobian(sys, nl, c)
         try:
-            delta = np.linalg.solve(jac, -g)
+            delta = np.linalg.solve(J_hessian(sys, nl, u), -g)
         except np.linalg.LinAlgError:
             delta = -_riesz(sys, g)
         sigma = 1.0
         accepted = False
         while sigma >= 2.0**-24:
-            c_try = c + sigma * delta
-            g_try = J_gradient(sys, nl, FeField(c_try, sys.mesh)).coeffs
+            u_try = FeField(u.coeffs + sigma * delta, sys.mesh)
+            g_try = J_gradient(sys, nl, u_try).coeffs
             gn_try = _dual_norm(sys, g_try)
             if gn_try < gn:
-                c, g, gn = c_try, g_try, gn_try
+                u, g, gn = u_try, g_try, gn_try
                 accepted = True
                 break
             sigma *= 0.5
@@ -289,15 +263,12 @@ def newton_refine(
     else:
         if gn <= NEWTON_TOL:
             status = "converged"
-    u = FeField(c, sys.mesh)
-    wr = weak_residual(sys, nl, u)
-    converged = status == "converged" and _small_residuals(gn, wr, cfg)
+    converged = status == "converged" and gn <= cfg.tol
     return CriticalPointReport(
         u=u,
         J_value=J_eval(sys, nl, u),
         grad_norm=gn,
-        weak_residual=wr,
-        classification=_classify(sys, c, 1e-6),
+        classification=_classify(sys, u.coeffs, 1e-6),
         iterations=it,
         converged=converged,
         status=status,
@@ -339,7 +310,6 @@ def _geometry_failure(
         u=FeField.zero(sys.mesh),
         J_value=0.0,
         grad_norm=math.nan,
-        weak_residual=math.nan,
         classification="trivial",
         iterations=len(hist),
         converged=False,
@@ -355,12 +325,12 @@ def _certify(
     status: str, message: str, geometry=None,
 ) -> CriticalPointReport:
     """Newton-refine the descent iterate c and certify the result: gradient
-    norm <= tol, weak residual <= 10 tol, X norm >= 1e-4 * radius and J > 0;
-    otherwise the report keeps the descent's status."""
+    norm <= tol, X norm >= 1e-4 * radius and J > 0; otherwise the report
+    keeps the descent's status."""
     refined = newton_refine(sys, nl, FeField(c, sys.mesh), cfg)
     classification = _classify(sys, refined.u.coeffs, 1e-4 * radius)
     converged = (
-        _small_residuals(refined.grad_norm, refined.weak_residual, cfg)
+        refined.grad_norm <= cfg.tol
         and classification == "nontrivial"
         and refined.J_value > 0.0
     )
@@ -368,7 +338,6 @@ def _certify(
         u=refined.u,
         J_value=refined.J_value,
         grad_norm=refined.grad_norm,
-        weak_residual=refined.weak_residual,
         classification=classification,
         iterations=len(hist) + refined.iterations,
         converged=converged,
@@ -482,8 +451,21 @@ def mountain_pass(sys: OperatorSystem, nl, cfg: SolverConfig | None = None) -> C
 
 
 # ---------------------------------------------------------------------------
-# linking geometry probe and coercivity gap
+# spectral splitting, linking geometry probe and coercivity gap
 # ---------------------------------------------------------------------------
+
+
+def _splitting(sys: OperatorSystem, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The spectral splitting at level k: all pencil eigenvalues, the first k
+    eigenfields U and the remaining ones V, as columns."""
+    if not 0 <= k < sys.ndof:
+        raise ValueError(f"splitting level k={k} is outside 0..{sys.ndof - 1}")
+    full = solve_pencil(sys, m=sys.ndof)
+    if np.any(np.abs(full.lambdas[:k]) < ZERO_TOL):
+        raise DegenerateSpectrumError(
+            "a zero eigenvalue among the first k makes the splitting degenerate"
+        )
+    return full.lambdas, full.vectors[:, :k], full.vectors[:, k:]
 
 
 def _sphere_min(
@@ -588,19 +570,17 @@ def verify_geometry(sys: OperatorSystem, nl, k: int, seed: int = 0) -> LinkingGe
     k eigenfields and the (k+1)-st direction, growing the cylinder radius
     until the supremum is nonpositive.  Affine kind: the exact infimum over
     the complement (a convex quadratic) against the supremum on the sphere
-    in the spanned subspace.  Pure probe: never raises, flags inconclusive
-    multistart scatter instead.  ``seed`` drives the random starts and
-    directions.
+    in the spanned subspace.  A geometry that fails is reported, not
+    raised, and inconclusive multistart scatter is flagged.  ``seed`` drives
+    the random starts and directions.  Raises ``ValueError`` for k outside
+    0..ndof-1, and for the affine kind at k = 0, whose sphere would lie in
+    an empty span.
     """
+    if isinstance(nl, AffineLinear) and k == 0:
+        raise ValueError("the saddle geometry of the affine kind needs k >= 1")
     rng = np.random.default_rng(seed)
-    full = solve_pencil(sys, m=sys.ndof)
-    if k >= 1 and np.any(np.abs(full.lambdas[:k]) < 1e-10):
-        raise DegenerateSpectrumError(
-            "a zero eigenvalue among the first k makes the splitting degenerate"
-        )
-    U = full.vectors[:, :k]
-    V = full.vectors[:, k:]
-    v_dir = full.vectors[:, k] / _x_norm(sys, full.vectors[:, k])
+    _, U, V = _splitting(sys, k)
+    v_dir = V[:, 0] / _x_norm(sys, V[:, 0])
 
     if isinstance(nl, AffineLinear):
         lam = nl.lam
@@ -616,15 +596,9 @@ def verify_geometry(sys: OperatorSystem, nl, k: int, seed: int = 0) -> LinkingGe
         boundary_sup = math.inf
         T = max(1.0, 2.0 * rho_small)
         while T <= RHO_BIG_MAX:
-            best = -math.inf
-            dirs = [np.eye(k)[j] for j in range(k)]
-            dirs += [rng.standard_normal(k) for _ in range(PROBE_RESTARTS)]
-            for d in dirs:
-                w = U @ d
-                w = (T / _x_norm(sys, w)) * w
-                for sgn in (1.0, -1.0):
-                    best = max(best, float(J_eval(sys, nl, FeField(sgn * w, sys.mesh))))
-            boundary_sup = best
+            W = _apply_rows(U, np.vstack([np.eye(k), rng.standard_normal((PROBE_RESTARTS, k))]))
+            W = (T / _x_norms(sys, W))[:, None] * W
+            boundary_sup = float(np.max(J_values(sys, nl, np.vstack([W, -W]))))
             if boundary_sup < alpha_tilde:
                 break
             T *= 2.0
@@ -674,20 +648,10 @@ def verify_geometry(sys: OperatorSystem, nl, k: int, seed: int = 0) -> LinkingGe
 def coercivity_gap(sys: OperatorSystem, theta_bar, k: int) -> float:
     """Smallest value of (B(u,u) - int theta u^2) / |u|_X^2 over the
     complement of the first k eigenfields: an eigenvalue of the projected
-    pencil against the local stiffness."""
-    xq, _, _ = _quad_points(sys.mesh)
-    if callable(theta_bar):
-        w = np.asarray(theta_bar(xq), dtype=float)
-        w = np.broadcast_to(w, xq.shape)
-    else:
-        w = np.full_like(xq, float(theta_bar))
-    M_theta = weighted_mass(sys.mesh, w)
-    full = solve_pencil(sys, m=sys.ndof)
-    if k >= 1 and np.any(np.abs(full.lambdas[:k]) < 1e-10):
-        raise DegenerateSpectrumError(
-            "a zero eigenvalue among the first k makes the projection degenerate"
-        )
-    V = full.vectors[:, k:]
+    pencil against the local stiffness.  ``theta_bar`` is a constant or a
+    function of x."""
+    M_theta = weighted_mass(sys.mesh, theta_bar)
+    _, _, V = _splitting(sys, k)
     Ar = V.T @ (sys.A - M_theta) @ V
     Kr = V.T @ sys.K @ V
     wmin = linalg.eigh(Ar, Kr, eigvals_only=True, subset_by_index=[0, 0])
@@ -742,16 +706,15 @@ def linking_search(
             geometry=geometry,
         )
 
-    full = solve_pencil(sys, m=sys.ndof)
-    U = full.vectors[:, :k]
+    lambdas, U, V = _splitting(sys, k)
     M = sys.M
-    v = full.vectors[:, k].copy()
+    v = V[:, 0].copy()
     v /= math.sqrt(float(v @ M @ v))
 
     theta = _slope_at_zero(sys, nl)
     resonance_note = ""
     if k >= 1 and not theta.diverged and not theta.inconclusive:
-        lam_k = float(full.lambdas[k - 1])
+        lam_k = float(lambdas[k - 1])
         if abs(theta.lower - lam_k) <= 1e-8 * (1.0 + abs(lam_k)):
             resonance_note = (
                 f"slope at zero touches eigenvalue k={k} (boundary resonance); "

@@ -187,12 +187,12 @@ def test_criterion_09_asymptotically_linear(sys64_neg5):
         solve_resolvent(sys64_neg5, float(spec.lambdas[0]), a)
     except ResonanceError:
         resonant_rejected = True
-    ok = rep.weak_residual <= 1e-10 and agree <= 1e-10 and resonant_rejected
+    ok = rep.grad_norm <= 1e-10 and agree <= 1e-10 and resonant_rejected
     check(
         "9",
         "linear model: resolvent + resonance",
         ok,
-        f"wr={rep.weak_residual:.1e} dense agree={agree:.1e} resonant_rejected={resonant_rejected}",
+        f"grad_norm={rep.grad_norm:.1e} dense agree={agree:.1e} resonant_rejected={resonant_rejected}",
     )
 
 

@@ -185,6 +185,27 @@ def test_resonant_linear_solve_reports_error(tmp_path):
     assert err["error"]["type"] == "ResonanceError"
 
 
+def test_linking_level_past_the_last_eigenfield_reports_error(tmp_path):
+    # n_elem = 4 has 3 degrees of freedom: the splitting levels are 0, 1, 2
+    cfg = RunConfig(n_elem=4, alpha=(0.0,), lam=25.0, m=3, k=3, directory=str(tmp_path / "lk"))
+    assert run(cfg, "linking") == 1
+    err = json.loads((tmp_path / "lk" / "error.json").read_text())
+    assert err["error"]["type"] == "ValueError"
+    assert "k=3 is outside 0..2" in err["error"]["message"]
+
+
+def test_affine_linking_at_level_zero_reports_error(tmp_path):
+    # the saddle geometry of the affine kind needs a sphere in span(u_1..u_k)
+    cfg = RunConfig(
+        n_elem=16, alpha=(0.0,), kind="affine_linear", lam=5.0, a_const=1.0, m=5, k=0,
+        directory=str(tmp_path / "lk"),
+    )
+    assert run(cfg, "linking") == 1
+    err = json.loads((tmp_path / "lk" / "error.json").read_text())
+    assert err["error"]["type"] == "ValueError"
+    assert "needs k >= 1" in err["error"]["message"]
+
+
 def test_broken_config_no_artifacts(tmp_path):
     out = tmp_path / "never"
     code = main(
