@@ -9,8 +9,10 @@ with the integral evaluated by a fixed 4-point Gauss rule per element on the
 piecewise-linear reconstruction u_h.  The gradient uses the same rule, so it
 is the exact derivative of the discrete energy, not merely a consistent
 approximation of the continuum one, and ``J_hessian`` is its exact second
-derivative under the same rule.  ``J_values`` and ``J_gradients`` evaluate a block of fields, the rows of a (batch, ndof) array, in one pass;
-``J_eval`` and ``J_gradient`` are the same code with a batch of one.
+derivative under the same rule.  ``J_values`` and ``J_gradients`` evaluate
+a block of fields, the rows of a (batch, ndof) array, in one pass;
+``J_eval`` and ``J_gradient`` are the same code with a batch of one.  The
+Gauss-point layout stays inside this module.
 """
 
 from __future__ import annotations

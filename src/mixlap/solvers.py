@@ -1,11 +1,13 @@
 """Certified critical-point searches for the semilinear problem.
 
-Solvers produce a ``CriticalPointReport`` carrying the dual norm, in the K^{-1}
-inner product, of the discrete energy gradient phi -> B(u, phi) - int f(x, u) phi.
-A report claims convergence only when that norm is below tolerance, the
-iterate is nontrivial, and the energy level matches the geometry that
-produced it.  The searches above level 0 work in the spectral splitting
-span(u_1..u_k) + its M-orthogonal complement, which ``_splitting`` computes.
+Solvers produce a ``CriticalPointReport`` carrying the dual norm, in the
+K^{-1} inner product, of the discrete energy gradient
+phi -> B(u, phi) - int f(x, u) phi.  A report claims convergence only when
+that norm is below tolerance, the iterate is nontrivial, and the energy
+level matches the geometry that produced it.  The linking search, its
+geometry probe and the coercivity gap work in the spectral splitting at
+level k, span(u_1..u_k) and its M-orthogonal complement, which
+``_splitting`` computes for all three.
 
 Search strategies:
 

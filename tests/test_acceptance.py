@@ -192,7 +192,8 @@ def test_criterion_09_asymptotically_linear(sys64_neg5):
         "9",
         "linear model: resolvent + resonance",
         ok,
-        f"grad_norm={rep.grad_norm:.1e} dense agree={agree:.1e} resonant_rejected={resonant_rejected}",
+        f"grad_norm={rep.grad_norm:.1e} dense agree={agree:.1e} "
+        f"resonant_rejected={resonant_rejected}",
     )
 
 

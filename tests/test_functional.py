@@ -15,6 +15,7 @@ from mixlap.functional import (
     J_eval,
     J_gradient,
     J_gradients,
+    J_hessian,
     J_values,
     asymptotic_slopes,
     check_hypotheses,
@@ -136,6 +137,23 @@ def test_gradient_finite_difference(sys64_neg5):
                 - J_eval(sys64_neg5, nl, FeField(dn, mesh))
             ) / (2 * eps)
         assert np.linalg.norm(g - fd) / np.linalg.norm(g) < 1e-6
+
+
+def test_hessian_finite_difference(sys64_neg5):
+    # the Hessian is the derivative of the gradient, along random directions
+    mesh = sys64_neg5.mesh
+    rng = np.random.default_rng(4)
+    eps = 1e-6
+    for nl in (PowerPerturbed(2.0, 4.0), AffineLinear(1.5, lambda x: np.cos(3 * x))):
+        u = FeField(rng.standard_normal(mesh.ndof), mesh)
+        H = J_hessian(sys64_neg5, nl, u)
+        for _ in range(3):
+            d = rng.standard_normal(mesh.ndof)
+            fd = (
+                J_gradient(sys64_neg5, nl, FeField(u.coeffs + eps * d, mesh)).coeffs
+                - J_gradient(sys64_neg5, nl, FeField(u.coeffs - eps * d, mesh)).coeffs
+            ) / (2 * eps)
+            assert np.linalg.norm(H @ d - fd) / np.linalg.norm(H @ d) < 1e-6
 
 
 def test_gradient_vanishes_at_eigenfield(sys64_neg5, spec64_neg5):

@@ -98,7 +98,8 @@ def test_resolvent_unique_critical_point(sys64_neg5):
 def test_weak_residual_matrix_oracle(sys64_neg5):
     # the gradient norm that reports carry is the K^{-1} dual norm of the
     # weak residual phi -> B(u, phi) - int f(x, u) phi; for the affine model
-    # that residual is (A - lam M) u - M a, solved here by a dense route
+    # that residual is (A - lam M) u - M a, whose dual norm is taken here
+    # with a dense solve of K
     mesh = sys64_neg5.mesh
     lam = 4.2
     a = interpolate(lambda x: np.cos(2 * x), mesh)
