@@ -16,7 +16,7 @@ shift and compares the constructive shift against the eigenvalue-sharp one.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional
 
 import numpy as np
@@ -62,16 +62,10 @@ class YoungSplitReport:
         return self.violations == 0 and self.gamma_split >= self.gamma_exact * (1.0 - 1e-10)
 
     def to_dict(self) -> dict:
-        return {
-            "c1": self.c1,
-            "c2_at_choice": self.c2_at_choice,
-            "gamma_split": self.gamma_split,
-            "gamma_exact": self.gamma_exact,
-            "violations": self.violations,
-            "trials": self.trials,
-            "consistent_within_factor": self.consistent_within_factor,
-            "certified": self.certified,
-        }
+        out = asdict(self)
+        del out["epsilons"]
+        out["certified"] = self.certified
+        return out
 
 
 def embedding_constant(sys: OperatorSystem) -> ConstantEstimate:

@@ -22,8 +22,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .assembly import OperatorSystem, build_system, dump_matrix, load_matrix
-from .analysis import embedding_constant, interpolation_constant, young_split_audit
+from .assembly import OperatorSystem, assemble_gagliardo, build_system, dump_matrix, load_matrix
+from .analysis import _interp_ratio, embedding_constant, interpolation_constant, young_split_audit
 from .config import ConfigError, RunConfig, parse_config
 from .functional import AffineLinear, J_eval, J_gradient, PowerPerturbed
 from .mesh import FeField, build_mesh, interpolate
@@ -245,7 +245,12 @@ def _pipeline_dump_matrices(cfg: RunConfig, out_dir: Path) -> bool:
 
 def _audit_checks(cfg: RunConfig, sys: OperatorSystem) -> list[dict]:
     """Every oracle cross-check at desk scale; deterministic given the seed."""
-    from .oracles import gagliardo_matrix_oracle, pencil_eigenvalues_oracle, threshold_oracle
+    from .oracles import (
+        gagliardo_matrix_oracle,
+        pencil_eigenvalues_oracle,
+        quotient_max_oracle,
+        threshold_oracle,
+    )
 
     checks: list[dict] = []
 
@@ -280,8 +285,6 @@ def _audit_checks(cfg: RunConfig, sys: OperatorSystem) -> list[dict]:
 
     # nonlocal assembly vs adaptive quadrature (module contract is n_elem <= 4)
     mesh_o = build_mesh(cfg.a, cfg.b, min(cfg.n_elem, 4))
-    from .assembly import assemble_gagliardo
-
     S_prod = assemble_gagliardo(mesh_o, cfg.s)
     S_orc = gagliardo_matrix_oracle(mesh_o, cfg.s, eps=1e-10)
     add("gagliardo_oracle", float(np.max(np.abs(S_prod - S_orc))), 1e-6)
@@ -307,16 +310,15 @@ def _audit_checks(cfg: RunConfig, sys: OperatorSystem) -> list[dict]:
     add("two_sided_bounds", rep.max_violation, 1e-9)
 
     # coercivity shift on random fields
-    gamma = garding_constant(sys)
+    interp = interpolation_constant(sys, seed=cfg.seed)
+    young = young_split_audit(sys, n_random=200, seed=cfg.seed, interp=interp)
     worst = 0.0
     for _ in range(1000):
         u = rng.standard_normal(sys.ndof)
         qk = float(u @ sys.K @ u)
-        lhs = float(u @ sys.A @ u) + gamma * float(u @ sys.M @ u)
+        lhs = float(u @ sys.A @ u) + young.gamma_exact * float(u @ sys.M @ u)
         worst = max(worst, (0.5 * qk - lhs) / max(1.0, qk))
     add("garding_certificate", worst, 1e-10)
-    interp = interpolation_constant(sys, seed=cfg.seed)
-    young = young_split_audit(sys, n_random=200, seed=cfg.seed, interp=interp)
     add("young_split_violations", float(young.violations), 0.0)
     if sys.alpha < 0:
         add(
@@ -345,14 +347,11 @@ def _audit_checks(cfg: RunConfig, sys: OperatorSystem) -> list[dict]:
             worst = max(worst, float(np.linalg.norm(g - fd) / max(1e-300, np.linalg.norm(g))))
     add("gradient_fd", worst, 1e-6)
 
-    # interpolation constant audit
-    from .analysis import _interp_ratio
-
-    worst = -np.inf
-    for kk in range(spec.count):
-        worst = max(worst, _interp_ratio(sys, spec.vectors[:, kk]))
-    for _ in range(1000):
-        worst = max(worst, _interp_ratio(sys, rng.standard_normal(sys.ndof)))
+    # interpolation constant audit: the eigenfields and 1000 random fields
+    worst = max(
+        quotient_max_oracle(lambda c: _interp_ratio(sys, c), sys.ndof, 1000, seed=cfg.seed),
+        *(_interp_ratio(sys, v) for v in spec.vectors.T),
+    )
     add("interpolation_audit", (worst - interp.value) / interp.value, 1e-8)
 
     # matrix export round trip
@@ -371,7 +370,7 @@ def _audit_checks(cfg: RunConfig, sys: OperatorSystem) -> list[dict]:
     orc = threshold_oracle(sys.K, sys.S, (cfg.bracket_lo, cfg.bracket_hi))
     add("threshold_oracle", abs(thr.alpha_star - orc), 1e-6)
     sys_past = sys.with_alpha(thr.alpha_star - 1.0)
-    spec_past = solve_pencil(sys_past, m=cfg.m)
+    spec_past = solve_pencil(sys_past, m=sys_past.ndof)
     add("indefinite_past_threshold", 2.0 - first_positive_index(spec_past), 0.0,
         "first positive index must be >= 2 below the threshold")
     return checks

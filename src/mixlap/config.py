@@ -93,6 +93,10 @@ class RunConfig:
             )
         if self.k < 0:
             raise ConfigError(f"solver: k must be >= 0, got {self.k}")
+        if not self.bracket_lo < self.bracket_hi:
+            raise ConfigError(
+                f"solver: need bracket_lo < bracket_hi, got {self.bracket_lo} and {self.bracket_hi}"
+            )
         if self.threshold_tol <= 0:
             raise ConfigError(f"solver: threshold_tol must be positive, got {self.threshold_tol}")
 

@@ -23,7 +23,7 @@ Search strategies:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -123,17 +123,7 @@ class LinkingGeometryReport:
     spread: float = 0.0
 
     def to_dict(self) -> dict:
-        return {
-            "k": self.k,
-            "rho_small": self.rho_small,
-            "alpha_tilde": self.alpha_tilde,
-            "rho_big": self.rho_big,
-            "boundary_sup": self.boundary_sup,
-            "certified": self.certified,
-            "mode": self.mode,
-            "inconclusive": self.inconclusive,
-            "spread": self.spread,
-        }
+        return asdict(self)
 
 
 # ---------------------------------------------------------------------------
@@ -187,7 +177,7 @@ def solve_resolvent(
     cfg = cfg or SolverConfig()
     if a.mesh != sys.mesh:
         raise ValueError("field mesh does not match the assembled system")
-    eigs = solve_pencil(sys, m=sys.ndof).lambdas
+    eigs = sys.eigenpairs[0]  # the guard reads eigenvalues only
     gaps = np.abs(eigs - lam)
     k_near = int(np.argmin(gaps))
     if gaps[k_near] < 1e-8 * (1.0 + abs(lam)):
@@ -581,15 +571,13 @@ def verify_geometry(sys: OperatorSystem, nl, k: int, seed: int = 0) -> LinkingGe
     if isinstance(nl, AffineLinear) and k == 0:
         raise ValueError("the saddle geometry of the affine kind needs k >= 1")
     rng = np.random.default_rng(seed)
-    _, U, V = _splitting(sys, k)
+    lambdas, U, V = _splitting(sys, k)
     v_dir = V[:, 0] / _x_norm(sys, V[:, 0])
 
     if isinstance(nl, AffineLinear):
         lam = nl.lam
-        ell = load_vector(sys.mesh, nl.a)
-        Ar = V.T @ (sys.A - lam * sys.M) @ V
-        rhs = V.T @ ell
-        c = np.linalg.solve(Ar, rhs)
+        # V diagonalizes the quadratic part: V^T (A - lam M) V = diag(lambda_j - lam)
+        c = (V.T @ load_vector(sys.mesh, nl.a)) / (lambdas[k:] - lam)
         w_min = V @ c
         alpha_tilde = float(J_eval(sys, nl, FeField(w_min, sys.mesh)))
         rho_small = _x_norm(sys, w_min)

@@ -190,13 +190,15 @@ def verify_characterization(
 
     The minimum of u^T A u / u^T M u over the B-orthogonal complement of the
     first k-1 eigenfields is computed twice: by a projected eigensolve and by
-    `trials` runs of at most 200 steps of constrained descent from random
-    starts.  The smaller of
-    the two is compared against the pencil eigenvalue.
+    ``oracles.rayleigh_min_oracle``, `trials` runs of constrained descent from
+    random starts.  The smaller of the two is compared against the pencil
+    eigenvalue.
 
     Raises ``DegenerateSpectrumError`` if one of the first k-1 eigenvalues
     vanishes (the recursion is not meaningful past a zero eigenvalue).
     """
+    from .oracles import rayleigh_min_oracle  # only the audit needs it: keep the CLI import light
+
     if not 1 <= k <= spec.count:
         raise ValueError(f"k={k} outside the computed range 1..{spec.count}")
     if k > 1 and np.any(np.abs(spec.lambdas[: k - 1]) < ZERO_TOL):
@@ -208,28 +210,7 @@ def verify_characterization(
     Ar = Z.T @ sys.A @ Z
     Mr = Z.T @ sys.M @ Z
     w = linalg.eigh(Ar, Mr, eigvals_only=True, subset_by_index=[0, 0])
-    best = float(w[0])
-
-    rng = np.random.default_rng(seed)
-    nr = Ar.shape[0]
-    for _ in range(trials):
-        c = rng.standard_normal(nr)
-        c /= np.sqrt(c @ Mr @ c)
-        for _ in range(200):
-            rho = c @ Ar @ c
-            g = 2.0 * (Ar @ c - rho * (Mr @ c))
-            if np.linalg.norm(g) < 1e-13 * max(1.0, abs(rho)):
-                break
-            basis = np.stack([c, -g]).T
-            a2 = basis.T @ Ar @ basis
-            m2 = basis.T @ Mr @ basis
-            try:
-                _, vv = linalg.eigh(a2, m2)
-            except linalg.LinAlgError:
-                break
-            c = basis @ vv[:, 0]
-            c /= np.sqrt(c @ Mr @ c)
-        best = min(best, float(c @ Ar @ c))
+    best = min(float(w[0]), rayleigh_min_oracle(Ar, Mr, trials, seed))
     return abs(best - float(spec.lambdas[k - 1]))
 
 
@@ -269,16 +250,20 @@ def bound_checks(spec: Spectrum, sys: OperatorSystem, k: int, seed: int = 0) -> 
 
 def garding_constant(sys: OperatorSystem) -> float:
     """Smallest gamma >= 0 with B(u,u) + gamma |u|_M^2 >= 0.5 |u|_K^2 for all
-    discrete u: gamma = max(0, -lambda_min(K + alpha S - K/2, M))."""
+    discrete u.  K + alpha S - K/2 is half of K + 2 alpha S, so
+    gamma = max(0, -lambda_1(2 alpha) / 2)."""
     try:
-        lam = extreme_eigenvalue(sys.A - 0.5 * sys.K, sys.M)
+        lam = _lambda1(sys, 2.0 * sys.alpha)
     except linalg.LinAlgError as exc:
         raise SpectrumError("eigensolver failed while computing the coercivity shift") from exc
-    return max(0.0, -lam)
+    return max(0.0, -0.5 * lam)
 
 
 def _lambda1(sys: OperatorSystem, alpha: float) -> float:
-    return extreme_eigenvalue(sys.K + alpha * sys.S, sys.M)
+    """Lowest eigenvalue of (K + alpha S, M), whatever the system's coupling."""
+    X = sys.S * alpha  # the one n x n temporary
+    X += sys.K
+    return extreme_eigenvalue(X, sys.M)
 
 
 def alpha_threshold(

@@ -206,6 +206,16 @@ def test_affine_linking_at_level_zero_reports_error(tmp_path):
     assert "needs k >= 1" in err["error"]["message"]
 
 
+def test_audit_with_one_eigenpair_checks_the_indefinite_side(tmp_path):
+    # m = 1 computes only lambda_1 < 0; the check past the threshold solves
+    # every eigenpair, so it still finds the first positive one
+    cfg = RunConfig(n_elem=4, alpha=(-5.0,), m=1, directory=str(tmp_path / "au"))
+    assert run(cfg, "full-audit") == 0
+    checks = json.loads((tmp_path / "au" / "audit.json").read_text())["checks"]
+    past = next(c for c in checks if c["name"] == "indefinite_past_threshold")
+    assert past["passed"]
+
+
 def test_broken_config_no_artifacts(tmp_path):
     out = tmp_path / "never"
     code = main(
@@ -217,6 +227,14 @@ def test_broken_config_no_artifacts(tmp_path):
             str(out),
         ]
     )
+    assert code == 2
+    assert not out.exists()
+
+
+def test_reversed_bracket_is_a_config_error(tmp_path):
+    out = tmp_path / "never"
+    text = MINIMAL.replace("n_elem = 64", "n_elem = 8") + "\n[solver]\nm = 3\nbracket_lo = 0\nbracket_hi = -10\n"
+    code = main(["threshold", "--config", str(write_cfg(tmp_path / "c.ini", text)), "--out", str(out)])
     assert code == 2
     assert not out.exists()
 

@@ -11,6 +11,7 @@ from mixlap.functional import (
     J_eval,
     J_gradient,
     PowerPerturbed,
+    load_vector,
     weighted_mass,
 )
 from mixlap.solvers import (
@@ -70,6 +71,21 @@ def test_resolvent_resonance_rejected(sys64_neg5):
     lam1 = float(solve_pencil(sys64_neg5, 1).lambdas[0])
     with pytest.raises(ResonanceError, match="k=1"):
         solve_resolvent(sys64_neg5, lam1, ones_field(sys64_neg5.mesh))
+
+
+def test_resolvent_guard_reads_the_cached_eigenvalues(monkeypatch, mesh8):
+    # the resonance guard needs no processed eigenpairs: solve_pencil is never called
+    def refuse(*args, **kwargs):
+        raise AssertionError("solve_resolvent called solve_pencil")
+
+    sys = build_system(mesh8, 0.5, -5.0)
+    lam1 = float(sys.eigenpairs[0][0])
+    monkeypatch.setattr(solvers, "solve_pencil", refuse)
+    a = ones_field(mesh8)
+    assert solve_resolvent(sys, lam1 + 1.0, a).converged
+    with pytest.raises(ResonanceError, match="k=1") as err:
+        solve_resolvent(sys, lam1, a)
+    assert repr(lam1) in str(err.value)
 
 
 def test_resolvent_unique_critical_point(sys64_neg5):
@@ -242,6 +258,21 @@ def test_geometry_quadratic_eigenexpansion(sys64_zero):
     want = 0.5 * geo.rho_big**2 * (1.0 - lam / lam1)
     assert geo.boundary_sup == pytest.approx(want, rel=1e-6)
     assert geo.boundary_sup < 0
+
+
+def test_affine_saddle_matches_the_dense_projected_solve():
+    # with nonzero forcing the infimum over the complement sits at the solution
+    # of V^T (A - lam M) V c = V^T ell, which the splitting has diagonalized
+    mesh = build_mesh(0.0, 1.0, 64)
+    sys = build_system(mesh, 0.5, -1.0)
+    lambdas, _, V = solvers._splitting(sys, 1)
+    nl = AffineLinear(0.5 * (lambdas[0] + lambdas[1]), lambda x: np.cos(2.0 * x) + 0.3)
+    c = np.linalg.solve(V.T @ (sys.A - nl.lam * sys.M) @ V, V.T @ load_vector(mesh, nl.a))
+    dense = J_eval(sys, nl, FeField(V @ c, mesh))
+    geo = verify_geometry(sys, nl, 1)
+    assert geo.mode == "saddle"
+    assert abs(dense) > 1e-3
+    assert geo.alpha_tilde == pytest.approx(dense, rel=1e-10)
 
 
 def test_geometry_violated_slope_above_next_eigenvalue(sys64_zero):

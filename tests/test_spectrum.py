@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy import linalg
 
-from mixlap import FeField, OperatorSystem, build_mesh, build_system, spectrum
+from mixlap import FeField, OperatorSystem, build_mesh, build_system, oracles, spectrum
 from mixlap.assembly import assemble_mass
 from mixlap.oracles import pencil_eigenvalues_oracle, rayleigh_min_oracle, threshold_oracle
 from mixlap.spectrum import (
@@ -87,6 +87,18 @@ def test_characterization_recursion(mesh8):
     spec = solve_pencil(sys, 7)
     for k in (2, 3):
         assert verify_characterization(spec, sys, k, trials=6) <= 1e-8
+
+
+def test_characterization_descends_through_the_oracle(monkeypatch, mesh8):
+    # the descent half of the check is oracles.rayleigh_min_oracle: an oracle
+    # that undershoots lambda_k by 1 must show up as a gap of 1
+    sys = build_system(mesh8, 0.5, -5.0)
+    spec = solve_pencil(sys, 7)
+    k = 2
+    monkeypatch.setattr(
+        oracles, "rayleigh_min_oracle", lambda A, M, trials, seed: float(spec.lambdas[k - 1]) - 1.0
+    )
+    assert verify_characterization(spec, sys, k, trials=4) == pytest.approx(1.0, abs=1e-9)
 
 
 def test_characterization_stationarity(mesh8):
