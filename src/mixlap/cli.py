@@ -37,6 +37,7 @@ from .solvers import (
 )
 from .spectrum import (
     _lambda1,
+    _lower_violation,
     alpha_threshold,
     bound_checks,
     first_positive_index,
@@ -305,9 +306,13 @@ def _audit_checks(cfg: RunConfig, sys: OperatorSystem) -> list[dict]:
         worst = max(worst, verify_characterization(spec, sys, k, trials=4, seed=cfg.seed))
     add("characterization", worst, 1e-8)
 
-    # two-sided Rayleigh bounds
-    rep = bound_checks(spec, sys, k=min(3, spec.count - 1), seed=cfg.seed)
-    add("two_sided_bounds", rep.max_violation, 1e-9)
+    # two-sided Rayleigh bounds; one computed eigenpair has only the lower side
+    k = min(3, spec.count - 1)
+    if k >= 1:
+        add("two_sided_bounds", bound_checks(spec, sys, k=k, seed=cfg.seed).max_violation, 1e-9)
+    else:
+        worst = _lower_violation(spec, sys, 0, np.random.default_rng(cfg.seed))
+        add("two_sided_bounds", worst, 1e-9, "lower side only: lambda_1 on span(u_1)")
 
     # coercivity shift on random fields
     interp = interpolation_constant(sys, seed=cfg.seed)

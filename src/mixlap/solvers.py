@@ -7,7 +7,8 @@ that norm is below tolerance, the iterate is nontrivial, and the energy
 level matches the geometry that produced it.  The linking search, its
 geometry probe and the coercivity gap work in the spectral splitting at
 level k, span(u_1..u_k) and its M-orthogonal complement, which
-``_splitting`` computes for all three.
+``_splitting`` computes for all three; a linking search computes it once and
+hands it to its probe.
 
 Search strategies:
 
@@ -17,7 +18,10 @@ Search strategies:
   endpoint), then Newton;
 * superlinear model, higher levels: peak-selection minimax over the splitting
   span(u_1..u_k) + ray, with an outer descent on the ray direction, then
-  Newton.
+  Newton.  Each peak is found by Newton on the k + 1 coefficients of the
+  span, with the reduced gradient W^T J'(W c) and Hessian W^T J''(W c) W,
+  falling back to the reduced gradient where that Hessian is not negative
+  definite; one ``J_values`` block ranks the backtracking steps.
 """
 
 from __future__ import annotations
@@ -71,6 +75,10 @@ BLOWUP_BOUND = 1e6  # X-norm guard on the path and peak iterates
 NEWTON_MAX_ITER = 40
 NEWTON_TOL = 1e-12
 NEWTON_GATE_FACTOR = 0.25  # early-Newton trigger relative to the first gradient
+PEAK_MAX_ITER = 400  # Newton steps of one peak selection
+PEAK_GTOL = 1e-12  # max-norm tolerance on the reduced gradient at a peak
+PEAK_FLAT = 1e-14  # relative J gain below which a Newton step is taken unranked
+PEAK_LADDER = 0.5 ** np.arange(40)  # trial steps of the peak's line search
 
 # linking geometry probe
 RHO_GRID = tuple(float(x) for x in np.logspace(-3, 0.5, 8))  # sphere radii searched
@@ -469,7 +477,9 @@ def _sphere_min(
 
     The starts run in lockstep, one block evaluation of J or its gradient per
     step.  Each start keeps its own step length and acceptance test, and
-    leaves the block when it converges or its line search fails.
+    leaves the block when it converges or its line search fails.  A start's
+    line search begins at 0.5 / max(1, |gradient|), capped at four times its
+    last accepted step.
     """
     nsub = V.shape[1]
     KV = sys.K @ V
@@ -483,6 +493,7 @@ def _sphere_min(
         return W, r, (rho / r)[:, None] * W
 
     active = np.arange(len(C))
+    last = np.full(len(C), np.inf)  # each start's last accepted step
     for _ in range(300):
         if active.size == 0:
             break
@@ -494,7 +505,7 @@ def _sphere_min(
         )
         gn = np.sqrt(_dot_rows(GC, GC))
         val = J_values(sys, nl, U)
-        step = 0.5 / np.maximum(1.0, gn)
+        step = np.minimum(0.5 / np.maximum(1.0, gn), 4.0 * last[active])
         improved = np.zeros(active.size, dtype=bool)
         trying = (gn >= 1e-12 * np.maximum(1.0, np.abs(val))) & (step > 1e-14)
         while trying.any():
@@ -502,6 +513,7 @@ def _sphere_min(
             C_try = C[active[t]] - step[t, None] * GC[t]
             ok = J_values(sys, nl, on_sphere(C_try)[2]) < val[t] - 1e-12
             C[active[t[ok]]] = C_try[ok]
+            last[active[t[ok]]] = step[t[ok]]
             improved[t[ok]] = True
             step[t[~ok]] *= 0.5
             trying[t] = ~ok & (step[t] > 1e-14)
@@ -553,6 +565,14 @@ def _delta_boundary_max(
     return best
 
 
+def _refusal(k: int, mode: str, alpha_tilde: float) -> LinkingGeometryReport:
+    nan = math.nan
+    return LinkingGeometryReport(
+        k=k, rho_small=nan, alpha_tilde=alpha_tilde, rho_big=nan, boundary_sup=nan,
+        certified=False, mode=mode,
+    )
+
+
 def verify_geometry(sys: OperatorSystem, nl, k: int, seed: int = 0) -> LinkingGeometryReport:
     """Probe the minimax geometry around the spectral splitting at level k.
 
@@ -563,19 +583,36 @@ def verify_geometry(sys: OperatorSystem, nl, k: int, seed: int = 0) -> LinkingGe
     until the supremum is nonpositive.  Affine kind: the exact infimum over
     the complement (a convex quadratic) against the supremum on the sphere
     in the spanned subspace.  A geometry that fails is reported, not
-    raised, and inconclusive multistart scatter is flagged.  ``seed`` drives
+    raised, and inconclusive multistart scatter is flagged.  Refused
+    without probing, with NaN for what was not computed: the affine kind
+    when its slope is not below lambda_{k+1}, where J is unbounded below on
+    the complement (alpha_tilde is -inf), and a superlinear kind at k >= 1
+    unless its sampled slope at zero lies above lambda_k.  ``seed`` drives
     the random starts and directions.  Raises ``ValueError`` for k outside
     0..ndof-1, and for the affine kind at k = 0, whose sphere would lie in
     an empty span.
     """
+    return _probe(sys, nl, _splitting(sys, k), _slope_at_zero(sys, nl), seed)[0]
+
+
+def _probe(
+    sys: OperatorSystem, nl, split: tuple, theta, seed: int
+) -> tuple[LinkingGeometryReport, str]:
+    """``verify_geometry`` on a splitting and a slope estimate at zero that
+    the caller computed, with the reason for a refusal ("" otherwise)."""
+    lambdas, U, V = split
+    k = U.shape[1]
     if isinstance(nl, AffineLinear) and k == 0:
         raise ValueError("the saddle geometry of the affine kind needs k >= 1")
     rng = np.random.default_rng(seed)
-    lambdas, U, V = _splitting(sys, k)
-    v_dir = V[:, 0] / _x_norm(sys, V[:, 0])
 
     if isinstance(nl, AffineLinear):
         lam = nl.lam
+        if not lam < lambdas[k]:
+            return _refusal(k, "saddle", -math.inf), (
+                f"slope {lam:.6g} is not below lambda_{k + 1} = {lambdas[k]:.6g}: "
+                "J is unbounded below on the complement"
+            )
         # V diagonalizes the quadratic part: V^T (A - lam M) V = diag(lambda_j - lam)
         c = (V.T @ load_vector(sys.mesh, nl.a)) / (lambdas[k:] - lam)
         w_min = V @ c
@@ -601,6 +638,12 @@ def verify_geometry(sys: OperatorSystem, nl, k: int, seed: int = 0) -> LinkingGe
             boundary_sup=boundary_sup,
             certified=certified,
             mode="saddle",
+        ), ""
+
+    if k >= 1 and (theta.diverged or theta.inconclusive or not lambdas[k - 1] < theta.lower):
+        return _refusal(k, "linking", math.nan), (
+            f"slope at zero [{theta.lower:.6g}, {theta.upper:.6g}] is not above "
+            f"lambda_{k} = {lambdas[k - 1]:.6g}"
         )
 
     # superlinear: sphere infimum over a radius grid
@@ -614,6 +657,7 @@ def verify_geometry(sys: OperatorSystem, nl, k: int, seed: int = 0) -> LinkingGe
     alpha_tilde = best_val
     rho_small = best_rho
 
+    v_dir = V[:, 0] / _x_norm(sys, V[:, 0])
     rho_big = max(1.0, 4.0 * rho_small)
     boundary_sup = math.inf
     while rho_big <= RHO_BIG_MAX:
@@ -632,7 +676,7 @@ def verify_geometry(sys: OperatorSystem, nl, k: int, seed: int = 0) -> LinkingGe
         mode="linking",
         inconclusive=spread_at_best > 0.5,
         spread=spread_at_best,
-    )
+    ), ""
 
 
 def coercivity_gap(sys: OperatorSystem, theta_bar, k: int) -> float:
@@ -656,21 +700,45 @@ def coercivity_gap(sys: OperatorSystem, theta_bar, k: int) -> float:
 def _peak(
     sys: OperatorSystem, nl, W: np.ndarray, c0: np.ndarray
 ) -> tuple[np.ndarray, float]:
-    """Maximize J over the span of the columns of W (warm start c0)."""
-    from scipy import optimize  # only the linking search needs it: keep the CLI import light
+    """Maximize J over the span of the columns of W (warm start c0) by
+    Newton on the coefficients c of the field W c.
 
-    def neg_val(c):
-        return -J_eval(sys, nl, FeField(W @ c, sys.mesh))
-
-    def neg_grad(c):
-        return -(W.T @ J_gradient(sys, nl, FeField(W @ c, sys.mesh)).coeffs)
-
-    res = optimize.minimize(neg_val, c0, jac=neg_grad, method="BFGS",
-                            options={"gtol": 1e-12, "maxiter": 400})
-    c = res.x
+    The Newton step uses the reduced gradient W^T J'(W c) and Hessian
+    W^T J''(W c) W, and is taken only where that Hessian is negative
+    definite; elsewhere the step is the reduced gradient, so the iteration
+    climbs past the saddle at 0 instead of settling on it.  One ``J_values``
+    block ranks the steps sigma = 2^-j; the first that raises J is kept.
+    Stops at a reduced gradient below ``PEAK_GTOL`` (max norm), when no step
+    raises J, or after a Newton step too small for J to rank, taken whole.
+    Returns the coefficients, ray component nonnegative, and J there.
+    """
+    c = np.asarray(c0, dtype=float).copy()
+    val = J_eval(sys, nl, FeField(W @ c, sys.mesh))
+    for _ in range(PEAK_MAX_ITER):
+        u = FeField(W @ c, sys.mesh)
+        g = W.T @ J_gradient(sys, nl, u).coeffs
+        if np.max(np.abs(g)) <= PEAK_GTOL:
+            break
+        H = W.T @ J_hessian(sys, nl, u) @ W
+        try:
+            d = linalg.cho_solve(linalg.cho_factor(-H), g)
+        except linalg.LinAlgError:  # -H is not positive definite
+            d = g
+        else:
+            if 0.5 * float(g @ d) <= PEAK_FLAT * max(1.0, abs(val)):
+                # a gain J cannot resolve: take the whole Newton step and stop
+                c = c + d
+                val = J_eval(sys, nl, FeField(W @ c, sys.mesh))
+                break
+        trials = c + PEAK_LADDER[:, None] * d
+        vals = J_values(sys, nl, _apply_rows(W, trials))
+        up = np.flatnonzero(vals > val)
+        if up.size == 0:
+            break
+        c, val = trials[up[0]], float(vals[up[0]])
     if c[-1] < 0.0:
         c = -c  # keep the ray component nonnegative (J is even for the models)
-    return c, float(-res.fun)
+    return c, val
 
 
 def linking_search(
@@ -687,21 +755,23 @@ def linking_search(
     that probe as ``geometry``; the probe draws from ``cfg.seed``.
     """
     cfg = cfg or SolverConfig()
-    geometry = verify_geometry(sys, nl, k, cfg.seed)
+    lambdas, U, V = _splitting(sys, k)
+    theta = _slope_at_zero(sys, nl)
+    geometry, refusal = _probe(sys, nl, (lambdas, U, V), theta, cfg.seed)
     if not geometry.certified:
         return _geometry_failure(
             sys,
-            f"linking geometry not certified at k={k}: "
-            f"alpha_tilde={geometry.alpha_tilde:.6g}, boundary_sup={geometry.boundary_sup:.6g}",
+            f"linking geometry not certified at k={k}: " + (refusal or (
+                f"alpha_tilde={geometry.alpha_tilde:.6g}, "
+                f"boundary_sup={geometry.boundary_sup:.6g}"
+            )),
             geometry=geometry,
         )
 
-    lambdas, U, V = _splitting(sys, k)
     M = sys.M
     v = V[:, 0].copy()
     v /= math.sqrt(float(v @ M @ v))
 
-    theta = _slope_at_zero(sys, nl)
     resonance_note = ""
     if k >= 1 and not theta.diverged and not theta.inconclusive:
         lam_k = float(lambdas[k - 1])
@@ -747,8 +817,7 @@ def linking_search(
                 continue
             v_try /= nv
             W_try = np.column_stack([U, v_try]) if k else v_try[:, None]
-            c_warm = c.copy()
-            c_try, val_try = _peak(sys, nl, W_try, c_warm)
+            c_try, val_try = _peak(sys, nl, W_try, c)
             if val_try < peak_val - 1e-14:
                 v, W, c, peak_val = v_try, W_try, c_try, val_try
                 p_coeffs = W @ c

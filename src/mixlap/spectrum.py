@@ -220,32 +220,44 @@ def bound_checks(spec: Spectrum, sys: OperatorSystem, k: int, seed: int = 0) -> 
 
     For u in the span of the first k eigenfields, B(u,u) <= lambda_k |u|_M^2;
     for u spanned by the remaining computed eigenfields (a subset of the
-    B-orthogonal complement), B(u,u) >= lambda_{k+1} |u|_M^2.
+    B-orthogonal complement), B(u,u) >= lambda_{k+1} |u|_M^2.  Needs
+    1 <= k < spec.count: at k = 0 there is no upper side and no lambda_k
+    (``_lower_violation`` checks the lower side alone).
     """
-    if k + 1 > spec.count:
-        raise ValueError(f"need k+1 <= computed count {spec.count}, got k={k}")
+    if not 1 <= k < spec.count:
+        raise ValueError(f"need 1 <= k < computed count {spec.count}, got k={k}")
     rng = np.random.default_rng(seed)
     U = spec.vectors[:, :k]
-    V = spec.vectors[:, k:]
     lam_k = spec.lambdas[k - 1]
-    lam_k1 = spec.lambdas[k]
     A, M = sys.A, sys.M
 
     c_low = rng.standard_normal((BOUND_TRIALS, k))
-    c_high = rng.standard_normal((BOUND_TRIALS, V.shape[1]))
     up = 0.0
-    low = 0.0
     for c in c_low:
         u = U @ c
         qm = u @ M @ u
         up = max(up, float(u @ A @ u - lam_k * qm))
-    for c in c_high:
-        u = V @ c
-        qm = u @ M @ u
-        low = max(low, float(lam_k1 * qm - u @ A @ u))
+    low = _lower_violation(spec, sys, k, rng)
     return BoundCheckReport(
         k=k, trials=BOUND_TRIALS, max_violation_upper=up, max_violation_lower=low
     )
+
+
+def _lower_violation(
+    spec: Spectrum, sys: OperatorSystem, k: int, rng: np.random.Generator
+) -> float:
+    """Largest lambda_{k+1} |u|_M^2 - B(u,u), floored at 0, over
+    ``BOUND_TRIALS`` random fields u spanned by the computed eigenfields
+    past the first k, drawn from ``rng``."""
+    V = spec.vectors[:, k:]
+    lam_k1 = spec.lambdas[k]
+    A, M = sys.A, sys.M
+    low = 0.0
+    for c in rng.standard_normal((BOUND_TRIALS, V.shape[1])):
+        u = V @ c
+        qm = u @ M @ u
+        low = max(low, float(lam_k1 * qm - u @ A @ u))
+    return low
 
 
 def garding_constant(sys: OperatorSystem) -> float:

@@ -214,6 +214,9 @@ def test_audit_with_one_eigenpair_checks_the_indefinite_side(tmp_path):
     checks = json.loads((tmp_path / "au" / "audit.json").read_text())["checks"]
     past = next(c for c in checks if c["name"] == "indefinite_past_threshold")
     assert past["passed"]
+    # one eigenpair has no upper Rayleigh side: only lambda_1 on span(u_1) is checked
+    bounds = next(c for c in checks if c["name"] == "two_sided_bounds")
+    assert bounds["passed"] and bounds["note"].startswith("lower side only")
 
 
 def test_broken_config_no_artifacts(tmp_path):
@@ -374,8 +377,8 @@ m = 5
 
 
 def test_cli_import_loads_no_optimizer_integrator_or_oracle():
-    # scipy.optimize belongs to the linking search alone, and the oracles
-    # (with scipy.integrate) to full-audit: importing the CLI loads neither
+    # nothing in the package uses scipy.optimize, and the oracles (with
+    # scipy.integrate) belong to full-audit: importing the CLI loads neither
     code = (
         "import sys, mixlap.cli; "
         "print(sorted(set(sys.modules) & {'scipy.optimize', 'scipy.integrate', 'mixlap.oracles'}))"
@@ -383,3 +386,22 @@ def test_cli_import_loads_no_optimizer_integrator_or_oracle():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_linking_run_loads_no_optimizer(tmp_path):
+    # peak selection is Newton on the span's coefficients: a whole linking
+    # run, not only the import, leaves scipy.optimize unloaded
+    cfgfile = write_cfg(
+        tmp_path / "link.ini",
+        "[domain]\nn_elem = 16\n[operator]\nalpha = 0\n"
+        "[nonlinearity]\nlambda = 25\n[solver]\nk = 1\n",
+    )
+    code = (
+        "import sys; from mixlap.cli import main; "
+        f"code = main(['linking', '--config', {str(cfgfile)!r}, '--out', {str(tmp_path / 'out')!r}]); "
+        "print(code, 'scipy.optimize' in sys.modules)"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "0 False"
+    assert json.loads((tmp_path / "out" / "report.json").read_text())["report"]["converged"]

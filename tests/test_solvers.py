@@ -10,6 +10,8 @@ from mixlap.functional import (
     Custom,
     J_eval,
     J_gradient,
+    J_hessian,
+    J_values,
     PowerPerturbed,
     load_vector,
     weighted_mass,
@@ -410,3 +412,104 @@ def test_one_full_eigensolve_serves_every_consumer(monkeypatch):
     assert linking_search(sys, PowerPerturbed(lam, 4.0), 1, SolverConfig(tol=1e-6)).converged
     assert solve_resolvent(sys, 1.0, ones_field(sys.mesh)).converged
     assert full_solves == [("even", {}), ("odd", {})]
+
+
+def test_linking_search_solves_the_splitting_once(monkeypatch):
+    # the probe and the peak selection share one post-processed splitting
+    sys = build_system(build_mesh(0.0, 1.0, 16), 0.5, 0.0)
+    real = solvers.solve_pencil
+    full = []
+
+    def counting(s, m, *args, **kwargs):
+        full.append(m == s.ndof)
+        return real(s, m, *args, **kwargs)
+
+    monkeypatch.setattr(solvers, "solve_pencil", counting)
+    assert linking_search(sys, PowerPerturbed(25.0, 4.0), 1, SolverConfig(tol=1e-6)).converged
+    assert full == [True]
+
+
+def test_affine_saddle_probe_refuses_a_slope_past_the_next_eigenvalue():
+    # lam = 64.5 lies between lambda_2 and lambda_3: J is unbounded below on
+    # the complement of u_1 along u_2, so no saddle value exists there
+    sys = build_system(build_mesh(0.0, 1.0, 32), 0.5, 0.0)
+    lambdas = solve_pencil(sys, 3).lambdas
+    assert lambdas[1] < 64.5 < lambdas[2]
+    nl = AffineLinear(64.5, lambda x: np.ones_like(np.asarray(x, dtype=float)))
+    geo = verify_geometry(sys, nl, 1)
+    assert not geo.certified
+    assert geo.mode == "saddle" and geo.alpha_tilde == -np.inf
+    rep = linking_search(sys, nl, 1)
+    assert rep.status == "geometry_violation" and not rep.converged
+    assert "not below lambda_2" in rep.message
+
+
+def test_superlinear_probe_refuses_a_slope_below_lambda_k():
+    # slope 5 < lambda_1: the ground level, not level 1; the sampled
+    # half-cylinder boundary misses where J > 0 near the origin along u_1
+    sys = build_system(build_mesh(0.0, 1.0, 32), 0.5, 0.0)
+    assert solve_pencil(sys, 1).lambdas[0] > 5.0
+    geo = verify_geometry(sys, PowerPerturbed(5.0, 4.0), 1)
+    assert not geo.certified and geo.mode == "linking"
+    rep = linking_search(sys, PowerPerturbed(5.0, 4.0), 1)
+    assert rep.status == "geometry_violation"
+    assert "is not above lambda_1" in rep.message
+    # the ground level itself is still probed
+    assert verify_geometry(sys, PowerPerturbed(5.0, 4.0), 0).certified
+
+
+def _peak_setup(k):
+    # slope between lambda_k and lambda_{k+1}; W = [u_1..u_k, u_{k+1}].  The
+    # cubic's weight 1 + x breaks the mirror symmetry of the mesh, so the
+    # peak has components along every column of W, not only the ray
+    sys = build_system(build_mesh(0.0, 1.0, 16), 0.5, 0.0)
+    lambdas, U, V = solvers._splitting(sys, k)
+    lam = 0.5 * (lambdas[k - 1] + lambdas[k])
+    nl = Custom(
+        lambda x, t: lam * t + (1.0 + x) * t**3,
+        lambda x, t: 0.5 * lam * t**2 + 0.25 * (1.0 + x) * t**4,
+        lambda x, t: lam + 3.0 * (1.0 + x) * t**2,
+    )
+    return sys, nl, np.column_stack([U, V[:, 0]])
+
+
+def _reduced(sys, nl, W, c):
+    u = FeField(W @ c, sys.mesh)
+    return W.T @ J_gradient(sys, nl, u).coeffs, W.T @ J_hessian(sys, nl, u) @ W
+
+
+@pytest.mark.parametrize("k, points", [(1, 241), (2, 41)])
+def test_newton_peak_is_the_maximum_over_the_span(k, points):
+    sys, nl, W = _peak_setup(k)
+    c0 = np.zeros(k + 1)
+    c0[-1] = 1.0
+    c, val = solvers._peak(sys, nl, W, c0)
+    g, H = _reduced(sys, nl, W, c)
+    assert np.max(np.abs(g)) <= 1e-10
+    assert np.max(np.linalg.eigvalsh(H)) < 0.0
+    assert val == pytest.approx(J_eval(sys, nl, FeField(W @ c, sys.mesh)), rel=1e-14)
+    # J is even, so the grid takes the ray coefficient nonnegative
+    axes = [np.linspace(-6.0, 6.0, points)] * k + [np.linspace(0.0, 6.0, points)]
+    grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, k + 1)
+    assert np.all(np.max(np.abs(grid), axis=0) > np.abs(c))  # the grid encloses the peak
+    best = max(
+        float(np.max(J_values(sys, nl, grid[i:i + 4096] @ W.T)))
+        for i in range(0, len(grid), 4096)
+    )
+    assert val >= best - 1e-10 * abs(best)
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_newton_peak_from_near_zero_reaches_the_same_peak(k):
+    # near 0 the reduced Hessian is A - lam M on the span, indefinite
+    # because the slope lies between lambda_k and lambda_{k+1}
+    sys, nl, W = _peak_setup(k)
+    c_near = np.full(k + 1, 1e-3)
+    assert np.max(np.linalg.eigvalsh(_reduced(sys, nl, W, c_near)[1])) > 0.0
+    c0 = np.zeros(k + 1)
+    c0[-1] = 1.0
+    c_ref, val_ref = solvers._peak(sys, nl, W, c0)
+    c, val = solvers._peak(sys, nl, W, c_near)
+    assert val == pytest.approx(val_ref, rel=1e-12)
+    assert np.allclose(c, c_ref, rtol=0.0, atol=1e-8 * np.max(np.abs(c_ref)))
+    assert c[-1] >= 0.0

@@ -179,6 +179,14 @@ def test_bound_checks_random(spec64_neg5, sys64_neg5):
     assert rep.max_violation <= 1e-9
 
 
+def test_bound_checks_need_an_upper_side(spec64_neg5, sys64_neg5):
+    # at k = 0 the upper side is empty and lambda_k would wrap to the last
+    # computed eigenvalue; k = count leaves no lower side
+    for k in (0, -1, spec64_neg5.count):
+        with pytest.raises(ValueError, match="1 <= k"):
+            bound_checks(spec64_neg5, sys64_neg5, k)
+
+
 def test_garding_zero_for_nonnegative_alpha(mesh64):
     assert garding_constant(build_system(mesh64, 0.5, 0.0)) == 0.0
     assert garding_constant(build_system(mesh64, 0.5, 2.0)) == 0.0
