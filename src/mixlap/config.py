@@ -14,6 +14,7 @@ rejected):
 from __future__ import annotations
 
 import configparser
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -67,6 +68,13 @@ class RunConfig:
     directory: str = "mixlap-out"
 
     def validate(self) -> None:
+        for section, keys in _SCHEMA.items():
+            for key, kind in keys.items():
+                value = getattr(self, _FIELDS.get(key, key))
+                if kind is float and not math.isfinite(value):
+                    raise ConfigError(f"{section}: {key} must be finite, got {value}")
+        if not all(map(math.isfinite, self.alpha)):
+            raise ConfigError(f"operator: alpha must be finite, got {list(self.alpha)}")
         if not self.b > self.a:
             raise ConfigError(f"domain: need b > a, got a={self.a}, b={self.b}")
         if self.n_elem < 2:

@@ -13,15 +13,19 @@ hands it to its probe.
 Search strategies:
 
 * asymptotically linear model: direct resolvent solve with a resonance guard;
-* superlinear model, ground level: path deformation (steepest descent of the
-  path maximum along a discretized path from zero to a negative-energy
-  endpoint), then Newton;
-* superlinear model, higher levels: peak-selection minimax over the splitting
-  span(u_1..u_k) + ray, with an outer descent on the ray direction, then
-  Newton.  Each peak is found by Newton on the k + 1 coefficients of the
-  span, with the reduced gradient W^T J'(W c) and Hessian W^T J''(W c) W,
-  falling back to the reduced gradient where that Hessian is not negative
-  definite; one ``J_values`` block ranks the backtracking steps.
+* superlinear model, every level k: one peak-selection minimax engine
+  (Li & Zhou, SIAM J. Sci. Comput. 23, 2001).  For a ray direction v in the
+  complement of span(u_1..u_k), the peak maximizes J over span(u_1..u_k, v);
+  the engine descends v along the Riesz gradient of J at the peak, with one
+  early-Newton gate: Newton refinement and the certificate are tried once
+  the gradient norm has dropped to a fixed fraction of its first value, and
+  the gate is quartered whenever they fail.  The mountain pass is the k = 0
+  case, started from u_1 once the ground-level geometry is checked; the
+  linking search starts from u_{k+1} once its probe certifies the geometry.
+  Each peak is found by Newton on the k + 1 coefficients of the span, with
+  the reduced gradient W^T J'(W c) and Hessian W^T J''(W c) W, falling back
+  to the reduced gradient where that Hessian is not negative definite; one
+  ``J_values`` block ranks the backtracking steps.
 """
 
 from __future__ import annotations
@@ -68,10 +72,9 @@ class ResonanceError(RuntimeError):
     """The requested linear level sits on (or too close to) an eigenvalue."""
 
 
-# mountain pass and linking search
-PATH_NODES = 41  # nodes of the discretized mountain-pass path
+# peak-selection minimax
 T_MAX = 1e3  # largest multiple of u_1 tried as the negative-energy endpoint
-BLOWUP_BOUND = 1e6  # X-norm guard on the path and peak iterates
+BLOWUP_BOUND = 1e6  # X-norm guard on the peak iterates
 NEWTON_MAX_ITER = 40
 NEWTON_TOL = 1e-12
 NEWTON_GATE_FACTOR = 0.25  # early-Newton trigger relative to the first gradient
@@ -277,29 +280,8 @@ def newton_refine(
 
 
 # ---------------------------------------------------------------------------
-# mountain pass
+# search reports
 # ---------------------------------------------------------------------------
-
-
-def _reparameterize(sys: OperatorSystem, path: np.ndarray, n_nodes: int) -> np.ndarray:
-    """Resample the polyline to n_nodes equal arclength steps in the K norm."""
-    seg = _x_norms(sys, np.diff(path, axis=0))
-    arc = np.concatenate([[0.0], np.cumsum(seg)])
-    total = arc[-1]
-    if total == 0.0:
-        return path.copy()
-    targets = np.linspace(0.0, total, n_nodes)
-    out = np.empty((n_nodes, path.shape[1]))
-    j = 0
-    for i, t in enumerate(targets):
-        while j < len(seg) - 1 and arc[j + 1] < t:
-            j += 1
-        denom = max(arc[j + 1] - arc[j], 1e-300)
-        w = (t - arc[j]) / denom
-        out[i] = (1.0 - w) * path[j] + w * path[j + 1]
-    out[0] = path[0]
-    out[-1] = path[-1]
-    return out
 
 
 def _geometry_failure(
@@ -346,108 +328,6 @@ def _certify(
         path_history=hist,
         geometry=geometry,
     )
-
-
-def mountain_pass(sys: OperatorSystem, nl, cfg: SolverConfig | None = None) -> CriticalPointReport:
-    """Path-deformation search for a positive-level critical point.
-
-    Requires the slope of f at zero to sit strictly below the first pencil
-    eigenvalue (checked via a sampled slope estimate); otherwise a geometry
-    violation report is returned without searching.  A discrete path from 0
-    to a negative-energy endpoint along the first eigenfield is deformed by
-    steepest descent of its maximal node (backtracking guarantees the path
-    maximum decreases), re-parameterized by arclength each iteration, and the
-    final maximal node is Newton-refined.
-    """
-    cfg = cfg or SolverConfig()
-    spec = solve_pencil(sys, m=min(sys.ndof, 2))
-    lam1 = float(spec.lambdas[0])
-    theta = _slope_at_zero(sys, nl)
-    if theta.diverged or theta.inconclusive:
-        return _geometry_failure(sys, "slope estimate at zero is unreliable: " + (
-            "diverged" if theta.diverged else "inconclusive"))
-    if not theta.upper < lam1:
-        return _geometry_failure(
-            sys,
-            f"slope at zero {theta.upper:.6g} is not below the first eigenvalue "
-            f"{lam1:.6g}; ground-level geometry fails",
-        )
-
-    u1 = spec.vectors[:, 0]
-    u1 = u1 / _x_norm(sys, u1)
-    t = 1.0
-    endpoint = None
-    while t <= T_MAX:
-        if J_eval(sys, nl, FeField(t * u1, sys.mesh)) < 0.0:
-            endpoint = t * u1
-            break
-        t *= 2.0
-    if endpoint is None:
-        return _geometry_failure(
-            sys, f"no negative-energy endpoint along the first eigenfield up to t={T_MAX:g}"
-        )
-
-    path = np.linspace(0.0, 1.0, PATH_NODES)[:, None] * endpoint[None, :]
-    hist: list[tuple[int, float, float]] = []
-    status = "max_iterations"
-    message = ""
-    sigma0 = 1.0
-    m_idx = 0
-    radius = _x_norm(sys, endpoint)
-    newton_gate = math.inf
-    for it in range(cfg.max_iter):
-        jvals = J_values(sys, nl, path)
-        m_idx = int(np.argmax(jvals))
-        if m_idx in (0, PATH_NODES - 1):
-            status = "geometry_violation"
-            message = "path maximum collapsed to an endpoint; minimax level is not positive"
-            break
-        if np.max(_x_norms(sys, path)) > BLOWUP_BOUND:
-            status = "blowup"
-            message = "path iterate exceeded the boundedness guard"
-            break
-        g = J_gradient(sys, nl, FeField(path[m_idx], sys.mesh)).coeffs
-        gd = _riesz(sys, g)
-        gn = math.sqrt(max(0.0, float(g @ gd)))
-        if newton_gate is math.inf:
-            newton_gate = NEWTON_GATE_FACTOR * gn
-        if gn <= 10.0 * cfg.tol or gn <= newton_gate:
-            # the path maximum looks localized: try to certify it right away
-            rep = _certify(sys, nl, path[m_idx], cfg, radius, hist, status, message)
-            if rep.converged:
-                return rep
-            newton_gate *= 0.25
-            if gn <= 10.0 * cfg.tol:
-                status = "stagnation"
-                message = "descent converged but Newton refinement did not certify"
-                hist.append((it, float(jvals[m_idx]), gn))
-                break
-        # accept a step only when the re-parameterized path's maximum drops:
-        # this makes the recorded minimax level monotone by construction
-        sigma = sigma0
-        accepted = False
-        j_max_old = float(jvals[m_idx])
-        while sigma >= 2.0**-30:
-            trial = path.copy()
-            trial[m_idx] = path[m_idx] - sigma * gd
-            trial = _reparameterize(sys, trial, PATH_NODES)
-            j_trial = float(np.max(J_values(sys, nl, trial)))
-            if j_trial < j_max_old - 1e-4 * sigma * gn * gn:
-                path = trial
-                accepted = True
-                break
-            sigma *= 0.5
-        if not accepted:
-            status = "stagnation"
-            message = f"descent stalled with gradient norm {gn:.3e}"
-            hist.append((it, j_max_old, gn))
-            break
-        sigma0 = min(1.0, sigma * 4.0)
-        hist.append((it, float(j_trial), gn))
-
-    if status in ("geometry_violation", "blowup"):
-        return _geometry_failure(sys, message, status, hist)
-    return _certify(sys, nl, path[m_idx], cfg, radius, hist, status, message)
 
 
 # ---------------------------------------------------------------------------
@@ -693,7 +573,7 @@ def coercivity_gap(sys: OperatorSystem, theta_bar, k: int) -> float:
 
 
 # ---------------------------------------------------------------------------
-# linking search (peak selection minimax)
+# peak-selection minimax: mountain pass (k = 0) and linking search (k >= 1)
 # ---------------------------------------------------------------------------
 
 
@@ -741,18 +621,127 @@ def _peak(
     return c, val
 
 
+def _minimax(
+    sys: OperatorSystem, nl, U: np.ndarray, v: np.ndarray, cfg: SolverConfig, radius: float,
+    message: str = "", geometry=None,
+) -> CriticalPointReport:
+    """Peak-selection minimax over span(U, v): the columns of U are the
+    first k eigenfields and v, M-orthogonal to them, starts the ray.
+
+    Each iteration takes the peak of J over span(U, v) (``_peak``, warm
+    started from the last one) and descends v along the Riesz gradient of J
+    at the peak, projected off span(U) and M-normalized; a step is kept only
+    when the new peak is lower, so the recorded levels decrease.  Once the
+    gradient norm at the peak is at most ``NEWTON_GATE_FACTOR`` times its
+    first value, or at most 10 tol, the peak is Newton-refined and certified
+    (``_certify``); a failed certificate quarters the gate.  A peak whose X
+    norm exceeds ``BLOWUP_BOUND`` stops the search.  History rows are
+    (iteration, peak level, gradient norm).
+    """
+    M = sys.M
+    v = v / math.sqrt(float(v @ M @ v))
+    W = np.column_stack([U, v])
+    c = np.zeros(W.shape[1])
+    c[-1] = 1.0
+    c, peak_val = _peak(sys, nl, W, c)
+    hist: list[tuple[int, float, float]] = []
+    status = "max_iterations"
+    sigma0 = 1.0
+    gate = math.inf
+    for it in range(cfg.max_iter):
+        p = W @ c
+        g = J_gradient(sys, nl, FeField(p, sys.mesh)).coeffs
+        gd = _riesz(sys, g)
+        gn = math.sqrt(max(0.0, float(g @ gd)))
+        hist.append((it, peak_val, gn))
+        if _x_norm(sys, p) > BLOWUP_BOUND:
+            return _geometry_failure(
+                sys, "peak iterate exceeded the boundedness guard", "blowup", hist, geometry
+            )
+        if it == 0:
+            gate = NEWTON_GATE_FACTOR * gn
+        if gn <= 10.0 * cfg.tol or gn <= gate:
+            # the peak looks localized: try to certify it right away
+            rep = _certify(sys, nl, p, cfg, radius, hist, "not_certified", message, geometry)
+            if rep.converged or gn <= 10.0 * cfg.tol:
+                return rep
+            gate *= 0.25
+        sigma = sigma0
+        accepted = False
+        while sigma >= 2.0**-30:
+            v_try = v - sigma * gd
+            v_try -= U @ (U.T @ (M @ v_try))
+            nv = math.sqrt(max(float(v_try @ M @ v_try), 0.0))
+            if nv <= 0.0:
+                sigma *= 0.5
+                continue
+            v_try /= nv
+            W_try = np.column_stack([U, v_try])
+            c_try, val_try = _peak(sys, nl, W_try, c)
+            if val_try < peak_val - 1e-14:
+                v, W, c, peak_val = v_try, W_try, c_try, val_try
+                accepted = True
+                break
+            sigma *= 0.5
+        if not accepted:
+            status = "stagnation"
+            message = (message + "; " if message else "") + (
+                f"descent stalled with gradient norm {gn:.3e}"
+            )
+            break
+        sigma0 = min(1.0, sigma * 4.0)
+    return _certify(sys, nl, W @ c, cfg, radius, hist, status, message, geometry)
+
+
+def mountain_pass(sys: OperatorSystem, nl, cfg: SolverConfig | None = None) -> CriticalPointReport:
+    """Ground-level critical point: the peak-selection minimax at k = 0.
+
+    Requires the slope of f at zero to sit strictly below the first pencil
+    eigenvalue (checked via a sampled slope estimate), and J to turn
+    negative along the first eigenfield u_1 within ``T_MAX`` times its X
+    norm; otherwise a geometry violation report is returned without
+    searching.  ``_minimax`` then runs with no fixed eigenfields from the
+    ray of u_1: each peak is the maximum of J along one ray, the top of the
+    mountain-pass path from 0 through it.
+    """
+    cfg = cfg or SolverConfig()
+    spec = solve_pencil(sys, m=min(sys.ndof, 2))
+    lam1 = float(spec.lambdas[0])
+    theta = _slope_at_zero(sys, nl)
+    if theta.diverged or theta.inconclusive:
+        return _geometry_failure(sys, "slope estimate at zero is unreliable: " + (
+            "diverged" if theta.diverged else "inconclusive"))
+    if not theta.upper < lam1:
+        return _geometry_failure(
+            sys,
+            f"slope at zero {theta.upper:.6g} is not below the first eigenvalue "
+            f"{lam1:.6g}; ground-level geometry fails",
+        )
+
+    u1 = spec.vectors[:, 0]
+    x1 = u1 / _x_norm(sys, u1)
+    t = 1.0
+    while J_eval(sys, nl, FeField(t * x1, sys.mesh)) >= 0.0:
+        t *= 2.0
+        if t > T_MAX:
+            return _geometry_failure(
+                sys, f"no negative-energy endpoint along the first eigenfield up to t={T_MAX:g}"
+            )
+    return _minimax(sys, nl, np.empty((sys.ndof, 0)), u1, cfg, t)
+
+
 def linking_search(
     sys: OperatorSystem, nl, k: int, cfg: SolverConfig | None = None
 ) -> CriticalPointReport:
     """Minimax search over deformations of the spectral half-cylinder.
 
-    The deformed surface is represented through peak selection: for a ray
-    direction v in the complement, the inner stage maximizes J over
-    span(u_1..u_k, v); the outer stage descends the ray direction along the
-    Riesz gradient of J at the peak.  The converged peak is Newton-refined
-    and certified like the ground-level search.  Requires the geometry probe
-    to certify the linking (or saddle) structure first; every report carries
-    that probe as ``geometry``; the probe draws from ``cfg.seed``.
+    Requires the geometry probe to certify the linking (or saddle) structure
+    first; every report carries that probe as ``geometry``, and the probe
+    draws from ``cfg.seed``.  ``_minimax`` then runs with the first k
+    eigenfields fixed from the ray of u_{k+1}; at k = 0 that is the search
+    of ``mountain_pass``.  Raises ``ValueError`` for the affine kind once its
+    geometry is certified: J is unbounded above along the ray, so there is
+    no peak to select, and its saddle point is the resolvent solve.
     """
     cfg = cfg or SolverConfig()
     lambdas, U, V = _splitting(sys, k)
@@ -767,71 +756,18 @@ def linking_search(
             )),
             geometry=geometry,
         )
+    if isinstance(nl, AffineLinear):
+        raise ValueError(
+            "the affine kind has no peak to select (J is unbounded above along the ray); "
+            "its critical point is the resolvent solve of solve-linear"
+        )
 
-    M = sys.M
-    v = V[:, 0].copy()
-    v /= math.sqrt(float(v @ M @ v))
-
-    resonance_note = ""
+    message = ""
     if k >= 1 and not theta.diverged and not theta.inconclusive:
         lam_k = float(lambdas[k - 1])
         if abs(theta.lower - lam_k) <= 1e-8 * (1.0 + abs(lam_k)):
-            resonance_note = (
+            message = (
                 f"slope at zero touches eigenvalue k={k} (boundary resonance); "
                 "search proceeds but the level may be degenerate"
             )
-
-    def project_out_U(w):
-        if k == 0:
-            return w
-        return w - U @ (U.T @ (M @ w))
-
-    c = np.zeros(k + 1)
-    c[-1] = 1.0
-    W = np.column_stack([U, v]) if k else v[:, None]
-    c, peak_val = _peak(sys, nl, W, c)
-    hist: list[tuple[int, float, float]] = []
-    status = "max_iterations"
-    message = resonance_note
-    sigma0 = 1.0
-    p_coeffs = W @ c
-    for it in range(cfg.max_iter):
-        g = J_gradient(sys, nl, FeField(p_coeffs, sys.mesh)).coeffs
-        gd = _riesz(sys, g)
-        gn = math.sqrt(max(0.0, float(g @ gd)))
-        hist.append((it, peak_val, gn))
-        if gn <= 10.0 * cfg.tol:
-            status = "not_certified"
-            break
-        if _x_norm(sys, p_coeffs) > BLOWUP_BOUND:
-            status = "blowup"
-            message = "peak iterate exceeded the boundedness guard"
-            break
-        sigma = sigma0
-        accepted = False
-        while sigma >= 2.0**-30:
-            v_try = project_out_U(v - sigma * gd)
-            nv = math.sqrt(max(float(v_try @ M @ v_try), 0.0))
-            if nv <= 0.0:
-                sigma *= 0.5
-                continue
-            v_try /= nv
-            W_try = np.column_stack([U, v_try]) if k else v_try[:, None]
-            c_try, val_try = _peak(sys, nl, W_try, c)
-            if val_try < peak_val - 1e-14:
-                v, W, c, peak_val = v_try, W_try, c_try, val_try
-                p_coeffs = W @ c
-                accepted = True
-                break
-            sigma *= 0.5
-        if not accepted:
-            status = "stagnation"
-            message = (message + "; " if message else "") + (
-                f"outer descent stalled with gradient norm {gn:.3e}"
-            )
-            break
-        sigma0 = min(1.0, sigma * 4.0)
-
-    if status == "blowup":
-        return _geometry_failure(sys, message, status, hist, geometry)
-    return _certify(sys, nl, p_coeffs, cfg, geometry.rho_small, hist, status, message, geometry)
+    return _minimax(sys, nl, U, V[:, 0], cfg, geometry.rho_small, message, geometry)

@@ -206,6 +206,19 @@ def test_affine_linking_at_level_zero_reports_error(tmp_path):
     assert "needs k >= 1" in err["error"]["message"]
 
 
+def test_affine_linking_with_certified_saddle_reports_error(tmp_path):
+    # lambda_1 < 25 < lambda_2 certifies the saddle geometry at k = 1, but J
+    # of the affine kind is unbounded above along the ray: no peak to select
+    cfg = RunConfig(
+        n_elem=32, alpha=(0.0,), kind="affine_linear", lam=25.0, a_const=1.0, m=5, k=1,
+        directory=str(tmp_path / "lk"),
+    )
+    assert run(cfg, "linking") == 1
+    err = json.loads((tmp_path / "lk" / "error.json").read_text())
+    assert err["error"]["type"] == "ValueError"
+    assert "solve-linear" in err["error"]["message"]
+
+
 def test_audit_with_one_eigenpair_checks_the_indefinite_side(tmp_path):
     # m = 1 computes only lambda_1 < 0; the check past the threshold solves
     # every eigenpair, so it still finds the first positive one
@@ -231,6 +244,34 @@ def test_broken_config_no_artifacts(tmp_path):
         ]
     )
     assert code == 2
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "replace, flags",
+    [
+        (None, ["--tol", "nan"]),
+        (None, ["--tol", "inf"]),
+        (("b = 1", "b = inf"), []),
+        (("alpha = -5", "alpha = nan"), []),
+        (("alpha = -5", "alpha = -inf:0:3"), []),
+        (("alpha = -5", "alpha = -5\n[nonlinearity]\nlambda = nan"), []),
+        (("alpha = -5", "alpha = -5\n[nonlinearity]\np = inf"), []),
+        (("alpha = -5", "alpha = -5\n[solver]\nthreshold_tol = inf"), []),
+        (("alpha = -5", "alpha = -5\n[solver]\nbracket_lo = -inf"), []),
+    ],
+    ids=[
+        "tol-nan", "tol-inf", "b-inf", "alpha-nan", "alpha-grid-inf", "lambda-nan", "p-inf",
+        "threshold_tol-inf", "bracket_lo-inf",
+    ],
+)
+def test_non_finite_config_values_are_config_errors(tmp_path, replace, flags):
+    out = tmp_path / "never"
+    text = MINIMAL.replace("n_elem = 64", "n_elem = 16")
+    if replace:
+        text = text.replace(*replace)
+    cfg = write_cfg(tmp_path / "c.ini", text)
+    assert main(["threshold", "--config", str(cfg), "--out", str(out), *flags]) == 2
     assert not out.exists()
 
 

@@ -356,7 +356,17 @@ def test_linking_reduces_to_mountain_pass(sys64_zero):
     mp = mountain_pass(sys64_zero, nl, SolverConfig(tol=1e-8))
     lk = linking_search(sys64_zero, nl, 0, SolverConfig(tol=1e-8))
     assert mp.converged and lk.converged
-    assert abs(mp.J_value - lk.J_value) <= 1e-6
+    # both run the one minimax engine from the same u_1
+    assert np.array_equal(mp.u.coeffs, lk.u.coeffs)
+    assert mp.J_value == lk.J_value
+
+
+def test_linking_level_two(sys64_zero):
+    lambdas = solve_pencil(sys64_zero, 3).lambdas
+    nl = PowerPerturbed(0.5 * (lambdas[1] + lambdas[2]), 4.0)
+    rep = linking_search(sys64_zero, nl, 2, SolverConfig(tol=1e-8))
+    assert rep.converged and rep.iterations <= 20
+    assert abs(rep.J_value - 101.21020264920901) <= 1e-10
 
 
 def test_linking_geometry_not_certified_reported(sys64_zero):
