@@ -20,7 +20,6 @@ from dataclasses import asdict, dataclass
 from typing import Optional
 
 import numpy as np
-from scipy import linalg
 
 from .assembly import OperatorSystem
 from .mesh import FeField
@@ -71,10 +70,7 @@ class YoungSplitReport:
 def embedding_constant(sys: OperatorSystem) -> ConstantEstimate:
     """Sharp discrete constant of [u]_s^2 <= C |u|_X^2: the top eigenvalue of
     (S, K).  Nondecreasing under refinement (nested subspaces)."""
-    n = sys.ndof
-    w, v = linalg.eigh(sys.S, sys.K, subset_by_index=[n - 1, n - 1])
-    value = float(w[0])
-    vec = v[:, 0]
+    value, vec = sys.sine.eigh(0.0, 1.0, 1.0, 0.0, which="top")
     lead = int(np.argmax(np.abs(vec)))
     if vec[lead] < 0:
         vec = -vec
@@ -88,9 +84,7 @@ def embedding_constant(sys: OperatorSystem) -> ConstantEstimate:
 
 
 def _interp_ratio(sys: OperatorSystem, c: np.ndarray) -> float:
-    qs = float(c @ sys.S @ c)
-    qm = float(c @ sys.M @ c)
-    qh = float(c @ (sys.K + sys.M) @ c)
+    qs, qm, qh = (float(c @ X @ c) for X in (sys.S, sys.M, sys.K + sys.M))
     return qs / (qm ** (1.0 - sys.s) * qh**sys.s)
 
 
@@ -110,27 +104,21 @@ def interpolation_constant(sys: OperatorSystem, seed: int = 0) -> ConstantEstima
     H = sys.K + sys.M
 
     starts = [rng.standard_normal(n) for _ in range(64)]
-    for pencil in ((sys.S, sys.K), (sys.S, sys.M)):
-        w, v = linalg.eigh(*pencil)
-        starts.append(v[:, -1])
+    for p, q in ((1.0, 0.0), (0.0, 1.0)):  # the pencils (S, K) and (S, M)
+        starts.append(sys.sine.eigh(0.0, 1.0, p, q, which="top")[1])
     # every stationary point of the quotient solves S u = a M u + b H u for
     # self-consistent (a, b): sweep the pencil family and iterate to a fixed
-    # point, which reliably reaches the global ridge the random starts miss
+    # point, which reliably reaches the global ridge the random starts miss;
+    # with H = K + M each pencil (S, a M + b H) is (S, b K + (a + b) M)
     for theta in np.logspace(-6.0, 6.0, 13):
-        c = linalg.eigh(sys.S, sys.M + theta * H)[1][:, -1]
+        c = sys.sine.eigh(0.0, 1.0, theta, 1.0 + theta, which="top")[1]
         for _ in range(60):
-            qs = float(c @ sys.S @ c)
-            qm = float(c @ sys.M @ c)
-            qh = float(c @ H @ c)
-            a = (1.0 - s) * qs / qm
-            b = s * qs / qh
-            c_new = linalg.eigh(sys.S, a * sys.M + b * H)[1][:, -1]
-            if abs(_interp_ratio(sys, c_new) - _interp_ratio(sys, c)) < 1e-14 * max(
-                1.0, _interp_ratio(sys, c)
-            ):
-                c = c_new
+            qs, qm, qh = (float(c @ X @ c) for X in (sys.S, sys.M, H))
+            a, b = (1.0 - s) * qs / qm, s * qs / qh
+            old = _interp_ratio(sys, c)
+            c = sys.sine.eigh(0.0, 1.0, b, a + b, which="top")[1]
+            if abs(_interp_ratio(sys, c) - old) < 1e-14 * max(1.0, old):
                 break
-            c = c_new
         starts.append(c)
 
     best_val = -math.inf
@@ -141,9 +129,7 @@ def interpolation_constant(sys: OperatorSystem, seed: int = 0) -> ConstantEstima
         val = _interp_ratio(sys, c)
         val0 = val
         for _ in range(400):
-            qs = float(c @ sys.S @ c)
-            qm = float(c @ sys.M @ c)
-            qh = float(c @ H @ c)
+            qs, qm, qh = (float(c @ X @ c) for X in (sys.S, sys.M, H))
             # gradient of log R
             g = 2.0 * (sys.S @ c) / qs - 2.0 * (1.0 - s) * (sys.M @ c) / qm - 2.0 * s * (H @ c) / qh
             gn = np.linalg.norm(g)
@@ -168,9 +154,7 @@ def interpolation_constant(sys: OperatorSystem, seed: int = 0) -> ConstantEstima
             best_val, best_c = val, c
 
     # stationarity residual of the scale-free quotient at the winner
-    qs = float(best_c @ sys.S @ best_c)
-    qm = float(best_c @ sys.M @ best_c)
-    qh = float(best_c @ H @ best_c)
+    qs, qm, qh = (float(best_c @ X @ best_c) for X in (sys.S, sys.M, H))
     g = 2.0 * (sys.S @ best_c) / qs - 2.0 * (1.0 - s) * (sys.M @ best_c) / qm - 2.0 * s * (H @ best_c) / qh
     lead = int(np.argmax(np.abs(best_c)))
     if best_c[lead] < 0:

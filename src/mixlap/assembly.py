@@ -35,9 +35,7 @@ from .mesh import FeField, MeshInterval
 
 __all__ = [
     "OperatorSystem",
-    "parity_blocks",
-    "parity_lift",
-    "extreme_eigenvalue",
+    "SineBasis",
     "assemble_local_stiffness",
     "assemble_mass",
     "assemble_gagliardo",
@@ -56,26 +54,22 @@ def _check_s(s: float) -> float:
     return s
 
 
+def _tridiagonal(n: int, a: float, b: float) -> np.ndarray:
+    """Dense tridiag(b, a, b) of order n."""
+    X = np.zeros((n, n))
+    np.fill_diagonal(X, a)
+    X[np.arange(n - 1), np.arange(1, n)] = X[np.arange(1, n), np.arange(n - 1)] = b
+    return X
+
+
 def assemble_local_stiffness(mesh: MeshInterval) -> np.ndarray:
     """Exact P1 stiffness matrix (1/h) * tridiag(-1, 2, -1)."""
-    n = mesh.ndof
-    K = np.zeros((n, n))
-    np.fill_diagonal(K, 2.0 / mesh.h)
-    off = -1.0 / mesh.h
-    K[np.arange(n - 1), np.arange(1, n)] = off
-    K[np.arange(1, n), np.arange(n - 1)] = off
-    return K
+    return _tridiagonal(mesh.ndof, 2.0 / mesh.h, -1.0 / mesh.h)
 
 
 def assemble_mass(mesh: MeshInterval) -> np.ndarray:
     """Exact P1 mass matrix (h/6) * tridiag(1, 4, 1)."""
-    n = mesh.ndof
-    M = np.zeros((n, n))
-    np.fill_diagonal(M, 4.0 * mesh.h / 6.0)
-    off = mesh.h / 6.0
-    M[np.arange(n - 1), np.arange(1, n)] = off
-    M[np.arange(1, n), np.arange(n - 1)] = off
-    return M
+    return _tridiagonal(mesh.ndof, 4.0 * mesh.h / 6.0, mesh.h / 6.0)
 
 
 # delta^4 = (2 sinh(D/2))^4 = D^4 sum_j a_j D^(2j), where a_j are the Taylor
@@ -123,61 +117,83 @@ def assemble_gagliardo(mesh: MeshInterval, s: float) -> np.ndarray:
     return linalg.toeplitz(mesh.h ** (1.0 - 2.0 * s) * _gagliardo_column(s, np.arange(mesh.ndof)))
 
 
-def parity_blocks(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Even and odd blocks of a centrosymmetric matrix (J X J = X, J the flip).
-
-    With p = n // 2 the blocks are X11 + X12 J and X11 - X12 J, the top-left
-    p x p corner and its neighbour reflected.  For odd n the middle node
-    joins the even block, coupled by sqrt(2) X[:p, p].  The orthogonal change
-    of basis in ``parity_lift`` takes X to diag(even, odd) (Cantoni & Butler,
-    Linear Algebra Appl. 13, 1976), so a pencil of two such matrices splits
-    into two pencils of half size.  Raises ``ValueError`` unless J X J = X
-    holds exactly.
-    """
-    if not np.array_equal(X, X[::-1, ::-1]):
-        raise ValueError("matrix is not centrosymmetric: the parity split does not apply")
+def _sine_diagonal(X: np.ndarray, name: str) -> np.ndarray:
+    """Eigenvalues a + 2 b cos(j pi/(n+1)), j = 1..n, of X = tridiag(b, a, b) in
+    the order of the sine modes; ``ValueError`` unless X is exactly that."""
     n = X.shape[0]
-    p = n // 2
-    corner, reflected = X[:p, :p], X[:p, ::-1][:, :p]
-    odd = corner - reflected
-    if n % 2 == 0:
-        return corner + reflected, odd
-    even = np.empty((p + 1, p + 1))
-    even[:p, :p] = corner + reflected
-    even[:p, p] = even[p, :p] = math.sqrt(2.0) * X[:p, p]
-    even[p, p] = X[p, p]
-    return even, odd
+    diag, upper, lower = np.diag(X), np.diag(X, 1), np.diag(X, -1)
+    a, b = diag[0], upper[0] if n > 1 else 0.0
+    banded = np.count_nonzero(X) == np.count_nonzero(diag) + 2 * np.count_nonzero(upper)
+    if not (banded and np.all(diag == a) and np.all(upper == b) and np.all(lower == b)):
+        raise ValueError(f"{name} is not tridiagonal Toeplitz: the sine basis does not diagonalize it")
+    return a + 2.0 * b * np.cos(np.arange(1, n + 1) * (math.pi / (n + 1)))
 
 
-def parity_lift(ve: np.ndarray, vo: np.ndarray, n: int) -> np.ndarray:
-    """Full-length columns [even | odd] of the block vectors ``ve`` and ``vo``.
+class SineBasis:
+    """K, S and M in the orthonormal DST-I basis Q_jk = sqrt(2/(n+1)) sin(jk pi/(n+1)).
 
-    An even column is (x, [m,] J x) / sqrt(2) with the middle entry m = ve[p]
-    unscaled for odd n; an odd column is (x, [0,] -J x) / sqrt(2).  The map is
-    orthogonal, so the lifted columns keep the blocks' M-orthonormality.
+    Q is symmetric and diagonalizes every symmetric tridiagonal Toeplitz
+    matrix, so Q K Q and Q M Q are the closed-form diagonals ``k`` and ``m``.
+    For a symmetric Toeplitz S, Q S Q couples no odd mode index j with an
+    even one (the tau-algebra view, Bini & Di Benedetto, SPAA 1990), so only
+    its two half-size blocks are kept: ``blocks[0]`` on the modes j = 1, 3,
+    ... (even under the flip of the nodes) and ``blocks[1]`` on j = 2, 4, ...
     """
-    p = n // 2
-    r = math.sqrt(0.5)
-    ke = ve.shape[1]
-    out = np.zeros((n, ke + vo.shape[1]))
-    out[:p, :ke] = r * ve[:p]
-    out[n - p :, :ke] = r * ve[:p][::-1]
-    out[:p, ke:] = r * vo
-    out[n - p :, ke:] = -r * vo[::-1]
-    if n % 2:
-        out[p, :ke] = ve[p]
-    return out
 
+    def __init__(self, K: np.ndarray, S: np.ndarray, M: np.ndarray):
+        from scipy.fft import dst  # only spectral work pays for importing scipy.fft
 
-def extreme_eigenvalue(X: np.ndarray, Y: np.ndarray, top: bool = False) -> float:
-    """Lowest (or top) eigenvalue of the centrosymmetric pencil (X, Y): the
-    min (or max) over the extreme eigenvalues of its even and odd blocks."""
-    values = []
-    for xb, yb in zip(parity_blocks(X), parity_blocks(Y)):
-        if xb.size:
-            i = xb.shape[0] - 1 if top else 0
-            values.append(float(linalg.eigh(xb, yb, eigvals_only=True, subset_by_index=[i, i])[0]))
-    return max(values) if top else min(values)
+        self.k, self.m = _sine_diagonal(K, "K"), _sine_diagonal(M, "M")
+        T = dst(dst(S, type=1, norm="ortho", axis=1), type=1, norm="ortho", axis=0, overwrite_x=True)
+        self.blocks = (T[0::2, 0::2].copy(), T[1::2, 1::2].copy())
+
+    def reduced(self, b: int, x: float, y: float, p: float, q: float) -> tuple[np.ndarray, np.ndarray]:
+        """Block b of the pencil (x K + y S, p K + q M) as the standard
+        symmetric matrix r (x D_K + y T_b) r, r = (p D_K + q D_M)^(-1/2), and r."""
+        d = p * self.k[b::2] + q * self.m[b::2]
+        if not np.all(d > 0.0):
+            raise linalg.LinAlgError("p K + q M is not positive definite")
+        r = d**-0.5
+        C = self.blocks[b] * y
+        C *= r
+        C *= r[:, None]
+        C[np.diag_indices_from(C)] += x * self.k[b::2] * r**2
+        return C, r
+
+    def eigh(self, x: float, y: float, p: float, q: float, which: str = "all"):
+        """Eigenpairs of the pencil (x K + y S, p K + q M), p K + q M positive definite.
+
+        Each block is solved by ``linalg.eigh`` as the standard problem of
+        ``reduced``; eigenvectors return to the nodes by one DST-I (its own
+        inverse), orthonormal in p K + q M.  ``which="all"`` returns every
+        eigenvalue, ascending (a stable merge of the blocks), and the
+        eigenvectors as columns; ``"low"`` or ``"top"`` returns the lowest or
+        top eigenvalue as a float and its eigenvector.
+        """
+        from scipy.fft import dst
+
+        n = self.k.size
+        parts = []  # per block: eigenvalues, eigenvectors in the block's sine coordinates
+        for b in range(min(n, 2)):  # a single node has no odd block
+            C, r = self.reduced(b, x, y, p, q)
+            i = {"all": None, "low": 0, "top": C.shape[0] - 1}[which]
+            w, z = linalg.eigh(C, **({} if i is None else {"subset_by_index": [i, i]}))
+            parts.append((w, r[:, None] * z))
+        if which != "all":
+            b = int((np.argmin if which == "low" else np.argmax)([w[0] for w, _ in parts]))
+            u = np.zeros(n)
+            u[b::2] = parts[b][1][:, 0]
+            return float(parts[b][0][0]), dst(u, type=1, norm="ortho", overwrite_x=True)
+        w = np.concatenate([w for w, _ in parts])
+        order = np.argsort(w, kind="stable")
+        # row i of U holds the i-th eigenvector's sine coordinates; the DST
+        # runs along the contiguous rows, in place
+        U = np.zeros((n, n))
+        ranks = np.split(np.argsort(order), [parts[0][0].size])
+        for b, ((_, z), rank) in enumerate(zip(parts, ranks)):
+            U[rank[:, None], np.arange(b, n, 2)] = z.T
+        del parts, z
+        return w[order], dst(U, type=1, norm="ortho", axis=1, overwrite_x=True).T
 
 
 @dataclass(eq=False)
@@ -186,7 +202,8 @@ class OperatorSystem:
 
     K is the Dirichlet stiffness, S the Gagliardo form, M the mass matrix;
     the energy pairing is B(u, v) = u^T (K + alpha S) v.  What is derived
-    from the forms (``A``, ``eigenpairs``, ``k_factor``) is kept on first use.
+    from the forms (``A``, ``sine``, ``eigenpairs``, ``k_factor``) is kept on
+    first use.
     """
 
     K: np.ndarray
@@ -206,22 +223,15 @@ class OperatorSystem:
         return self.K + self.alpha * self.S
 
     @cached_property
-    def eigenpairs(self) -> tuple[np.ndarray, np.ndarray]:
-        """All eigenpairs (w, v) of the pencil (A, M), ascending and unprocessed.
+    def sine(self) -> SineBasis:
+        """K, S and M in the sine basis; shared by every ``with_alpha`` system."""
+        return SineBasis(self.K, self.S, self.M)
 
-        The even and odd blocks of the pencil (``parity_blocks``) are solved
-        apart and merged by a stable sort of their eigenvalues; the odd block
-        of a single node is empty and is not passed to LAPACK.
-        """
-        (we, ve), (wo, vo) = (
-            linalg.eigh(a, m) if a.size else (np.empty(0), np.empty((0, 0)))
-            for a, m in zip(parity_blocks(self.A), parity_blocks(self.M))
-        )
-        w = np.concatenate([we, wo])
-        order = np.argsort(w, kind="stable")
-        v = parity_lift(ve, vo, self.ndof)
-        del ve, vo  # the column permutation below copies v; keep the peak low
-        return w[order], v[:, order]
+    @cached_property
+    def eigenpairs(self) -> tuple[np.ndarray, np.ndarray]:
+        """All eigenpairs (w, v) of the pencil (A, M), ascending and unprocessed,
+        solved in the sine basis (``SineBasis.eigh``)."""
+        return self.sine.eigh(1.0, self.alpha, 0.0, 1.0)
 
     @cached_property
     def k_factor(self) -> np.ndarray:
@@ -232,10 +242,12 @@ class OperatorSystem:
         return linalg.cholesky_banded(ab)
 
     def with_alpha(self, alpha: float) -> "OperatorSystem":
-        """Same discretization, different coupling constant (S is reused)."""
-        return OperatorSystem(
+        """Same discretization, different coupling constant (S and ``sine`` are reused)."""
+        other = OperatorSystem(
             K=self.K, S=self.S, M=self.M, alpha=float(alpha), s=self.s, mesh=self.mesh
         )
+        other.sine = self.sine
+        return other
 
 
 def build_system(mesh: MeshInterval, s: float, alpha: float) -> OperatorSystem:

@@ -82,6 +82,7 @@ PEAK_MAX_ITER = 400  # Newton steps of one peak selection
 PEAK_GTOL = 1e-12  # max-norm tolerance on the reduced gradient at a peak
 PEAK_FLAT = 1e-14  # relative J gain below which a Newton step is taken unranked
 PEAK_LADDER = 0.5 ** np.arange(40)  # trial steps of the peak's line search
+PEAK_FIRST_RUNGS = 4  # steps ranked before the rest of the ladder (the kept one, nearly always)
 
 # linking geometry probe
 RHO_GRID = tuple(float(x) for x in np.logspace(-3, 0.5, 8))  # sphere radii searched
@@ -586,10 +587,12 @@ def _peak(
     The Newton step uses the reduced gradient W^T J'(W c) and Hessian
     W^T J''(W c) W, and is taken only where that Hessian is negative
     definite; elsewhere the step is the reduced gradient, so the iteration
-    climbs past the saddle at 0 instead of settling on it.  One ``J_values``
-    block ranks the steps sigma = 2^-j; the first that raises J is kept.
-    Stops at a reduced gradient below ``PEAK_GTOL`` (max norm), when no step
-    raises J, or after a Newton step too small for J to rank, taken whole.
+    climbs past the saddle at 0 instead of settling on it.  ``J_values``
+    ranks the steps sigma = 2^-j, the first ``PEAK_FIRST_RUNGS`` in one block
+    and the rest only when none of those raises J; the first step that
+    raises J is kept.  Stops at a reduced gradient below ``PEAK_GTOL`` (max
+    norm), when no step raises J, or after a Newton step too small for J to
+    rank, taken whole.
     Returns the coefficients, ray component nonnegative, and J there.
     """
     c = np.asarray(c0, dtype=float).copy()
@@ -610,9 +613,12 @@ def _peak(
                 c = c + d
                 val = J_eval(sys, nl, FeField(W @ c, sys.mesh))
                 break
-        trials = c + PEAK_LADDER[:, None] * d
-        vals = J_values(sys, nl, _apply_rows(W, trials))
-        up = np.flatnonzero(vals > val)
+        for rungs in np.split(PEAK_LADDER, [PEAK_FIRST_RUNGS]):
+            trials = c + rungs[:, None] * d
+            vals = J_values(sys, nl, _apply_rows(W, trials))
+            up = np.flatnonzero(vals > val)
+            if up.size:
+                break
         if up.size == 0:
             break
         c, val = trials[up[0]], float(vals[up[0]])

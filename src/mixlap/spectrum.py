@@ -1,16 +1,18 @@
 """Generalized eigenproblem (K + alpha S) u = lambda M u and its certificates.
 
-On a uniform mesh K, S and M are symmetric Toeplitz, hence centrosymmetric,
-so every pencil is first split into its even and odd blocks of half size;
-``mixlap.assembly`` owns the split (``OperatorSystem.eigenpairs`` for all
-eigenpairs, ``extreme_eigenvalue`` for the lowest or top one).  Each block is reduced through its SPD mass
-block (Cholesky inside LAPACK's sygvd driver), never through the possibly
-indefinite energy form.  The eigenvalue oracles in ``mixlap.oracles`` solve
-the unsplit pencil, so they stay an independent check.  On top of
-the solver sit the certified quantities: the recursive variational
-characterization of each eigenvalue, the index of the first positive
-eigenvalue, the coercivity shift making the form dominate half the local
-energy, and the coupling threshold where the bottom eigenvalue crosses zero.
+On a uniform mesh K and M are tridiagonal Toeplitz and S is symmetric
+Toeplitz, so the orthonormal sine (DST-I) basis makes K and M diagonal in
+closed form and splits S into two half-size blocks; ``mixlap.assembly`` owns
+that basis (``OperatorSystem.sine``) and its one solver ``SineBasis.eigh``,
+for all eigenpairs or the lowest or top one.  Each block is scaled by the
+inverse square root of the diagonal right-hand side, never factorized
+through the possibly indefinite energy form.  The eigenvalue oracles in
+``mixlap.oracles`` solve the unsplit nodal pencil, so they stay an
+independent check.  On top of the solver sit the certified quantities: the
+recursive variational characterization of each eigenvalue, the index of the
+first positive eigenvalue, the coercivity shift making the form dominate
+half the local energy, and the coupling threshold where the bottom
+eigenvalue crosses zero.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from typing import Optional
 import numpy as np
 from scipy import linalg
 
-from .assembly import OperatorSystem, extreme_eigenvalue
+from .assembly import OperatorSystem
 
 __all__ = [
     "Spectrum",
@@ -117,22 +119,19 @@ def _representatives(w: np.ndarray, v: np.ndarray, M: np.ndarray, m: int) -> np.
 def solve_pencil(sys: OperatorSystem, m: int) -> Spectrum:
     """m algebraically smallest eigenpairs of (K + alpha S, M).
 
-    Raises ``SpectrumError`` when the mass factorization fails or an
-    eigenpair residual exceeds ``RESIDUAL_TOL`` relative to the matrix scale.
+    Raises ``SpectrumError`` when the mass matrix is not positive definite or
+    an eigenpair residual exceeds ``RESIDUAL_TOL`` relative to the matrix
+    scale.
     """
     n = sys.ndof
     if not 1 <= m <= n:
         raise ValueError(f"need 1 <= m <= ndof={n}, got m={m}")
-    # M is tridiagonal, so factoring its upper band decides definiteness
-    band = np.vstack([np.r_[0.0, np.diag(sys.M, 1)], np.diag(sys.M)])
-    try:
-        linalg.cholesky_banded(band)
-    except linalg.LinAlgError as exc:
-        raise SpectrumError("mass matrix is not positive definite") from exc
+    if not np.all(sys.sine.m > 0.0):  # the eigenvalues of the tridiagonal M
+        raise SpectrumError("mass matrix is not positive definite")
     try:
         w, v = sys.eigenpairs
     except linalg.LinAlgError as exc:
-        raise SpectrumError("generalized eigensolver failed") from exc
+        raise SpectrumError("eigensolver failed") from exc
     v = _representatives(w, v, sys.M, m)
     w = w[:m].copy()
 
@@ -273,9 +272,7 @@ def garding_constant(sys: OperatorSystem) -> float:
 
 def _lambda1(sys: OperatorSystem, alpha: float) -> float:
     """Lowest eigenvalue of (K + alpha S, M), whatever the system's coupling."""
-    X = sys.S * alpha  # the one n x n temporary
-    X += sys.K
-    return extreme_eigenvalue(X, sys.M)
+    return sys.sine.eigh(1.0, alpha, 0.0, 1.0, which="low")[0]
 
 
 def alpha_threshold(
@@ -293,7 +290,7 @@ def alpha_threshold(
     lo, hi = float(bracket[0]), float(bracket[1])
     if lo >= hi:
         raise ValueError(f"invalid bracket: need lo < hi, got {bracket}")
-    mu = extreme_eigenvalue(sys.S, sys.K, top=True)
+    mu = sys.sine.eigh(0.0, 1.0, 1.0, 0.0, which="top")[0]  # of (S, K)
     alpha_star = -1.0 / mu
     if not lo < alpha_star < hi:
         raise ValueError(

@@ -22,8 +22,6 @@ from mixlap.assembly import (
     assemble_gagliardo,
     assemble_local_stiffness,
     assemble_mass,
-    parity_blocks,
-    parity_lift,
 )
 from mixlap.oracles import _exterior_entry_oracle
 
@@ -296,24 +294,37 @@ def test_parity_split_matches_the_unsplit_pencil(n_elem):
 
 
 @pytest.mark.parametrize("n", [1, 2, 5, 6])
-def test_parity_blocks_are_an_orthogonal_change_of_basis(n):
-    rng = np.random.default_rng(n)
-    X = rng.standard_normal((n, n))
-    X = X + X.T
-    X = X + X[::-1, ::-1]
-    even, odd = parity_blocks(X)
-    assert even.shape == ((n + 1) // 2,) * 2 and odd.shape == (n // 2,) * 2
-    Q = parity_lift(np.eye(even.shape[0]), np.eye(odd.shape[0]), n)
+def test_sine_basis_is_an_orthogonal_change_of_basis(n):
+    sys = build_system(build_mesh(0.0, 1.0, n + 1), 0.5, -5.0)
+    j = np.arange(1, n + 1)
+    Q = np.sqrt(2.0 / (n + 1)) * np.sin(np.outer(j, j) * np.pi / (n + 1))
     assert np.abs(Q.T @ Q - np.eye(n)).max() <= 1e-15
-    assert np.abs(Q.T @ X @ Q - linalg.block_diag(even, odd)).max() <= 1e-13 * np.abs(X).max()
+    h, c = sys.mesh.h, np.cos(j * np.pi / (n + 1))
+    closed_forms = (
+        (sys.K, (2.0 - 2.0 * c) / h, sys.sine.k),
+        (sys.M, h * (4.0 + 2.0 * c) / 6.0, sys.sine.m),
+    )
+    for X, closed, diag in closed_forms:
+        assert np.abs(Q @ X @ Q - np.diag(closed)).max() <= 1e-14 * np.abs(X).max()
+        assert np.abs(diag - closed).max() <= 1e-14 * np.abs(X).max()
+    # S is symmetric Toeplitz: no odd sine mode couples to an even one
+    QSQ = Q @ sys.S @ Q
+    scale = np.abs(sys.S).max()
+    assert np.abs(QSQ[0::2, 1::2]).max(initial=0.0) <= 1e-14 * scale
+    for b, block in enumerate(sys.sine.blocks):
+        assert np.abs(block - QSQ[b::2, b::2]).max(initial=0.0) <= 1e-14 * scale
 
 
 def test_parity_split_rejects_a_non_centrosymmetric_system():
+    # the sine basis diagonalizes only tridiagonal Toeplitz K and M
     sys = build_system(build_mesh(0.0, 1.0, 8), 0.5, -5.0)
     M = sys.M.copy()
     M[0, 0] *= 1.5
     lopsided = OperatorSystem(K=sys.K, S=sys.S, M=M, alpha=sys.alpha, s=sys.s, mesh=sys.mesh)
-    with pytest.raises(ValueError, match="not centrosymmetric"):
+    with pytest.raises(ValueError, match="M is not tridiagonal Toeplitz"):
         lopsided.eigenpairs
-    with pytest.raises(ValueError, match="not centrosymmetric"):
-        parity_blocks(np.arange(4.0).reshape(2, 2))
+    K = sys.K.copy()
+    K[0, -1] = K[-1, 0] = -1.0 / sys.mesh.h  # a periodic wrap is off the band
+    wrapped = OperatorSystem(K=K, S=sys.S, M=sys.M, alpha=sys.alpha, s=sys.s, mesh=sys.mesh)
+    with pytest.raises(ValueError, match="K is not tridiagonal Toeplitz"):
+        wrapped.eigenpairs

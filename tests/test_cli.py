@@ -418,15 +418,43 @@ m = 5
 
 
 def test_cli_import_loads_no_optimizer_integrator_or_oracle():
-    # nothing in the package uses scipy.optimize, and the oracles (with
-    # scipy.integrate) belong to full-audit: importing the CLI loads neither
+    # nothing in the package uses scipy.optimize, the oracles (with
+    # scipy.integrate) belong to full-audit, and scipy.fft is loaded by the
+    # first sine-basis transform: importing the CLI loads none of them
     code = (
-        "import sys, mixlap.cli; "
-        "print(sorted(set(sys.modules) & {'scipy.optimize', 'scipy.integrate', 'mixlap.oracles'}))"
+        "import sys, mixlap.cli; print(sorted(set(sys.modules) & "
+        "{'scipy.optimize', 'scipy.integrate', 'scipy.fft', 'mixlap.oracles'}))"
     )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_spectrum_grid_and_threshold_transform_s_once(tmp_path, monkeypatch):
+    # every alpha of a grid, alpha* and every point of the lambda_1 curve
+    # share one sine basis
+    from mixlap import assembly
+
+    init = assembly.SineBasis.__init__
+    made = []
+
+    def counting(self, K, S, M):
+        made.append(S.shape[0])
+        init(self, K, S, M)
+
+    monkeypatch.setattr(assembly.SineBasis, "__init__", counting)
+    grid = write_cfg(tmp_path / "grid.ini", "[domain]\nn_elem = 32\n[operator]\nalpha = -2:0:5\n")
+    assert main(["spectrum", "--config", str(grid), "--out", str(tmp_path / "grid")]) == 0
+    assert len(list((tmp_path / "grid").glob("alpha_*/spectrum.csv"))) == 5
+    assert made == [31]
+    made.clear()
+    thr = write_cfg(
+        tmp_path / "thr.ini",
+        "[domain]\nn_elem = 32\n[operator]\nalpha = -5\n[solver]\nbracket_lo = -10\nbracket_hi = 0\n",
+    )
+    assert main(["threshold", "--config", str(thr), "--out", str(tmp_path / "thr")]) == 0
+    assert len((tmp_path / "thr" / "lambda1_vs_alpha.csv").read_text().splitlines()) == 10
+    assert made == [31]
 
 
 def test_linking_run_loads_no_optimizer(tmp_path):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy import linalg
 
-from mixlap import FeField, assembly, build_mesh, build_system, interpolate, solvers
+from mixlap import FeField, build_mesh, build_system, interpolate, solvers
 from mixlap.functional import (
     AffineLinear,
     Custom,
@@ -400,9 +400,10 @@ def test_linking_search_probes_with_its_seed():
 
 def test_one_full_eigensolve_serves_every_consumer(monkeypatch):
     sys = build_system(build_mesh(0.0, 1.0, 16), 0.5, 0.0)
-    A = sys.A
-    # a solve of A, whole or split, is seen by value however its matrix was made
-    targets = [("whole", A), *zip(("even", "odd"), assembly.parity_blocks(A))]
+    # a solve of A, whole or as a sine-basis block, is seen by value however
+    # its matrix was made
+    blocks = (sys.sine.reduced(b, 1.0, sys.alpha, 0.0, 1.0)[0] for b in (0, 1))
+    targets = [("whole", sys.A), *zip(("even", "odd"), blocks)]
     real_eigh = linalg.eigh
     full_solves = []
 

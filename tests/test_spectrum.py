@@ -1,8 +1,10 @@
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy import linalg
 
 from mixlap import FeField, OperatorSystem, build_mesh, build_system, oracles, spectrum
+from mixlap.analysis import embedding_constant
 from mixlap.assembly import assemble_mass
 from mixlap.oracles import pencil_eigenvalues_oracle, rayleigh_min_oracle, threshold_oracle
 from mixlap.spectrum import (
@@ -241,6 +243,27 @@ def test_extreme_eigenvalues_match_the_unsplit_formulas(n_elem):
     assert spectrum._lambda1(sys, 0.3) == pytest.approx(lam1, rel=1e-12)
     alpha_star = alpha_threshold(sys, (-10.0, 0.0), tol=1e-6).alpha_star
     assert alpha_star == pytest.approx(-1.0 / mu, rel=1e-12)
+
+
+def test_extreme_eigenvalues_match_a_50_digit_eigensolve():
+    # the same double-precision K, S and M, solved in 50 digits: S is only
+    # good to ~1e-11 against its formula, so recomputing it would measure the
+    # assembly's error, not the solver's
+    sys = build_system(build_mesh(0.0, 1.0, 16), 0.5, -5.0)
+    K, S, M = (mp.matrix(X.tolist()) for X in (sys.K, sys.S, sys.M))
+
+    def eigenvalues(X, Y):
+        L_inv = mp.cholesky(Y) ** -1
+        return sorted(mp.eigsy(L_inv * X * L_inv.T, eigvals_only=True))
+
+    with mp.workdps(50):
+        mu = float(eigenvalues(S, K)[-1])
+        lam1 = float(eigenvalues(K - 5 * S, M)[0])
+    alpha_star = alpha_threshold(sys, (-10.0, 0.0)).alpha_star
+    assert embedding_constant(sys).value == pytest.approx(mu, rel=1e-13)
+    assert -1.0 / alpha_star == pytest.approx(mu, rel=1e-13)
+    assert spectrum._lambda1(sys, -5.0) == pytest.approx(lam1, rel=1e-13)
+    assert solve_pencil(sys, 1).lambdas[0] == pytest.approx(lam1, rel=1e-13)
 
 
 def test_threshold_regression_value(threshold256):
