@@ -290,7 +290,8 @@ def alpha_threshold(
     lo, hi = float(bracket[0]), float(bracket[1])
     if lo >= hi:
         raise ValueError(f"invalid bracket: need lo < hi, got {bracket}")
-    mu = sys.sine.eigh(0.0, 1.0, 1.0, 0.0, which="top")[0]  # of (S, K)
+    from .analysis import embedding_constant  # analysis builds on this module
+    mu = embedding_constant(sys).value  # the top eigenvalue of (S, K)
     alpha_star = -1.0 / mu
     if not lo < alpha_star < hi:
         raise ValueError(

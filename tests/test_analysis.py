@@ -1,15 +1,19 @@
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 
 from mixlap import FeField, build_mesh, build_system
 from mixlap.analysis import (
+    SPLIT_SLACK,
     _interp_ratio,
     embedding_constant,
     interpolation_constant,
     young_split_audit,
 )
 from mixlap.oracles import quotient_max_oracle
-from mixlap.spectrum import solve_pencil
+from mixlap.spectrum import alpha_threshold, solve_pencil
 
 
 def test_embedding_positive_and_achieved(sys64_neg5):
@@ -45,6 +49,82 @@ def test_embedding_random_audit(sys64_neg5):
         qs = float(u @ sys64_neg5.S @ u)
         qk = float(u @ sys64_neg5.K @ u)
         assert qs <= C * qk * (1 + 1e-10)
+
+
+def test_embedding_value_is_the_nodal_quotient_at_its_vector():
+    # at n_elem = 1024 the sine-basis eigenvalue of (S, K) is ~4e-12 off the
+    # quotient at its own eigenvector; the double-precision quotient is not
+    sys = build_system(build_mesh(0.0, 1.0, 1024), 0.5, 0.0)
+    est = embedding_constant(sys)
+    v = est.maximizer.coeffs.astype(np.longdouble)
+    exact = (v @ sys.S.astype(np.longdouble) @ v) / (v @ sys.K.astype(np.longdouble) @ v)
+    assert abs(est.value - exact) <= 1e-14 * exact
+    assert abs(-1.0 / alpha_threshold(sys, (-10.0, 0.0)).alpha_star - exact) <= 1e-14 * exact
+    assert 0.0 < est.residual < 1e-10
+
+
+def _one_start_at_a_time(sys, seed):
+    """The multistart ascent with each start run to the end before the next:
+    the same starts, steps and acceptance test as ``interpolation_constant``."""
+    rng = np.random.default_rng(seed)
+    s = sys.s
+    H = sys.K + sys.M
+    starts = [rng.standard_normal(sys.ndof) for _ in range(64)]
+    for p, q in ((1.0, 0.0), (0.0, 1.0)):
+        starts.append(sys.sine.eigh(0.0, 1.0, p, q, which="top")[1])
+    for theta in np.logspace(-6.0, 6.0, 13):
+        c = sys.sine.eigh(0.0, 1.0, theta, 1.0 + theta, which="top")[1]
+        for _ in range(60):
+            qs, qm, qh = (float(c @ X @ c) for X in (sys.S, sys.M, H))
+            a, b = (1.0 - s) * qs / qm, s * qs / qh
+            old = _interp_ratio(sys, c)
+            c = sys.sine.eigh(0.0, 1.0, b, a + b, which="top")[1]
+            if abs(_interp_ratio(sys, c) - old) < 1e-14 * max(1.0, old):
+                break
+        starts.append(c)
+
+    best_val, any_improved = -math.inf, False
+    for c in starts:
+        c = c / math.sqrt(float(c @ sys.M @ c))
+        val0 = val = _interp_ratio(sys, c)
+        for _ in range(400):
+            qs, qm, qh = (float(c @ X @ c) for X in (sys.S, sys.M, H))
+            g = 2.0 * (sys.S @ c) / qs - 2.0 * (1.0 - s) * (sys.M @ c) / qm - 2.0 * s * (H @ c) / qh
+            gn = np.linalg.norm(g)
+            if gn < 1e-13:
+                break
+            step = 1.0 / max(1.0, gn)
+            while step > 1e-15:
+                c_try = c + step * g
+                c_try /= math.sqrt(float(c_try @ sys.M @ c_try))
+                val_try = _interp_ratio(sys, c_try)
+                if val_try > val * (1.0 + 1e-15) or val_try > val + 1e-15:
+                    c, val = c_try, val_try
+                    break
+                step *= 0.5
+            else:
+                break
+        any_improved |= val > val0 + 1e-12 * max(1.0, abs(val0))
+        best_val = max(best_val, val)
+    return best_val, not any_improved
+
+
+@pytest.mark.parametrize("n_elem", [16, 32])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_lockstep_ascent_matches_one_start_at_a_time(n_elem, seed):
+    sys = build_system(build_mesh(0.0, 1.0, n_elem), 0.5, -5.0)
+    est = interpolation_constant(sys, seed=seed)
+    value, inconclusive = _one_start_at_a_time(sys, seed)
+    assert est.value == pytest.approx(value, rel=1e-12)
+    assert est.inconclusive == inconclusive
+
+
+def test_interpolation_constant_at_128_is_pinned():
+    # the value the benchmark gate holds for constants at n_elem = 128
+    sys = build_system(build_mesh(0.0, 1.0, 128), 0.5, -1.0)
+    est = interpolation_constant(sys, seed=0)
+    assert est.value == pytest.approx(6.236637170870844, rel=1e-12)
+    assert not est.inconclusive
 
 
 def test_interpolation_scale_invariance(sys8_neg5):
@@ -91,3 +171,31 @@ def test_young_short_circuit_nonnegative_alpha(mesh64):
     sys = build_system(mesh64, 0.5, 1.5)
     rep = young_split_audit(sys, n_random=10, seed=0)
     assert rep.gamma_split == 0.0 and rep.gamma_exact == 0.0 and rep.violations == 0
+
+
+def test_young_split_counts_match_a_per_field_loop(sys8_neg5):
+    # a halved constant breaks the split on part of the fields (596 of 1200),
+    # so the block count is tested on nonzero violations
+    sys = sys8_neg5
+    interp = interpolation_constant(sys, seed=0)
+    interp = dataclasses.replace(interp, value=0.5 * interp.value)
+    rep = young_split_audit(sys, n_random=300, seed=4, interp=interp)
+
+    rng = np.random.default_rng(4)
+    a, s, C = abs(sys.alpha), sys.s, interp.value
+    violations = trials = 0
+    for eps in rep.epsilons:
+        c2 = C * ((1.0 - s) * eps ** (-s / (1.0 - s)) + s * eps)
+        for _ in range(300):
+            u = rng.standard_normal(sys.ndof)
+            qs, qk, qm = (float(u @ X @ u) for X in (sys.S, sys.K, sys.M))
+            trials += 1
+            violations += a * qs > (a * C * s * eps * qk + a * c2 * qm) * (1 + SPLIT_SLACK) + SPLIT_SLACK
+    for _ in range(300):
+        u = rng.standard_normal(sys.ndof)
+        qk, qm, qb = (float(u @ X @ u) for X in (sys.K, sys.M, sys.A))
+        trials += 1
+        violations += qb + rep.gamma_split * qm < 0.5 * qk - SPLIT_SLACK * max(1.0, qk)
+    assert violations > 0
+    assert (rep.violations, rep.trials) == (violations, trials)
+    assert not rep.certified
