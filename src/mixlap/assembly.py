@@ -28,8 +28,6 @@ from pathlib import Path
 
 import numpy as np
 from numpy.polynomial.polynomial import polyval
-from scipy import linalg
-from scipy.special import exprel
 
 from .mesh import FeField, MeshInterval
 
@@ -103,7 +101,9 @@ def _gagliardo_column(s: float, k: np.ndarray) -> np.ndarray:
     r = np.maximum(kn, 1)
     # x = 0 has weight x^2 = 0; mapping it onto r keeps L finite there
     L = np.log1p((np.where(x > 0, x, r) - r) / r)
-    out[near] = (x**2 * L * exprel(eps * L)) @ _STENCIL * r[:, 0] ** eps
+    z = eps * L
+    exprel = np.divide(np.expm1(z), z, out=np.ones_like(z), where=z != 0.0)
+    out[near] = (x**2 * L * exprel) @ _STENCIL * r[:, 0] ** eps
 
     kf = k[~near].astype(float)
     deriv = p * (p - 1.0) * np.cumprod(p - np.arange(3, 2 + 2 * _DELTA4_SERIES.size))[::2]
@@ -114,7 +114,10 @@ def _gagliardo_column(s: float, k: np.ndarray) -> np.ndarray:
 def assemble_gagliardo(mesh: MeshInterval, s: float) -> np.ndarray:
     """Gagliardo form matrix S_ij for hat functions extended by zero (Toeplitz)."""
     s = _check_s(s)
-    return linalg.toeplitz(mesh.h ** (1.0 - 2.0 * s) * _gagliardo_column(s, np.arange(mesh.ndof)))
+    c = mesh.h ** (1.0 - 2.0 * s) * _gagliardo_column(s, np.arange(mesh.ndof))
+    # row i, c[i], ..., c[1], c[0], c[1], ..., is the window of [c reversed, c[1:]] at n-1-i
+    windows = np.lib.stride_tricks.sliding_window_view(np.r_[c[::-1], c[1:]], c.size)
+    return windows[::-1].copy()
 
 
 def _sine_diagonal(X: np.ndarray, name: str) -> np.ndarray:
@@ -129,6 +132,25 @@ def _sine_diagonal(X: np.ndarray, name: str) -> np.ndarray:
     return a + 2.0 * b * np.cos(np.arange(1, n + 1) * (math.pi / (n + 1)))
 
 
+def _dst(X: np.ndarray) -> np.ndarray:
+    """Orthonormal DST-I of each row of X (of X itself if 1-D), in place; returns X.
+
+    A row x of length n is the imaginary part of the real FFT of its odd
+    extension [0, x, 0, -x reversed], scaled by -1/sqrt(2n + 2) rounded from
+    long double, as ``scipy.fft.dst(x, type=1, norm="ortho")`` computes it.
+    """
+    n = X.shape[-1]
+    scale = -float(1.0 / np.sqrt(np.longdouble(2 * n + 2)))
+    rows = np.atleast_2d(X)  # a view of X
+    for i in range(0, rows.shape[0], 8):  # a few rows per FFT call
+        block = rows[i : i + 8]
+        ext = np.zeros((block.shape[0], 2 * n + 2))
+        ext[:, 1 : n + 1] = block
+        ext[:, n + 2 :] = -block[:, ::-1]
+        block[...] = np.fft.rfft(ext).imag[:, 1 : n + 1] * scale
+    return X
+
+
 class SineBasis:
     """K, S and M in the orthonormal DST-I basis Q_jk = sqrt(2/(n+1)) sin(jk pi/(n+1)).
 
@@ -141,10 +163,9 @@ class SineBasis:
     """
 
     def __init__(self, K: np.ndarray, S: np.ndarray, M: np.ndarray):
-        from scipy.fft import dst  # only spectral work pays for importing scipy.fft
-
         self.k, self.m = _sine_diagonal(K, "K"), _sine_diagonal(M, "M")
-        T = dst(dst(S, type=1, norm="ortho", axis=1), type=1, norm="ortho", axis=0, overwrite_x=True)
+        T = S.copy()
+        _dst(_dst(T).T)  # rows, then the columns as rows of the transpose: T = Q S Q
         self.blocks = (T[0::2, 0::2].copy(), T[1::2, 1::2].copy())
 
     def reduced(self, b: int, x: float, y: float, p: float, q: float) -> tuple[np.ndarray, np.ndarray]:
@@ -152,7 +173,7 @@ class SineBasis:
         symmetric matrix r (x D_K + y T_b) r, r = (p D_K + q D_M)^(-1/2), and r."""
         d = p * self.k[b::2] + q * self.m[b::2]
         if not np.all(d > 0.0):
-            raise linalg.LinAlgError("p K + q M is not positive definite")
+            raise np.linalg.LinAlgError("p K + q M is not positive definite")
         r = d**-0.5
         C = self.blocks[b] * y
         C *= r
@@ -163,27 +184,26 @@ class SineBasis:
     def eigh(self, x: float, y: float, p: float, q: float, which: str = "all"):
         """Eigenpairs of the pencil (x K + y S, p K + q M), p K + q M positive definite.
 
-        Each block is solved by ``linalg.eigh`` as the standard problem of
+        Each block is solved by ``np.linalg.eigh`` as the standard problem of
         ``reduced``; eigenvectors return to the nodes by one DST-I (its own
         inverse), orthonormal in p K + q M.  ``which="all"`` returns every
         eigenvalue, ascending (a stable merge of the blocks), and the
-        eigenvectors as columns; ``"low"`` or ``"top"`` returns the lowest or
-        top eigenvalue as a float and its eigenvector.
+        eigenvectors as columns; ``"top"`` returns the top eigenvalue as a
+        float and its eigenvector, from the one-index ``scipy.linalg.eigh``.
         """
-        from scipy.fft import dst
-
+        if which != "all":
+            from scipy.linalg import eigh  # only "top" pays for importing scipy
         n = self.k.size
         parts = []  # per block: eigenvalues, eigenvectors in the block's sine coordinates
         for b in range(min(n, 2)):  # a single node has no odd block
             C, r = self.reduced(b, x, y, p, q)
-            i = {"all": None, "low": 0, "top": C.shape[0] - 1}[which]
-            w, z = linalg.eigh(C, **({} if i is None else {"subset_by_index": [i, i]}))
+            w, z = np.linalg.eigh(C) if which == "all" else eigh(C, subset_by_index=[len(r) - 1] * 2)
             parts.append((w, r[:, None] * z))
         if which != "all":
-            b = int((np.argmin if which == "low" else np.argmax)([w[0] for w, _ in parts]))
+            b = int(np.argmax([w[0] for w, _ in parts]))
             u = np.zeros(n)
             u[b::2] = parts[b][1][:, 0]
-            return float(parts[b][0][0]), dst(u, type=1, norm="ortho", overwrite_x=True)
+            return float(parts[b][0][0]), _dst(u)
         w = np.concatenate([w for w, _ in parts])
         order = np.argsort(w, kind="stable")
         # row i of U holds the i-th eigenvector's sine coordinates; the DST
@@ -193,7 +213,7 @@ class SineBasis:
         for b, ((_, z), rank) in enumerate(zip(parts, ranks)):
             U[rank[:, None], np.arange(b, n, 2)] = z.T
         del parts, z
-        return w[order], dst(U, type=1, norm="ortho", axis=1, overwrite_x=True).T
+        return w[order], _dst(U).T
 
 
 @dataclass(eq=False)
@@ -202,8 +222,7 @@ class OperatorSystem:
 
     K is the Dirichlet stiffness, S the Gagliardo form, M the mass matrix;
     the energy pairing is B(u, v) = u^T (K + alpha S) v.  What is derived
-    from the forms (``A``, ``sine``, ``eigenpairs``, ``k_factor``) is kept on
-    first use.
+    from the forms (``A``, ``sine``, ``eigenpairs``) is kept on first use.
     """
 
     K: np.ndarray
@@ -232,14 +251,6 @@ class OperatorSystem:
         """All eigenpairs (w, v) of the pencil (A, M), ascending and unprocessed,
         solved in the sine basis (``SineBasis.eigh``)."""
         return self.sine.eigh(1.0, self.alpha, 0.0, 1.0)
-
-    @cached_property
-    def k_factor(self) -> np.ndarray:
-        """Upper banded Cholesky factor of the tridiagonal K."""
-        ab = np.zeros((2, self.ndof))
-        ab[1] = np.diag(self.K)
-        ab[0, 1:] = np.diag(self.K, 1)
-        return linalg.cholesky_banded(ab)
 
     def with_alpha(self, alpha: float) -> "OperatorSystem":
         """Same discretization, different coupling constant (S and ``sine`` are reused)."""

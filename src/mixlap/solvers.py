@@ -12,7 +12,7 @@ hands it to its probe.
 
 Search strategies:
 
-* asymptotically linear model: direct resolvent solve with a resonance guard;
+* asymptotically linear model: eigenpair resolvent solve with a resonance guard;
 * superlinear model, every level k: one peak-selection minimax engine
   (Li & Zhou, SIAM J. Sci. Comput. 23, 2001).  For a ray direction v in the
   complement of span(u_1..u_k), the peak maximizes J over span(u_1..u_k, v);
@@ -35,9 +35,8 @@ from dataclasses import asdict, dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy import linalg
 
-from .assembly import OperatorSystem
+from .assembly import OperatorSystem, _dst
 from .functional import (
     AffineLinear,
     J_eval,
@@ -144,8 +143,8 @@ class LinkingGeometryReport:
 
 
 def _riesz(sys: OperatorSystem, g: np.ndarray) -> np.ndarray:
-    """K^{-1} g: Riesz representative of the functional in the local energy."""
-    return linalg.cho_solve_banded((sys.k_factor, False), g)
+    """K^{-1} g, solved in the sine basis (K = Q diag(sine.k) Q): the Riesz representative."""
+    return _dst(_dst(g.copy()) / sys.sine.k)
 
 
 def _dual_norm(sys: OperatorSystem, g: np.ndarray) -> float:
@@ -180,16 +179,16 @@ def _classify(sys: OperatorSystem, c: np.ndarray, threshold: float) -> str:
 def solve_resolvent(
     sys: OperatorSystem, lam: float, a: FeField, cfg: SolverConfig | None = None
 ) -> CriticalPointReport:
-    """Direct solve of (K + alpha S - lam M) u = M a with a resonance guard.
+    """Eigenpair solve of (K + alpha S - lam M) u = M a with a resonance guard.
 
     The right-hand side is the piecewise-linear field a; the certificate is
     evaluated against the affine nonlinearity built from its interpolant, so
-    the gradient norm of the direct solve is at round-off level.
+    the gradient norm of the solve is at round-off level.
     """
     cfg = cfg or SolverConfig()
     if a.mesh != sys.mesh:
         raise ValueError("field mesh does not match the assembled system")
-    eigs = sys.eigenpairs[0]  # the guard reads eigenvalues only
+    eigs, V = sys.eigenpairs  # M-orthonormal, so (A - lam M)^-1 = V diag(1 / (eigs - lam)) V^T
     gaps = np.abs(eigs - lam)
     k_near = int(np.argmin(gaps))
     if gaps[k_near] < 1e-8 * (1.0 + abs(lam)):
@@ -199,13 +198,12 @@ def solve_resolvent(
         )
     Amat = sys.A - lam * sys.M
     rhs = sys.M @ a.coeffs
-    lu = linalg.lu_factor(Amat)
-    x = linalg.lu_solve(lu, rhs)
-    for _ in range(3):  # iterative refinement to push the residual to round-off
+    x = np.zeros(sys.ndof)
+    for _ in range(4):  # the solve, then iterative refinement to push the residual to round-off
         r = rhs - Amat @ x
         if np.max(np.abs(r)) == 0.0:
             break
-        x = x + linalg.lu_solve(lu, r)
+        x = x + V @ ((V.T @ r) / (eigs - lam))
     u = FeField(x, sys.mesh)
     nl = AffineLinear(lam, a.evaluate)
     gn = _dual_norm(sys, J_gradient(sys, nl, u).coeffs)
@@ -350,38 +348,40 @@ def _splitting(sys: OperatorSystem, k: int) -> tuple[np.ndarray, np.ndarray, np.
 
 
 def _sphere_min(
-    sys: OperatorSystem, nl, V: np.ndarray, rho: float, rng: np.random.Generator
-) -> tuple[float, float]:
+    sys: OperatorSystem, nl, V: np.ndarray, rng: np.random.Generator
+) -> list[tuple[float, float]]:
     """Multistart projected descent of J, at most 300 steps, on the X-sphere
-    of radius rho inside the span of the columns of V.  Returns (min value,
-    spread).
+    of each radius in ``RHO_GRID`` inside the span of the columns of V.
+    Returns (min value, spread) per radius.
 
-    The starts run in lockstep, one block evaluation of J or its gradient per
-    step.  Each start keeps its own step length and acceptance test, and
-    leaves the block when it converges or its line search fails.  A start's
-    line search begins at 0.5 / max(1, |gradient|), capped at four times its
-    last accepted step.
+    The starts of all radii run in lockstep, one block evaluation of J or its
+    gradient per step, each row on its own radius; the random starts are
+    drawn radius by radius.  Each start keeps its own step length and
+    acceptance test, and leaves the block when it converges or its line
+    search fails.  A start's line search begins at 0.5 / max(1, |gradient|),
+    capped at four times its last accepted step.
     """
     nsub = V.shape[1]
     KV = sys.K @ V
-    starts = [np.eye(nsub)[j] for j in range(min(nsub, 3))]
-    starts += [rng.standard_normal(nsub) for _ in range(PROBE_RESTARTS)]
-    C = np.array(starts)
+    unit = np.eye(nsub)[: min(nsub, 3)]
+    C = np.vstack([np.vstack([unit, rng.standard_normal((PROBE_RESTARTS, nsub))]) for _ in RHO_GRID])
+    rho = np.repeat(RHO_GRID, len(C) // len(RHO_GRID))
 
-    def on_sphere(Cb):
+    def on_sphere(Cb, rb):
         W = _apply_rows(V, Cb)
         r = _x_norms(sys, W)
-        return W, r, (rho / r)[:, None] * W
+        return W, r, (rb / r)[:, None] * W
 
     active = np.arange(len(C))
     last = np.full(len(C), np.inf)  # each start's last accepted step
     for _ in range(300):
         if active.size == 0:
             break
-        W, r, U = on_sphere(C[active])
+        ra = rho[active]
+        W, r, U = on_sphere(C[active], ra)
         G = J_gradients(sys, nl, U)
         # chain rule through the radial projection
-        GC = (rho / r)[:, None] * (
+        GC = (ra / r)[:, None] * (
             _apply_rows(V.T, G) - (_dot_rows(W, G) / r**2)[:, None] * _apply_rows(KV.T, W)
         )
         gn = np.sqrt(_dot_rows(GC, GC))
@@ -392,17 +392,18 @@ def _sphere_min(
         while trying.any():
             t = np.flatnonzero(trying)
             C_try = C[active[t]] - step[t, None] * GC[t]
-            ok = J_values(sys, nl, on_sphere(C_try)[2]) < val[t] - 1e-12
+            ok = J_values(sys, nl, on_sphere(C_try, ra[t])[2]) < val[t] - 1e-12
             C[active[t[ok]]] = C_try[ok]
             last[active[t[ok]]] = step[t[ok]]
             improved[t[ok]] = True
             step[t[~ok]] *= 0.5
             trying[t] = ~ok & (step[t] > 1e-14)
         active = active[improved]
-    results = np.sort(J_values(sys, nl, on_sphere(C)[2]))
-    second = results[1] if results.size > 1 else results[0]
-    spread = (second - results[0]) / (1.0 + abs(results[0]))
-    return float(results[0]), float(spread)
+    out = []
+    for results in np.sort(J_values(sys, nl, on_sphere(C, rho)[2]).reshape(len(RHO_GRID), -1)):
+        second = results[1] if results.size > 1 else results[0]
+        out.append((float(results[0]), float((second - results[0]) / (1.0 + abs(results[0])))))
+    return out
 
 
 def _delta_boundary_max(
@@ -531,8 +532,7 @@ def _probe(
     best_val = -math.inf
     best_rho = RHO_GRID[0]
     spread_at_best = 0.0
-    for rho in RHO_GRID:
-        val, spread = _sphere_min(sys, nl, V, rho, rng)
+    for rho, (val, spread) in zip(RHO_GRID, _sphere_min(sys, nl, V, rng)):
         if val > best_val:
             best_val, best_rho, spread_at_best = val, rho, spread
     alpha_tilde = best_val
@@ -565,6 +565,7 @@ def coercivity_gap(sys: OperatorSystem, theta_bar, k: int) -> float:
     complement of the first k eigenfields: an eigenvalue of the projected
     pencil against the local stiffness.  ``theta_bar`` is a constant or a
     function of x."""
+    from scipy import linalg  # only the audit needs a one-index generalized eigensolve
     M_theta = weighted_mass(sys.mesh, theta_bar)
     _, _, V = _splitting(sys, k)
     Ar = V.T @ (sys.A - M_theta) @ V
@@ -604,10 +605,11 @@ def _peak(
             break
         H = W.T @ J_hessian(sys, nl, u) @ W
         try:
-            d = linalg.cho_solve(linalg.cho_factor(-H), g)
-        except linalg.LinAlgError:  # -H is not positive definite
+            np.linalg.cholesky(-H)  # raises unless -H is positive definite
+        except np.linalg.LinAlgError:
             d = g
         else:
+            d = np.linalg.solve(-H, g)
             if 0.5 * float(g @ d) <= PEAK_FLAT * max(1.0, abs(val)):
                 # a gain J cannot resolve: take the whole Newton step and stop
                 c = c + d

@@ -4,15 +4,15 @@ On a uniform mesh K and M are tridiagonal Toeplitz and S is symmetric
 Toeplitz, so the orthonormal sine (DST-I) basis makes K and M diagonal in
 closed form and splits S into two half-size blocks; ``mixlap.assembly`` owns
 that basis (``OperatorSystem.sine``) and its one solver ``SineBasis.eigh``,
-for all eigenpairs or the lowest or top one.  Each block is scaled by the
-inverse square root of the diagonal right-hand side, never factorized
-through the possibly indefinite energy form.  The eigenvalue oracles in
-``mixlap.oracles`` solve the unsplit nodal pencil, so they stay an
-independent check.  On top of the solver sit the certified quantities: the
-recursive variational characterization of each eigenvalue, the index of the
-first positive eigenvalue, the coercivity shift making the form dominate
-half the local energy, and the coupling threshold where the bottom
-eigenvalue crosses zero.
+for all eigenpairs or the top one; the lowest eigenvalue alone is the least
+of the blocks' lowest.  Each block is scaled by the inverse square root of
+the diagonal right-hand side, never factorized through the possibly
+indefinite energy form.  The eigenvalue oracles in ``mixlap.oracles`` solve
+the unsplit nodal pencil, so they stay an independent check.  On top of the
+solver sit the certified quantities: the recursive variational
+characterization of each eigenvalue, the index of the first positive
+eigenvalue, the coercivity shift making the form dominate half the local
+energy, and the coupling threshold where the bottom eigenvalue crosses zero.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy import linalg
 
 from .assembly import OperatorSystem
 
@@ -130,7 +129,7 @@ def solve_pencil(sys: OperatorSystem, m: int) -> Spectrum:
         raise SpectrumError("mass matrix is not positive definite")
     try:
         w, v = sys.eigenpairs
-    except linalg.LinAlgError as exc:
+    except np.linalg.LinAlgError as exc:
         raise SpectrumError("eigensolver failed") from exc
     v = _representatives(w, v, sys.M, m)
     w = w[:m].copy()
@@ -196,7 +195,8 @@ def verify_characterization(
     Raises ``DegenerateSpectrumError`` if one of the first k-1 eigenvalues
     vanishes (the recursion is not meaningful past a zero eigenvalue).
     """
-    from .oracles import rayleigh_min_oracle  # only the audit needs it: keep the CLI import light
+    from scipy import linalg  # only the audit needs these: keep the CLI import light
+    from .oracles import rayleigh_min_oracle
 
     if not 1 <= k <= spec.count:
         raise ValueError(f"k={k} outside the computed range 1..{spec.count}")
@@ -265,14 +265,15 @@ def garding_constant(sys: OperatorSystem) -> float:
     gamma = max(0, -lambda_1(2 alpha) / 2)."""
     try:
         lam = _lambda1(sys, 2.0 * sys.alpha)
-    except linalg.LinAlgError as exc:
+    except np.linalg.LinAlgError as exc:
         raise SpectrumError("eigensolver failed while computing the coercivity shift") from exc
     return max(0.0, -0.5 * lam)
 
 
 def _lambda1(sys: OperatorSystem, alpha: float) -> float:
-    """Lowest eigenvalue of (K + alpha S, M), whatever the system's coupling."""
-    return sys.sine.eigh(1.0, alpha, 0.0, 1.0, which="low")[0]
+    """Lowest eigenvalue of (K + alpha S, M) over both sine blocks, whatever ``sys.alpha`` is."""
+    blocks = (sys.sine.reduced(b, 1.0, alpha, 0.0, 1.0)[0] for b in range(min(sys.ndof, 2)))
+    return float(min(np.linalg.eigvalsh(C)[0] for C in blocks))
 
 
 def alpha_threshold(

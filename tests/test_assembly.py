@@ -18,6 +18,9 @@ from mixlap import (
     norms,
 )
 from mixlap.assembly import (
+    _FAR_FIELD,
+    _STENCIL,
+    _dst,
     _gagliardo_column,
     assemble_gagliardo,
     assemble_local_stiffness,
@@ -313,6 +316,48 @@ def test_sine_basis_is_an_orthogonal_change_of_basis(n):
     assert np.abs(QSQ[0::2, 1::2]).max(initial=0.0) <= 1e-14 * scale
     for b, block in enumerate(sys.sine.blocks):
         assert np.abs(block - QSQ[b::2, b::2]).max(initial=0.0) <= 1e-14 * scale
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 64, 511])
+def test_dst_is_scipys_orthonormal_dst1_in_place(n):
+    from scipy.fft import dst
+
+    X = np.random.default_rng(n).standard_normal((19, n))  # more rows than one FFT block
+    want = dst(X, type=1, norm="ortho", axis=1)
+    assert _dst(X) is X and np.array_equal(X, want)
+    x = np.random.default_rng(n + 1).standard_normal(n)
+    want = dst(x, type=1, norm="ortho")
+    assert _dst(x) is x and np.array_equal(x, want)
+
+
+@pytest.mark.parametrize("n_elem", [64, 1024])
+def test_sine_blocks_match_the_two_pass_scipy_dst(n_elem):
+    from scipy.fft import dst
+
+    sys = build_system(build_mesh(0.0, 1.0, n_elem), 0.5, -1.0)
+    T = dst(dst(sys.S, type=1, norm="ortho", axis=1), type=1, norm="ortho", axis=0)
+    for b, block in enumerate(sys.sine.blocks):
+        assert np.array_equal(block, T[b::2, b::2])
+
+
+def _scipy_gagliardo(mesh, s):
+    """S with scipy's ``exprel`` in the near field and ``toeplitz`` (far field as built)."""
+    from scipy.special import exprel
+
+    k = np.arange(mesh.ndof)
+    col = _gagliardo_column(s, k)
+    kn = k[k < _FAR_FIELD][:, None]
+    x, r, eps = np.abs(kn + np.arange(-2, 3)), np.maximum(kn, 1), 1.0 - 2.0 * s
+    L = np.log1p((np.where(x > 0, x, r) - r) / r)
+    near = (x**2 * L * exprel(eps * L)) @ _STENCIL * r[:, 0] ** eps
+    col[: kn.size] = near / (s * (2.0 - 2.0 * s) * (3.0 - 2.0 * s))
+    return toeplitz(mesh.h ** (1.0 - 2.0 * s) * col)
+
+
+@pytest.mark.parametrize("s", [0.25, 0.5, 0.75])
+def test_gagliardo_matches_the_scipy_exprel_formula(s):
+    mesh = build_mesh(0.0, 1.0, 1024)
+    assert np.array_equal(assemble_gagliardo(mesh, s), _scipy_gagliardo(mesh, s))
 
 
 def test_parity_split_rejects_a_non_centrosymmetric_system():

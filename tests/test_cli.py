@@ -418,16 +418,41 @@ m = 5
 
 
 def test_cli_import_loads_no_optimizer_integrator_or_oracle():
-    # nothing in the package uses scipy.optimize, the oracles (with
-    # scipy.integrate) belong to full-audit, and scipy.fft is loaded by the
-    # first sine-basis transform: importing the CLI loads none of them
+    # the oracles belong to full-audit, and scipy to the few routines that
+    # import it where they run: importing the CLI loads neither
     code = (
-        "import sys, mixlap.cli; print(sorted(set(sys.modules) & "
-        "{'scipy.optimize', 'scipy.integrate', 'scipy.fft', 'mixlap.oracles'}))"
+        "import sys, mixlap.cli; print(sorted(m for m in sys.modules "
+        "if m == 'mixlap.oracles' or m.split('.')[0] == 'scipy'))"
     )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_spectral_and_critical_point_runs_load_no_scipy(tmp_path):
+    # the spectrum, mountain-pass, linking and solve-linear pipelines run on
+    # numpy alone; threshold, constants and full-audit import scipy
+    runs = {
+        "spectrum": "[operator]\nalpha = -1\n",
+        "spectrum-grid": "[operator]\nalpha = -2:0:5\n",
+        "mountain-pass": "[operator]\nalpha = 0\n[nonlinearity]\nlambda = 5\n",
+        "linking": "[operator]\nalpha = 0\n[nonlinearity]\nlambda = 25\n[solver]\nk = 1\n",
+        "solve-linear": "[operator]\nalpha = -1\n"
+        "[nonlinearity]\nkind = affine_linear\nlambda = 10\na_const = 1\n",
+    }
+    argvs = []
+    for label, body in runs.items():
+        cfgfile = write_cfg(tmp_path / f"{label}.ini", "[domain]\nn_elem = 16\n" + body)
+        pipeline = label.removesuffix("-grid")
+        argvs.append([pipeline, "--config", str(cfgfile), "--out", str(tmp_path / label)])
+    code = (
+        "import sys; from mixlap.cli import main\n"
+        f"for argv in {argvs!r}:\n"
+        "    print(main(argv), sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split("\n")[:-1] == ["0 []"] * len(runs)
 
 
 def test_spectrum_grid_and_threshold_transform_s_once(tmp_path, monkeypatch):

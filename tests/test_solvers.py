@@ -10,9 +10,12 @@ from mixlap.functional import (
     Custom,
     J_eval,
     J_gradient,
+    J_gradients,
     J_hessian,
     J_values,
     PowerPerturbed,
+    _apply_rows,
+    _dot_rows,
     load_vector,
     weighted_mass,
 )
@@ -67,6 +70,18 @@ def test_resolvent_matches_dense_oracle(mesh8):
     dense = linalg.solve(sys.A - lam * sys.M, sys.M @ a.coeffs)
     assert np.max(np.abs(rep.u.coeffs - dense)) <= 1e-10
     assert rep.grad_norm <= 1e-10
+
+
+def test_resolvent_near_resonance_is_certified(sys64_neg5):
+    # a gap of 1e-6 relative to lambda_1 is outside the guard; the
+    # eigenpair solve with refinement still certifies at round-off
+    lam1 = float(sys64_neg5.eigenpairs[0][0])
+    a = ones_field(sys64_neg5.mesh)
+    for lam in (lam1 * (1.0 - 1e-6), lam1 * (1.0 + 1e-6)):
+        rep = solve_resolvent(sys64_neg5, lam, a)
+        assert rep.converged and rep.grad_norm <= 1e-10
+        dense = linalg.solve(sys64_neg5.A - lam * sys64_neg5.M, sys64_neg5.M @ a.coeffs)
+        assert np.max(np.abs(rep.u.coeffs - dense)) <= 1e-8 * np.max(np.abs(dense))
 
 
 def test_resolvent_resonance_rejected(sys64_neg5):
@@ -404,7 +419,7 @@ def test_one_full_eigensolve_serves_every_consumer(monkeypatch):
     # its matrix was made
     blocks = (sys.sine.reduced(b, 1.0, sys.alpha, 0.0, 1.0)[0] for b in (0, 1))
     targets = [("whole", sys.A), *zip(("even", "odd"), blocks)]
-    real_eigh = linalg.eigh
+    real_eigh = np.linalg.eigh
     full_solves = []
 
     def counting_eigh(a, *args, **kwargs):
@@ -415,7 +430,7 @@ def test_one_full_eigensolve_serves_every_consumer(monkeypatch):
         )
         return real_eigh(a, *args, **kwargs)
 
-    monkeypatch.setattr(linalg, "eigh", counting_eigh)
+    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
     spec = solve_pencil(sys, 2)
     solve_pencil(sys, sys.ndof)
     lam = 0.5 * (spec.lambdas[0] + spec.lambdas[1])
@@ -423,6 +438,62 @@ def test_one_full_eigensolve_serves_every_consumer(monkeypatch):
     assert linking_search(sys, PowerPerturbed(lam, 4.0), 1, SolverConfig(tol=1e-6)).converged
     assert solve_resolvent(sys, 1.0, ones_field(sys.mesh)).converged
     assert full_solves == [("even", {}), ("odd", {})]
+
+
+def _one_radius(sys, nl, V, rho, rng):
+    """The sphere descent of one radius, as ``solvers._sphere_min`` ran it
+    before the radii shared a block: same starts, steps and acceptance test."""
+    nsub = V.shape[1]
+    KV = sys.K @ V
+    starts = [np.eye(nsub)[j] for j in range(min(nsub, 3))]
+    starts += [rng.standard_normal(nsub) for _ in range(solvers.PROBE_RESTARTS)]
+    C = np.array(starts)
+
+    def on_sphere(Cb):
+        W = _apply_rows(V, Cb)
+        r = solvers._x_norms(sys, W)
+        return W, r, (rho / r)[:, None] * W
+
+    active = np.arange(len(C))
+    last = np.full(len(C), np.inf)
+    for _ in range(300):
+        if active.size == 0:
+            break
+        W, r, U = on_sphere(C[active])
+        G = J_gradients(sys, nl, U)
+        GC = (rho / r)[:, None] * (
+            _apply_rows(V.T, G) - (_dot_rows(W, G) / r**2)[:, None] * _apply_rows(KV.T, W)
+        )
+        gn = np.sqrt(_dot_rows(GC, GC))
+        val = J_values(sys, nl, U)
+        step = np.minimum(0.5 / np.maximum(1.0, gn), 4.0 * last[active])
+        improved = np.zeros(active.size, dtype=bool)
+        trying = (gn >= 1e-12 * np.maximum(1.0, np.abs(val))) & (step > 1e-14)
+        while trying.any():
+            t = np.flatnonzero(trying)
+            C_try = C[active[t]] - step[t, None] * GC[t]
+            ok = J_values(sys, nl, on_sphere(C_try)[2]) < val[t] - 1e-12
+            C[active[t[ok]]] = C_try[ok]
+            last[active[t[ok]]] = step[t[ok]]
+            improved[t[ok]] = True
+            step[t[~ok]] *= 0.5
+            trying[t] = ~ok & (step[t] > 1e-14)
+        active = active[improved]
+    results = np.sort(J_values(sys, nl, on_sphere(C)[2]))
+    second = results[1] if results.size > 1 else results[0]
+    return float(results[0]), float((second - results[0]) / (1.0 + abs(results[0])))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("n_elem", [16, 32])
+def test_lockstep_radii_match_one_radius_at_a_time(n_elem, seed):
+    sys = build_system(build_mesh(0.0, 1.0, n_elem), 0.5, 0.0)
+    nl = PowerPerturbed(25.0, 4.0)
+    V = solvers._splitting(sys, 1)[2]
+    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    want = [_one_radius(sys, nl, V, rho, ref_rng) for rho in solvers.RHO_GRID]
+    assert solvers._sphere_min(sys, nl, V, rng) == want
+    assert rng.bit_generator.state == ref_rng.bit_generator.state  # later draws are unchanged
 
 
 def test_linking_search_solves_the_splitting_once(monkeypatch):
