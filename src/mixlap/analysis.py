@@ -77,7 +77,7 @@ def embedding_constant(sys: OperatorSystem) -> ConstantEstimate:
     lead = int(np.argmax(np.abs(vec)))
     if vec[lead] < 0:
         vec = -vec
-    value = float(vec @ sys.S @ vec) / float(vec @ sys.K @ vec)
+    value = float(vec @ sys.S @ vec) / float(vec @ sys.apply_K(vec))
     return ConstantEstimate(
         value=value,
         maximizer=FeField(vec, sys.mesh),
@@ -87,14 +87,15 @@ def embedding_constant(sys: OperatorSystem) -> ConstantEstimate:
 
 
 def _interp_ratio(sys: OperatorSystem, c: np.ndarray) -> float:
-    qs, qk, qm = (float(c @ X @ c) for X in (sys.S, sys.K, sys.M))
+    qs, qk, qm = float(c @ sys.S @ c), float(c @ sys.apply_K(c)), float(c @ sys.apply_M(c))
     return qs / (qm ** (1.0 - sys.s) * (qk + qm) ** sys.s)
 
 
-def _ascent_state(sys: OperatorSystem, H: np.ndarray, C: np.ndarray):
+def _ascent_state(sys: OperatorSystem, C: np.ndarray):
     """The columns of C normalized in M, their quotients R and the gradients of log R."""
-    C = C / np.sqrt(np.einsum("ij,ij->j", C, sys.M @ C))
-    SC, MC, HC = sys.S @ C, sys.M @ C, H @ C
+    C = C / np.sqrt(np.einsum("ij,ij->j", C, sys.apply_M(C)))
+    SC, MC = sys.S @ C, sys.apply_M(C)
+    HC = sys.apply_K(C) + MC
     qs, qm, qh = (np.einsum("ij,ij->j", C, X) for X in (SC, MC, HC))
     s = sys.s
     G = 2.0 * SC / qs - 2.0 * (1.0 - s) * MC / qm - 2.0 * s * HC / qh
@@ -115,7 +116,6 @@ def interpolation_constant(sys: OperatorSystem, seed: int = 0) -> ConstantEstima
     """
     rng = np.random.default_rng(seed)
     s = sys.s
-    H = sys.K + sys.M
 
     starts = [rng.standard_normal(sys.ndof) for _ in range(64)]
     for p, q in ((1.0, 0.0), (0.0, 1.0)):  # the pencils (S, K) and (S, M)
@@ -128,29 +128,29 @@ def interpolation_constant(sys: OperatorSystem, seed: int = 0) -> ConstantEstima
         c = sys.sine.eigh(0.0, 1.0, theta, 1.0 + theta, which="top")[1]
         old = math.inf
         for _ in range(60):
-            qs, qm, qh = (float(c @ X @ c) for X in (sys.S, sys.M, H))
-            val = qs / (qm ** (1.0 - s) * qh**s)
+            qs, qk, qm = float(c @ sys.S @ c), float(c @ sys.apply_K(c)), float(c @ sys.apply_M(c))
+            val = qs / (qm ** (1.0 - s) * (qk + qm) ** s)
             if abs(val - old) < 1e-14 * max(1.0, old):
                 break
-            old, a, b = val, (1.0 - s) * qs / qm, s * qs / qh
+            old, a, b = val, (1.0 - s) * qs / qm, s * qs / (qk + qm)
             c = sys.sine.eigh(0.0, 1.0, b, a + b, which="top")[1]
         starts.append(c)
 
-    C, val0 = _ascent_state(sys, H, np.array(starts).T)[:2]
+    C, val0 = _ascent_state(sys, np.array(starts).T)[:2]
     val = val0.copy()
     active = np.arange(C.shape[1])  # the starts still ascending
     for _ in range(400):
         if active.size == 0:
             break
         Ca = C[:, active]
-        G = _ascent_state(sys, H, Ca)[2]
+        G = _ascent_state(sys, Ca)[2]
         gn = np.linalg.norm(G, axis=0)
         step = 1.0 / np.maximum(1.0, gn)
         improved = np.zeros(active.size, dtype=bool)
         trying = (gn >= 1e-13) & (step > 1e-15)
         while trying.any():
             t = np.flatnonzero(trying)
-            C_try, val_try = _ascent_state(sys, H, Ca[:, t] + step[t] * G[:, t])[:2]
+            C_try, val_try = _ascent_state(sys, Ca[:, t] + step[t] * G[:, t])[:2]
             v = val[active[t]]
             ok = (val_try > v * (1.0 + 1e-15)) | (val_try > v + 1e-15)
             C[:, active[t[ok]]] = C_try[:, ok]
@@ -163,7 +163,7 @@ def interpolation_constant(sys: OperatorSystem, seed: int = 0) -> ConstantEstima
     i = int(np.argmax(val))
     best_c = C[:, i]
     # stationarity residual of the scale-free quotient at the winner
-    g = _ascent_state(sys, H, C[:, [i]])[2]
+    g = _ascent_state(sys, C[:, [i]])[2]
     lead = int(np.argmax(np.abs(best_c)))
     if best_c[lead] < 0:
         best_c = -best_c
@@ -218,21 +218,21 @@ def young_split_audit(
     rng = np.random.default_rng(seed)
     a = abs(alpha)
 
-    def forms(*Xs):  # the quadratic forms of n_random fresh fields, one per row
-        U = rng.standard_normal((n_random, sys.ndof))
-        return (np.einsum("ij,ij->i", U @ X, U) for X in Xs)
+    def forms(*products):  # the quadratic forms of n_random fresh fields, one per column
+        U = rng.standard_normal((n_random, sys.ndof)).T
+        return (np.einsum("ij,ij->j", X(U), U) for X in products)
 
     violations = 0
     for eps in epsilons:
         c2 = C * ((1.0 - s) * eps ** (-s / (1.0 - s)) + s * eps)
-        qs, qk, qm = forms(sys.S, sys.K, sys.M)
+        qs, qk, qm = forms(sys.S.__matmul__, sys.apply_K, sys.apply_M)
         rhs = a * c1 * eps * qk + a * c2 * qm
         violations += int(np.count_nonzero(a * qs > rhs * (1.0 + SPLIT_SLACK) + SPLIT_SLACK))
 
     c2_star = C * ((1.0 - s) * eps_star ** (-s / (1.0 - s)) + s * eps_star)
     gamma_split = a * c2_star
     # the constructive split must certify the same coercivity bound
-    qk, qm, qb = forms(sys.K, sys.M, sys.A)
+    qk, qm, qb = forms(sys.apply_K, sys.apply_M, sys.A.__matmul__)
     violations += int(np.count_nonzero(qb + gamma_split * qm < 0.5 * qk - SPLIT_SLACK * np.maximum(1.0, qk)))
     trials = (len(epsilons) + 1) * n_random
     factor = gamma_split / gamma_exact if gamma_exact > 0 else None

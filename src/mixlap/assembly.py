@@ -22,7 +22,7 @@ lives in ``mixlap.oracles``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from pathlib import Path
 
@@ -37,6 +37,9 @@ __all__ = [
     "assemble_local_stiffness",
     "assemble_mass",
     "assemble_gagliardo",
+    "stiffness_column",
+    "mass_column",
+    "gagliardo_column",
     "build_system",
     "bilinear_B",
     "norms",
@@ -52,22 +55,22 @@ def _check_s(s: float) -> float:
     return s
 
 
-def _tridiagonal(n: int, a: float, b: float) -> np.ndarray:
-    """Dense tridiag(b, a, b) of order n."""
-    X = np.zeros((n, n))
-    np.fill_diagonal(X, a)
-    X[np.arange(n - 1), np.arange(1, n)] = X[np.arange(1, n), np.arange(n - 1)] = b
-    return X
+def stiffness_column(mesh: MeshInterval) -> np.ndarray:
+    """First column of the exact P1 stiffness matrix (1/h) * tridiag(-1, 2, -1)."""
+    return np.r_[2.0, -1.0, np.zeros(mesh.ndof)][: mesh.ndof] / mesh.h
+
+
+def mass_column(mesh: MeshInterval) -> np.ndarray:
+    """First column of the exact P1 mass matrix (h/6) * tridiag(1, 4, 1)."""
+    return np.r_[4.0, 1.0, np.zeros(mesh.ndof)][: mesh.ndof] * mesh.h / 6.0
 
 
 def assemble_local_stiffness(mesh: MeshInterval) -> np.ndarray:
-    """Exact P1 stiffness matrix (1/h) * tridiag(-1, 2, -1)."""
-    return _tridiagonal(mesh.ndof, 2.0 / mesh.h, -1.0 / mesh.h)
+    return _toeplitz(stiffness_column(mesh))
 
 
 def assemble_mass(mesh: MeshInterval) -> np.ndarray:
-    """Exact P1 mass matrix (h/6) * tridiag(1, 4, 1)."""
-    return _tridiagonal(mesh.ndof, 4.0 * mesh.h / 6.0, mesh.h / 6.0)
+    return _toeplitz(mass_column(mesh))
 
 
 # delta^4 = (2 sinh(D/2))^4 = D^4 sum_j a_j D^(2j), where a_j are the Taylor
@@ -111,24 +114,36 @@ def _gagliardo_column(s: float, k: np.ndarray) -> np.ndarray:
     return out / (s * (2.0 - 2.0 * s) * (3.0 - 2.0 * s))
 
 
+def gagliardo_column(mesh: MeshInterval, s: float) -> np.ndarray:
+    """First column c_0, ..., c_(n-1) of the Gagliardo form matrix (module docstring)."""
+    s = _check_s(s)
+    return mesh.h ** (1.0 - 2.0 * s) * _gagliardo_column(s, np.arange(mesh.ndof))
+
+
 def assemble_gagliardo(mesh: MeshInterval, s: float) -> np.ndarray:
     """Gagliardo form matrix S_ij for hat functions extended by zero (Toeplitz)."""
-    s = _check_s(s)
-    c = mesh.h ** (1.0 - 2.0 * s) * _gagliardo_column(s, np.arange(mesh.ndof))
+    return _toeplitz(gagliardo_column(mesh, s))
+
+
+def _toeplitz(c: np.ndarray) -> np.ndarray:
+    """The dense symmetric Toeplitz matrix with first column c."""
     # row i, c[i], ..., c[1], c[0], c[1], ..., is the window of [c reversed, c[1:]] at n-1-i
     windows = np.lib.stride_tricks.sliding_window_view(np.r_[c[::-1], c[1:]], c.size)
     return windows[::-1].copy()
 
 
-def _sine_diagonal(X: np.ndarray, name: str) -> np.ndarray:
-    """Eigenvalues a + 2 b cos(j pi/(n+1)), j = 1..n, of X = tridiag(b, a, b) in
-    the order of the sine modes; ``ValueError`` unless X is exactly that."""
-    n = X.shape[0]
-    diag, upper, lower = np.diag(X), np.diag(X, 1), np.diag(X, -1)
-    a, b = diag[0], upper[0] if n > 1 else 0.0
-    banded = np.count_nonzero(X) == np.count_nonzero(diag) + 2 * np.count_nonzero(upper)
-    if not (banded and np.all(diag == a) and np.all(upper == b) and np.all(lower == b)):
-        raise ValueError(f"{name} is not tridiagonal Toeplitz: the sine basis does not diagonalize it")
+def _stencil(col: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """T @ X for X of shape (n,) or (n, m), T = tridiag(b, a, b) with first column (a, b, 0, ...)."""
+    a, b = col[0], (col[1] if col.size > 1 else 0.0)
+    Y = a * X
+    Y[1:] += b * X[:-1]
+    Y[:-1] += b * X[1:]
+    return Y
+
+
+def _sine_diagonal(col: np.ndarray) -> np.ndarray:
+    """Eigenvalues a + 2 b cos(j pi/(n+1)), j = 1..n, of tridiag(b, a, b) with first column col."""
+    n, a, b = col.size, col[0], (col[1] if col.size > 1 else 0.0)
     return a + 2.0 * b * np.cos(np.arange(1, n + 1) * (math.pi / (n + 1)))
 
 
@@ -152,7 +167,7 @@ def _dst(X: np.ndarray) -> np.ndarray:
 
 
 class SineBasis:
-    """K, S and M in the orthonormal DST-I basis Q_jk = sqrt(2/(n+1)) sin(jk pi/(n+1)).
+    """K, S and M, from their columns, in the DST-I basis Q_jk = sqrt(2/(n+1)) sin(jk pi/(n+1)).
 
     Q is symmetric and diagonalizes every symmetric tridiagonal Toeplitz
     matrix, so Q K Q and Q M Q are the closed-form diagonals ``k`` and ``m``.
@@ -162,9 +177,9 @@ class SineBasis:
     ... (even under the flip of the nodes) and ``blocks[1]`` on j = 2, 4, ...
     """
 
-    def __init__(self, K: np.ndarray, S: np.ndarray, M: np.ndarray):
-        self.k, self.m = _sine_diagonal(K, "K"), _sine_diagonal(M, "M")
-        T = S.copy()
+    def __init__(self, k_col: np.ndarray, s_col: np.ndarray, m_col: np.ndarray):
+        self.k, self.m = _sine_diagonal(k_col), _sine_diagonal(m_col)
+        T = _toeplitz(s_col)
         _dst(_dst(T).T)  # rows, then the columns as rows of the transpose: T = Q S Q
         self.blocks = (T[0::2, 0::2].copy(), T[1::2, 1::2].copy())
 
@@ -221,13 +236,15 @@ class OperatorSystem:
     """Assembled forms for the operator -Laplace + alpha * (-Laplace)^s.
 
     K is the Dirichlet stiffness, S the Gagliardo form, M the mass matrix;
-    the energy pairing is B(u, v) = u^T (K + alpha S) v.  What is derived
-    from the forms (``A``, ``sine``, ``eigenpairs``) is kept on first use.
+    the energy pairing is B(u, v) = u^T (K + alpha S) v.  All three are
+    symmetric Toeplitz, held by their first columns; ``apply_K`` and
+    ``apply_M`` are the three-term stencils of K and M.  The dense K, S, M and
+    A = K + alpha S, ``sine`` and ``eigenpairs`` are built on first use and kept.
     """
 
-    K: np.ndarray
-    S: np.ndarray
-    M: np.ndarray
+    k_col: np.ndarray
+    s_col: np.ndarray
+    m_col: np.ndarray
     alpha: float
     s: float
     mesh: MeshInterval
@@ -236,15 +253,26 @@ class OperatorSystem:
     def ndof(self) -> int:
         return self.mesh.ndof
 
-    @cached_property
-    def A(self) -> np.ndarray:
-        """The form matrix K + alpha * S."""
-        return self.K + self.alpha * self.S
+    @property
+    def a_col(self) -> np.ndarray:
+        """First column of A = K + alpha * S."""
+        return self.k_col + self.alpha * self.s_col
+
+    A = cached_property(lambda self: _toeplitz(self.a_col))
+    K = cached_property(lambda self: _toeplitz(self.k_col))
+    S = cached_property(lambda self: _toeplitz(self.s_col))
+    M = cached_property(lambda self: _toeplitz(self.m_col))
+
+    def apply_K(self, X: np.ndarray) -> np.ndarray:
+        return _stencil(self.k_col, X)
+
+    def apply_M(self, X: np.ndarray) -> np.ndarray:
+        return _stencil(self.m_col, X)
 
     @cached_property
     def sine(self) -> SineBasis:
         """K, S and M in the sine basis; shared by every ``with_alpha`` system."""
-        return SineBasis(self.K, self.S, self.M)
+        return SineBasis(self.k_col, self.s_col, self.m_col)
 
     @cached_property
     def eigenpairs(self) -> tuple[np.ndarray, np.ndarray]:
@@ -253,24 +281,16 @@ class OperatorSystem:
         return self.sine.eigh(1.0, self.alpha, 0.0, 1.0)
 
     def with_alpha(self, alpha: float) -> "OperatorSystem":
-        """Same discretization, different coupling constant (S and ``sine`` are reused)."""
-        other = OperatorSystem(
-            K=self.K, S=self.S, M=self.M, alpha=float(alpha), s=self.s, mesh=self.mesh
-        )
+        """Same discretization, different coupling constant (the columns and ``sine`` are shared)."""
+        other = replace(self, alpha=float(alpha))
         other.sine = self.sine
         return other
 
 
 def build_system(mesh: MeshInterval, s: float, alpha: float) -> OperatorSystem:
     s = _check_s(s)
-    return OperatorSystem(
-        K=assemble_local_stiffness(mesh),
-        S=assemble_gagliardo(mesh, s),
-        M=assemble_mass(mesh),
-        alpha=float(alpha),
-        s=s,
-        mesh=mesh,
-    )
+    columns = stiffness_column(mesh), gagliardo_column(mesh, s), mass_column(mesh)
+    return OperatorSystem(*columns, alpha=float(alpha), s=s, mesh=mesh)
 
 
 def _require_same_mesh(sys: OperatorSystem, *fields: FeField) -> None:
@@ -289,8 +309,8 @@ def norms(u: FeField, sys: OperatorSystem) -> tuple[float, float, float]:
     """Return (||u||_X, ||u||_L2, [u]_s) = sqrt of the K, M, S quadratic forms."""
     _require_same_mesh(sys, u)
     c = u.coeffs
-    qk = float(c @ (sys.K @ c))
-    qm = float(c @ (sys.M @ c))
+    qk = float(c @ sys.apply_K(c))
+    qm = float(c @ sys.apply_M(c))
     qs = float(c @ (sys.S @ c))
     # round-off guard: the forms are PSD, clamp tiny negatives
     return (math.sqrt(max(qk, 0.0)), math.sqrt(max(qm, 0.0)), math.sqrt(max(qs, 0.0)))

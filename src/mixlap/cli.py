@@ -37,7 +37,7 @@ from .solvers import (
 )
 from .spectrum import (
     _lambda1,
-    _lower_violation,
+    _violation,
     alpha_threshold,
     bound_checks,
     first_positive_index,
@@ -113,10 +113,9 @@ def _write_critical_point(
 
 def _spectrum_single(cfg: RunConfig, sys: OperatorSystem, out_dir: Path) -> bool:
     spec = solve_pencil(sys, cfg.m)
-    A, M = sys.A, sys.M
     V = spec.vectors
-    gram_m = V.T @ M @ V
-    gram_b = V.T @ A @ V
+    gram_m = V.T @ sys.apply_M(V)
+    gram_b = V.T @ sys.A @ V
     rayleigh = np.abs(np.diag(gram_b) - spec.lambdas)
     m_orth = np.abs(gram_m - np.eye(spec.count)).max(axis=1)
     b_orth = np.abs(gram_b - np.diag(np.diag(gram_b))).max(axis=1)
@@ -311,7 +310,7 @@ def _audit_checks(cfg: RunConfig, sys: OperatorSystem) -> list[dict]:
     if k >= 1:
         add("two_sided_bounds", bound_checks(spec, sys, k=k, seed=cfg.seed).max_violation, 1e-9)
     else:
-        worst = _lower_violation(spec, sys, 0, np.random.default_rng(cfg.seed))
+        worst = _violation(sys, spec.vectors, spec.lambdas[0], np.random.default_rng(cfg.seed), -1.0)
         add("two_sided_bounds", worst, 1e-9, "lower side only: lambda_1 on span(u_1)")
 
     # coercivity shift on random fields

@@ -152,12 +152,12 @@ def _dual_norm(sys: OperatorSystem, g: np.ndarray) -> float:
 
 
 def _x_norm(sys: OperatorSystem, c: np.ndarray) -> float:
-    return math.sqrt(max(0.0, float(c @ sys.K @ c)))
+    return math.sqrt(max(0.0, float(sys.apply_K(c) @ c)))
 
 
 def _x_norms(sys: OperatorSystem, W: np.ndarray) -> np.ndarray:
     """X norms of the rows of W, each bit-identical to ``_x_norm``."""
-    return np.sqrt(np.maximum(0.0, _dot_rows(_apply_rows(sys.K.T, W), W)))
+    return np.sqrt(np.maximum(0.0, _dot_rows(np.ascontiguousarray(sys.apply_K(W.T).T), W)))
 
 
 def _slope_at_zero(sys: OperatorSystem, nl):
@@ -196,18 +196,17 @@ def solve_resolvent(
             f"lambda={lam!r} is within tolerance of eigenvalue k={k_near + 1} "
             f"(lambda_k={eigs[k_near]!r}); the linear problem is resonant"
         )
-    Amat = sys.A - lam * sys.M
-    rhs = sys.M @ a.coeffs
+    rhs = sys.apply_M(a.coeffs)
     x = np.zeros(sys.ndof)
     for _ in range(4):  # the solve, then iterative refinement to push the residual to round-off
-        r = rhs - Amat @ x
+        r = rhs - (sys.A @ x - lam * sys.apply_M(x))
         if np.max(np.abs(r)) == 0.0:
             break
         x = x + V @ ((V.T @ r) / (eigs - lam))
     u = FeField(x, sys.mesh)
     nl = AffineLinear(lam, a.evaluate)
     gn = _dual_norm(sys, J_gradient(sys, nl, u).coeffs)
-    ok = gn <= max(cfg.tol, 1e-10)
+    ok = gn <= max(cfg.tol, 1e-10) * max(1.0, _x_norm(sys, x))  # relative to the size of u
     return CriticalPointReport(
         u=u,
         J_value=J_eval(sys, nl, u),
@@ -362,7 +361,7 @@ def _sphere_min(
     capped at four times its last accepted step.
     """
     nsub = V.shape[1]
-    KV = sys.K @ V
+    KV = sys.apply_K(V)
     unit = np.eye(nsub)[: min(nsub, 3)]
     C = np.vstack([np.vstack([unit, rng.standard_normal((PROBE_RESTARTS, nsub))]) for _ in RHO_GRID])
     rho = np.repeat(RHO_GRID, len(C) // len(RHO_GRID))
@@ -569,7 +568,7 @@ def coercivity_gap(sys: OperatorSystem, theta_bar, k: int) -> float:
     M_theta = weighted_mass(sys.mesh, theta_bar)
     _, _, V = _splitting(sys, k)
     Ar = V.T @ (sys.A - M_theta) @ V
-    Kr = V.T @ sys.K @ V
+    Kr = V.T @ sys.apply_K(V)
     wmin = linalg.eigh(Ar, Kr, eigvals_only=True, subset_by_index=[0, 0])
     return float(wmin[0])
 
@@ -646,8 +645,8 @@ def _minimax(
     norm exceeds ``BLOWUP_BOUND`` stops the search.  History rows are
     (iteration, peak level, gradient norm).
     """
-    M = sys.M
-    v = v / math.sqrt(float(v @ M @ v))
+    M = sys.apply_M
+    v = v / math.sqrt(float(v @ M(v)))
     W = np.column_stack([U, v])
     c = np.zeros(W.shape[1])
     c[-1] = 1.0
@@ -678,8 +677,8 @@ def _minimax(
         accepted = False
         while sigma >= 2.0**-30:
             v_try = v - sigma * gd
-            v_try -= U @ (U.T @ (M @ v_try))
-            nv = math.sqrt(max(float(v_try @ M @ v_try), 0.0))
+            v_try -= U @ (U.T @ M(v_try))
+            nv = math.sqrt(max(float(v_try @ M(v_try)), 0.0))
             if nv <= 0.0:
                 sigma *= 0.5
                 continue

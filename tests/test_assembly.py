@@ -8,7 +8,6 @@ from scipy.linalg import toeplitz
 
 from mixlap import (
     FeField,
-    OperatorSystem,
     bilinear_B,
     build_mesh,
     build_system,
@@ -275,7 +274,8 @@ def test_with_alpha_derives_its_own_forms():
     w, _ = sys.eigenpairs
     assert np.array_equal(sys.A, sys.K - 5.0 * sys.S)
     other = sys.with_alpha(2.0)
-    assert other.K is sys.K and other.S is sys.S and other.M is sys.M
+    assert other.k_col is sys.k_col and other.s_col is sys.s_col and other.m_col is sys.m_col
+    assert other.sine is sys.sine
     assert np.array_equal(other.A, sys.K + 2.0 * sys.S)
     w_other, _ = other.eigenpairs
     unsplit = linalg.eigh(sys.K + 2.0 * sys.S, sys.M, eigvals_only=True)
@@ -360,16 +360,29 @@ def test_gagliardo_matches_the_scipy_exprel_formula(s):
     assert np.array_equal(assemble_gagliardo(mesh, s), _scipy_gagliardo(mesh, s))
 
 
-def test_parity_split_rejects_a_non_centrosymmetric_system():
-    # the sine basis diagonalizes only tridiagonal Toeplitz K and M
-    sys = build_system(build_mesh(0.0, 1.0, 8), 0.5, -5.0)
-    M = sys.M.copy()
-    M[0, 0] *= 1.5
-    lopsided = OperatorSystem(K=sys.K, S=sys.S, M=M, alpha=sys.alpha, s=sys.s, mesh=sys.mesh)
-    with pytest.raises(ValueError, match="M is not tridiagonal Toeplitz"):
-        lopsided.eigenpairs
-    K = sys.K.copy()
-    K[0, -1] = K[-1, 0] = -1.0 / sys.mesh.h  # a periodic wrap is off the band
-    wrapped = OperatorSystem(K=K, S=sys.S, M=sys.M, alpha=sys.alpha, s=sys.s, mesh=sys.mesh)
-    with pytest.raises(ValueError, match="K is not tridiagonal Toeplitz"):
-        wrapped.eigenpairs
+
+@pytest.mark.parametrize("ndof", [1, 2, 7, 64])
+def test_stencil_products_match_the_dense_forms(ndof):
+    sys = build_system(build_mesh(0.0, 1.0, ndof + 1), 0.5, -5.0)
+    rng = np.random.default_rng(ndof)
+    for X in (rng.standard_normal(ndof), rng.standard_normal((ndof, 5))):
+        for dense, product in ((sys.K, sys.apply_K), (sys.M, sys.apply_M)):
+            scale = np.abs(dense).max() * np.abs(X).max()
+            assert np.abs(product(X) - dense @ X).max() <= 4 * np.finfo(float).eps * scale
+
+
+@pytest.mark.parametrize("n_elem", [2, 3, 8, 65, 512])
+def test_dense_forms_are_built_from_the_columns(n_elem):
+    mesh = build_mesh(0.0, 1.0, n_elem)
+    sys = build_system(mesh, 0.5, -5.0)
+    assert np.array_equal(sys.K, assemble_local_stiffness(mesh))
+    assert np.array_equal(sys.M, assemble_mass(mesh))
+    assert np.array_equal(sys.S, assemble_gagliardo(mesh, 0.5))
+    for alpha in (-5.0, 0.0, 1.5):
+        assert np.array_equal(sys.with_alpha(alpha).A, sys.K + alpha * sys.S)
+
+
+def test_a_built_system_holds_no_dense_matrix():
+    sys = build_system(build_mesh(0.0, 1.0, 2048), 0.5, -1.0)
+    assert max(np.ndim(value) for value in vars(sys).values()) == 1
+    assert sys.s_col.shape == (2047,)

@@ -455,6 +455,47 @@ def test_spectral_and_critical_point_runs_load_no_scipy(tmp_path):
     assert proc.stdout.split("\n")[:-1] == ["0 []"] * len(runs)
 
 
+def test_spectrum_at_1024_peaks_below_four_dense_matrices(tmp_path):
+    # K, S and M are held by their columns: at its peak the run holds A, the
+    # eigenvectors and the sine blocks
+    import tracemalloc
+
+    cfgfile = write_cfg(tmp_path / "c.ini", "[domain]\nn_elem = 1024\n[operator]\nalpha = -1\n")
+    tracemalloc.start()
+    try:
+        assert main(["spectrum", "--config", str(cfgfile), "--out", str(tmp_path / "out")]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 8 * 1023**2
+
+
+def test_pipelines_build_no_dense_stiffness_or_mass(tmp_path, monkeypatch):
+    # K and M act through their three-term stencils; only full-audit and
+    # dump-matrices read them as dense matrices
+    from mixlap.assembly import OperatorSystem
+
+    def refuse(self):
+        raise AssertionError("a pipeline built a dense K or M")
+
+    monkeypatch.setattr(OperatorSystem, "K", property(refuse))
+    monkeypatch.setattr(OperatorSystem, "M", property(refuse))
+    runs = {
+        "spectrum": "[operator]\nalpha = -1\n",
+        "spectrum-grid": "[operator]\nalpha = -2:0:5\n",
+        "threshold": "[operator]\nalpha = -5\n[solver]\nbracket_lo = -10\nbracket_hi = 0\n",
+        "mountain-pass": "[operator]\nalpha = 0\n[nonlinearity]\nlambda = 5\n",
+        "linking": "[operator]\nalpha = 0\n[nonlinearity]\nlambda = 25\n[solver]\nk = 1\n",
+        "solve-linear": "[operator]\nalpha = -1\n"
+        "[nonlinearity]\nkind = affine_linear\nlambda = 10\na_const = 1\n",
+        "constants": "[operator]\nalpha = -5\n",
+    }
+    for label, body in runs.items():
+        cfgfile = write_cfg(tmp_path / f"{label}.ini", "[domain]\nn_elem = 16\n" + body)
+        argv = [label.removesuffix("-grid"), "--config", str(cfgfile), "--out", str(tmp_path / label)]
+        assert main(argv) == 0, label
+
+
 def test_spectrum_grid_and_threshold_transform_s_once(tmp_path, monkeypatch):
     # every alpha of a grid, alpha* and every point of the lambda_1 curve
     # share one sine basis

@@ -84,6 +84,22 @@ def test_resolvent_near_resonance_is_certified(sys64_neg5):
         assert np.max(np.abs(rep.u.coeffs - dense)) <= 1e-8 * np.max(np.abs(dense))
 
 
+def test_resolvent_certificate_is_relative_to_the_size_of_u():
+    # near resonance u is large, and so is the round-off in its gradient;
+    # the same bound refuses a small perturbation along a far eigenfield
+    cfg = SolverConfig(tol=1e-10)
+    for n_elem, alpha, k in ((64, 0.0, 0), (256, -1.0, 2)):
+        sys = build_system(build_mesh(0.0, 1.0, n_elem), 0.5, alpha)
+        w, V = sys.eigenpairs
+        lam = float(w[k]) * (1.0 + 1e-6)
+        rep = solve_resolvent(sys, lam, ones_field(sys.mesh), cfg)
+        assert rep.converged, rep.grad_norm
+        u = rep.u.coeffs + 1e-6 * np.max(np.abs(rep.u.coeffs)) * V[:, -1] / np.max(np.abs(V[:, -1]))
+        nl = AffineLinear(lam, ones_field(sys.mesh).evaluate)
+        gn = solvers._dual_norm(sys, J_gradient(sys, nl, FeField(u, sys.mesh)).coeffs)
+        assert gn > cfg.tol * max(1.0, solvers._x_norm(sys, u))
+
+
 def test_resolvent_resonance_rejected(sys64_neg5):
     lam1 = float(solve_pencil(sys64_neg5, 1).lambdas[0])
     with pytest.raises(ResonanceError, match="k=1"):
