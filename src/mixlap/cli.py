@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
+import math
 import shutil
 import sys as _sys
 import tempfile
@@ -31,9 +32,12 @@ from .solvers import (
     CriticalPointReport,
     ResonanceError,
     SolverConfig,
+    _linking_bound,
+    _splitting,
     linking_search,
     mountain_pass,
     solve_resolvent,
+    verify_geometry,
 )
 from .spectrum import (
     _lambda1,
@@ -246,6 +250,9 @@ def _pipeline_dump_matrices(cfg: RunConfig, out_dir: Path) -> bool:
 def _audit_checks(cfg: RunConfig, sys: OperatorSystem) -> list[dict]:
     """Every oracle cross-check at desk scale; deterministic given the seed."""
     from .oracles import (
+        RHO_GRID,
+        _delta_boundary_max,
+        _sphere_min,
         gagliardo_matrix_oracle,
         pencil_eigenvalues_oracle,
         quotient_max_oracle,
@@ -377,6 +384,25 @@ def _audit_checks(cfg: RunConfig, sys: OperatorSystem) -> list[dict]:
     spec_past = solve_pencil(sys_past, m=sys_past.ndof)
     add("indefinite_past_threshold", 2.0 - first_positive_index(spec_past), 0.0,
         "first positive index must be >= 2 below the threshold")
+
+    # certified linking bound at k = 1 vs the sampled sphere infimum and
+    # half-cylinder boundary, at the slope halfway between lambda_1 and lambda_2
+    if sys.ndof < 2:
+        add("linking_geometry", 0.0, 1e-10, "skipped: ndof < 2 leaves no level-1 splitting")
+    else:
+        lambdas, U, V = split = _splitting(sys, 1)
+        nl = PowerPerturbed(0.5 * float(lambdas[0] + lambdas[1]), 4.0)
+        geo = verify_geometry(sys, nl, 1)
+        g, c_r, r, _ = _linking_bound(sys, nl, split)
+        rng_geo = np.random.default_rng(cfg.seed)
+        worst = max(
+            (0.5 * g * rho**2 - c_r * rho**r - val) / max(1.0, abs(val))
+            for rho, (val, _) in zip(RHO_GRID, _sphere_min(sys, nl, V, rng_geo))
+        )
+        v_dir = V[:, 0] / math.sqrt(float(V[:, 0] @ sys.apply_K(V[:, 0])))
+        worst = max(worst, _delta_boundary_max(sys, nl, U, v_dir, geo.rho_big, rng_geo) - geo.boundary_sup)
+        add("linking_geometry", worst if geo.certified else math.inf, 1e-10,
+            "sampled sphere infimum >= certified bound at every radius, sampled boundary <= 0 at rho_big")
     return checks
 
 

@@ -50,7 +50,7 @@ _GQ_X, _GQ_W = leggauss(4)
 _GQ_X = 0.5 * (_GQ_X + 1.0)  # reference element [0, 1]
 _GQ_W = 0.5 * _GQ_W
 
-CONDITIONS = ("f_lg", "i", "ii", "iii", "slopes_infinity", "slopes_zero", "eq_1.8")
+CONDITIONS = ("f_lg", "i", "ii", "iii", "envelope", "slopes_infinity", "slopes_zero", "eq_1.8")
 SLOPE_TOL = 1e-2  # relative precision of a sampled asymptotic slope
 HYPOTHESIS_TOL = 1e-9  # largest relative violation a sampled growth inequality passes with
 _MAGS = np.logspace(-6.0, 6.0, 200)
@@ -64,6 +64,8 @@ class GrowthConstants:
     a_bound, b, r: linear / power growth envelope |f| <= a + b |t|^(r-1)
     mu, mu_tilde, R, c, d, A: superquadratic constants (A is the linear slope
         subtracted before the superquadratic comparison)
+    b_upper: envelope 0 <= F - A t^2/2 <= (b_upper / r) |t|^r of the primitive
+        past the slope A
     lambda_k: spectral level for the quadratic lower bound on F
     """
 
@@ -76,6 +78,7 @@ class GrowthConstants:
     c: Optional[float] = None
     d: Optional[float] = None
     A: Optional[float] = None
+    b_upper: Optional[float] = None
     lambda_k: Optional[float] = None
 
 
@@ -108,6 +111,7 @@ def _power_growth_defaults(lam: float, p: float) -> GrowthConstants:
     # F = lam t^2/2 + |t|^p / p >= c |t|^p - d with the largest clean c:
     # for lam >= 0 take c = 1/p, d = 0; otherwise c = 1/(2p) and d the
     # maximum of |lam| t^2/2 - |t|^p/(2p), attained at t = (p|lam|)^(1/(p-2)).
+    # F - lam t^2/2 = |t|^p / p is its own envelope: b_upper = 1.
     if lam >= 0:
         c, d = 1.0 / p, 0.0
     else:
@@ -115,7 +119,8 @@ def _power_growth_defaults(lam: float, p: float) -> GrowthConstants:
         t_star = (2.0 * abs(lam)) ** (1.0 / (p - 2.0))
         d = max(0.0, abs(lam) * t_star**2 / 2.0 - t_star**p / (2.0 * p))
     return GrowthConstants(
-        a_bound=abs(lam), b=abs(lam) + 1.0, r=p, mu=p, mu_tilde=p, R=1.0, c=c, d=d, A=lam
+        a_bound=abs(lam), b=abs(lam) + 1.0, r=p, mu=p, mu_tilde=p, R=1.0, c=c, d=d, A=lam,
+        b_upper=1.0,
     )
 
 
@@ -413,6 +418,8 @@ def check_hypotheses(
                 conditions.append("ii")
             if all(getattr(g, n) is not None for n in ("mu", "mu_tilde", "R", "c", "d", "A")):
                 conditions.append("iii")
+            if all(getattr(g, n) is not None for n in ("A", "b_upper", "r")):
+                conditions.append("envelope")
             if g.lambda_k is not None:
                 conditions.append("eq_1.8")
     unknown = set(conditions) - set(CONDITIONS)
@@ -462,6 +469,14 @@ def check_hypotheses(
             denom2 = np.maximum(1.0, np.maximum(np.abs(Fv), np.abs(growth_env)))
             viol_growth = (growth_env - Fv) / denom2
             viol = np.maximum(viol_ar, viol_growth)
+            worst, wit = _worst(viol, xs, ts)
+            reports.append(HypothesisReport(cond, worst <= HYPOTHESIS_TOL, worst, wit))
+        elif cond == "envelope":
+            A, b_up, r = _require(g, ["A", "b_upper", "r"], cond)
+            excess = Fv - A * T**2 / 2.0  # must lie in [0, (b_upper / r) |t|^r]
+            env = b_up / r * np.abs(T) ** r
+            denom = np.maximum(1.0, np.maximum(np.abs(excess), env))
+            viol = np.maximum(-excess, excess - env) / denom
             worst, wit = _worst(viol, xs, ts)
             reports.append(HypothesisReport(cond, worst <= HYPOTHESIS_TOL, worst, wit))
         elif cond == "eq_1.8":

@@ -6,19 +6,26 @@ adaptive quadrature (element pair by element pair, splitting along the
 diagonal where the kernel is singular, and with the exterior integral mapped
 to a finite domain instead of using its closed form), the pencil oracle
 locates eigenvalues by inertia bisection on LDL^T factorizations, the
-threshold oracle bisects the coupling on the same inertia count, and the
-quotient oracles use direct randomized search.  They are slow and only meant
-for desk-scale matrices.
+threshold oracle bisects the coupling on the same inertia count, the
+quotient oracles use direct randomized search, and the linking-geometry
+oracle samples J by multistart descent on spheres and along the boundary of
+the half-cylinder, where production bounds it by inequalities.  They are
+slow and only meant for desk-scale matrices.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import integrate, linalg
 
+from .assembly import OperatorSystem
+from .functional import J_gradients, J_values, _apply_rows, _dot_rows
 from .mesh import MeshInterval
+from .solvers import _splitting, _x_norm, _x_norms
 
 __all__ = [
     "gagliardo_entry_oracle",
@@ -27,7 +34,14 @@ __all__ = [
     "threshold_oracle",
     "rayleigh_min_oracle",
     "quotient_max_oracle",
+    "SampledGeometry",
+    "linking_geometry_oracle",
 ]
+
+# sampled linking geometry
+RHO_GRID = tuple(float(x) for x in np.logspace(-3, 0.5, 8))  # sphere radii searched
+SPHERE_RESTARTS = 12  # random starts per sphere
+BOUNDARY_RHO_MAX = 1e4  # largest half-cylinder radius tried
 
 
 def _hat(mesh: MeshInterval, i: int):
@@ -85,6 +99,37 @@ def _exterior_entry_oracle(
     return 2.0 * ext
 
 
+def _hat_on_cell(mesh: MeshInterval, node: int, k: int) -> tuple[float, float, float]:
+    """(c0, xi, d) with the hat of interior node ``node`` equal to
+    c0 - (x - xi) / d on cell k: ``_hat``'s own float operations inside its
+    support (d = -h on the left cell, h on the right one) and 0 off it."""
+    xi = float(mesh.nodes[node - 1])
+    if k == node - 1:
+        return 1.0, xi, -mesh.h
+    if k == node:
+        return 1.0, xi, mesh.h
+    return 0.0, xi, math.inf
+
+
+def _pair_integrand(mesh: MeshInterval, s: float, i: int, j: int, k: int, m: int):
+    """The Omega x Omega integrand of hats i and j for x in cell k and y in
+    cell m, where each hat is affine: one closure of float arithmetic."""
+    ai, xi, di = _hat_on_cell(mesh, i, k)
+    bi, _, ei = _hat_on_cell(mesh, i, m)
+    aj, xj, dj = _hat_on_cell(mesh, j, k)
+    bj, _, ej = _hat_on_cell(mesh, j, m)
+    expo = 1.0 + 2.0 * s
+
+    def integrand(y: float, x: float) -> float:
+        return (
+            ((ai - (x - xi) / di) - (bi - (y - xi) / ei))
+            * ((aj - (x - xj) / dj) - (bj - (y - xj) / ej))
+            / abs(x - y) ** expo
+        )
+
+    return integrand
+
+
 def gagliardo_entry_oracle(
     mesh: MeshInterval, s: float, i: int, j: int, eps: float = 1e-10
 ) -> float:
@@ -92,19 +137,14 @@ def gagliardo_entry_oracle(
 
     The Omega x Omega part is integrated cell pair by cell pair with
     ``dblquad`` (identical cells are split along the diagonal x = y so the
-    kernel singularity sits on the region boundary).  The exterior part,
+    kernel singularity sits on the region boundary), each hat resolved once
+    per pair to its affine piece.  The exterior part,
     ``_exterior_entry_oracle``, is integrated adaptively as well, with the
     unbounded inner integral mapped onto (0, 1) by u = t / (1 - t).
     """
     a = mesh.a
     h = mesh.h
     n_el = mesh.n_elem
-    phi_i = _hat(mesh, i)
-    phi_j = _hat(mesh, j)
-    expo = 1.0 + 2.0 * s
-
-    def integrand(y, x):
-        return (phi_i(x) - phi_i(y)) * (phi_j(x) - phi_j(y)) / abs(x - y) ** expo
 
     def cell_touches_support(k: int, node: int) -> bool:
         # support of hat `node` is [x_{node-1}, x_{node+1}] = elements node-1, node
@@ -117,6 +157,7 @@ def gagliardo_entry_oracle(
                 continue
             if not (cell_touches_support(k, j) or cell_touches_support(m, j)):
                 continue
+            integrand = _pair_integrand(mesh, s, i, j, k, m)
             x0, x1 = a + k * h, a + (k + 1) * h
             y0, y1 = a + m * h, a + (m + 1) * h
             if k == m:
@@ -259,3 +300,155 @@ def quotient_max_oracle(value_fn, n: int, samples: int, seed: int = 0) -> float:
                 best = val
         done += take
     return float(best)
+
+
+def _sphere_min(
+    sys: OperatorSystem, nl, V: np.ndarray, rng: np.random.Generator
+) -> list[tuple[float, float]]:
+    """Multistart projected descent of J, at most 300 steps, on the X-sphere
+    of each radius in ``RHO_GRID`` inside the span of the columns of V.
+    Returns (min value, spread) per radius.
+
+    The starts of all radii run in lockstep, one block evaluation of J or its
+    gradient per step, each row on its own radius; the random starts are
+    drawn radius by radius.  Each start keeps its own step length and
+    acceptance test, and leaves the block when it converges or its line
+    search fails.  A start's line search begins at 0.5 / max(1, |gradient|),
+    capped at four times its last accepted step.
+    """
+    nsub = V.shape[1]
+    KV = sys.apply_K(V)
+    unit = np.eye(nsub)[: min(nsub, 3)]
+    C = np.vstack([np.vstack([unit, rng.standard_normal((SPHERE_RESTARTS, nsub))]) for _ in RHO_GRID])
+    rho = np.repeat(RHO_GRID, len(C) // len(RHO_GRID))
+
+    def on_sphere(Cb, rb):
+        W = _apply_rows(V, Cb)
+        r = _x_norms(sys, W)
+        return W, r, (rb / r)[:, None] * W
+
+    active = np.arange(len(C))
+    last = np.full(len(C), np.inf)  # each start's last accepted step
+    for _ in range(300):
+        if active.size == 0:
+            break
+        ra = rho[active]
+        W, r, U = on_sphere(C[active], ra)
+        G = J_gradients(sys, nl, U)
+        # chain rule through the radial projection
+        GC = (ra / r)[:, None] * (
+            _apply_rows(V.T, G) - (_dot_rows(W, G) / r**2)[:, None] * _apply_rows(KV.T, W)
+        )
+        gn = np.sqrt(_dot_rows(GC, GC))
+        val = J_values(sys, nl, U)
+        step = np.minimum(0.5 / np.maximum(1.0, gn), 4.0 * last[active])
+        improved = np.zeros(active.size, dtype=bool)
+        trying = (gn >= 1e-12 * np.maximum(1.0, np.abs(val))) & (step > 1e-14)
+        while trying.any():
+            t = np.flatnonzero(trying)
+            C_try = C[active[t]] - step[t, None] * GC[t]
+            ok = J_values(sys, nl, on_sphere(C_try, ra[t])[2]) < val[t] - 1e-12
+            C[active[t[ok]]] = C_try[ok]
+            last[active[t[ok]]] = step[t[ok]]
+            improved[t[ok]] = True
+            step[t[~ok]] *= 0.5
+            trying[t] = ~ok & (step[t] > 1e-14)
+        active = active[improved]
+    out = []
+    for results in np.sort(J_values(sys, nl, on_sphere(C, rho)[2]).reshape(len(RHO_GRID), -1)):
+        second = results[1] if results.size > 1 else results[0]
+        out.append((float(results[0]), float((second - results[0]) / (1.0 + abs(results[0])))))
+    return out
+
+
+def _delta_boundary_max(
+    sys: OperatorSystem, nl, U: np.ndarray, v_dir: np.ndarray, rho: float, rng: np.random.Generator
+) -> float:
+    """Max of J sampled over the boundary of the half-cylinder
+    (X-ball of radius rho in span U) + [0, rho] * v_dir, along 100 random
+    ball directions per face."""
+    k = U.shape[1]
+    ts = np.linspace(0.0, rho, 33)[:, None]
+    rs = np.linspace(0.0, rho, 17)[:, None]
+
+    def ball_dirs():
+        if k == 0:
+            return np.zeros((1, 0))
+        if k == 1:
+            return np.array([[1.0], [-1.0]])
+        d = rng.standard_normal((100, k))
+        return d / np.linalg.norm(d, axis=1, keepdims=True)
+
+    def x_normalize(w):
+        n = _x_norm(sys, w)
+        return w / n if n > 0 else w
+
+    def sup(block):
+        return float(np.max(J_values(sys, nl, block)))
+
+    # at k = 0 the ball is the origin, the side face is empty and the
+    # boundary reduces to the two segment endpoints
+    best = -math.inf
+    # bottom face t = 0, |w| <= rho  (includes the origin)
+    for d in ball_dirs():
+        best = max(best, sup(rs * x_normalize(U @ d)))
+    # side face |w| = rho, t in [0, rho]
+    for d in ball_dirs():
+        if k:
+            best = max(best, sup(rho * x_normalize(U @ d) + ts * v_dir))
+    # top face t = rho, |w| <= rho
+    for d in ball_dirs():
+        best = max(best, sup(rs * x_normalize(U @ d) + rho * v_dir))
+    return best
+
+
+@dataclass(frozen=True)
+class SampledGeometry:
+    """The linking geometry at level k as sampling sees it.
+
+    ``alpha_tilde`` is the best sampled sphere infimum over ``RHO_GRID``,
+    reached at ``rho_small``, and ``spread`` the relative gap between the two
+    lowest starts there; ``inconclusive`` flags a spread above 0.5.
+    ``boundary_sup`` is the sampled supremum of J on the boundary of the
+    half-cylinder of radius ``rho_big``, the first radius, doubling from
+    max(1, 4 rho_small), where it is nonpositive.
+    """
+
+    k: int
+    rho_small: float
+    alpha_tilde: float
+    spread: float
+    rho_big: float
+    boundary_sup: float
+    inconclusive: bool
+
+
+def linking_geometry_oracle(sys: OperatorSystem, nl, k: int, seed: int = 0) -> SampledGeometry:
+    """The linking geometry of a superlinear kind by multistart descent
+    (``_sphere_min``) and boundary sampling (``_delta_boundary_max``), the
+    random starts and directions drawn in that order from ``seed``.  A sample
+    cannot prove an infimum; it checks the certified bound of
+    ``mixlap.solvers.verify_geometry`` from the other side."""
+    _, U, V = _splitting(sys, k)
+    rng = np.random.default_rng(seed)
+    best_val, rho_small, spread_at_best = -math.inf, RHO_GRID[0], 0.0
+    for rho, (val, spread) in zip(RHO_GRID, _sphere_min(sys, nl, V, rng)):
+        if val > best_val:
+            best_val, rho_small, spread_at_best = val, rho, spread
+    v_dir = V[:, 0] / _x_norm(sys, V[:, 0])
+    rho_big = max(1.0, 4.0 * rho_small)
+    boundary_sup = math.inf
+    while rho_big <= BOUNDARY_RHO_MAX:
+        boundary_sup = _delta_boundary_max(sys, nl, U, v_dir, rho_big, rng)
+        if boundary_sup <= 0.0:
+            break
+        rho_big *= 2.0
+    return SampledGeometry(
+        k=k,
+        rho_small=rho_small,
+        alpha_tilde=best_val,
+        spread=spread_at_best,
+        rho_big=rho_big,
+        boundary_sup=boundary_sup,
+        inconclusive=spread_at_best > 0.5,
+    )

@@ -8,7 +8,10 @@ level matches the geometry that produced it.  The linking search, its
 geometry probe and the coercivity gap work in the spectral splitting at
 level k, span(u_1..u_k) and its M-orthogonal complement, which
 ``_splitting`` computes for all three; a linking search computes it once and
-hands it to its probe.
+hands it to its probe.  The probe certifies the superlinear geometry by
+closed-form inequalities (Rabinowitz, CBMS 65, 1986, proof of Thm 5.3) in
+the nonlinearity's declared growth constants; ``mixlap.oracles`` keeps the
+sampled descent as its independent check.
 
 Search strategies:
 
@@ -41,7 +44,6 @@ from .functional import (
     AffineLinear,
     J_eval,
     J_gradient,
-    J_gradients,
     J_hessian,
     J_values,
     _apply_rows,
@@ -84,9 +86,9 @@ PEAK_LADDER = 0.5 ** np.arange(40)  # trial steps of the peak's line search
 PEAK_FIRST_RUNGS = 4  # steps ranked before the rest of the ladder (the kept one, nearly always)
 
 # linking geometry probe
-RHO_GRID = tuple(float(x) for x in np.logspace(-3, 0.5, 8))  # sphere radii searched
-PROBE_RESTARTS = 12  # random starts per sphere (and random directions, affine kind)
-RHO_BIG_MAX = 1e4  # largest half-cylinder (or sphere) radius tried
+PROBE_RESTARTS = 12  # random sphere directions of the affine kind's saddle probe
+RHO_BIG_MAX = 1e4  # largest sphere radius the saddle probe tries
+LINKING_CONSTANTS = ("A", "b_upper", "r", "c", "d", "mu_tilde")  # the growth constants the linking bound reads
 
 
 @dataclass
@@ -130,8 +132,6 @@ class LinkingGeometryReport:
     boundary_sup: float
     certified: bool
     mode: str  # linking | saddle
-    inconclusive: bool = False
-    spread: float = 0.0
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -346,106 +346,6 @@ def _splitting(sys: OperatorSystem, k: int) -> tuple[np.ndarray, np.ndarray, np.
     return full.lambdas, full.vectors[:, :k], full.vectors[:, k:]
 
 
-def _sphere_min(
-    sys: OperatorSystem, nl, V: np.ndarray, rng: np.random.Generator
-) -> list[tuple[float, float]]:
-    """Multistart projected descent of J, at most 300 steps, on the X-sphere
-    of each radius in ``RHO_GRID`` inside the span of the columns of V.
-    Returns (min value, spread) per radius.
-
-    The starts of all radii run in lockstep, one block evaluation of J or its
-    gradient per step, each row on its own radius; the random starts are
-    drawn radius by radius.  Each start keeps its own step length and
-    acceptance test, and leaves the block when it converges or its line
-    search fails.  A start's line search begins at 0.5 / max(1, |gradient|),
-    capped at four times its last accepted step.
-    """
-    nsub = V.shape[1]
-    KV = sys.apply_K(V)
-    unit = np.eye(nsub)[: min(nsub, 3)]
-    C = np.vstack([np.vstack([unit, rng.standard_normal((PROBE_RESTARTS, nsub))]) for _ in RHO_GRID])
-    rho = np.repeat(RHO_GRID, len(C) // len(RHO_GRID))
-
-    def on_sphere(Cb, rb):
-        W = _apply_rows(V, Cb)
-        r = _x_norms(sys, W)
-        return W, r, (rb / r)[:, None] * W
-
-    active = np.arange(len(C))
-    last = np.full(len(C), np.inf)  # each start's last accepted step
-    for _ in range(300):
-        if active.size == 0:
-            break
-        ra = rho[active]
-        W, r, U = on_sphere(C[active], ra)
-        G = J_gradients(sys, nl, U)
-        # chain rule through the radial projection
-        GC = (ra / r)[:, None] * (
-            _apply_rows(V.T, G) - (_dot_rows(W, G) / r**2)[:, None] * _apply_rows(KV.T, W)
-        )
-        gn = np.sqrt(_dot_rows(GC, GC))
-        val = J_values(sys, nl, U)
-        step = np.minimum(0.5 / np.maximum(1.0, gn), 4.0 * last[active])
-        improved = np.zeros(active.size, dtype=bool)
-        trying = (gn >= 1e-12 * np.maximum(1.0, np.abs(val))) & (step > 1e-14)
-        while trying.any():
-            t = np.flatnonzero(trying)
-            C_try = C[active[t]] - step[t, None] * GC[t]
-            ok = J_values(sys, nl, on_sphere(C_try, ra[t])[2]) < val[t] - 1e-12
-            C[active[t[ok]]] = C_try[ok]
-            last[active[t[ok]]] = step[t[ok]]
-            improved[t[ok]] = True
-            step[t[~ok]] *= 0.5
-            trying[t] = ~ok & (step[t] > 1e-14)
-        active = active[improved]
-    out = []
-    for results in np.sort(J_values(sys, nl, on_sphere(C, rho)[2]).reshape(len(RHO_GRID), -1)):
-        second = results[1] if results.size > 1 else results[0]
-        out.append((float(results[0]), float((second - results[0]) / (1.0 + abs(results[0])))))
-    return out
-
-
-def _delta_boundary_max(
-    sys: OperatorSystem, nl, U: np.ndarray, v_dir: np.ndarray, rho: float, rng: np.random.Generator
-) -> float:
-    """Max of J sampled over the boundary of the half-cylinder
-    (X-ball of radius rho in span U) + [0, rho] * v_dir, along 100 random
-    ball directions per face."""
-    k = U.shape[1]
-    ts = np.linspace(0.0, rho, 33)[:, None]
-    rs = np.linspace(0.0, rho, 17)[:, None]
-
-    def ball_dirs():
-        if k == 0:
-            return np.zeros((1, 0))
-        if k == 1:
-            return np.array([[1.0], [-1.0]])
-        d = rng.standard_normal((100, k))
-        return d / np.linalg.norm(d, axis=1, keepdims=True)
-
-    def x_normalize(w):
-        n = _x_norm(sys, w)
-        return w / n if n > 0 else w
-
-    def sup(block):
-        return float(np.max(J_values(sys, nl, block)))
-
-    # at k = 0 the ball is the origin, the side face is empty and the
-    # boundary reduces to the two segment endpoints
-    best = -math.inf
-    # bottom face t = 0, |w| <= rho  (includes the origin)
-    for d in ball_dirs():
-        best = max(best, sup(rs * x_normalize(U @ d)))
-    # side face |w| = rho, t in [0, rho]
-    for d in ball_dirs():
-        if k:
-            best = max(best, sup(rho * x_normalize(U @ d) + ts * v_dir))
-    # top face t = rho, |w| <= rho
-    for d in ball_dirs():
-        best = max(best, sup(rs * x_normalize(U @ d) + rho * v_dir))
-    return best
-
-
 def _refusal(k: int, mode: str, alpha_tilde: float) -> LinkingGeometryReport:
     nan = math.nan
     return LinkingGeometryReport(
@@ -455,25 +355,79 @@ def _refusal(k: int, mode: str, alpha_tilde: float) -> LinkingGeometryReport:
 
 
 def verify_geometry(sys: OperatorSystem, nl, k: int, seed: int = 0) -> LinkingGeometryReport:
-    """Probe the minimax geometry around the spectral splitting at level k.
+    """Certify the minimax geometry around the spectral splitting at level k.
 
-    Superlinear kinds: estimates the infimum of J on spheres inside the
-    complement of the first k eigenfields over a radius grid, and the
-    supremum of J on the boundary of the half-cylinder spanned by the first
-    k eigenfields and the (k+1)-st direction, growing the cylinder radius
-    until the supremum is nonpositive.  Affine kind: the exact infimum over
-    the complement (a convex quadratic) against the supremum on the sphere
-    in the spanned subspace.  A geometry that fails is reported, not
-    raised, and inconclusive multistart scatter is flagged.  Refused
-    without probing, with NaN for what was not computed: the affine kind
-    when its slope is not below lambda_{k+1}, where J is unbounded below on
-    the complement (alpha_tilde is -inf), and a superlinear kind at k >= 1
-    unless its sampled slope at zero lies above lambda_k.  ``seed`` drives
-    the random starts and directions.  Raises ``ValueError`` for k outside
+    Superlinear kinds: closed-form inequalities (``_linking_bound``) give a
+    lower bound on J over the X-sphere of each radius in the complement V of
+    the first k eigenfields, maximized over the radius (``alpha_tilde`` at
+    ``rho_small``), and a half-cylinder radius ``rho_big`` past which J <= 0
+    on the boundary of the half-cylinder spanned by the first k eigenfields
+    and the (k+1)-st direction.  They read the nonlinearity's declared
+    ``LINKING_CONSTANTS``; a kind that lacks any of them raises
+    ``ValueError`` naming the missing ones.  Affine kind: the exact infimum
+    over the complement (a convex quadratic) against the supremum sampled on
+    the sphere in the spanned subspace, whose random directions ``seed``
+    drives.  A geometry that fails is reported, not raised.  Refused without
+    a bound, with NaN for what was not computed: the affine kind when its
+    slope is not below lambda_{k+1}, where J is unbounded below on the
+    complement (alpha_tilde is -inf), and a superlinear kind whose declared
+    slope A is not below lambda_{k+1}, or at k >= 1 whose sampled slope at
+    zero does not lie above lambda_k.  Raises ``ValueError`` for k outside
     0..ndof-1, and for the affine kind at k = 0, whose sphere would lie in
     an empty span.
     """
     return _probe(sys, nl, _splitting(sys, k), _slope_at_zero(sys, nl), seed)[0]
+
+
+def _linking_constants(nl) -> list[float]:
+    """The nonlinearity's declared ``LINKING_CONSTANTS``, in that order."""
+    missing = [name for name in LINKING_CONSTANTS if getattr(nl.growth, name) is None]
+    if missing:
+        raise ValueError(
+            "the linking geometry bound needs declared constants "
+            + ", ".join(repr(name) for name in missing)
+        )
+    A, b, r, c, d, mu = (float(getattr(nl.growth, name)) for name in LINKING_CONSTANTS)
+    if not (r > 2.0 and mu > 2.0 and b > 0.0 and c > 0.0 and d >= 0.0):
+        raise ValueError(
+            "the linking geometry bound needs r > 2, mu_tilde > 2, b_upper > 0, c > 0 and d >= 0"
+        )
+    return [A, b, r, c, d, mu]
+
+
+def _linking_bound(sys: OperatorSystem, nl, split: tuple) -> tuple[float, float, float, float]:
+    """(g, c_r, r, rho_big) of the certified linking bound at the splitting's level k.
+
+    The sphere side: for u in the complement V with X norm rho,
+    J(u) >= g rho^2 / 2 - c_r rho^r.  On V, B - A M is at least g K
+    (``coercivity_gap`` at the declared slope A); F - A t^2/2 <= (b/r) |t|^r
+    at the Gauss points, whose rule integrates u_h^2 exactly, so the
+    integral is at most (b/r) ||u||_inf^(r-2) ||u||_M^2; ||u||_inf <=
+    (sqrt(L)/2) rho for H^1_0 on an interval of length L; and
+    ||u||_M^2 <= rho^2 / nu with nu the lowest eigenvalue of V^T K V.
+
+    The boundary side: on span(u_1..u_{k+1}), J(u) <= lambda_{k+1} m^2/2 -
+    c L^(1 - mu/2) m^mu + d L in m = ||u||_M, by F >= c |t|^mu - d and
+    Hoelder's inequality on the Gauss rule, whose weights sum to L.  That is
+    <= 0 once half the power term beats each of the other two, at m >= m0.
+    Every field on the side and top faces of the half-cylinder of X radius
+    R has m >= R / sqrt(kappa), kappa the largest eigenvalue of
+    W^T K W on W = [u_1..u_{k+1}], so ``rho_big`` = m0 sqrt(kappa).  The
+    bottom face is a ball in span(u_1..u_k), where J(u) <= (lambda_k - A)
+    ||u||_M^2 / 2 <= 0 because F - A t^2/2 >= 0.
+    """
+    lambdas, U, V = split
+    k = U.shape[1]
+    A, b, r, c, d, mu = _linking_constants(nl)
+    length = sys.mesh.b - sys.mesh.a
+    g = coercivity_gap(sys, A, k, split)
+    nu = float(np.linalg.eigvalsh(V.T @ sys.apply_K(V))[0])
+    c_r = b * (math.sqrt(length) / 2.0) ** (r - 2.0) / (r * nu)
+    W = np.column_stack([U, V[:, 0]])
+    kappa = float(np.linalg.eigvalsh(W.T @ sys.apply_K(W))[-1])
+    q = c * length ** (1.0 - mu / 2.0)
+    m0 = max((max(float(lambdas[k]), 0.0) / q) ** (1.0 / (mu - 2.0)), (2.0 * d * length / q) ** (1.0 / mu))
+    return g, c_r, r, m0 * math.sqrt(kappa)
 
 
 def _probe(
@@ -485,9 +439,9 @@ def _probe(
     k = U.shape[1]
     if isinstance(nl, AffineLinear) and k == 0:
         raise ValueError("the saddle geometry of the affine kind needs k >= 1")
-    rng = np.random.default_rng(seed)
 
     if isinstance(nl, AffineLinear):
+        rng = np.random.default_rng(seed)
         lam = nl.lam
         if not lam < lambdas[k]:
             return _refusal(k, "saddle", -math.inf), (
@@ -521,56 +475,49 @@ def _probe(
             mode="saddle",
         ), ""
 
+    A = _linking_constants(nl)[0]
     if k >= 1 and (theta.diverged or theta.inconclusive or not lambdas[k - 1] < theta.lower):
         return _refusal(k, "linking", math.nan), (
             f"slope at zero [{theta.lower:.6g}, {theta.upper:.6g}] is not above "
             f"lambda_{k} = {lambdas[k - 1]:.6g}"
         )
-
-    # superlinear: sphere infimum over a radius grid
-    best_val = -math.inf
-    best_rho = RHO_GRID[0]
-    spread_at_best = 0.0
-    for rho, (val, spread) in zip(RHO_GRID, _sphere_min(sys, nl, V, rng)):
-        if val > best_val:
-            best_val, best_rho, spread_at_best = val, rho, spread
-    alpha_tilde = best_val
-    rho_small = best_rho
-
-    v_dir = V[:, 0] / _x_norm(sys, V[:, 0])
-    rho_big = max(1.0, 4.0 * rho_small)
-    boundary_sup = math.inf
-    while rho_big <= RHO_BIG_MAX:
-        boundary_sup = _delta_boundary_max(sys, nl, U, v_dir, rho_big, rng)
-        if boundary_sup <= 0.0:
-            break
-        rho_big *= 2.0
-    certified = alpha_tilde > 0.0 >= boundary_sup
+    g, c_r, r, rho_big = _linking_bound(sys, nl, split)
+    if not g > 0.0:
+        return _refusal(k, "linking", math.nan), (
+            f"declared slope A = {A:.6g} is not below lambda_{k + 1} = {lambdas[k]:.6g}: "
+            f"the coercivity gap on the complement is {g:.6g}"
+        )
+    # g rho^2/2 - c_r rho^r peaks at g = r c_r rho^(r-2), where it is g rho^2 (1/2 - 1/r)
+    rho_small = (g / (r * c_r)) ** (1.0 / (r - 2.0))
+    alpha_tilde = g * rho_small**2 * (0.5 - 1.0 / r)
+    # J(0) = 0, the bottom face is <= 0 when lambda_k <= A, the side and top faces past rho_big
+    boundary_sup = 0.0 if k == 0 or lambdas[k - 1] <= A else math.inf
     return LinkingGeometryReport(
         k=k,
         rho_small=rho_small,
         alpha_tilde=alpha_tilde,
-        rho_big=rho_big,
+        rho_big=max(rho_big, 2.0 * rho_small),  # the sphere and the boundary link when rho_small < rho_big
         boundary_sup=boundary_sup,
-        certified=certified,
+        certified=alpha_tilde > 0.0 >= boundary_sup,
         mode="linking",
-        inconclusive=spread_at_best > 0.5,
-        spread=spread_at_best,
     ), ""
 
 
-def coercivity_gap(sys: OperatorSystem, theta_bar, k: int) -> float:
+def coercivity_gap(sys: OperatorSystem, theta_bar, k: int, split: tuple | None = None) -> float:
     """Smallest value of (B(u,u) - int theta u^2) / |u|_X^2 over the
-    complement of the first k eigenfields: an eigenvalue of the projected
-    pencil against the local stiffness.  ``theta_bar`` is a constant or a
-    function of x."""
-    from scipy import linalg  # only the audit needs a one-index generalized eigensolve
-    M_theta = weighted_mass(sys.mesh, theta_bar)
-    _, _, V = _splitting(sys, k)
-    Ar = V.T @ (sys.A - M_theta) @ V
-    Kr = V.T @ sys.apply_K(V)
-    wmin = linalg.eigh(Ar, Kr, eigvals_only=True, subset_by_index=[0, 0])
-    return float(wmin[0])
+    complement V of the first k eigenfields: the lowest eigenvalue of the
+    projected pencil (V^T (A - M_theta) V, V^T K V), by one Cholesky of
+    V^T K V and one symmetric eigensolve.  ``theta_bar`` is a constant,
+    where the projected form is diag(lambda_j - theta) in the M-orthonormal
+    eigenbasis, or a function of x.  ``split`` is the splitting at level k
+    when the caller has computed it."""
+    lambdas, _, V = split if split is not None else _splitting(sys, k)
+    if callable(theta_bar):
+        Ar = V.T @ (sys.A - weighted_mass(sys.mesh, theta_bar)) @ V
+    else:
+        Ar = np.diag(lambdas[k:] - float(theta_bar))
+    L_inv = np.linalg.inv(np.linalg.cholesky(V.T @ sys.apply_K(V)))
+    return float(np.linalg.eigvalsh(L_inv @ Ar @ L_inv.T)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -743,7 +690,8 @@ def linking_search(
     """Minimax search over deformations of the spectral half-cylinder.
 
     Requires the geometry probe to certify the linking (or saddle) structure
-    first; every report carries that probe as ``geometry``, and the probe
+    first; every report carries that probe as ``geometry``.  The superlinear
+    geometry is a bound and draws nothing; the affine kind's saddle probe
     draws from ``cfg.seed``.  ``_minimax`` then runs with the first k
     eigenfields fixed from the ray of u_{k+1}; at k = 0 that is the search
     of ``mountain_pass``.  Raises ``ValueError`` for the affine kind once its

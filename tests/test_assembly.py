@@ -25,7 +25,7 @@ from mixlap.assembly import (
     assemble_local_stiffness,
     assemble_mass,
 )
-from mixlap.oracles import _exterior_entry_oracle
+from mixlap.oracles import _exterior_entry_oracle, _hat, _pair_integrand
 
 
 def test_stiffness_minimal():
@@ -99,6 +99,25 @@ def test_gagliardo_rejects_bad_order():
     for s in (0.0, 1.0, -0.3, 1.7):
         with pytest.raises(ValueError, match="0 < s < 1"):
             assemble_gagliardo(mesh, s)
+
+
+@pytest.mark.parametrize("s", [0.25, 0.5, 0.75])
+def test_pair_integrand_is_the_hats_integrand_bit_for_bit(s):
+    # the S oracle resolves each hat to its affine piece on a cell pair; the
+    # integrand must stay the one built from the hats themselves
+    mesh = build_mesh(0, 1, 4)
+    rng = np.random.default_rng(0)
+    expo = 1.0 + 2.0 * s
+    for i in range(1, mesh.ndof + 1):
+        for j in range(1, mesh.ndof + 1):
+            phi_i, phi_j = _hat(mesh, i), _hat(mesh, j)
+            for k in range(mesh.n_elem):
+                for m in range(mesh.n_elem):
+                    integrand = _pair_integrand(mesh, s, i, j, k, m)
+                    for x, y in zip(k + rng.random(5), m + rng.random(5)):
+                        x, y = float(x * mesh.h), float(y * mesh.h)
+                        want = (phi_i(x) - phi_i(y)) * (phi_j(x) - phi_j(y)) / abs(x - y) ** expo
+                        assert integrand(y, x) == want
 
 
 def test_exterior_part_positive():

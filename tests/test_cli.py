@@ -232,6 +232,28 @@ def test_audit_with_one_eigenpair_checks_the_indefinite_side(tmp_path):
     assert bounds["passed"] and bounds["note"].startswith("lower side only")
 
 
+def test_audit_checks_the_linking_bound_against_the_sampled_geometry(tmp_path):
+    cfg = RunConfig(n_elem=4, alpha=(-5.0,), m=1, directory=str(tmp_path / "au"))
+    assert run(cfg, "full-audit") == 0
+    checks = json.loads((tmp_path / "au" / "audit.json").read_text())["checks"]
+    geo = next(c for c in checks if c["name"] == "linking_geometry")
+    assert geo["passed"] and not geo["note"].startswith("skipped")
+
+
+def test_audit_skips_the_linking_check_without_a_level_one_splitting(tmp_path, monkeypatch):
+    # one degree of freedom has no lambda_2, so no level-1 splitting; the
+    # check past the threshold needs a second eigenvalue too, so it is
+    # stubbed to let the audit reach the linking check
+    import mixlap.cli
+
+    monkeypatch.setattr(mixlap.cli, "first_positive_index", lambda spec: 2)
+    cfg = RunConfig(n_elem=2, alpha=(-5.0,), m=1, directory=str(tmp_path / "au"))
+    assert run(cfg, "full-audit") == 0
+    checks = json.loads((tmp_path / "au" / "audit.json").read_text())["checks"]
+    geo = next(c for c in checks if c["name"] == "linking_geometry")
+    assert geo["passed"] and geo["note"].startswith("skipped: ndof < 2")
+
+
 def test_broken_config_no_artifacts(tmp_path):
     out = tmp_path / "never"
     code = main(
@@ -448,11 +470,31 @@ def test_spectral_and_critical_point_runs_load_no_scipy(tmp_path):
     code = (
         "import sys; from mixlap.cli import main\n"
         f"for argv in {argvs!r}:\n"
-        "    print(main(argv), sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        "    print(main(argv), sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        "print('mixlap.oracles' in sys.modules, file=sys.stderr)"
     )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split("\n")[:-1] == ["0 []"] * len(runs)
+    # the sampled geometry probe lives in the oracles, off the linking run's path
+    assert proc.stderr.strip() == "False"
+
+
+@pytest.mark.parametrize(
+    "body",
+    [
+        "[operator]\nalpha = 0\n[nonlinearity]\nlambda = 25\n[solver]\nk = 1\n",
+        "[operator]\nalpha = -1\n[nonlinearity]\nlambda = 20\n[solver]\nk = 2\n",
+    ],
+    ids=["linking-64", "k2-alpha-1"],
+)
+def test_no_linking_report_is_both_inconclusive_and_certified(tmp_path, body):
+    # the geometry is a certified bound: it has no multistart scatter to flag
+    cfgfile = write_cfg(tmp_path / "c.ini", "[domain]\nn_elem = 64\n" + body)
+    assert main(["linking", "--config", str(cfgfile), "--out", str(tmp_path / "out")]) == 0
+    geometry = json.loads((tmp_path / "out" / "report.json").read_text())["geometry"]
+    assert geometry["certified"] and geometry.get("inconclusive") is not True
+    assert set(geometry) == {"k", "rho_small", "alpha_tilde", "rho_big", "boundary_sup", "certified", "mode"}
 
 
 def test_spectrum_at_1024_peaks_below_four_dense_matrices(tmp_path):

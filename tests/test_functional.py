@@ -260,6 +260,17 @@ def test_wrong_mu_fails_with_witness():
     assert abs(rep.witness[1]) >= bad.growth.R
 
 
+def test_envelope_audit_catches_a_declared_bound_too_small():
+    # F - lam t^2/2 = t^4/4 exceeds (0.5/4) t^4 away from 0; a declared slope
+    # above lam makes the excess negative near 0
+    base = PowerPerturbed(-3.0, 4.0)
+    assert {r.condition: r for r in check_hypotheses(base, X01)}["envelope"].passed
+    small = check_hypotheses(PowerPerturbed(-3.0, 4.0, growth=replace(base.growth, b_upper=0.5)), X01, ["envelope"])[0]
+    assert not small.passed and abs(small.witness[1]) > 1.0
+    steep = check_hypotheses(PowerPerturbed(-3.0, 4.0, growth=replace(base.growth, A=-2.0)), X01, ["envelope"])[0]
+    assert not steep.passed and abs(steep.witness[1]) < 1.0
+
+
 def test_missing_metadata_raises():
     nl = PowerPerturbed(1.0, 4.0, growth=replace(PowerPerturbed(1.0, 4.0).growth, mu=None))
     with pytest.raises(ValueError, match="mu"):

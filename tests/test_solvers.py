@@ -1,10 +1,11 @@
 import inspect
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from scipy import linalg
 
-from mixlap import FeField, build_mesh, build_system, interpolate, solvers
+from mixlap import FeField, build_mesh, build_system, interpolate, oracles, solvers
 from mixlap.functional import (
     AffineLinear,
     Custom,
@@ -410,23 +411,76 @@ def test_linking_geometry_not_certified_reported(sys64_zero):
 
 
 def test_geometry_probe_reference_values(sys64_zero):
-    # seed-0 reference values of the k = 1 probe at lambda = 25 (the geometry
-    # of the linking benchmark run); the lockstep multistart must keep them
-    geo = verify_geometry(sys64_zero, PowerPerturbed(25.0, 4.0), 1)
+    # seed-0 reference values of the sampled k = 1 probe at lambda = 25 (the
+    # geometry of the linking benchmark run), which the oracle keeps; the
+    # lockstep multistart must keep them
+    geo = oracles.linking_geometry_oracle(sys64_zero, PowerPerturbed(25.0, 4.0), 1)
     assert geo.alpha_tilde == pytest.approx(1.8122226969268116, rel=1e-9)
     assert geo.spread == pytest.approx(0.6323619070030969, rel=1e-9)
     assert (geo.k, geo.rho_small, geo.rho_big, geo.boundary_sup) == (
         1, 3.1622776601683795, 50.59644256269407, 0.0
     )
-    assert (geo.certified, geo.mode, geo.inconclusive) == (True, "linking", True)
+    assert (geo.alpha_tilde > 0.0 >= geo.boundary_sup, geo.inconclusive) == (True, True)
 
 
-def test_linking_search_probes_with_its_seed():
+def test_superlinear_geometry_does_not_depend_on_the_seed():
+    # the certified bound draws nothing: seeds 0 and 3 give one geometry
     sys = build_system(build_mesh(0.0, 1.0, 16), 0.5, 0.0)
     nl = PowerPerturbed(25.0, 4.0)
     rep = linking_search(sys, nl, 1, SolverConfig(seed=3))
-    assert rep.geometry == verify_geometry(sys, nl, 1, seed=3)
-    assert rep.geometry != verify_geometry(sys, nl, 1, seed=0)
+    assert rep.geometry.certified
+    assert rep.geometry == verify_geometry(sys, nl, 1, seed=3) == verify_geometry(sys, nl, 1, seed=0)
+    assert rep.geometry == linking_search(sys, nl, 1, SolverConfig(seed=0)).geometry
+
+
+def _sys_10b_64(threshold256):
+    sys = build_system(build_mesh(0.0, 1.0, 64), 0.5, threshold256.alpha_star - 0.5)
+    return sys, PowerPerturbed(float(solve_pencil(sys, 1).lambdas[0]) / 2, 4.0)
+
+
+@pytest.mark.parametrize("case", ["linking-64", "10b-64"])
+def test_sampled_geometry_never_undercuts_the_bound(case, sys64_zero, threshold256, monkeypatch):
+    # the sampled sphere infimum lies on or above the certified lower bound at
+    # every radius of the oracle's grid and at rho_small, where the bound is
+    # alpha_tilde; J sampled on the certified half-cylinder's boundary is <= 0
+    if case == "linking-64":
+        sys, nl = sys64_zero, PowerPerturbed(25.0, 4.0)
+    else:
+        sys, nl = _sys_10b_64(threshold256)
+    split = solvers._splitting(sys, 1)
+    geo = verify_geometry(sys, nl, 1)
+    assert geo.certified and geo.alpha_tilde > 0.0 and geo.rho_big > geo.rho_small
+    g, c_r, r, _ = solvers._linking_bound(sys, nl, split)
+    assert 0.5 * g * geo.rho_small**2 - c_r * geo.rho_small**r == pytest.approx(geo.alpha_tilde, rel=1e-12)
+    radii = oracles.RHO_GRID + (geo.rho_small,)
+    monkeypatch.setattr(oracles, "RHO_GRID", radii)
+    rng = np.random.default_rng(0)
+    for rho, (val, _) in zip(radii, oracles._sphere_min(sys, nl, split[2], rng)):
+        assert val >= 0.5 * g * rho**2 - c_r * rho**r, rho
+    v = split[2][:, 0]
+    v_dir = v / np.sqrt(v @ sys.apply_K(v))
+    assert oracles._delta_boundary_max(sys, nl, split[1], v_dir, geo.rho_big, rng) <= 0.0
+
+
+def test_linking_bound_refuses_a_kind_without_its_growth_constants():
+    sys = build_system(build_mesh(0.0, 1.0, 16), 0.5, 0.0)
+    power = PowerPerturbed(25.0, 4.0)
+
+    def f(x, t):
+        return 25.0 * t + t**3
+
+    def F(x, t):
+        return 12.5 * t**2 + t**4 / 4
+
+    with pytest.raises(ValueError) as err:
+        verify_geometry(sys, Custom(f_fn=f, F_fn=F), 1)
+    for name in solvers.LINKING_CONSTANTS:
+        assert repr(name) in str(err.value)
+    with pytest.raises(ValueError, match="needs declared constants 'b_upper'$"):
+        linking_search(sys, PowerPerturbed(25.0, 4.0, growth=replace(power.growth, b_upper=None)), 1)
+    # the same f with the power model's constants declared is certified alike
+    declared = Custom(f_fn=f, F_fn=F, growth=power.growth)
+    assert verify_geometry(sys, declared, 1) == verify_geometry(sys, power, 1)
 
 
 def test_one_full_eigensolve_serves_every_consumer(monkeypatch):
@@ -457,12 +511,12 @@ def test_one_full_eigensolve_serves_every_consumer(monkeypatch):
 
 
 def _one_radius(sys, nl, V, rho, rng):
-    """The sphere descent of one radius, as ``solvers._sphere_min`` ran it
+    """The sphere descent of one radius, as ``oracles._sphere_min`` ran it
     before the radii shared a block: same starts, steps and acceptance test."""
     nsub = V.shape[1]
     KV = sys.K @ V
     starts = [np.eye(nsub)[j] for j in range(min(nsub, 3))]
-    starts += [rng.standard_normal(nsub) for _ in range(solvers.PROBE_RESTARTS)]
+    starts += [rng.standard_normal(nsub) for _ in range(oracles.SPHERE_RESTARTS)]
     C = np.array(starts)
 
     def on_sphere(Cb):
@@ -507,8 +561,8 @@ def test_lockstep_radii_match_one_radius_at_a_time(n_elem, seed):
     nl = PowerPerturbed(25.0, 4.0)
     V = solvers._splitting(sys, 1)[2]
     rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-    want = [_one_radius(sys, nl, V, rho, ref_rng) for rho in solvers.RHO_GRID]
-    assert solvers._sphere_min(sys, nl, V, rng) == want
+    want = [_one_radius(sys, nl, V, rho, ref_rng) for rho in oracles.RHO_GRID]
+    assert oracles._sphere_min(sys, nl, V, rng) == want
     assert rng.bit_generator.state == ref_rng.bit_generator.state  # later draws are unchanged
 
 
