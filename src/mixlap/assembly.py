@@ -22,6 +22,7 @@ lives in ``mixlap.oracles``.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, replace
 from functools import cached_property
 from pathlib import Path
@@ -153,17 +154,66 @@ def _dst(X: np.ndarray) -> np.ndarray:
     A row x of length n is the imaginary part of the real FFT of its odd
     extension [0, x, 0, -x reversed], scaled by -1/sqrt(2n + 2) rounded from
     long double, as ``scipy.fft.dst(x, type=1, norm="ortho")`` computes it.
+    Many rows are split in two at a whole number of 8-row FFT blocks
+    (``_halves``), so each row sees the same FFT calls either way.
     """
     n = X.shape[-1]
     scale = -float(1.0 / np.sqrt(np.longdouble(2 * n + 2)))
     rows = np.atleast_2d(X)  # a view of X
+    cut = 8 * -(-rows.shape[0] // 16)
+    _halves(lambda b: _dst_rows(rows[cut:] if b else rows[:cut], scale), rows.shape[0])
+    return X
+
+
+def _dst_rows(rows: np.ndarray, scale: float) -> None:
+    """The DST-I of ``_dst`` on each row of the 2-D view ``rows``, in place."""
+    n = rows.shape[1]
     for i in range(0, rows.shape[0], 8):  # a few rows per FFT call
         block = rows[i : i + 8]
         ext = np.zeros((block.shape[0], 2 * n + 2))
         ext[:, 1 : n + 1] = block
         ext[:, n + 2 :] = -block[:, ::-1]
         block[...] = np.fft.rfft(ext).imag[:, 1 : n + 1] * scale
-    return X
+
+
+# The two halves of a pencil (or of a DST's rows) run on two threads when the
+# first half has at least this many rows, that is from ndof = 1023 on; below
+# it the thread and the second set of LAPACK workspaces cost more than they save.
+CONCURRENT_HALF_ROWS = 512
+
+
+def _threads_allowed() -> bool:
+    """Whether two LAPACK or FFT calls may run at once without oversubscribing
+    the cores: the process may use at least two cores, and the environment
+    pins the BLAS to one thread per call, as OpenBLAS (``OPENBLAS_NUM_THREADS``,
+    else ``GOTO_NUM_THREADS``, else ``OMP_NUM_THREADS``) and MKL
+    (``MKL_NUM_THREADS``, else ``OMP_NUM_THREADS``) read it."""
+    env = os.environ
+    omp = env.get("OMP_NUM_THREADS")
+    openblas = env.get("OPENBLAS_NUM_THREADS", env.get("GOTO_NUM_THREADS", omp))
+    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    return (cores or 1) >= 2 and openblas == "1" and env.get("MKL_NUM_THREADS", omp) == "1"
+
+
+def _halves(fn, n: int) -> tuple:
+    """(fn(0), fn(1)) for the two halves of n rows, (fn(0),) when n = 1.
+
+    When the first half has ``CONCURRENT_HALF_ROWS`` rows or more and
+    ``_threads_allowed``, fn(1) runs on a second thread while this one runs
+    fn(0) (numpy's LAPACK and FFT calls release the GIL); otherwise one after
+    the other.  An exception in either half re-raises here.  fn may call only
+    numpy, scipy and private helpers no other module imports, since a tracer
+    wrapping this package keeps one span stack for all threads.
+    """
+    if n < 2:
+        return (fn(0),)
+    if (n + 1) // 2 < CONCURRENT_HALF_ROWS or not _threads_allowed():
+        return fn(0), fn(1)
+    from concurrent.futures import ThreadPoolExecutor  # only large pencils pay for the import
+
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        second = pool.submit(fn, 1)
+        return fn(0), second.result()
 
 
 class SineBasis:
@@ -175,6 +225,8 @@ class SineBasis:
     even one (the tau-algebra view, Bini & Di Benedetto, SPAA 1990), so only
     its two half-size blocks are kept: ``blocks[0]`` on the modes j = 1, 3,
     ... (even under the flip of the nodes) and ``blocks[1]`` on j = 2, 4, ...
+    Every solve runs the two blocks through ``_halves``, which decides
+    whether they run on two threads; no caller loops over the blocks.
     """
 
     def __init__(self, k_col: np.ndarray, s_col: np.ndarray, m_col: np.ndarray):
@@ -208,12 +260,15 @@ class SineBasis:
         """
         if which != "all":
             from scipy.linalg import eigh  # only "top" pays for importing scipy
-        n = self.k.size
-        parts = []  # per block: eigenvalues, eigenvectors in the block's sine coordinates
-        for b in range(min(n, 2)):  # a single node has no odd block
+
+        def solve(b):  # eigenvalues, and eigenvectors in the block's sine coordinates
             C, r = self.reduced(b, x, y, p, q)
             w, z = np.linalg.eigh(C) if which == "all" else eigh(C, subset_by_index=[len(r) - 1] * 2)
-            parts.append((w, r[:, None] * z))
+            del C  # before the scaled copy: with two halves at once, memory peaks here
+            return w, r[:, None] * z
+
+        n = self.k.size
+        parts = _halves(solve, n)
         if which != "all":
             b = int(np.argmax([w[0] for w, _ in parts]))
             u = np.zeros(n)
@@ -230,6 +285,11 @@ class SineBasis:
         del parts, z
         return w[order], _dst(U).T
 
+    def lowest(self, x: float, y: float, p: float, q: float) -> float:
+        """Lowest eigenvalue of the pencil (x K + y S, p K + q M): the least of the blocks' lowest."""
+        lows = _halves(lambda b: np.linalg.eigvalsh(self.reduced(b, x, y, p, q)[0])[0], self.k.size)
+        return float(min(lows))
+
 
 @dataclass(eq=False)
 class OperatorSystem:
@@ -238,7 +298,8 @@ class OperatorSystem:
     K is the Dirichlet stiffness, S the Gagliardo form, M the mass matrix;
     the energy pairing is B(u, v) = u^T (K + alpha S) v.  All three are
     symmetric Toeplitz, held by their first columns; ``apply_K`` and
-    ``apply_M`` are the three-term stencils of K and M.  The dense K, S, M and
+    ``apply_M`` are the three-term stencils of K and M, ``apply_S`` the
+    circulant embedding of S and ``apply_A`` their sum.  The dense K, S, M and
     A = K + alpha S, ``sine`` and ``eigenpairs`` are built on first use and kept.
     """
 
@@ -268,6 +329,28 @@ class OperatorSystem:
 
     def apply_M(self, X: np.ndarray) -> np.ndarray:
         return _stencil(self.m_col, X)
+
+    def apply_S(self, X: np.ndarray) -> np.ndarray:
+        """S @ X for X of shape (n,) or (n, m), without a dense S.
+
+        S is the leading n x n block of the symmetric circulant of order 2n
+        with first column (c_0, ..., c_(n-1), 0, c_(n-1), ..., c_1), which the
+        real FFT diagonalizes: S X is the first n rows of that circulant
+        applied to X padded with n zero rows, O(n log n) per column.  Columns
+        go 64 at a time, so the FFT buffers stay O(n) however wide X is.
+        """
+        n = self.ndof
+        symbol = np.fft.rfft(np.r_[self.s_col, 0.0, self.s_col[:0:-1]]).real[:, None]
+        X2 = X.reshape(n, -1)
+        Y = np.empty(X2.shape)
+        for j in range(0, X2.shape[1], 64):
+            F = symbol * np.fft.rfft(X2[:, j : j + 64], 2 * n, axis=0)
+            Y[:, j : j + 64] = np.fft.irfft(F, 2 * n, axis=0)[:n]
+        return Y.reshape(X.shape)
+
+    def apply_A(self, X: np.ndarray) -> np.ndarray:
+        """(K + alpha S) @ X by the stencil of K and the circulant product ``apply_S``."""
+        return self.apply_K(X) + self.alpha * self.apply_S(X)
 
     @cached_property
     def sine(self) -> SineBasis:

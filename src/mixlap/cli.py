@@ -116,10 +116,11 @@ def _write_critical_point(
 
 
 def _spectrum_single(cfg: RunConfig, sys: OperatorSystem, out_dir: Path) -> bool:
+    gamma = garding_constant(sys)  # before the eigenpairs: its workspaces are gone by then
     spec = solve_pencil(sys, cfg.m)
     V = spec.vectors
     gram_m = V.T @ sys.apply_M(V)
-    gram_b = V.T @ sys.A @ V
+    gram_b = V.T @ sys.apply_A(V)
     rayleigh = np.abs(np.diag(gram_b) - spec.lambdas)
     m_orth = np.abs(gram_m - np.eye(spec.count)).max(axis=1)
     b_orth = np.abs(gram_b - np.diag(np.diag(gram_b))).max(axis=1)
@@ -141,7 +142,7 @@ def _spectrum_single(cfg: RunConfig, sys: OperatorSystem, out_dir: Path) -> bool
             "s": cfg.s,
             "mesh": {"a": cfg.a, "b": cfg.b, "n_elem": cfg.n_elem, "h": sys.mesh.h},
             "n0": spec.n0,
-            "gamma": garding_constant(sys),
+            "gamma": gamma,
             "certified": certified,
             "max_rayleigh_residual": float(rayleigh.max()),
             "max_m_orth_residual": float(m_orth.max()),
@@ -380,10 +381,13 @@ def _audit_checks(cfg: RunConfig, sys: OperatorSystem) -> list[dict]:
     thr = alpha_threshold(sys, (cfg.bracket_lo, cfg.bracket_hi), tol=cfg.threshold_tol)
     orc = threshold_oracle(sys.K, sys.S, (cfg.bracket_lo, cfg.bracket_hi))
     add("threshold_oracle", abs(thr.alpha_star - orc), 1e-6)
-    sys_past = sys.with_alpha(thr.alpha_star - 1.0)
-    spec_past = solve_pencil(sys_past, m=sys_past.ndof)
-    add("indefinite_past_threshold", 2.0 - first_positive_index(spec_past), 0.0,
-        "first positive index must be >= 2 below the threshold")
+    if sys.ndof < 2:
+        add("indefinite_past_threshold", 0.0, 0.0, "skipped: ndof < 2 leaves no second eigenvalue")
+    else:
+        sys_past = sys.with_alpha(thr.alpha_star - 1.0)
+        spec_past = solve_pencil(sys_past, m=sys_past.ndof)
+        add("indefinite_past_threshold", 2.0 - first_positive_index(spec_past), 0.0,
+            "first positive index must be >= 2 below the threshold")
 
     # certified linking bound at k = 1 vs the sampled sphere infimum and
     # half-cylinder boundary, at the slope halfway between lambda_1 and lambda_2

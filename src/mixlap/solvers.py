@@ -34,7 +34,7 @@ Search strategies:
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from typing import Optional
 
 import numpy as np
@@ -696,7 +696,11 @@ def linking_search(
     eigenfields fixed from the ray of u_{k+1}; at k = 0 that is the search
     of ``mountain_pass``.  Raises ``ValueError`` for the affine kind once its
     geometry is certified: J is unbounded above along the ray, so there is
-    no peak to select, and its saddle point is the resolvent solve.
+    no peak to select, and its saddle point is the resolvent solve.  Every
+    peak over span(U) + R+ w meets the sphere of radius ``rho_small`` in V,
+    where the certified bound gives J >= ``alpha_tilde``; a level below
+    ``alpha_tilde`` contradicts the declared growth constants, and the
+    search is then reported as not converged (status ``below_linking_bound``).
     """
     cfg = cfg or SolverConfig()
     lambdas, U, V = _splitting(sys, k)
@@ -725,4 +729,10 @@ def linking_search(
                 f"slope at zero touches eigenvalue k={k} (boundary resonance); "
                 "search proceeds but the level may be degenerate"
             )
-    return _minimax(sys, nl, U, V[:, 0], cfg, geometry.rho_small, message, geometry)
+    rep = _minimax(sys, nl, U, V[:, 0], cfg, geometry.rho_small, message, geometry)
+    if rep.converged and rep.J_value < geometry.alpha_tilde:
+        return replace(rep, converged=False, status="below_linking_bound", message=(
+            f"critical level J={rep.J_value:.6g} lies below the certified linking bound "
+            f"alpha_tilde={geometry.alpha_tilde:.6g}: the declared growth constants do not hold"
+        ))
+    return rep

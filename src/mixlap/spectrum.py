@@ -3,16 +3,19 @@
 On a uniform mesh K and M are tridiagonal Toeplitz and S is symmetric
 Toeplitz, so the orthonormal sine (DST-I) basis makes K and M diagonal in
 closed form and splits S into two half-size blocks; ``mixlap.assembly`` owns
-that basis (``OperatorSystem.sine``) and its one solver ``SineBasis.eigh``,
-for all eigenpairs or the top one; the lowest eigenvalue alone is the least
-of the blocks' lowest.  Each block is scaled by the inverse square root of
-the diagonal right-hand side, never factorized through the possibly
-indefinite energy form.  The eigenvalue oracles in ``mixlap.oracles`` solve
-the unsplit nodal pencil, so they stay an independent check.  On top of the
-solver sit the certified quantities: the recursive variational
-characterization of each eigenvalue, the index of the first positive
-eigenvalue, the coercivity shift making the form dominate half the local
-energy, and the coupling threshold where the bottom eigenvalue crosses zero.
+that basis (``OperatorSystem.sine``) and its solvers, ``SineBasis.eigh`` for
+all eigenpairs or the top one and ``SineBasis.lowest`` for the lowest
+eigenvalue alone.  Each block is scaled by the inverse square root of the
+diagonal right-hand side, never factorized through the possibly indefinite
+energy form.  ``solve_pencil`` checks its residuals with S applied by its
+circulant embedding (``OperatorSystem.apply_A``), so it builds no dense A;
+the audits below it still read the dense A.  The eigenvalue oracles in
+``mixlap.oracles`` solve the unsplit nodal pencil, so they stay an
+independent check.  On top of the solver sit the certified quantities: the
+recursive variational characterization of each eigenvalue, the index of the
+first positive eigenvalue, the coercivity shift making the form dominate
+half the local energy, and the coupling threshold where the bottom
+eigenvalue crosses zero.
 """
 
 from __future__ import annotations
@@ -133,7 +136,7 @@ def solve_pencil(sys: OperatorSystem, m: int) -> Spectrum:
 
     # A and M are Toeplitz: their largest entries are those of their columns
     scale = float(np.max(np.abs(sys.a_col)) + np.max(np.abs(w)) * np.max(np.abs(sys.m_col)))
-    res = sys.A @ v - sys.apply_M(v) * w[None, :]
+    res = sys.apply_A(v) - sys.apply_M(v) * w[None, :]
     worst = float(np.max(np.linalg.norm(res, axis=0)))
     if worst > RESIDUAL_TOL * scale:
         raise SpectrumError(
@@ -253,9 +256,8 @@ def garding_constant(sys: OperatorSystem) -> float:
 
 
 def _lambda1(sys: OperatorSystem, alpha: float) -> float:
-    """Lowest eigenvalue of (K + alpha S, M) over both sine blocks, whatever ``sys.alpha`` is."""
-    blocks = (sys.sine.reduced(b, 1.0, alpha, 0.0, 1.0)[0] for b in range(min(sys.ndof, 2)))
-    return float(min(np.linalg.eigvalsh(C)[0] for C in blocks))
+    """Lowest eigenvalue of (K + alpha S, M), whatever ``sys.alpha`` is."""
+    return sys.sine.lowest(1.0, alpha, 0.0, 1.0)
 
 
 def alpha_threshold(

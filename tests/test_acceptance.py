@@ -15,6 +15,7 @@ adds the indefinite ground level with the slope placed below lambda_1.
 import json
 import math
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -368,13 +369,25 @@ def test_criterion_13_interpolation_audit(sys64_neg5, spec64_neg5):
           f"C={est.value:.6f} violations={violations}")
 
 
-def test_criterion_14_reproducibility(tmp_path):
+def test_criterion_14_reproducibility(tmp_path, monkeypatch):
+    from mixlap import assembly
+
+    def twice(cfg, pipeline):
+        out = Path(cfg.directory)
+        assert cli_run(cfg, pipeline) == 0
+        first = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+        assert cli_run(cfg, pipeline) == 0
+        return first, {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+
     out = tmp_path / "audit"
-    cfg = RunConfig(n_elem=8, alpha=(-5.0,), m=7, seed=42, bracket_lo=-10.0,
-                    bracket_hi=0.0, directory=str(out))
-    assert cli_run(cfg, "full-audit") == 0
-    first = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
-    assert cli_run(cfg, "full-audit") == 0
-    second = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+    first, second = twice(RunConfig(n_elem=8, alpha=(-5.0,), m=7, seed=42, bracket_lo=-10.0,
+                                    bracket_hi=0.0, directory=str(out)), "full-audit")
     ok = first == second and json.loads((out / "audit.json").read_text())["certified"]
-    check("14", "byte-identical audit reruns", ok, f"files={sorted(first)}")
+    # a spectrum whose sine halves run on two threads
+    threaded = []
+    monkeypatch.setattr(assembly, "_threads_allowed", lambda: threaded.append(1) or True)
+    spec_first, spec_second = twice(RunConfig(n_elem=1024, alpha=(-1.0,), directory=str(tmp_path / "spec")),
+                                    "spectrum")
+    ok = ok and bool(threaded) and spec_first == spec_second
+    check("14", "byte-identical audit+spectrum reruns", ok,
+          f"files={sorted(first)} + {sorted(spec_first)}, threaded solves={len(threaded)}")

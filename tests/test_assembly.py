@@ -16,6 +16,7 @@ from mixlap import (
     load_matrix,
     norms,
 )
+from mixlap import assembly
 from mixlap.assembly import (
     _FAR_FIELD,
     _STENCIL,
@@ -405,3 +406,94 @@ def test_a_built_system_holds_no_dense_matrix():
     sys = build_system(build_mesh(0.0, 1.0, 2048), 0.5, -1.0)
     assert max(np.ndim(value) for value in vars(sys).values()) == 1
     assert sys.s_col.shape == (2047,)
+
+
+@pytest.mark.parametrize("n_elem", [2, 3, 64, 1024])
+def test_circulant_s_product_matches_the_dense_s(n_elem):
+    sys = build_system(build_mesh(0.0, 1.0, n_elem), 0.5, -1.0)
+    rng = np.random.default_rng(n_elem)
+    for X in (rng.standard_normal(sys.ndof), rng.standard_normal((sys.ndof, 70))):  # two column blocks
+        want = sys.S @ X
+        assert sys.apply_S(X).shape == want.shape
+        assert np.abs(sys.apply_S(X) - want).max() <= 1e-13 * np.abs(want).max()
+        assert np.abs(sys.apply_A(X) - sys.A @ X).max() <= 1e-13 * np.abs(sys.A @ X).max()
+
+
+def _sine_solves(sys):
+    """Every solve the sine basis runs on its two halves, at the system's coupling."""
+    sine = assembly.SineBasis(sys.k_col, sys.s_col, sys.m_col)
+    X = np.random.default_rng(0).standard_normal((sys.ndof, sys.ndof))
+    return [
+        *sine.blocks,
+        *sine.eigh(1.0, sys.alpha, 0.0, 1.0),
+        *sine.eigh(0.0, 1.0, 1.0, 0.0, which="top"),
+        sine.lowest(1.0, 2.0 * sys.alpha, 0.0, 1.0),
+        assembly._dst(X),
+    ]
+
+
+def test_threaded_halves_match_the_serial_ones_bit_for_bit(monkeypatch):
+    sys = build_system(build_mesh(0.0, 1.0, 1024), 0.5, -1.0)
+    assert (sys.ndof + 1) // 2 == assembly.CONCURRENT_HALF_ROWS  # the smallest threaded size
+    threaded = []
+    monkeypatch.setattr(assembly, "_threads_allowed", lambda: threaded.append(1) or True)
+    two_threads = _sine_solves(sys)
+    # the two passes of Q S Q, eigh "all" and its lift, "top", lowest, the row DST
+    assert len(threaded) == 7
+    monkeypatch.setattr(assembly, "_threads_allowed", lambda: False)
+    one_thread = _sine_solves(sys)
+    for a, b in zip(two_threads, one_thread):
+        assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("n, threads", [(1, 1), (2, 1), (1022, 1), (1023, 2), (1024, 2)])
+def test_halves_run_on_two_threads_from_the_size_threshold(monkeypatch, n, threads):
+    import threading
+
+    monkeypatch.setattr(assembly, "_threads_allowed", lambda: True)
+    idents = assembly._halves(lambda b: threading.get_ident(), n)
+    assert len(idents) == min(n, 2) and len(set(idents)) == threads
+    monkeypatch.setattr(assembly, "_threads_allowed", lambda: False)
+    assert len(set(assembly._halves(lambda b: threading.get_ident(), n))) == 1
+
+
+def test_an_error_in_the_second_half_reaches_the_caller(monkeypatch):
+    sys = build_system(build_mesh(0.0, 1.0, 1024), 0.5, -1.0)
+    reduced = assembly.SineBasis.reduced
+
+    def failing(self, b, *args):
+        if b == 1:
+            raise np.linalg.LinAlgError("p K + q M is not positive definite")
+        return reduced(self, b, *args)
+
+    monkeypatch.setattr(assembly, "_threads_allowed", lambda: True)
+    monkeypatch.setattr(assembly.SineBasis, "reduced", failing)
+    for solve in (
+        lambda: sys.sine.eigh(1.0, -1.0, 0.0, 1.0),
+        lambda: sys.sine.eigh(0.0, 1.0, 1.0, 0.0, which="top"),
+        lambda: sys.sine.lowest(1.0, -1.0, 0.0, 1.0),
+    ):
+        with pytest.raises(np.linalg.LinAlgError, match="not positive definite"):
+            solve()
+
+
+@pytest.mark.parametrize(
+    "env, allowed",
+    [
+        ({"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}, True),
+        ({"OMP_NUM_THREADS": "1"}, True),
+        ({"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}, True),
+        ({"OPENBLAS_NUM_THREADS": "1"}, False),  # MKL would fall back to one thread per core
+        ({"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, False),
+        ({}, False),
+    ],
+)
+def test_threads_need_two_cores_and_one_blas_thread(monkeypatch, env, allowed):
+    for var in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        monkeypatch.delenv(var, raising=False)
+    for var, value in env.items():
+        monkeypatch.setenv(var, value)
+    monkeypatch.setattr(assembly.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    assert assembly._threads_allowed() is allowed
+    monkeypatch.setattr(assembly.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert not assembly._threads_allowed()

@@ -240,18 +240,27 @@ def test_audit_checks_the_linking_bound_against_the_sampled_geometry(tmp_path):
     assert geo["passed"] and not geo["note"].startswith("skipped")
 
 
-def test_audit_skips_the_linking_check_without_a_level_one_splitting(tmp_path, monkeypatch):
-    # one degree of freedom has no lambda_2, so no level-1 splitting; the
-    # check past the threshold needs a second eigenvalue too, so it is
-    # stubbed to let the audit reach the linking check
-    import mixlap.cli
-
-    monkeypatch.setattr(mixlap.cli, "first_positive_index", lambda spec: 2)
+def test_audit_skips_the_linking_check_without_a_level_one_splitting(tmp_path):
+    # one degree of freedom has no lambda_2, so no level-1 splitting
     cfg = RunConfig(n_elem=2, alpha=(-5.0,), m=1, directory=str(tmp_path / "au"))
     assert run(cfg, "full-audit") == 0
     checks = json.loads((tmp_path / "au" / "audit.json").read_text())["checks"]
     geo = next(c for c in checks if c["name"] == "linking_geometry")
     assert geo["passed"] and geo["note"].startswith("skipped: ndof < 2")
+
+
+def test_full_audit_runs_with_one_degree_of_freedom(tmp_path):
+    # past the threshold a one-eigenvalue spectrum has no first positive
+    # index >= 2 to check; the audit records the check as skipped
+    out = tmp_path / "one"
+    text = MINIMAL.replace("n_elem = 64", "n_elem = 2") + "\n[solver]\nm = 1\n"
+    code = main(["full-audit", "--config", str(write_cfg(tmp_path / "one.ini", text)), "--out", str(out)])
+    assert code == 0
+    assert (out / "audit.json").exists() and not (out / "error.json").exists()
+    audit = json.loads((out / "audit.json").read_text())
+    assert audit["certified"] and all(c["passed"] for c in audit["checks"])
+    past = next(c for c in audit["checks"] if c["name"] == "indefinite_past_threshold")
+    assert past["note"].startswith("skipped: ndof < 2")
 
 
 def test_broken_config_no_artifacts(tmp_path):
@@ -497,9 +506,10 @@ def test_no_linking_report_is_both_inconclusive_and_certified(tmp_path, body):
     assert set(geometry) == {"k", "rho_small", "alpha_tilde", "rho_big", "boundary_sup", "certified", "mode"}
 
 
-def test_spectrum_at_1024_peaks_below_four_dense_matrices(tmp_path):
-    # K, S and M are held by their columns: at its peak the run holds A, the
-    # eigenvectors and the sine blocks
+def test_spectrum_at_1024_peaks_below_two_and_a_half_dense_matrices(tmp_path):
+    # K, S and M are held by their columns and A acts by the circulant S
+    # product: at its peak the run holds the nodal eigenvectors, the sine
+    # blocks and the blocks' own eigenvectors
     import tracemalloc
 
     cfgfile = write_cfg(tmp_path / "c.ini", "[domain]\nn_elem = 1024\n[operator]\nalpha = -1\n")
@@ -509,7 +519,17 @@ def test_spectrum_at_1024_peaks_below_four_dense_matrices(tmp_path):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 4 * 8 * 1023**2
+    assert peak < 2.5 * 8 * 1023**2
+
+
+def test_spectrum_builds_no_dense_a_or_s(tmp_path):
+    from mixlap import build_mesh, build_system
+    from mixlap.cli import _spectrum_single
+
+    cfg = RunConfig(n_elem=64, alpha=(-1.0,), m=12)
+    sys_ = build_system(build_mesh(0.0, 1.0, 64), 0.5, -1.0)
+    assert _spectrum_single(cfg, sys_, tmp_path)
+    assert "A" not in sys_.__dict__ and "S" not in sys_.__dict__
 
 
 def test_pipelines_build_no_dense_stiffness_or_mass(tmp_path, monkeypatch):

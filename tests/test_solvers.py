@@ -483,6 +483,29 @@ def test_linking_bound_refuses_a_kind_without_its_growth_constants():
     assert verify_geometry(sys, declared, 1) == verify_geometry(sys, power, 1)
 
 
+
+def test_linking_level_below_the_bound_is_not_converged():
+    # b_upper = 0.05 understates the envelope of 25 t + t^3 (its true value
+    # is 1): the bound then certifies alpha_tilde above the level the search
+    # finds, which the linking theorem rules out for true constants
+    sys = build_system(build_mesh(0.0, 1.0, 64), 0.5, 0.0)
+    power = PowerPerturbed(25.0, 4.0)
+
+    def f(x, t):
+        return 25.0 * t + t**3
+
+    def F(x, t):
+        return 12.5 * t**2 + t**4 / 4
+
+    wrong = linking_search(sys, Custom(f_fn=f, F_fn=F, growth=replace(power.growth, b_upper=0.05)), 1)
+    assert wrong.geometry.certified and wrong.J_value < wrong.geometry.alpha_tilde
+    assert not wrong.converged and wrong.status == "below_linking_bound"
+    assert f"J={wrong.J_value:.6g}" in wrong.message
+    assert f"alpha_tilde={wrong.geometry.alpha_tilde:.6g}" in wrong.message
+    right = linking_search(sys, power, 1)
+    assert right.converged and right.J_value == pytest.approx(wrong.J_value, rel=1e-12)
+    assert right.J_value >= right.geometry.alpha_tilde
+
 def test_one_full_eigensolve_serves_every_consumer(monkeypatch):
     sys = build_system(build_mesh(0.0, 1.0, 16), 0.5, 0.0)
     # a solve of A, whole or as a sine-basis block, is seen by value however
