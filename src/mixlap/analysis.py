@@ -73,7 +73,7 @@ def embedding_constant(sys: OperatorSystem) -> ConstantEstimate:
     (S, K), nondecreasing under refinement (nested subspaces).  The value is
     the nodal Rayleigh quotient at the sine-basis eigenvector, which is more
     accurate than that eigenvalue; the residual is their difference."""
-    eigenvalue, vec = sys.sine.eigh(0.0, 1.0, 1.0, 0.0, which="top")
+    eigenvalue, vec = sys.sine.top(0.0, 1.0, 1.0, 0.0)
     lead = int(np.argmax(np.abs(vec)))
     if vec[lead] < 0:
         vec = -vec
@@ -119,13 +119,13 @@ def interpolation_constant(sys: OperatorSystem, seed: int = 0) -> ConstantEstima
 
     starts = [rng.standard_normal(sys.ndof) for _ in range(64)]
     for p, q in ((1.0, 0.0), (0.0, 1.0)):  # the pencils (S, K) and (S, M)
-        starts.append(sys.sine.eigh(0.0, 1.0, p, q, which="top")[1])
+        starts.append(sys.sine.top(0.0, 1.0, p, q)[1])
     # every stationary point of the quotient solves S u = a M u + b H u for
     # self-consistent (a, b): sweep the pencil family and iterate to a fixed
     # point, which reliably reaches the global ridge the random starts miss;
     # with H = K + M each pencil (S, a M + b H) is (S, b K + (a + b) M)
     for theta in np.logspace(-6.0, 6.0, 13):
-        c = sys.sine.eigh(0.0, 1.0, theta, 1.0 + theta, which="top")[1]
+        c = sys.sine.top(0.0, 1.0, theta, 1.0 + theta)[1]
         old = math.inf
         for _ in range(60):
             qs, qk, qm = float(c @ sys.S @ c), float(c @ sys.apply_K(c)), float(c @ sys.apply_M(c))
@@ -133,7 +133,7 @@ def interpolation_constant(sys: OperatorSystem, seed: int = 0) -> ConstantEstima
             if abs(val - old) < 1e-14 * max(1.0, old):
                 break
             old, a, b = val, (1.0 - s) * qs / qm, s * qs / (qk + qm)
-            c = sys.sine.eigh(0.0, 1.0, b, a + b, which="top")[1]
+            c = sys.sine.top(0.0, 1.0, b, a + b)[1]
         starts.append(c)
 
     C, val0 = _ascent_state(sys, np.array(starts).T)[:2]

@@ -35,6 +35,7 @@ from .mesh import FeField, MeshInterval
 __all__ = [
     "OperatorSystem",
     "SineBasis",
+    "SinePairs",
     "assemble_local_stiffness",
     "assemble_mass",
     "assemble_gagliardo",
@@ -202,7 +203,7 @@ def _halves(fn, n: int) -> tuple:
     ``_threads_allowed``, fn(1) runs on a second thread while this one runs
     fn(0) (numpy's LAPACK and FFT calls release the GIL); otherwise one after
     the other.  An exception in either half re-raises here.  fn may call only
-    numpy, scipy and private helpers no other module imports, since a tracer
+    numpy and private helpers no other module imports, since a tracer
     wrapping this package keeps one span stack for all threads.
     """
     if n < 2:
@@ -248,47 +249,104 @@ class SineBasis:
         C[np.diag_indices_from(C)] += x * self.k[b::2] * r**2
         return C, r
 
-    def eigh(self, x: float, y: float, p: float, q: float, which: str = "all"):
-        """Eigenpairs of the pencil (x K + y S, p K + q M), p K + q M positive definite.
+    def eigh(self, x: float, y: float, p: float, q: float) -> "SinePairs":
+        """Every eigenpair of the pencil (x K + y S, p K + q M), p K + q M positive definite.
 
         Each block is solved by ``np.linalg.eigh`` as the standard problem of
-        ``reduced``; eigenvectors return to the nodes by one DST-I (its own
-        inverse), orthonormal in p K + q M.  ``which="all"`` returns every
-        eigenvalue, ascending (a stable merge of the blocks), and the
-        eigenvectors as columns; ``"top"`` returns the top eigenvalue as a
-        float and its eigenvector, from the one-index ``scipy.linalg.eigh``.
+        ``reduced``; its eigenvectors stay in the block's sine coordinates
+        until ``SinePairs.vectors`` lifts some of them to the nodes.
         """
-        if which != "all":
-            from scipy.linalg import eigh  # only "top" pays for importing scipy
 
         def solve(b):  # eigenvalues, and eigenvectors in the block's sine coordinates
             C, r = self.reduced(b, x, y, p, q)
-            w, z = np.linalg.eigh(C) if which == "all" else eigh(C, subset_by_index=[len(r) - 1] * 2)
-            del C  # before the scaled copy: with two halves at once, memory peaks here
-            return w, r[:, None] * z
+            w, z = np.linalg.eigh(C)
+            z *= r[:, None]
+            return w, z
 
-        n = self.k.size
-        parts = _halves(solve, n)
-        if which != "all":
-            b = int(np.argmax([w[0] for w, _ in parts]))
-            u = np.zeros(n)
-            u[b::2] = parts[b][1][:, 0]
-            return float(parts[b][0][0]), _dst(u)
-        w = np.concatenate([w for w, _ in parts])
-        order = np.argsort(w, kind="stable")
-        # row i of U holds the i-th eigenvector's sine coordinates; the DST
-        # runs along the contiguous rows, in place
-        U = np.zeros((n, n))
-        ranks = np.split(np.argsort(order), [parts[0][0].size])
-        for b, ((_, z), rank) in enumerate(zip(parts, ranks)):
-            U[rank[:, None], np.arange(b, n, 2)] = z.T
-        del parts, z
-        return w[order], _dst(U).T
+        return SinePairs(_halves(solve, self.k.size))
+
+    def top(self, x: float, y: float, p: float, q: float) -> tuple[float, np.ndarray]:
+        """Top eigenvalue of the pencil (x K + y S, p K + q M), p K + q M
+        positive definite, and its eigenvector at the nodes, of unit p K + q M norm.
+
+        ``np.linalg.eigvalsh`` gives each block's eigenvalues; the block with
+        the larger top one wins, the first on a tie.  Its eigenvector comes
+        from inverse iteration (``_top_vector``) and returns to the nodes by
+        one DST-I.
+        """
+
+        def solve(b):
+            C, r = self.reduced(b, x, y, p, q)
+            return np.linalg.eigvalsh(C), C, r
+
+        parts = _halves(solve, self.k.size)
+        b = int(np.argmax([w[-1] for w, _, _ in parts]))
+        w, C, r = parts[b]
+        u = np.zeros(self.k.size)
+        u[b::2] = r * _top_vector(C, w)
+        return float(w[-1]), _dst(u)
 
     def lowest(self, x: float, y: float, p: float, q: float) -> float:
         """Lowest eigenvalue of the pencil (x K + y S, p K + q M): the least of the blocks' lowest."""
         lows = _halves(lambda b: np.linalg.eigvalsh(self.reduced(b, x, y, p, q)[0])[0], self.k.size)
         return float(min(lows))
+
+
+def _top_vector(C: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Unit eigenvector of the symmetric C for its top eigenvalue w[-1]
+    (w: all of C's eigenvalues, ascending).
+
+    At most two steps of inverse iteration at the shift w[-1], from the
+    coordinate vector of largest Rayleigh quotient (C's largest diagonal
+    entry); the first step whose residual at its own Rayleigh quotient is at
+    round-off, within 64 eps |C|, gives the vector.  Otherwise, or when the
+    shift hits an exact zero pivot (a 1 x 1 block), ``np.linalg.eigh`` of C
+    gives it.
+    """
+    tol = 64.0 * np.finfo(float).eps * max(abs(w[0]), abs(w[-1]))
+    shifted = C.copy()
+    shifted[np.diag_indices_from(shifted)] -= w[-1]
+    z = np.zeros(w.size)
+    z[np.argmax(np.diag(C))] = 1.0
+    for _ in range(2):
+        try:
+            z = np.linalg.solve(shifted, z)
+        except np.linalg.LinAlgError:
+            break
+        z /= np.linalg.norm(z)
+        Cz = C @ z
+        if np.linalg.norm(Cz - (z @ Cz) * z) <= tol:
+            return z
+    return np.linalg.eigh(C)[1][:, -1]
+
+
+class SinePairs:
+    """Every eigenpair of one pencil as ``SineBasis.eigh`` solves it.
+
+    ``values`` holds the eigenvalues, ascending (a stable merge of the two
+    blocks); ``halves[b]`` holds block b's eigenvectors, as columns in its
+    sine coordinates.  Only ``vectors`` takes eigenvectors to the nodes, as
+    many as its caller reads.
+    """
+
+    def __init__(self, parts: tuple):
+        w = np.concatenate([w for w, _ in parts])
+        self.order = np.argsort(w, kind="stable")
+        self.values = w[self.order]
+        self.halves = tuple(z for _, z in parts)
+
+    def vectors(self, count: int) -> np.ndarray:
+        """The eigenvectors of ``values[:count]`` at the nodes, as columns,
+        orthonormal in p K + q M: one DST-I (its own inverse) of count rows."""
+        n, first = self.values.size, self.halves[0].shape[1]
+        idx = self.order[:count]
+        # row i of U holds the i-th eigenvector's sine coordinates; the DST
+        # runs along the contiguous rows, in place
+        U = np.zeros((count, n))
+        for b, z in enumerate(self.halves):
+            rows = np.flatnonzero((idx >= first) == b)
+            U[rows[:, None], np.arange(b, n, 2)] = z[:, idx[rows] - b * first].T
+        return _dst(U).T
 
 
 @dataclass(eq=False)
@@ -300,7 +358,9 @@ class OperatorSystem:
     symmetric Toeplitz, held by their first columns; ``apply_K`` and
     ``apply_M`` are the three-term stencils of K and M, ``apply_S`` the
     circulant embedding of S and ``apply_A`` their sum.  The dense K, S, M and
-    A = K + alpha S, ``sine`` and ``eigenpairs`` are built on first use and kept.
+    A = K + alpha S, ``sine`` and ``eigenpairs`` are built on first use and kept;
+    ``eigenpairs`` holds the eigenvectors in sine coordinates and lifts them
+    to the nodes on request.
     """
 
     k_col: np.ndarray
@@ -358,8 +418,8 @@ class OperatorSystem:
         return SineBasis(self.k_col, self.s_col, self.m_col)
 
     @cached_property
-    def eigenpairs(self) -> tuple[np.ndarray, np.ndarray]:
-        """All eigenpairs (w, v) of the pencil (A, M), ascending and unprocessed,
+    def eigenpairs(self) -> SinePairs:
+        """All eigenpairs of the pencil (A, M), ascending and unprocessed,
         solved in the sine basis (``SineBasis.eigh``)."""
         return self.sine.eigh(1.0, self.alpha, 0.0, 1.0)
 

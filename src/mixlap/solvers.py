@@ -188,7 +188,8 @@ def solve_resolvent(
     cfg = cfg or SolverConfig()
     if a.mesh != sys.mesh:
         raise ValueError("field mesh does not match the assembled system")
-    eigs, V = sys.eigenpairs  # M-orthonormal, so (A - lam M)^-1 = V diag(1 / (eigs - lam)) V^T
+    pairs = sys.eigenpairs
+    eigs = pairs.values
     gaps = np.abs(eigs - lam)
     k_near = int(np.argmin(gaps))
     if gaps[k_near] < 1e-8 * (1.0 + abs(lam)):
@@ -196,6 +197,7 @@ def solve_resolvent(
             f"lambda={lam!r} is within tolerance of eigenvalue k={k_near + 1} "
             f"(lambda_k={eigs[k_near]!r}); the linear problem is resonant"
         )
+    V = pairs.vectors(sys.ndof)  # M-orthonormal, so (A - lam M)^-1 = V diag(1 / (eigs - lam)) V^T
     rhs = sys.apply_M(a.coeffs)
     x = np.zeros(sys.ndof)
     for _ in range(4):  # the solve, then iterative refinement to push the residual to round-off

@@ -4,24 +4,25 @@ On a uniform mesh K and M are tridiagonal Toeplitz and S is symmetric
 Toeplitz, so the orthonormal sine (DST-I) basis makes K and M diagonal in
 closed form and splits S into two half-size blocks; ``mixlap.assembly`` owns
 that basis (``OperatorSystem.sine``) and its solvers, ``SineBasis.eigh`` for
-all eigenpairs or the top one and ``SineBasis.lowest`` for the lowest
-eigenvalue alone.  Each block is scaled by the inverse square root of the
-diagonal right-hand side, never factorized through the possibly indefinite
-energy form.  ``solve_pencil`` checks its residuals with S applied by its
-circulant embedding (``OperatorSystem.apply_A``), so it builds no dense A;
-the audits below it still read the dense A.  The eigenvalue oracles in
-``mixlap.oracles`` solve the unsplit nodal pencil, so they stay an
-independent check.  On top of the solver sit the certified quantities: the
-recursive variational characterization of each eigenvalue, the index of the
-first positive eigenvalue, the coercivity shift making the form dominate
-half the local energy, and the coupling threshold where the bottom
+all eigenpairs, ``SineBasis.top`` for the top one and ``SineBasis.lowest``
+for the lowest eigenvalue alone.  Each block is scaled by the inverse square
+root of the diagonal right-hand side, never factorized through the possibly
+indefinite energy form.  ``solve_pencil`` lifts to the nodes only the
+eigenvectors it reports (``SinePairs.vectors``) and checks their residuals
+with S applied by its circulant embedding (``OperatorSystem.apply_A``), so it
+builds no dense A; the audits below it still read the dense A.  The
+eigenvalue oracles in ``mixlap.oracles`` solve the unsplit nodal pencil, so
+they stay an independent check.  On top of the solver sit the certified
+quantities: the recursive variational characterization of each eigenvalue,
+the index of the first positive eigenvalue, the coercivity shift making the
+form dominate half the local energy, and the coupling threshold where the bottom
 eigenvalue crosses zero.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -89,50 +90,55 @@ class BoundCheckReport:
         return max(self.max_violation_upper, self.max_violation_lower)
 
 
-def _representatives(sys: OperatorSystem, w: np.ndarray, v: np.ndarray, m: int) -> np.ndarray:
-    """Deterministic representatives of the first m eigenvectors, as a copy.
+def _representatives(
+    sys: OperatorSystem, w: np.ndarray, vectors: Callable[[int], np.ndarray], m: int
+) -> np.ndarray:
+    """Deterministic representatives of the first m eigenvectors of (A, M).
 
-    Inside each eigenvalue cluster the vectors are re-orthonormalized
-    symmetrically in the M inner product, reordered by the index of their
-    dominant coefficient, and sign-fixed so the dominant coefficient is
-    positive.  A cluster that straddles column m is processed whole, so the
-    columns do not depend on m.
+    ``vectors(count)`` gives the eigenvectors of ``w[:count]`` as columns; it
+    is asked for every cluster that holds one of the first m, whole, so the
+    columns do not depend on m.  Inside each cluster the vectors are
+    re-orthonormalized symmetrically in the M inner product and replaced by
+    the Ritz vectors of (A, M) on their span, ordered by Ritz value, so each
+    column carries its own eigenvalue even when distinct eigenvalues share a
+    cluster.  Ritz values that agree to round-off (1e-13 of the largest
+    |lambda|) are ordered by the index of their vectors' dominant
+    coefficient.  Every column is sign-fixed so that coefficient is positive.
     """
     scale = max(1.0, float(np.max(np.abs(w))))
     bounds = np.r_[0, np.flatnonzero(np.diff(w) >= CLUSTER_TOL * scale) + 1, w.size]
-    v = v[:, : bounds[np.searchsorted(bounds, m)]].copy()
+    v = vectors(int(bounds[np.searchsorted(bounds, m)]))
     for start, end in zip(bounds[:-1], bounds[1:]):
         if start < m and end - start > 1:
             block = v[:, start:end]
-            gram = block.T @ sys.apply_M(block)
-            evals, evecs = np.linalg.eigh(gram)
-            inv_sqrt = evecs @ np.diag(evals**-0.5) @ evecs.T
-            block = block @ inv_sqrt
-            order = np.argsort([int(np.argmax(np.abs(block[:, c]))) for c in range(block.shape[1])])
-            v[:, start:end] = block[:, order]
+            evals, evecs = np.linalg.eigh(block.T @ sys.apply_M(block))
+            block = block @ (evecs @ np.diag(evals**-0.5) @ evecs.T)
+            theta, ritz = np.linalg.eigh(block.T @ sys.apply_A(block))
+            block = block @ ritz
+            lead = np.argmax(np.abs(block), axis=0)
+            ties = np.r_[0, np.cumsum(np.diff(theta) > 1e-13 * scale)]
+            v[:, start:end] = block[:, np.lexsort((lead, ties))]
     v = np.ascontiguousarray(v[:, :m])
-    for c in range(m):
-        lead = int(np.argmax(np.abs(v[:, c])))
-        if v[lead, c] < 0:
-            v[:, c] = -v[:, c]
+    v *= np.where(v[np.argmax(np.abs(v), axis=0), np.arange(m)] < 0.0, -1.0, 1.0)
     return v
 
 
 def solve_pencil(sys: OperatorSystem, m: int) -> Spectrum:
     """m algebraically smallest eigenpairs of (K + alpha S, M).
 
-    Raises ``SpectrumError`` when an eigenpair residual exceeds
-    ``RESIDUAL_TOL`` relative to the matrix scale.
+    Only the eigenvectors up to the end of the cluster holding the m-th are
+    lifted to the nodes.  Raises ``SpectrumError`` when an eigenpair residual
+    exceeds ``RESIDUAL_TOL`` relative to the matrix scale.
     """
     n = sys.ndof
     if not 1 <= m <= n:
         raise ValueError(f"need 1 <= m <= ndof={n}, got m={m}")
     try:
-        w, v = sys.eigenpairs
+        pairs = sys.eigenpairs
     except np.linalg.LinAlgError as exc:
         raise SpectrumError("eigensolver failed") from exc
-    v = _representatives(sys, w, v, m)
-    w = w[:m].copy()
+    v = _representatives(sys, pairs.values, pairs.vectors, m)
+    w = pairs.values[:m].copy()
 
     # A and M are Toeplitz: their largest entries are those of their columns
     scale = float(np.max(np.abs(sys.a_col)) + np.max(np.abs(w)) * np.max(np.abs(sys.m_col)))

@@ -71,14 +71,14 @@ def _one_start_at_a_time(sys, seed):
     H = sys.K + sys.M
     starts = [rng.standard_normal(sys.ndof) for _ in range(64)]
     for p, q in ((1.0, 0.0), (0.0, 1.0)):
-        starts.append(sys.sine.eigh(0.0, 1.0, p, q, which="top")[1])
+        starts.append(sys.sine.top(0.0, 1.0, p, q)[1])
     for theta in np.logspace(-6.0, 6.0, 13):
-        c = sys.sine.eigh(0.0, 1.0, theta, 1.0 + theta, which="top")[1]
+        c = sys.sine.top(0.0, 1.0, theta, 1.0 + theta)[1]
         for _ in range(60):
             qs, qm, qh = (float(c @ X @ c) for X in (sys.S, sys.M, H))
             a, b = (1.0 - s) * qs / qm, s * qs / qh
             old = _interp_ratio(sys, c)
-            c = sys.sine.eigh(0.0, 1.0, b, a + b, which="top")[1]
+            c = sys.sine.top(0.0, 1.0, b, a + b)[1]
             if abs(_interp_ratio(sys, c) - old) < 1e-14 * max(1.0, old):
                 break
         starts.append(c)

@@ -291,13 +291,13 @@ def test_dump_rejects_unknown_kind(tmp_path):
 
 def test_with_alpha_derives_its_own_forms():
     sys = build_system(build_mesh(0.0, 1.0, 16), 0.5, -5.0)
-    w, _ = sys.eigenpairs
+    w = sys.eigenpairs.values
     assert np.array_equal(sys.A, sys.K - 5.0 * sys.S)
     other = sys.with_alpha(2.0)
     assert other.k_col is sys.k_col and other.s_col is sys.s_col and other.m_col is sys.m_col
     assert other.sine is sys.sine
     assert np.array_equal(other.A, sys.K + 2.0 * sys.S)
-    w_other, _ = other.eigenpairs
+    w_other = other.eigenpairs.values
     unsplit = linalg.eigh(sys.K + 2.0 * sys.S, sys.M, eigvals_only=True)
     assert np.max(np.abs(w_other - unsplit)) <= 1e-13 * np.max(np.abs(unsplit))
     assert w_other[0] > 0.0 > w[0]
@@ -306,7 +306,7 @@ def test_with_alpha_derives_its_own_forms():
 @pytest.mark.parametrize("n_elem", [2, 3, 8, 9, 64, 65])
 def test_parity_split_matches_the_unsplit_pencil(n_elem):
     sys = build_system(build_mesh(0.0, 1.0, n_elem), 0.5, -5.0)
-    w, v = sys.eigenpairs
+    w, v = sys.eigenpairs.values, sys.eigenpairs.vectors(sys.ndof)
     unsplit = linalg.eigh(sys.A, sys.M, eigvals_only=True)
     assert np.max(np.abs(w - unsplit)) <= 1e-13 * np.max(np.abs(unsplit))
     # every lifted column is even or odd under the flip, and M-orthonormal
@@ -423,10 +423,13 @@ def _sine_solves(sys):
     """Every solve the sine basis runs on its two halves, at the system's coupling."""
     sine = assembly.SineBasis(sys.k_col, sys.s_col, sys.m_col)
     X = np.random.default_rng(0).standard_normal((sys.ndof, sys.ndof))
+    pairs = sine.eigh(1.0, sys.alpha, 0.0, 1.0)
     return [
         *sine.blocks,
-        *sine.eigh(1.0, sys.alpha, 0.0, 1.0),
-        *sine.eigh(0.0, 1.0, 1.0, 0.0, which="top"),
+        pairs.values,
+        *pairs.halves,
+        pairs.vectors(sys.ndof),
+        *sine.top(0.0, 1.0, 1.0, 0.0),
         sine.lowest(1.0, 2.0 * sys.alpha, 0.0, 1.0),
         assembly._dst(X),
     ]
@@ -438,12 +441,41 @@ def test_threaded_halves_match_the_serial_ones_bit_for_bit(monkeypatch):
     threaded = []
     monkeypatch.setattr(assembly, "_threads_allowed", lambda: threaded.append(1) or True)
     two_threads = _sine_solves(sys)
-    # the two passes of Q S Q, eigh "all" and its lift, "top", lowest, the row DST
+    # the two passes of Q S Q, eigh and its lift, top, lowest, the row DST
     assert len(threaded) == 7
     monkeypatch.setattr(assembly, "_threads_allowed", lambda: False)
     one_thread = _sine_solves(sys)
     for a, b in zip(two_threads, one_thread):
         assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("ndof", [1, 2, 7, 127, 1023])
+def test_top_matches_the_full_eigensolve_of_the_blocks(ndof):
+    # at ndof = 1023 on two threads too: test_threaded_halves_match_the_serial_ones_bit_for_bit
+    sys = build_system(build_mesh(0.0, 1.0, ndof + 1), 0.5, -1.0)
+    for x, y, p, q in ((0.0, 1.0, 1.0, 0.0), (0.0, 1.0, 0.0, 1.0), (0.0, 1.0, 1e-3, 1.001), (1.0, -1.0, 0.0, 1.0)):
+        tops = [np.linalg.eigh(sys.sine.reduced(b, x, y, p, q)[0])[0][-1] for b in range(min(ndof, 2))]
+        mu, u = sys.sine.top(x, y, p, q)
+        assert abs(mu - max(tops)) <= 1e-13 * abs(max(tops))
+        # in the winning block's standard problem: a unit vector (of unit
+        # p K + q M norm at the nodes) whose Rayleigh quotient is mu, with
+        # its residual at round-off
+        b = int(np.argmax(tops))
+        C, r = sys.sine.reduced(b, x, y, p, q)
+        z = _dst(u.copy())[b::2] / r
+        assert abs(np.linalg.norm(z) - 1.0) <= 1e-13
+        norm, Cz = np.linalg.norm(C, 2), C @ z
+        assert abs(z @ Cz - mu) <= 1e-13 * norm
+        assert np.linalg.norm(Cz - (z @ Cz) * z) <= 1e-13 * norm
+
+
+@pytest.mark.parametrize("n_elem", [2, 3, 64, 65])
+def test_lifting_a_few_eigenvectors_gives_the_columns_of_all(n_elem):
+    pairs = build_system(build_mesh(0.0, 1.0, n_elem), 0.5, -5.0).eigenpairs
+    ndof = pairs.values.size
+    every = pairs.vectors(ndof)
+    for count in sorted({1, 2, 13, ndof} & set(range(1, ndof + 1))):
+        assert np.array_equal(pairs.vectors(count), every[:, :count])
 
 
 @pytest.mark.parametrize("n, threads", [(1, 1), (2, 1), (1022, 1), (1023, 2), (1024, 2)])
@@ -470,7 +502,7 @@ def test_an_error_in_the_second_half_reaches_the_caller(monkeypatch):
     monkeypatch.setattr(assembly.SineBasis, "reduced", failing)
     for solve in (
         lambda: sys.sine.eigh(1.0, -1.0, 0.0, 1.0),
-        lambda: sys.sine.eigh(0.0, 1.0, 1.0, 0.0, which="top"),
+        lambda: sys.sine.top(0.0, 1.0, 1.0, 0.0),
         lambda: sys.sine.lowest(1.0, -1.0, 0.0, 1.0),
     ):
         with pytest.raises(np.linalg.LinAlgError, match="not positive definite"):

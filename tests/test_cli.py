@@ -460,12 +460,39 @@ def test_cli_import_loads_no_optimizer_integrator_or_oracle():
     assert proc.stdout.strip() == "[]"
 
 
+def test_scipy_is_imported_only_by_the_oracles_and_the_characterization_audit():
+    # every pipeline but full-audit runs on numpy alone: scipy appears in no
+    # import statement outside mixlap.oracles and verify_characterization
+    import ast
+
+    import mixlap
+
+    found = set()
+    for path in sorted(Path(mixlap.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        scope = {}  # node -> innermost enclosing function; ast.walk visits outer ones first
+        for fn in ast.walk(tree):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                scope.update((node, getattr(fn, "name", "<lambda>")) for node in ast.walk(fn))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                modules = [node.module]
+            else:
+                continue
+            if any(m.split(".")[0] == "scipy" for m in modules):
+                found.add((path.stem, scope.get(node)))
+    assert {(m, f) for m, f in found if m != "oracles"} == {("spectrum", "verify_characterization")}
+
+
 def test_spectral_and_critical_point_runs_load_no_scipy(tmp_path):
-    # the spectrum, mountain-pass, linking and solve-linear pipelines run on
-    # numpy alone; threshold, constants and full-audit import scipy
+    # every pipeline but full-audit runs on numpy alone
     runs = {
         "spectrum": "[operator]\nalpha = -1\n",
         "spectrum-grid": "[operator]\nalpha = -2:0:5\n",
+        "threshold": "[operator]\nalpha = -5\n[solver]\nbracket_lo = -10\nbracket_hi = 0\n",
+        "constants": "[operator]\nalpha = -5\n",
         "mountain-pass": "[operator]\nalpha = 0\n[nonlinearity]\nlambda = 5\n",
         "linking": "[operator]\nalpha = 0\n[nonlinearity]\nlambda = 25\n[solver]\nk = 1\n",
         "solve-linear": "[operator]\nalpha = -1\n"
@@ -506,10 +533,10 @@ def test_no_linking_report_is_both_inconclusive_and_certified(tmp_path, body):
     assert set(geometry) == {"k", "rho_small", "alpha_tilde", "rho_big", "boundary_sup", "certified", "mode"}
 
 
-def test_spectrum_at_1024_peaks_below_two_and_a_half_dense_matrices(tmp_path):
-    # K, S and M are held by their columns and A acts by the circulant S
-    # product: at its peak the run holds the nodal eigenvectors, the sine
-    # blocks and the blocks' own eigenvectors
+def test_spectrum_at_1024_peaks_below_one_and_three_quarters_dense_matrices(tmp_path):
+    # K, S and M are held by their columns, A acts by the circulant S product
+    # and only the reported eigenvectors reach the nodes: the run peaks while
+    # it builds the sine blocks, at about 1.5 dense matrices
     import tracemalloc
 
     cfgfile = write_cfg(tmp_path / "c.ini", "[domain]\nn_elem = 1024\n[operator]\nalpha = -1\n")
@@ -519,7 +546,31 @@ def test_spectrum_at_1024_peaks_below_two_and_a_half_dense_matrices(tmp_path):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 2.5 * 8 * 1023**2
+    assert peak < 1.75 * 8 * 1023**2
+
+
+def test_spectrum_certifies_a_cluster_of_two_parities(tmp_path):
+    # lambda_1 (a flip-even eigenfield) and lambda_2 (flip-odd) are 1.24e-3
+    # apart, inside one eigenvalue cluster: each reported column must carry
+    # its own eigenvalue
+    from mixlap import build_mesh, build_system
+
+    alpha = -2.5039284465
+    cfgfile = write_cfg(tmp_path / "c.ini", f"[domain]\nn_elem = 512\n[operator]\nalpha = {alpha}\n")
+    outs = [tmp_path / "first", tmp_path / "second"]
+    for out in outs:
+        assert main(["spectrum", "--config", str(cfgfile), "--out", str(out)]) == 0
+        assert json.loads((out / "report.json").read_text())["certified"]
+    for name in ("report.json", "spectrum.csv"):
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+    rows = (outs[0] / "spectrum.csv").read_text().splitlines()[1:3]
+    lambdas = [float(row.split(",")[1]) for row in rows]
+    sine = build_system(build_mesh(0.0, 1.0, 512), 0.5, alpha).sine
+    blocks = [np.linalg.eigvalsh(sine.reduced(b, 1.0, alpha, 0.0, 1.0)[0]) for b in (0, 1)]
+    scale = max(np.abs(w).max() for w in blocks)
+    assert abs(lambdas[0] - blocks[0][0]) <= 1e-12 * scale
+    assert abs(lambdas[1] - blocks[1][0]) <= 1e-12 * scale
+    assert 1e-3 < lambdas[1] - lambdas[0] < 1e-9 * scale
 
 
 def test_spectrum_builds_no_dense_a_or_s(tmp_path):

@@ -76,7 +76,7 @@ def test_resolvent_matches_dense_oracle(mesh8):
 def test_resolvent_near_resonance_is_certified(sys64_neg5):
     # a gap of 1e-6 relative to lambda_1 is outside the guard; the
     # eigenpair solve with refinement still certifies at round-off
-    lam1 = float(sys64_neg5.eigenpairs[0][0])
+    lam1 = float(sys64_neg5.eigenpairs.values[0])
     a = ones_field(sys64_neg5.mesh)
     for lam in (lam1 * (1.0 - 1e-6), lam1 * (1.0 + 1e-6)):
         rep = solve_resolvent(sys64_neg5, lam, a)
@@ -91,7 +91,7 @@ def test_resolvent_certificate_is_relative_to_the_size_of_u():
     cfg = SolverConfig(tol=1e-10)
     for n_elem, alpha, k in ((64, 0.0, 0), (256, -1.0, 2)):
         sys = build_system(build_mesh(0.0, 1.0, n_elem), 0.5, alpha)
-        w, V = sys.eigenpairs
+        w, V = sys.eigenpairs.values, sys.eigenpairs.vectors(sys.ndof)
         lam = float(w[k]) * (1.0 + 1e-6)
         rep = solve_resolvent(sys, lam, ones_field(sys.mesh), cfg)
         assert rep.converged, rep.grad_norm
@@ -113,7 +113,7 @@ def test_resolvent_guard_reads_the_cached_eigenvalues(monkeypatch, mesh8):
         raise AssertionError("solve_resolvent called solve_pencil")
 
     sys = build_system(mesh8, 0.5, -5.0)
-    lam1 = float(sys.eigenpairs[0][0])
+    lam1 = float(sys.eigenpairs.values[0])
     monkeypatch.setattr(solvers, "solve_pencil", refuse)
     a = ones_field(mesh8)
     assert solve_resolvent(sys, lam1 + 1.0, a).converged

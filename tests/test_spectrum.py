@@ -61,11 +61,31 @@ def test_solve_pencil_columns_do_not_depend_on_m(sys64_neg5, sys8_neg5):
         assert np.array_equal(spec.lambdas, full.lambdas[:m])
     # an all-equal spectrum is one cluster that straddles every m
     sys = sys8_neg5
-    w, v = np.ones(sys.ndof), sys.eigenpairs[1]
-    whole = spectrum._representatives(sys, w, v, sys.ndof)
+    w, vectors = np.ones(sys.ndof), sys.eigenpairs.vectors
+    whole = spectrum._representatives(sys, w, vectors, sys.ndof)
     assert np.abs(whole.T @ sys.M @ whole - np.eye(sys.ndof)).max() <= 1e-13
     for m in (1, 2, 5):
-        assert np.array_equal(spectrum._representatives(sys, w, v, m), whole[:, :m])
+        assert np.array_equal(spectrum._representatives(sys, w, vectors, m), whole[:, :m])
+
+
+def test_a_cluster_that_straddles_m_is_lifted_whole(sys64_neg5):
+    sys, pairs = sys64_neg5, sys64_neg5.eigenpairs
+    w = pairs.values.copy()
+    w[2:5] = w[2]  # one cluster: the eigenvalues 3 to 5
+    asked = []
+
+    def vectors(count):
+        asked.append(count)
+        return pairs.vectors(count)
+
+    reps = {m: spectrum._representatives(sys, w, vectors, m) for m in (2, 3, 4, 5, 6)}
+    assert asked == [2, 5, 5, 5, 6]
+    for m in (2, 3, 4, 5):
+        assert np.array_equal(reps[m], reps[6][:, :m])
+    # the Ritz vectors of the cluster are its eigenvectors, each at its own eigenvalue
+    V = reps[6]
+    gram_a = V.T @ sys.A @ V
+    assert np.abs(gram_a - np.diag(pairs.values[:6])).max() <= 1e-10 * np.abs(pairs.values).max()
 
 
 def test_solve_pencil_rejects_bad_m(sys8_neg5):
