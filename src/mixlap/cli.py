@@ -32,12 +32,12 @@ from .solvers import (
     CriticalPointReport,
     ResonanceError,
     SolverConfig,
-    _linking_bound,
+    _probe,
+    _slope_at_zero,
     _splitting,
     linking_search,
     mountain_pass,
     solve_resolvent,
-    verify_geometry,
 )
 from .spectrum import (
     _lambda1,
@@ -85,7 +85,7 @@ def _nonlinearity(cfg: RunConfig):
 
 
 def _solver_config(cfg: RunConfig) -> SolverConfig:
-    return SolverConfig(tol=cfg.tol, max_iter=cfg.max_iter, seed=cfg.seed)
+    return SolverConfig(tol=cfg.tol, max_iter=cfg.max_iter)
 
 
 def _scalar_system(cfg: RunConfig, pipeline: str) -> OperatorSystem:
@@ -175,7 +175,7 @@ def _pipeline_constants(cfg: RunConfig, out_dir: Path) -> bool:
     sys = _scalar_system(cfg, "constants")
     emb = embedding_constant(sys)
     interp = interpolation_constant(sys, seed=cfg.seed)
-    young = young_split_audit(sys, seed=cfg.seed, interp=interp)
+    young = young_split_audit(sys, interp)
     payload = _report_base(cfg, "constants")
     payload.update(
         {
@@ -310,7 +310,7 @@ def _audit_checks(cfg: RunConfig, sys: OperatorSystem) -> list[dict]:
     spec = solve_pencil(sys, m=cfg.m)
     worst = 0.0
     for k in range(1, min(4, spec.count) + 1):
-        worst = max(worst, verify_characterization(spec, sys, k, trials=4, seed=cfg.seed))
+        worst = max(worst, verify_characterization(spec, sys, k, seed=cfg.seed))
     add("characterization", worst, 1e-8)
 
     # two-sided Rayleigh bounds; one computed eigenpair has only the lower side
@@ -323,7 +323,7 @@ def _audit_checks(cfg: RunConfig, sys: OperatorSystem) -> list[dict]:
 
     # coercivity shift on random fields
     interp = interpolation_constant(sys, seed=cfg.seed)
-    young = young_split_audit(sys, n_random=200, seed=cfg.seed, interp=interp)
+    young = young_split_audit(sys, interp)
     worst = 0.0
     for _ in range(1000):
         u = rng.standard_normal(sys.ndof)
@@ -338,6 +338,14 @@ def _audit_checks(cfg: RunConfig, sys: OperatorSystem) -> list[dict]:
             (young.gamma_exact - young.gamma_split) / max(1.0, young.gamma_exact),
             1e-10,
         )
+        # the split's top eigenvalue at each epsilon vs inertia bisection
+        worst = 0.0
+        for p, q, top in young.pencils:
+            orc = -pencil_eigenvalues_oracle(-sys.S, p * sys.K + q * sys.M, 1)[0]
+            worst = max(worst, abs(top - orc) / max(1.0, top))
+        add("young_split_oracle", worst, 1e-8)
+    else:
+        add("young_split_oracle", 0.0, 1e-8, "skipped: alpha >= 0 needs no split")
 
     # gradient vs central differences
     worst = 0.0
@@ -396,8 +404,7 @@ def _audit_checks(cfg: RunConfig, sys: OperatorSystem) -> list[dict]:
     else:
         lambdas, U, V = split = _splitting(sys, 1)
         nl = PowerPerturbed(0.5 * float(lambdas[0] + lambdas[1]), 4.0)
-        geo = verify_geometry(sys, nl, 1)
-        g, c_r, r, _ = _linking_bound(sys, nl, split)
+        geo, _, (g, c_r, r, _) = _probe(sys, nl, split, _slope_at_zero(sys, nl))
         rng_geo = np.random.default_rng(cfg.seed)
         worst = max(
             (0.5 * g * rho**2 - c_r * rho**r - val) / max(1.0, abs(val))

@@ -10,8 +10,10 @@ level k, span(u_1..u_k) and its M-orthogonal complement, which
 ``_splitting`` computes for all three; a linking search computes it once and
 hands it to its probe.  The probe certifies the superlinear geometry by
 closed-form inequalities (Rabinowitz, CBMS 65, 1986, proof of Thm 5.3) in
-the nonlinearity's declared growth constants; ``mixlap.oracles`` keeps the
-sampled descent as its independent check.
+the nonlinearity's declared growth constants, and the affine kind's saddle
+geometry (Thm 4.6 there) by its exact infimum and a closed-form sphere
+bound; neither draws a random number, and ``mixlap.oracles`` keeps the
+sampled descent as the independent check of the first.
 
 Search strategies:
 
@@ -86,8 +88,6 @@ PEAK_LADDER = 0.5 ** np.arange(40)  # trial steps of the peak's line search
 PEAK_FIRST_RUNGS = 4  # steps ranked before the rest of the ladder (the kept one, nearly always)
 
 # linking geometry probe
-PROBE_RESTARTS = 12  # random sphere directions of the affine kind's saddle probe
-RHO_BIG_MAX = 1e4  # largest sphere radius the saddle probe tries
 LINKING_CONSTANTS = ("A", "b_upper", "r", "c", "d", "mu_tilde")  # the growth constants the linking bound reads
 
 
@@ -95,7 +95,6 @@ LINKING_CONSTANTS = ("A", "b_upper", "r", "c", "d", "mu_tilde")  # the growth co
 class SolverConfig:
     tol: float = 1e-8
     max_iter: int = 600
-    seed: int = 0
 
 
 @dataclass
@@ -356,7 +355,7 @@ def _refusal(k: int, mode: str, alpha_tilde: float) -> LinkingGeometryReport:
     )
 
 
-def verify_geometry(sys: OperatorSystem, nl, k: int, seed: int = 0) -> LinkingGeometryReport:
+def verify_geometry(sys: OperatorSystem, nl, k: int) -> LinkingGeometryReport:
     """Certify the minimax geometry around the spectral splitting at level k.
 
     Superlinear kinds: closed-form inequalities (``_linking_bound``) give a
@@ -367,18 +366,20 @@ def verify_geometry(sys: OperatorSystem, nl, k: int, seed: int = 0) -> LinkingGe
     and the (k+1)-st direction.  They read the nonlinearity's declared
     ``LINKING_CONSTANTS``; a kind that lacks any of them raises
     ``ValueError`` naming the missing ones.  Affine kind: the exact infimum
-    over the complement (a convex quadratic) against the supremum sampled on
-    the sphere in the spanned subspace, whose random directions ``seed``
-    drives.  A geometry that fails is reported, not raised.  Refused without
-    a bound, with NaN for what was not computed: the affine kind when its
+    over the complement (a convex quadratic) against a closed-form bound on
+    J over the X-sphere of radius ``rho_big`` in the span of the first k
+    eigenfields.  Neither kind draws a random number.
+    A geometry that fails is reported, not raised.  Refused without a
+    bound, with NaN for what was not computed: the affine kind when its
     slope is not below lambda_{k+1}, where J is unbounded below on the
-    complement (alpha_tilde is -inf), and a superlinear kind whose declared
-    slope A is not below lambda_{k+1}, or at k >= 1 whose sampled slope at
-    zero does not lie above lambda_k.  Raises ``ValueError`` for k outside
-    0..ndof-1, and for the affine kind at k = 0, whose sphere would lie in
-    an empty span.
+    complement (alpha_tilde is -inf), or not above lambda_k, where the
+    quadratic part does not fall on the span; and a superlinear kind whose
+    declared slope A is not below lambda_{k+1}, or at k >= 1 whose sampled
+    slope at zero does not lie above lambda_k.  Raises ``ValueError`` for k
+    outside 0..ndof-1, and for the affine kind at k = 0, whose sphere would
+    lie in an empty span.
     """
-    return _probe(sys, nl, _splitting(sys, k), _slope_at_zero(sys, nl), seed)[0]
+    return _probe(sys, nl, _splitting(sys, k), _slope_at_zero(sys, nl))[0]
 
 
 def _linking_constants(nl) -> list[float]:
@@ -433,62 +434,67 @@ def _linking_bound(sys: OperatorSystem, nl, split: tuple) -> tuple[float, float,
 
 
 def _probe(
-    sys: OperatorSystem, nl, split: tuple, theta, seed: int
-) -> tuple[LinkingGeometryReport, str]:
+    sys: OperatorSystem, nl, split: tuple, theta
+) -> tuple[LinkingGeometryReport, str, tuple | None]:
     """``verify_geometry`` on a splitting and a slope estimate at zero that
-    the caller computed, with the reason for a refusal ("" otherwise)."""
+    the caller computed, with the reason for a refusal ("" otherwise) and
+    the superlinear kind's ``_linking_bound`` (None where it was not computed)."""
     lambdas, U, V = split
     k = U.shape[1]
     if isinstance(nl, AffineLinear) and k == 0:
         raise ValueError("the saddle geometry of the affine kind needs k >= 1")
 
     if isinstance(nl, AffineLinear):
-        rng = np.random.default_rng(seed)
         lam = nl.lam
         if not lam < lambdas[k]:
             return _refusal(k, "saddle", -math.inf), (
                 f"slope {lam:.6g} is not below lambda_{k + 1} = {lambdas[k]:.6g}: "
                 "J is unbounded below on the complement"
-            )
+            ), None
+        if not lam > lambdas[k - 1]:
+            return _refusal(k, "saddle", math.nan), (
+                f"slope {lam:.6g} is not above lambda_{k} = {lambdas[k - 1]:.6g}: "
+                "J does not fall on the span of the first eigenfields"
+            ), None
         # V diagonalizes the quadratic part: V^T (A - lam M) V = diag(lambda_j - lam)
-        c = (V.T @ load_vector(sys.mesh, nl.a)) / (lambdas[k:] - lam)
-        w_min = V @ c
+        ell = load_vector(sys.mesh, nl.a)
+        w_min = V @ ((V.T @ ell) / (lambdas[k:] - lam))
         alpha_tilde = float(J_eval(sys, nl, FeField(w_min, sys.mesh)))
         rho_small = _x_norm(sys, w_min)
-        # supremum on the X-sphere of radius T in span(U): grow T until the
-        # quadratic drop dominates the linear term
-        boundary_sup = math.inf
-        T = max(1.0, 2.0 * rho_small)
-        while T <= RHO_BIG_MAX:
-            W = _apply_rows(U, np.vstack([np.eye(k), rng.standard_normal((PROBE_RESTARTS, k))]))
-            W = (T / _x_norms(sys, W))[:, None] * W
-            boundary_sup = float(np.max(J_values(sys, nl, np.vstack([W, -W]))))
-            if boundary_sup < alpha_tilde:
-                break
-            T *= 2.0
-        certified = boundary_sup < alpha_tilde
+        # The Gauss rule integrates u_h^2 exactly, so on span(U) J(U c) =
+        # sum (lambda_j - lam) c_j^2 / 2 - (U^T ell) . c <= phi(m) = -g m^2/2 + b m
+        # in m = |c| = ||u||_M, with g = lam - lambda_k and b = |U^T ell|.  On the
+        # X-sphere of radius T, m >= T / sqrt(kappa), kappa the top eigenvalue of
+        # U^T K U.  At T = rho_big, m >= 2 r for the larger root r of phi =
+        # alpha_tilde, which is past b / g where phi falls (alpha_tilde <= J(0) = 0).
+        g, b = float(lam - lambdas[k - 1]), float(np.linalg.norm(U.T @ ell))
+        root_kappa = math.sqrt(float(np.linalg.eigvalsh(U.T @ sys.apply_K(U))[-1]))
+        r = (b + math.sqrt(b * b - 2.0 * g * alpha_tilde)) / g
+        rho_big = max(1.0, 2.0 * rho_small, 2.0 * root_kappa * r)
+        m = rho_big / root_kappa
+        boundary_sup = -0.5 * g * m * m + b * m
         return LinkingGeometryReport(
             k=k,
             rho_small=rho_small,
             alpha_tilde=alpha_tilde,
-            rho_big=T,
+            rho_big=rho_big,
             boundary_sup=boundary_sup,
-            certified=certified,
+            certified=boundary_sup < alpha_tilde,
             mode="saddle",
-        ), ""
+        ), "", None
 
     A = _linking_constants(nl)[0]
     if k >= 1 and (theta.diverged or theta.inconclusive or not lambdas[k - 1] < theta.lower):
         return _refusal(k, "linking", math.nan), (
             f"slope at zero [{theta.lower:.6g}, {theta.upper:.6g}] is not above "
             f"lambda_{k} = {lambdas[k - 1]:.6g}"
-        )
-    g, c_r, r, rho_big = _linking_bound(sys, nl, split)
+        ), None
+    bound = g, c_r, r, rho_big = _linking_bound(sys, nl, split)
     if not g > 0.0:
         return _refusal(k, "linking", math.nan), (
             f"declared slope A = {A:.6g} is not below lambda_{k + 1} = {lambdas[k]:.6g}: "
             f"the coercivity gap on the complement is {g:.6g}"
-        )
+        ), bound
     # g rho^2/2 - c_r rho^r peaks at g = r c_r rho^(r-2), where it is g rho^2 (1/2 - 1/r)
     rho_small = (g / (r * c_r)) ** (1.0 / (r - 2.0))
     alpha_tilde = g * rho_small**2 * (0.5 - 1.0 / r)
@@ -502,7 +508,7 @@ def _probe(
         boundary_sup=boundary_sup,
         certified=alpha_tilde > 0.0 >= boundary_sup,
         mode="linking",
-    ), ""
+    ), "", bound
 
 
 def coercivity_gap(sys: OperatorSystem, theta_bar, k: int, split: tuple | None = None) -> float:
@@ -692,9 +698,8 @@ def linking_search(
     """Minimax search over deformations of the spectral half-cylinder.
 
     Requires the geometry probe to certify the linking (or saddle) structure
-    first; every report carries that probe as ``geometry``.  The superlinear
-    geometry is a bound and draws nothing; the affine kind's saddle probe
-    draws from ``cfg.seed``.  ``_minimax`` then runs with the first k
+    first; every report carries that probe as ``geometry``, a closed-form
+    bound that draws nothing.  ``_minimax`` then runs with the first k
     eigenfields fixed from the ray of u_{k+1}; at k = 0 that is the search
     of ``mountain_pass``.  Raises ``ValueError`` for the affine kind once its
     geometry is certified: J is unbounded above along the ray, so there is
@@ -707,7 +712,7 @@ def linking_search(
     cfg = cfg or SolverConfig()
     lambdas, U, V = _splitting(sys, k)
     theta = _slope_at_zero(sys, nl)
-    geometry, refusal = _probe(sys, nl, (lambdas, U, V), theta, cfg.seed)
+    geometry, refusal, _ = _probe(sys, nl, (lambdas, U, V), theta)
     if not geometry.certified:
         return _geometry_failure(
             sys,

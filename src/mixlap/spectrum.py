@@ -46,6 +46,7 @@ ZERO_TOL = 1e-10  # |lambda| below this counts as a zero eigenvalue
 CLUSTER_TOL = 1e-9
 RESIDUAL_TOL = 1e-8  # largest eigenpair residual accepted, relative to the matrix scale
 BOUND_TRIALS = 1000  # random fields per side in ``bound_checks``
+CHARACTERIZATION_TRIALS = 4  # descent starts of ``verify_characterization``'s oracle
 
 
 class SpectrumError(RuntimeError):
@@ -184,20 +185,14 @@ def _feasible_basis(sys: OperatorSystem, vectors: np.ndarray, k: int) -> np.ndar
     return q[:, k - 1 :]
 
 
-def verify_characterization(
-    spec: Spectrum,
-    sys: OperatorSystem,
-    k: int,
-    trials: int = 8,
-    seed: int = 0,
-) -> float:
+def verify_characterization(spec: Spectrum, sys: OperatorSystem, k: int, seed: int = 0) -> float:
     """|min constrained Rayleigh quotient - lambda_k|.
 
     The minimum of u^T A u / u^T M u over the B-orthogonal complement of the
     first k-1 eigenfields is computed twice: by a projected eigensolve and by
-    ``oracles.rayleigh_min_oracle``, `trials` runs of constrained descent from
-    random starts.  The smaller of the two is compared against the pencil
-    eigenvalue.
+    ``oracles.rayleigh_min_oracle``, ``CHARACTERIZATION_TRIALS`` runs of
+    constrained descent from random starts.  The smaller of the two is
+    compared against the pencil eigenvalue.
 
     Raises ``DegenerateSpectrumError`` if one of the first k-1 eigenvalues
     vanishes (the recursion is not meaningful past a zero eigenvalue).
@@ -216,7 +211,7 @@ def verify_characterization(
     Ar = Z.T @ sys.A @ Z
     Mr = Z.T @ sys.apply_M(Z)
     w = linalg.eigh(Ar, Mr, eigvals_only=True, subset_by_index=[0, 0])
-    best = min(float(w[0]), rayleigh_min_oracle(Ar, Mr, trials, seed))
+    best = min(float(w[0]), rayleigh_min_oracle(Ar, Mr, CHARACTERIZATION_TRIALS, seed))
     return abs(best - float(spec.lambdas[k - 1]))
 
 

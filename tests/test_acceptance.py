@@ -85,7 +85,7 @@ def test_criterion_03_spectral_invariants(sys64_neg5, spec64_neg5):
     b_res = float(np.max(np.abs(gram_b - np.diag(np.diag(gram_b))))) / scale
     r_res = float(np.max(np.abs(np.diag(gram_b) - spec64_neg5.lambdas))) / scale
     char = max(
-        verify_characterization(spec64_neg5, sys64_neg5, k, trials=4) for k in (1, 2, 3, 4)
+        verify_characterization(spec64_neg5, sys64_neg5, k) for k in (1, 2, 3, 4)
     )
     ok = m_res <= 1e-8 and b_res <= 1e-8 and r_res <= 1e-8 and char <= 1e-8
     check(
@@ -132,7 +132,7 @@ def test_criterion_06_garding(sys64_neg5):
         lhs = float(u @ sys64_neg5.A @ u) + gamma * float(u @ sys64_neg5.M @ u)
         if lhs < 0.5 * qk - 1e-10 * max(1.0, qk):
             violations += 1
-    young = young_split_audit(sys64_neg5, n_random=1000, seed=0)
+    young = young_split_audit(sys64_neg5, interpolation_constant(sys64_neg5, seed=0))
     ok = violations == 0 and young.gamma_split >= gamma * (1 - 1e-10) and young.violations == 0
     check(
         "6",

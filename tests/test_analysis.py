@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import linalg
 
 from mixlap import FeField, build_mesh, build_system
 from mixlap.analysis import (
@@ -161,41 +162,42 @@ def test_interpolation_random_audit(sys64_neg5):
 
 
 def test_young_split_certifies(sys64_neg5):
-    rep = young_split_audit(sys64_neg5, n_random=1000, seed=0)
-    assert rep.violations == 0
+    rep = young_split_audit(sys64_neg5, interpolation_constant(sys64_neg5, seed=0))
+    assert (rep.violations, rep.trials) == (0, 3)
     assert rep.gamma_split >= rep.gamma_exact * (1 - 1e-10)
     assert rep.certified
 
 
 def test_young_short_circuit_nonnegative_alpha(mesh64):
     sys = build_system(mesh64, 0.5, 1.5)
-    rep = young_split_audit(sys, n_random=10, seed=0)
+    rep = young_split_audit(sys, interpolation_constant(sys, seed=0))
+    assert rep.trials == 0 and rep.pencils == []
     assert rep.gamma_split == 0.0 and rep.gamma_exact == 0.0 and rep.violations == 0
 
 
-def test_young_split_counts_match_a_per_field_loop(sys8_neg5):
-    # a halved constant breaks the split on part of the fields (596 of 1200),
-    # so the block count is tested on nonzero violations
+def test_young_split_violations_match_the_dense_pencil(sys8_neg5):
+    # the split holds for every field exactly when the top eigenvalue of
+    # (S, c1 eps K + c2 M) is at most 1; a halved constant breaks it at
+    # eps* and 8 eps* but not at eps*/8, and at each broken eps the top
+    # eigenvector is a field that violates the split
     sys = sys8_neg5
     interp = interpolation_constant(sys, seed=0)
     interp = dataclasses.replace(interp, value=0.5 * interp.value)
-    rep = young_split_audit(sys, n_random=300, seed=4, interp=interp)
+    rep = young_split_audit(sys, interp)
 
-    rng = np.random.default_rng(4)
     a, s, C = abs(sys.alpha), sys.s, interp.value
-    violations = trials = 0
-    for eps in rep.epsilons:
+    eps_star = 1.0 / (2.0 * C * s * a)
+    broken = []
+    for eps, (p, q, top) in zip((eps_star / 8.0, eps_star, 8.0 * eps_star), rep.pencils):
         c2 = C * ((1.0 - s) * eps ** (-s / (1.0 - s)) + s * eps)
-        for _ in range(300):
-            u = rng.standard_normal(sys.ndof)
+        assert (p, q) == pytest.approx((C * s * eps, c2), rel=1e-14)
+        w, vecs = linalg.eigh(sys.S, C * s * eps * sys.K + c2 * sys.M)
+        assert top == pytest.approx(w[-1], rel=1e-12)
+        if w[-1] > 1.0 + SPLIT_SLACK:
+            broken.append(eps)
+            u = vecs[:, -1]
             qs, qk, qm = (float(u @ X @ u) for X in (sys.S, sys.K, sys.M))
-            trials += 1
-            violations += a * qs > (a * C * s * eps * qk + a * c2 * qm) * (1 + SPLIT_SLACK) + SPLIT_SLACK
-    for _ in range(300):
-        u = rng.standard_normal(sys.ndof)
-        qk, qm, qb = (float(u @ X @ u) for X in (sys.K, sys.M, sys.A))
-        trials += 1
-        violations += qb + rep.gamma_split * qm < 0.5 * qk - SPLIT_SLACK * max(1.0, qk)
-    assert violations > 0
-    assert (rep.violations, rep.trials) == (violations, trials)
+            assert qs > C * s * eps * qk + c2 * qm
+    assert broken == [eps_star, 8.0 * eps_star]
+    assert (rep.violations, rep.trials) == (len(broken), 3)
     assert not rep.certified

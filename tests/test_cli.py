@@ -240,6 +240,18 @@ def test_audit_checks_the_linking_bound_against_the_sampled_geometry(tmp_path):
     assert geo["passed"] and not geo["note"].startswith("skipped")
 
 
+@pytest.mark.parametrize("alpha", [-5.0, 0.0])
+def test_audit_checks_the_split_eigenvalue_by_inertia_bisection(tmp_path, alpha):
+    # the top eigenvalue that decides the Young split at each epsilon, against
+    # the inertia-bisection oracle; alpha >= 0 has no split to check
+    cfg = RunConfig(n_elem=4, alpha=(alpha,), m=1, directory=str(tmp_path / "au"))
+    assert run(cfg, "full-audit") == 0
+    checks = json.loads((tmp_path / "au" / "audit.json").read_text())["checks"]
+    row = next(c for c in checks if c["name"] == "young_split_oracle")
+    assert row["passed"] and row["tolerance"] == 1e-8
+    assert row["note"].startswith("skipped") == (alpha >= 0.0)
+
+
 def test_audit_skips_the_linking_check_without_a_level_one_splitting(tmp_path):
     # one degree of freedom has no lambda_2, so no level-1 splitting
     cfg = RunConfig(n_elem=2, alpha=(-5.0,), m=1, directory=str(tmp_path / "au"))
@@ -484,6 +496,52 @@ def test_scipy_is_imported_only_by_the_oracles_and_the_characterization_audit():
             if any(m.split(".")[0] == "scipy" for m in modules):
                 found.add((path.stem, scope.get(node)))
     assert {(m, f) for m, f in found if m != "oracles"} == {("spectrum", "verify_characterization")}
+
+
+def test_random_numbers_are_drawn_only_by_the_oracles_and_the_audits():
+    # every certified flag a pipeline reports is decided by eigenvalues or
+    # closed forms: np.random and default_rng appear, outside annotations,
+    # only in mixlap.oracles, the full-audit checks, the randomized bound
+    # checks and the starts of the interpolation constant's ascent
+    import ast
+
+    import mixlap
+
+    found = set()
+    for path in sorted(Path(mixlap.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        scope = {}  # node -> innermost enclosing function; ast.walk visits outer ones first
+        for fn in ast.walk(tree):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                scope.update((node, getattr(fn, "name", "<lambda>")) for node in ast.walk(fn))
+        hints = {
+            node
+            for owner in ast.walk(tree)
+            for hint in (getattr(owner, "annotation", None), getattr(owner, "returns", None))
+            if isinstance(hint, ast.AST)
+            for node in ast.walk(hint)
+        }
+        for node in ast.walk(tree):
+            if node in hints:
+                continue
+            np_random = (
+                isinstance(node, ast.Attribute)
+                and node.attr == "random"
+                and isinstance(node.value, ast.Name)
+                and node.value.id in ("np", "numpy")
+            )
+            if isinstance(node, ast.alias):
+                name = node.name.rsplit(".", 1)[-1]
+            else:
+                name = getattr(node, "attr", getattr(node, "id", None))
+            imported = isinstance(node, ast.ImportFrom) and (node.module or "").startswith("numpy.random")
+            if np_random or name == "default_rng" or imported:
+                found.add((path.stem, scope.get(node)))
+    assert {(m, f) for m, f in found if m != "oracles"} == {
+        ("cli", "_audit_checks"),
+        ("spectrum", "bound_checks"),
+        ("analysis", "interpolation_constant"),
+    }
 
 
 def test_spectral_and_critical_point_runs_load_no_scipy(tmp_path):

@@ -423,14 +423,13 @@ def test_geometry_probe_reference_values(sys64_zero):
     assert (geo.alpha_tilde > 0.0 >= geo.boundary_sup, geo.inconclusive) == (True, True)
 
 
-def test_superlinear_geometry_does_not_depend_on_the_seed():
-    # the certified bound draws nothing: seeds 0 and 3 give one geometry
+def test_linking_search_carries_the_geometry_of_verify_geometry():
+    # the search hands its own splitting to the probe: same geometry
     sys = build_system(build_mesh(0.0, 1.0, 16), 0.5, 0.0)
     nl = PowerPerturbed(25.0, 4.0)
-    rep = linking_search(sys, nl, 1, SolverConfig(seed=3))
+    rep = linking_search(sys, nl, 1, SolverConfig())
     assert rep.geometry.certified
-    assert rep.geometry == verify_geometry(sys, nl, 1, seed=3) == verify_geometry(sys, nl, 1, seed=0)
-    assert rep.geometry == linking_search(sys, nl, 1, SolverConfig(seed=0)).geometry
+    assert rep.geometry == verify_geometry(sys, nl, 1)
 
 
 def _sys_10b_64(threshold256):
@@ -617,6 +616,38 @@ def test_affine_saddle_probe_refuses_a_slope_past_the_next_eigenvalue():
     rep = linking_search(sys, nl, 1)
     assert rep.status == "geometry_violation" and not rep.converged
     assert "not below lambda_2" in rep.message
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_affine_sphere_bound_holds_on_sampled_fields(k):
+    # J on 10^4 random fields of the X-sphere of radius rho_big in
+    # span(u_1..u_k), and on the eigenfields themselves, never exceeds the
+    # closed-form bound, which lies below the infimum over the complement
+    sys = build_system(build_mesh(0.0, 1.0, 64), 0.5, -1.0)
+    lambdas, U, _ = solvers._splitting(sys, k)
+    nl = AffineLinear(0.5 * (lambdas[k - 1] + lambdas[k]), lambda x: np.cos(2.0 * x) + 0.3)
+    geo = verify_geometry(sys, nl, k)
+    assert geo.mode == "saddle" and geo.certified
+    assert geo.boundary_sup < geo.alpha_tilde < 0.0
+    rng = np.random.default_rng(0)
+    W = np.vstack([np.eye(k), -np.eye(k), rng.standard_normal((10_000, k))]) @ U.T
+    W *= (geo.rho_big / solvers._x_norms(sys, W))[:, None]
+    assert np.max(J_values(sys, nl, W)) <= geo.boundary_sup + 1e-10 * abs(geo.boundary_sup)
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_affine_saddle_probe_refuses_a_slope_not_above_lambda_k(k):
+    # lam < lambda_k: J grows along u_k, so no sphere in span(u_1..u_k)
+    # is certified to lie below the infimum over the complement
+    sys = build_system(build_mesh(0.0, 1.0, 32), 0.5, 0.0)
+    lambdas = solve_pencil(sys, 3).lambdas
+    lam = lambdas[0] - 1.0 if k == 1 else 0.5 * (lambdas[0] + lambdas[1])
+    nl = AffineLinear(lam, lambda x: np.ones_like(np.asarray(x, dtype=float)))
+    geo = verify_geometry(sys, nl, k)
+    assert not geo.certified and geo.mode == "saddle" and np.isnan(geo.alpha_tilde)
+    rep = linking_search(sys, nl, k)
+    assert rep.status == "geometry_violation" and not rep.converged
+    assert f"is not above lambda_{k}" in rep.message
 
 
 def test_superlinear_probe_refuses_a_slope_below_lambda_k():

@@ -94,14 +94,14 @@ def test_solve_pencil_rejects_bad_m(sys8_neg5):
 
 
 def test_characterization_unconstrained(spec64_neg5, sys64_neg5):
-    assert verify_characterization(spec64_neg5, sys64_neg5, 1, trials=4) <= 1e-8
+    assert verify_characterization(spec64_neg5, sys64_neg5, 1) <= 1e-8
 
 
 def test_characterization_recursion(mesh8):
     sys = build_system(mesh8, 0.5, -5.0)
     spec = solve_pencil(sys, 7)
     for k in (2, 3):
-        assert verify_characterization(spec, sys, k, trials=6) <= 1e-8
+        assert verify_characterization(spec, sys, k) <= 1e-8
 
 
 def test_characterization_descends_through_the_oracle(monkeypatch, mesh8):
@@ -110,10 +110,15 @@ def test_characterization_descends_through_the_oracle(monkeypatch, mesh8):
     sys = build_system(mesh8, 0.5, -5.0)
     spec = solve_pencil(sys, 7)
     k = 2
-    monkeypatch.setattr(
-        oracles, "rayleigh_min_oracle", lambda A, M, trials, seed: float(spec.lambdas[k - 1]) - 1.0
-    )
-    assert verify_characterization(spec, sys, k, trials=4) == pytest.approx(1.0, abs=1e-9)
+    starts = []
+
+    def undershoot(A, M, trials, seed):
+        starts.append(trials)
+        return float(spec.lambdas[k - 1]) - 1.0
+
+    monkeypatch.setattr(oracles, "rayleigh_min_oracle", undershoot)
+    assert verify_characterization(spec, sys, k) == pytest.approx(1.0, abs=1e-9)
+    assert starts == [4]  # CHARACTERIZATION_TRIALS
 
 
 def test_characterization_stationarity(mesh8):
