@@ -7,13 +7,9 @@ from .mesh import FeField, MeshInterval, build_mesh, interpolate
 from .assembly import (
     OperatorSystem,
     assemble_gagliardo,
-    assemble_local_stiffness,
-    assemble_mass,
-    bilinear_B,
     build_system,
     dump_matrix,
     load_matrix,
-    norms,
 )
 
 __all__ = [
@@ -24,11 +20,7 @@ __all__ = [
     "interpolate",
     "OperatorSystem",
     "assemble_gagliardo",
-    "assemble_local_stiffness",
-    "assemble_mass",
-    "bilinear_B",
     "build_system",
     "dump_matrix",
     "load_matrix",
-    "norms",
 ]

@@ -115,7 +115,8 @@ def interpolation_constant(sys: OperatorSystem, seed: int = 0) -> ConstantEstima
     its own backtracking from 1 / max(1, |g|) down to 1e-15, at most 400
     steps, and leaves the block when |g| < 1e-13 or its line search fails.
     The winner is the first maximum in start order; if no start improves by
-    more than 1e-12 relative, the result is flagged inconclusive.
+    more than 1e-12 relative, the result is flagged inconclusive, except at
+    one degree of freedom, where the quotient is constant and exact.
     """
     rng = np.random.default_rng(seed)
     s = sys.s
@@ -175,7 +176,7 @@ def interpolation_constant(sys: OperatorSystem, seed: int = 0) -> ConstantEstima
         maximizer=FeField(best_c, sys.mesh),
         method="multistart-ascent",
         residual=float(np.linalg.norm(g)),
-        inconclusive=not np.any(val > val0 + 1e-12 * np.maximum(1.0, np.abs(val0))),
+        inconclusive=sys.ndof > 1 and not np.any(val > val0 + 1e-12 * np.maximum(1.0, np.abs(val0))),
     )
 
 
@@ -207,7 +208,8 @@ def young_split_audit(sys: OperatorSystem, interp: ConstantEstimate) -> YoungSpl
     pencils = []
     for eps in (eps_star / 8.0, eps_star, 8.0 * eps_star):
         c2 = C * ((1.0 - s) * eps ** (-s / (1.0 - s)) + s * eps)
-        pencils.append((c1 * eps, c2, sys.sine.top(0.0, 1.0, c1 * eps, c2)[0]))
+        # the top eigenvalue of (S, c1 eps K + c2 M) is minus the lowest of (-S, ...)
+        pencils.append((c1 * eps, c2, -sys.sine.lowest(0.0, -1.0, c1 * eps, c2)))
     c2_star = pencils[1][1]
     gamma_split = abs(alpha) * c2_star
     factor = gamma_split / gamma_exact if gamma_exact > 0 else None

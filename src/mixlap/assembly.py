@@ -30,21 +30,17 @@ from pathlib import Path
 import numpy as np
 from numpy.polynomial.polynomial import polyval
 
-from .mesh import FeField, MeshInterval
+from .mesh import MeshInterval
 
 __all__ = [
     "OperatorSystem",
     "SineBasis",
     "SinePairs",
-    "assemble_local_stiffness",
-    "assemble_mass",
     "assemble_gagliardo",
     "stiffness_column",
     "mass_column",
     "gagliardo_column",
     "build_system",
-    "bilinear_B",
-    "norms",
     "dump_matrix",
     "load_matrix",
 ]
@@ -65,14 +61,6 @@ def stiffness_column(mesh: MeshInterval) -> np.ndarray:
 def mass_column(mesh: MeshInterval) -> np.ndarray:
     """First column of the exact P1 mass matrix (h/6) * tridiag(1, 4, 1)."""
     return np.r_[4.0, 1.0, np.zeros(mesh.ndof)][: mesh.ndof] * mesh.h / 6.0
-
-
-def assemble_local_stiffness(mesh: MeshInterval) -> np.ndarray:
-    return _toeplitz(stiffness_column(mesh))
-
-
-def assemble_mass(mesh: MeshInterval) -> np.ndarray:
-    return _toeplitz(mass_column(mesh))
 
 
 # delta^4 = (2 sinh(D/2))^4 = D^4 sum_j a_j D^(2j), where a_j are the Taylor
@@ -434,29 +422,6 @@ def build_system(mesh: MeshInterval, s: float, alpha: float) -> OperatorSystem:
     s = _check_s(s)
     columns = stiffness_column(mesh), gagliardo_column(mesh, s), mass_column(mesh)
     return OperatorSystem(*columns, alpha=float(alpha), s=s, mesh=mesh)
-
-
-def _require_same_mesh(sys: OperatorSystem, *fields: FeField) -> None:
-    for f in fields:
-        if f.mesh != sys.mesh:
-            raise ValueError("field mesh does not match the assembled system")
-
-
-def bilinear_B(sys: OperatorSystem, u: FeField, v: FeField) -> float:
-    """Energy pairing u^T (K + alpha S) v; symmetric in its arguments."""
-    _require_same_mesh(sys, u, v)
-    return float(u.coeffs @ (sys.A @ v.coeffs))
-
-
-def norms(u: FeField, sys: OperatorSystem) -> tuple[float, float, float]:
-    """Return (||u||_X, ||u||_L2, [u]_s) = sqrt of the K, M, S quadratic forms."""
-    _require_same_mesh(sys, u)
-    c = u.coeffs
-    qk = float(c @ sys.apply_K(c))
-    qm = float(c @ sys.apply_M(c))
-    qs = float(c @ (sys.S @ c))
-    # round-off guard: the forms are PSD, clamp tiny negatives
-    return (math.sqrt(max(qk, 0.0)), math.sqrt(max(qm, 0.0)), math.sqrt(max(qs, 0.0)))
 
 
 def dump_matrix(path: str | Path, mat: np.ndarray, kind: str) -> None:

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 from scipy import integrate, linalg
@@ -25,7 +24,7 @@ from scipy import integrate, linalg
 from .assembly import OperatorSystem
 from .functional import J_gradients, J_values, _apply_rows, _dot_rows
 from .mesh import MeshInterval
-from .solvers import _splitting, _x_norm, _x_norms
+from .solvers import _x_norm
 
 __all__ = [
     "gagliardo_entry_oracle",
@@ -34,14 +33,11 @@ __all__ = [
     "threshold_oracle",
     "rayleigh_min_oracle",
     "quotient_max_oracle",
-    "SampledGeometry",
-    "linking_geometry_oracle",
 ]
 
 # sampled linking geometry
 RHO_GRID = tuple(float(x) for x in np.logspace(-3, 0.5, 8))  # sphere radii searched
 SPHERE_RESTARTS = 12  # random starts per sphere
-BOUNDARY_RHO_MAX = 1e4  # largest half-cylinder radius tried
 
 
 def _hat(mesh: MeshInterval, i: int):
@@ -302,6 +298,11 @@ def quotient_max_oracle(value_fn, n: int, samples: int, seed: int = 0) -> float:
     return float(best)
 
 
+def _x_norms(sys: OperatorSystem, W: np.ndarray) -> np.ndarray:
+    """X norms of the rows of W, each bit-identical to ``mixlap.solvers._x_norm``."""
+    return np.sqrt(np.maximum(0.0, _dot_rows(np.ascontiguousarray(sys.apply_K(W.T).T), W)))
+
+
 def _sphere_min(
     sys: OperatorSystem, nl, V: np.ndarray, rng: np.random.Generator
 ) -> list[tuple[float, float]]:
@@ -400,55 +401,3 @@ def _delta_boundary_max(
     for d in ball_dirs():
         best = max(best, sup(rs * x_normalize(U @ d) + rho * v_dir))
     return best
-
-
-@dataclass(frozen=True)
-class SampledGeometry:
-    """The linking geometry at level k as sampling sees it.
-
-    ``alpha_tilde`` is the best sampled sphere infimum over ``RHO_GRID``,
-    reached at ``rho_small``, and ``spread`` the relative gap between the two
-    lowest starts there; ``inconclusive`` flags a spread above 0.5.
-    ``boundary_sup`` is the sampled supremum of J on the boundary of the
-    half-cylinder of radius ``rho_big``, the first radius, doubling from
-    max(1, 4 rho_small), where it is nonpositive.
-    """
-
-    k: int
-    rho_small: float
-    alpha_tilde: float
-    spread: float
-    rho_big: float
-    boundary_sup: float
-    inconclusive: bool
-
-
-def linking_geometry_oracle(sys: OperatorSystem, nl, k: int, seed: int = 0) -> SampledGeometry:
-    """The linking geometry of a superlinear kind by multistart descent
-    (``_sphere_min``) and boundary sampling (``_delta_boundary_max``), the
-    random starts and directions drawn in that order from ``seed``.  A sample
-    cannot prove an infimum; it checks the certified bound of
-    ``mixlap.solvers.verify_geometry`` from the other side."""
-    _, U, V = _splitting(sys, k)
-    rng = np.random.default_rng(seed)
-    best_val, rho_small, spread_at_best = -math.inf, RHO_GRID[0], 0.0
-    for rho, (val, spread) in zip(RHO_GRID, _sphere_min(sys, nl, V, rng)):
-        if val > best_val:
-            best_val, rho_small, spread_at_best = val, rho, spread
-    v_dir = V[:, 0] / _x_norm(sys, V[:, 0])
-    rho_big = max(1.0, 4.0 * rho_small)
-    boundary_sup = math.inf
-    while rho_big <= BOUNDARY_RHO_MAX:
-        boundary_sup = _delta_boundary_max(sys, nl, U, v_dir, rho_big, rng)
-        if boundary_sup <= 0.0:
-            break
-        rho_big *= 2.0
-    return SampledGeometry(
-        k=k,
-        rho_small=rho_small,
-        alpha_tilde=best_val,
-        spread=spread_at_best,
-        rho_big=rho_big,
-        boundary_sup=boundary_sup,
-        inconclusive=spread_at_best > 0.5,
-    )

@@ -49,10 +49,8 @@ from .functional import (
     J_hessian,
     J_values,
     _apply_rows,
-    _dot_rows,
     asymptotic_slopes,
     load_vector,
-    weighted_mass,
 )
 from .mesh import FeField
 from .spectrum import ZERO_TOL, DegenerateSpectrumError, solve_pencil
@@ -152,11 +150,6 @@ def _dual_norm(sys: OperatorSystem, g: np.ndarray) -> float:
 
 def _x_norm(sys: OperatorSystem, c: np.ndarray) -> float:
     return math.sqrt(max(0.0, float(sys.apply_K(c) @ c)))
-
-
-def _x_norms(sys: OperatorSystem, W: np.ndarray) -> np.ndarray:
-    """X norms of the rows of W, each bit-identical to ``_x_norm``."""
-    return np.sqrt(np.maximum(0.0, _dot_rows(np.ascontiguousarray(sys.apply_K(W.T).T), W)))
 
 
 def _slope_at_zero(sys: OperatorSystem, nl):
@@ -511,19 +504,15 @@ def _probe(
     ), "", bound
 
 
-def coercivity_gap(sys: OperatorSystem, theta_bar, k: int, split: tuple | None = None) -> float:
-    """Smallest value of (B(u,u) - int theta u^2) / |u|_X^2 over the
+def coercivity_gap(sys: OperatorSystem, theta_bar: float, k: int, split: tuple | None = None) -> float:
+    """Smallest value of (B(u,u) - theta_bar |u|_L2^2) / |u|_X^2 over the
     complement V of the first k eigenfields: the lowest eigenvalue of the
-    projected pencil (V^T (A - M_theta) V, V^T K V), by one Cholesky of
-    V^T K V and one symmetric eigensolve.  ``theta_bar`` is a constant,
-    where the projected form is diag(lambda_j - theta) in the M-orthonormal
-    eigenbasis, or a function of x.  ``split`` is the splitting at level k
-    when the caller has computed it."""
+    projected pencil (diag(lambda_j - theta_bar), V^T K V) in the
+    M-orthonormal eigenbasis, by one Cholesky of V^T K V and one symmetric
+    eigensolve.  ``split`` is the splitting at level k when the caller has
+    computed it."""
     lambdas, _, V = split if split is not None else _splitting(sys, k)
-    if callable(theta_bar):
-        Ar = V.T @ (sys.A - weighted_mass(sys.mesh, theta_bar)) @ V
-    else:
-        Ar = np.diag(lambdas[k:] - float(theta_bar))
+    Ar = np.diag(lambdas[k:] - float(theta_bar))
     L_inv = np.linalg.inv(np.linalg.cholesky(V.T @ sys.apply_K(V)))
     return float(np.linalg.eigvalsh(L_inv @ Ar @ L_inv.T)[0])
 

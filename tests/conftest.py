@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from mixlap import build_mesh, build_system
+from mixlap.analysis import interpolation_constant
 from mixlap.oracles import gagliardo_matrix_oracle
 from mixlap.spectrum import alpha_threshold, solve_pencil
 
@@ -34,6 +35,12 @@ def sys64_neg5(mesh64):
 @pytest.fixture(scope="session")
 def spec64_neg5(sys64_neg5):
     return solve_pencil(sys64_neg5, 12)
+
+
+@pytest.fixture(scope="session")
+def interp64_neg5(sys64_neg5):
+    """Seed-0 interpolation constant of ``sys64_neg5``."""
+    return interpolation_constant(sys64_neg5, seed=0)
 
 
 @pytest.fixture(scope="session")

@@ -25,7 +25,6 @@ from mixlap import FeField, build_mesh, build_system, interpolate
 from mixlap.analysis import (
     _interp_ratio,
     embedding_constant,
-    interpolation_constant,
     young_split_audit,
 )
 from mixlap.cli import run as cli_run
@@ -122,7 +121,7 @@ def test_criterion_05_indefinite_threshold(threshold256):
     )
 
 
-def test_criterion_06_garding(sys64_neg5):
+def test_criterion_06_garding(sys64_neg5, interp64_neg5):
     gamma = garding_constant(sys64_neg5)
     rng = np.random.default_rng(0)
     violations = 0
@@ -132,7 +131,7 @@ def test_criterion_06_garding(sys64_neg5):
         lhs = float(u @ sys64_neg5.A @ u) + gamma * float(u @ sys64_neg5.M @ u)
         if lhs < 0.5 * qk - 1e-10 * max(1.0, qk):
             violations += 1
-    young = young_split_audit(sys64_neg5, interpolation_constant(sys64_neg5, seed=0))
+    young = young_split_audit(sys64_neg5, interp64_neg5)
     ok = violations == 0 and young.gamma_split >= gamma * (1 - 1e-10) and young.violations == 0
     check(
         "6",
@@ -355,8 +354,8 @@ def test_criterion_12_coercivity_gap_sweep(sys64_zero):
     )
 
 
-def test_criterion_13_interpolation_audit(sys64_neg5, spec64_neg5):
-    est = interpolation_constant(sys64_neg5, seed=0)
+def test_criterion_13_interpolation_audit(sys64_neg5, spec64_neg5, interp64_neg5):
+    est = interp64_neg5
     violations = 0
     for k in range(spec64_neg5.count):
         if _interp_ratio(sys64_neg5, spec64_neg5.vectors[:, k]) > est.value * (1 + 1e-8):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy import linalg
 
-from mixlap import FeField, build_mesh, build_system
+from mixlap import FeField, assembly, build_mesh, build_system
 from mixlap.analysis import (
     SPLIT_SLACK,
     _interp_ratio,
@@ -136,8 +136,8 @@ def test_interpolation_scale_invariance(sys8_neg5):
     assert r7 == pytest.approx(r1, rel=1e-12)
 
 
-def test_interpolation_eigenfields_within_constant(sys64_neg5, spec64_neg5):
-    est = interpolation_constant(sys64_neg5, seed=0)
+def test_interpolation_eigenfields_within_constant(sys64_neg5, spec64_neg5, interp64_neg5):
+    est = interp64_neg5
     for k in range(spec64_neg5.count):
         r = _interp_ratio(sys64_neg5, spec64_neg5.vectors[:, k])
         assert r <= est.value * (1 + 1e-8)
@@ -153,19 +153,28 @@ def test_interpolation_matches_sampling_oracle(sys8_neg5):
     assert not est.inconclusive
 
 
-def test_interpolation_random_audit(sys64_neg5):
-    est = interpolation_constant(sys64_neg5, seed=0)
+def test_interpolation_random_audit(sys64_neg5, interp64_neg5):
+    est = interp64_neg5
     rng = np.random.default_rng(2)
     for _ in range(1000):
         u = rng.standard_normal(sys64_neg5.ndof)
         assert _interp_ratio(sys64_neg5, u) <= est.value * (1 + 1e-8)
 
 
-def test_young_split_certifies(sys64_neg5):
-    rep = young_split_audit(sys64_neg5, interpolation_constant(sys64_neg5, seed=0))
+def test_young_split_certifies(sys64_neg5, interp64_neg5):
+    rep = young_split_audit(sys64_neg5, interp64_neg5)
     assert (rep.violations, rep.trials) == (0, 3)
     assert rep.gamma_split >= rep.gamma_exact * (1 - 1e-10)
     assert rep.certified
+
+
+def test_young_split_reads_only_eigenvalues(sys64_neg5, interp64_neg5, monkeypatch):
+    # the split is decided by three top eigenvalues; no eigenvector is computed
+    def no_vector(*args):
+        raise AssertionError("the Young split computed an eigenvector")
+
+    monkeypatch.setattr(assembly, "_top_vector", no_vector)
+    assert young_split_audit(sys64_neg5, interp64_neg5).certified
 
 
 def test_young_short_circuit_nonnegative_alpha(mesh64):

@@ -1,20 +1,15 @@
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 from scipy import linalg
 from scipy.linalg import toeplitz
 
 from mixlap import (
-    FeField,
-    bilinear_B,
     build_mesh,
     build_system,
     dump_matrix,
     interpolate,
     load_matrix,
-    norms,
 )
 from mixlap import assembly
 from mixlap.assembly import (
@@ -23,19 +18,25 @@ from mixlap.assembly import (
     _dst,
     _gagliardo_column,
     assemble_gagliardo,
-    assemble_local_stiffness,
-    assemble_mass,
 )
 from mixlap.oracles import _exterior_entry_oracle, _hat, _pair_integrand
 
 
+def _stiffness(mesh):
+    return build_system(mesh, 0.5, 0.0).K
+
+
+def _mass(mesh):
+    return build_system(mesh, 0.5, 0.0).M
+
+
 def test_stiffness_minimal():
-    K = assemble_local_stiffness(build_mesh(0, 1, 2))
+    K = _stiffness(build_mesh(0, 1, 2))
     np.testing.assert_allclose(K, [[4.0]])
 
 
 def test_stiffness_quarters():
-    K = assemble_local_stiffness(build_mesh(0, 1, 4))
+    K = _stiffness(build_mesh(0, 1, 4))
     expected = 4.0 * (2 * np.eye(3) - np.eye(3, k=1) - np.eye(3, k=-1))
     np.testing.assert_allclose(K, expected)
 
@@ -45,7 +46,7 @@ def test_stiffness_matches_slope_energy():
     # zero-extended piecewise-linear reconstruction
     mesh = build_mesh(0, 1, 16)
     u = interpolate(lambda x: x * np.maximum(0.0, 1 - np.abs(4 * x - 2)), mesh)
-    K = assemble_local_stiffness(mesh)
+    K = _stiffness(mesh)
     nodal = u.padded()
     slopes = np.diff(nodal) / mesh.h
     direct = float(np.sum(slopes**2) * mesh.h)
@@ -53,12 +54,12 @@ def test_stiffness_matches_slope_energy():
 
 
 def test_mass_minimal():
-    M = assemble_mass(build_mesh(0, 1, 2))
+    M = _mass(build_mesh(0, 1, 2))
     np.testing.assert_allclose(M, [[1.0 / 3.0]])
 
 
 def test_mass_quarters():
-    M = assemble_mass(build_mesh(0, 1, 4))
+    M = _mass(build_mesh(0, 1, 4))
     expected = (np.eye(3, k=1) + 4 * np.eye(3) + np.eye(3, k=-1)) / 24.0
     np.testing.assert_allclose(M, expected)
 
@@ -67,7 +68,7 @@ def test_mass_tent_profile():
     # all-ones nodal vector on quarters: integral of the trapezoid squared
     # is 2 * h/3 + 2 * h = 2/3, by exact piecewise integration
     mesh = build_mesh(0, 1, 4)
-    M = assemble_mass(mesh)
+    M = _mass(mesh)
     ones = np.ones(3)
     assert abs(float(ones @ M @ ones) - 2.0 / 3.0) < 1e-15
 
@@ -213,55 +214,19 @@ def test_positivity_random_fields(sys8_neg5):
 
 
 def test_bilinear_zero_and_local_reduction(sys64_zero):
-    mesh = sys64_zero.mesh
+    # the energy pairing B(u, v) = u^T (K + alpha S) v, applied by apply_A
     rng = np.random.default_rng(2)
-    v = FeField(rng.standard_normal(mesh.ndof), mesh)
-    zero = FeField.zero(mesh)
-    assert bilinear_B(sys64_zero, zero, v) == 0.0
-    u = FeField(rng.standard_normal(mesh.ndof), mesh)
-    assert (
-        abs(bilinear_B(sys64_zero, u, u) - float(u.coeffs @ sys64_zero.K @ u.coeffs))
-        < 1e-12
-    )
+    v = rng.standard_normal(sys64_zero.ndof)
+    assert float(v @ sys64_zero.apply_A(np.zeros(sys64_zero.ndof))) == 0.0
+    u = rng.standard_normal(sys64_zero.ndof)
+    assert abs(float(u @ sys64_zero.apply_A(u)) - float(u @ sys64_zero.K @ u)) < 1e-12
 
 
 def test_bilinear_middle_hat_entry():
-    mesh = build_mesh(0, 1, 4)
-    sys = build_system(mesh, 0.5, -1.0)
-    e2 = FeField(np.array([0.0, 1.0, 0.0]), mesh)
+    sys = build_system(build_mesh(0, 1, 4), 0.5, -1.0)
+    e2 = np.array([0.0, 1.0, 0.0])
     expected = sys.K[1, 1] - sys.S[1, 1]
-    assert abs(bilinear_B(sys, e2, e2) - expected) < 1e-13 * abs(expected)
-
-
-def test_bilinear_mesh_mismatch(sys64_zero):
-    other = build_mesh(0, 1, 32)
-    u = FeField(np.zeros(31), other)
-    with pytest.raises(ValueError, match="mesh"):
-        bilinear_B(sys64_zero, u, u)
-
-
-def test_norms_zero_and_diagonal():
-    mesh = build_mesh(0, 1, 4)
-    sys = build_system(mesh, 0.5, -1.0)
-    zero = FeField.zero(mesh)
-    assert norms(zero, sys) == (0.0, 0.0, 0.0)
-    e2 = FeField(np.array([0.0, 1.0, 0.0]), mesh)
-    nx, nl2, nsb = norms(e2, sys)
-    assert abs(nx - np.sqrt(sys.K[1, 1])) < 1e-14
-    assert abs(nl2 - np.sqrt(sys.M[1, 1])) < 1e-14
-    assert abs(nsb - np.sqrt(sys.S[1, 1])) < 1e-14
-
-
-@given(c=st.floats(-100, 100).filter(lambda c: abs(c) > 1e-6))
-@settings(max_examples=40, deadline=None)
-def test_norms_homogeneity(c, sys8_neg5):
-    rng = np.random.default_rng(4)
-    u = FeField(rng.standard_normal(sys8_neg5.ndof), sys8_neg5.mesh)
-    cu = FeField(c * u.coeffs, sys8_neg5.mesh)
-    base = norms(u, sys8_neg5)
-    scaled = norms(cu, sys8_neg5)
-    for got, want in zip(scaled, base):
-        assert got == pytest.approx(abs(c) * want, rel=1e-12, abs=1e-12)
+    assert abs(float(e2 @ sys.apply_A(e2)) - expected) < 1e-13 * abs(expected)
 
 
 def test_symmetry_tolerances(sys64_neg5):
@@ -277,7 +242,7 @@ def test_dump_load_roundtrip(tmp_path):
     back, kind = load_matrix(path)
     assert kind == "dense"
     np.testing.assert_array_equal(back, S)
-    K = assemble_local_stiffness(mesh)
+    K = _stiffness(mesh)
     dump_matrix(path, K, "banded")
     back, kind = load_matrix(path)
     assert kind == "banded"
@@ -395,8 +360,10 @@ def test_stencil_products_match_the_dense_forms(ndof):
 def test_dense_forms_are_built_from_the_columns(n_elem):
     mesh = build_mesh(0.0, 1.0, n_elem)
     sys = build_system(mesh, 0.5, -5.0)
-    assert np.array_equal(sys.K, assemble_local_stiffness(mesh))
-    assert np.array_equal(sys.M, assemble_mass(mesh))
+    n, h = mesh.ndof, mesh.h
+    tri = np.eye(n, k=1) + np.eye(n, k=-1)
+    assert np.array_equal(sys.K, (2.0 * np.eye(n) - tri) / h)
+    assert np.array_equal(sys.M, (4.0 * np.eye(n) + tri) * h / 6.0)
     assert np.array_equal(sys.S, assemble_gagliardo(mesh, 0.5))
     for alpha in (-5.0, 0.0, 1.5):
         assert np.array_equal(sys.with_alpha(alpha).A, sys.K + alpha * sys.S)

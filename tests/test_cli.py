@@ -275,6 +275,17 @@ def test_full_audit_runs_with_one_degree_of_freedom(tmp_path):
     assert past["note"].startswith("skipped: ndof < 2")
 
 
+@pytest.mark.parametrize("alpha", [-1.0, 1.0])
+def test_constants_runs_with_one_degree_of_freedom(tmp_path, alpha):
+    # the interpolation quotient is constant on a one-dimensional space, so
+    # the ascent cannot raise it; that value is exact, not inconclusive
+    cfg = RunConfig(n_elem=2, alpha=(alpha,), m=1, directory=str(tmp_path / "c"))
+    assert run(cfg, "constants") == 0
+    report = json.loads((tmp_path / "c" / "constants.json").read_text())
+    assert not report["interp_inconclusive"]
+    assert report["young"]["certified"]
+
+
 def test_broken_config_no_artifacts(tmp_path):
     out = tmp_path / "never"
     code = main(

@@ -18,18 +18,6 @@ def run_script(name: str, *args: str, cwd: Path) -> subprocess.CompletedProcess:
     )
 
 
-def test_eigenvalue_flow_script(tmp_path):
-    out = tmp_path / "flow.csv"
-    proc = run_script(
-        "eigenvalue_flow.py", "--n-elem", "16", "--points", "3", "--m", "3", "--out", str(out),
-        cwd=tmp_path,
-    )
-    assert proc.returncode == 0, proc.stderr
-    lines = out.read_text().splitlines()
-    assert lines[0] == "alpha,lambda_1,lambda_2,lambda_3"
-    assert len(lines) == 4
-
-
 def test_critical_point_gallery_script(tmp_path):
     proc = run_script(
         "critical_point_gallery.py", "--n-elem", "16", "--out-dir", str(tmp_path), cwd=tmp_path

@@ -330,14 +330,6 @@ def test_coercivity_gap_closes_at_next_eigenvalue(sys64_zero):
     assert abs(beta) <= 1e-8
 
 
-def test_coercivity_gap_accepts_function(sys64_zero):
-    spec = solve_pencil(sys64_zero, 2)
-    theta_c = 0.5 * (spec.lambdas[0] + spec.lambdas[1])
-    const = coercivity_gap(sys64_zero, float(theta_c), 1)
-    fn = coercivity_gap(sys64_zero, lambda x: np.full_like(x, theta_c), 1)
-    assert fn == pytest.approx(const, rel=1e-12)
-
-
 def test_coercivity_gap_multistart_oracle(mesh8):
     sys = build_system(mesh8, 0.5, -5.0)
     spec = solve_pencil(sys, 7)
@@ -408,19 +400,6 @@ def test_linking_geometry_not_certified_reported(sys64_zero):
     assert rep.status == "geometry_violation"
     assert not rep.converged
     assert rep.geometry is not None and not rep.geometry.certified
-
-
-def test_geometry_probe_reference_values(sys64_zero):
-    # seed-0 reference values of the sampled k = 1 probe at lambda = 25 (the
-    # geometry of the linking benchmark run), which the oracle keeps; the
-    # lockstep multistart must keep them
-    geo = oracles.linking_geometry_oracle(sys64_zero, PowerPerturbed(25.0, 4.0), 1)
-    assert geo.alpha_tilde == pytest.approx(1.8122226969268116, rel=1e-9)
-    assert geo.spread == pytest.approx(0.6323619070030969, rel=1e-9)
-    assert (geo.k, geo.rho_small, geo.rho_big, geo.boundary_sup) == (
-        1, 3.1622776601683795, 50.59644256269407, 0.0
-    )
-    assert (geo.alpha_tilde > 0.0 >= geo.boundary_sup, geo.inconclusive) == (True, True)
 
 
 def test_linking_search_carries_the_geometry_of_verify_geometry():
@@ -543,7 +522,7 @@ def _one_radius(sys, nl, V, rho, rng):
 
     def on_sphere(Cb):
         W = _apply_rows(V, Cb)
-        r = solvers._x_norms(sys, W)
+        r = oracles._x_norms(sys, W)
         return W, r, (rho / r)[:, None] * W
 
     active = np.arange(len(C))
@@ -631,7 +610,7 @@ def test_affine_sphere_bound_holds_on_sampled_fields(k):
     assert geo.boundary_sup < geo.alpha_tilde < 0.0
     rng = np.random.default_rng(0)
     W = np.vstack([np.eye(k), -np.eye(k), rng.standard_normal((10_000, k))]) @ U.T
-    W *= (geo.rho_big / solvers._x_norms(sys, W))[:, None]
+    W *= (geo.rho_big / oracles._x_norms(sys, W))[:, None]
     assert np.max(J_values(sys, nl, W)) <= geo.boundary_sup + 1e-10 * abs(geo.boundary_sup)
 
 

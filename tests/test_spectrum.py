@@ -235,13 +235,8 @@ def test_threshold_bracketing(threshold256):
     delta = 10 * 1e-8
     from scipy import linalg
 
-    from mixlap.assembly import assemble_gagliardo, assemble_local_stiffness, assemble_mass
-
-    K, S, M = (
-        assemble_local_stiffness(mesh),
-        assemble_gagliardo(mesh, 0.5),
-        assemble_mass(mesh),
-    )
+    sys = build_system(mesh, 0.5, 0.0)
+    K, S, M = sys.K, sys.S, sys.M
 
     def lam1(a):
         return float(linalg.eigh(K + a * S, M, eigvals_only=True, subset_by_index=[0, 0])[0])
