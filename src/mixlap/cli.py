@@ -175,7 +175,7 @@ def _pipeline_constants(cfg: RunConfig, out_dir: Path) -> bool:
     sys = _scalar_system(cfg, "constants")
     emb = embedding_constant(sys)
     interp = interpolation_constant(sys, seed=cfg.seed)
-    young = young_split_audit(sys, interp)
+    young = young_split_audit(sys)
     payload = _report_base(cfg, "constants")
     payload.update(
         {
@@ -323,7 +323,7 @@ def _audit_checks(cfg: RunConfig, sys: OperatorSystem) -> list[dict]:
 
     # coercivity shift on random fields
     interp = interpolation_constant(sys, seed=cfg.seed)
-    young = young_split_audit(sys, interp)
+    young = young_split_audit(sys)
     worst = 0.0
     for _ in range(1000):
         u = rng.standard_normal(sys.ndof)

@@ -283,8 +283,12 @@ def J_hessian(sys: OperatorSystem, nl, u: FeField) -> np.ndarray:
     """Exact Hessian of the discrete energy: (K + alpha S) - quad(f'(x, u) phi_i phi_j)."""
     if u.mesh != sys.mesh:
         raise ValueError("field mesh does not match the assembled system")
-    uq = _field_at_quad(sys.mesh, u.coeffs)
-    return sys.A - weighted_mass(sys.mesh, lambda x: nl.fprime(x, uq))
+    diag, off = weighted_mass(sys.mesh, lambda x: nl.fprime(x, _field_at_quad(sys.mesh, u.coeffs)))
+    H, n = sys.A.copy(), sys.ndof
+    H.flat[:: n + 1] -= diag
+    H.flat[1 :: n + 1] -= off
+    H.flat[n :: n + 1] -= off
+    return H
 
 
 def load_vector(mesh: MeshInterval, fn: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
@@ -293,26 +297,20 @@ def load_vector(mesh: MeshInterval, fn: Callable[[np.ndarray], np.ndarray]) -> n
     return _scatter_quad(mesh, np.asarray(fn(xq), dtype=float) * np.ones_like(xq))
 
 
-def weighted_mass(mesh: MeshInterval, weight) -> np.ndarray:
-    """Tridiagonal matrix int w(x) phi_i phi_j dx under the shared 4-point rule.
+def weighted_mass(mesh: MeshInterval, weight) -> tuple[np.ndarray, np.ndarray]:
+    """Band (diagonal, off-diagonal) of the tridiagonal matrix int w(x) phi_i phi_j dx
+    under the shared 4-point rule.
 
     `weight` is a constant or a function of x that broadcasts like a numpy
     ufunc; it is evaluated at the Gauss points.
     """
     xq, wq, shapes = _quad_points(mesh)
-    n = mesh.ndof
-    out = np.zeros((n + 2, n + 2))
     w = weight(xq) if callable(weight) else weight
     w = np.broadcast_to(np.asarray(w, dtype=float), xq.shape) * wq[None, :]
     d_ll = np.sum(w * shapes[0] * shapes[0], axis=1)
     d_lr = np.sum(w * shapes[0] * shapes[1], axis=1)
     d_rr = np.sum(w * shapes[1] * shapes[1], axis=1)
-    idx = np.arange(mesh.n_elem)
-    np.add.at(out, (idx, idx), d_ll)
-    np.add.at(out, (idx, idx + 1), d_lr)
-    np.add.at(out, (idx + 1, idx), d_lr)
-    np.add.at(out, (idx + 1, idx + 1), d_rr)
-    return out[1:-1, 1:-1]
+    return d_ll[1:] + d_rr[:-1], d_lr[1:-1]
 
 
 # ---------------------------------------------------------------------------

@@ -121,7 +121,7 @@ def test_criterion_05_indefinite_threshold(threshold256):
     )
 
 
-def test_criterion_06_garding(sys64_neg5, interp64_neg5):
+def test_criterion_06_garding(sys64_neg5):
     gamma = garding_constant(sys64_neg5)
     rng = np.random.default_rng(0)
     violations = 0
@@ -131,7 +131,7 @@ def test_criterion_06_garding(sys64_neg5, interp64_neg5):
         lhs = float(u @ sys64_neg5.A @ u) + gamma * float(u @ sys64_neg5.M @ u)
         if lhs < 0.5 * qk - 1e-10 * max(1.0, qk):
             violations += 1
-    young = young_split_audit(sys64_neg5, interp64_neg5)
+    young = young_split_audit(sys64_neg5)
     ok = violations == 0 and young.gamma_split >= gamma * (1 - 1e-10) and young.violations == 0
     check(
         "6",

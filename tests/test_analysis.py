@@ -1,13 +1,13 @@
-import dataclasses
 import math
 
 import numpy as np
 import pytest
 from scipy import linalg
 
-from mixlap import FeField, assembly, build_mesh, build_system
+from mixlap import FeField, analysis, assembly, build_mesh, build_system
 from mixlap.analysis import (
     SPLIT_SLACK,
+    _interp_limit,
     _interp_ratio,
     embedding_constant,
     interpolation_constant,
@@ -138,6 +138,8 @@ def test_interpolation_scale_invariance(sys8_neg5):
 
 def test_interpolation_eigenfields_within_constant(sys64_neg5, spec64_neg5, interp64_neg5):
     est = interp64_neg5
+    # P1 fields lie in H^1_0, so no discrete quotient reaches 2/C(1,s)
+    assert est.value < _interp_limit(0.5)
     for k in range(spec64_neg5.count):
         r = _interp_ratio(sys64_neg5, spec64_neg5.vectors[:, k])
         assert r <= est.value * (1 + 1e-8)
@@ -151,6 +153,7 @@ def test_interpolation_matches_sampling_oracle(sys8_neg5):
     assert best <= est.value * (1 + 1e-8)
     assert est.value - best <= 0.01 * est.value
     assert not est.inconclusive
+    assert est.value < _interp_limit(0.5)
 
 
 def test_interpolation_random_audit(sys64_neg5, interp64_neg5):
@@ -161,40 +164,62 @@ def test_interpolation_random_audit(sys64_neg5, interp64_neg5):
         assert _interp_ratio(sys64_neg5, u) <= est.value * (1 + 1e-8)
 
 
-def test_young_split_certifies(sys64_neg5, interp64_neg5):
-    rep = young_split_audit(sys64_neg5, interp64_neg5)
+def test_interp_limit_is_the_continuum_constant():
+    # 1/C(1,s) = int (1 - cos z) / |z|^(1+2s) dz over the line (Di Nezza,
+    # Palatucci & Valdinoci 2012, (3.2)); by parts, half of it is
+    # int sin(z) z^(-2s) dz / (2s) = Gamma(1-2s) cos(pi s) / (2s) on (0, inf),
+    # a route through the reflection formula instead of the duplication one
+    assert _interp_limit(0.5) == pytest.approx(2.0 * math.pi, rel=1e-15)
+    for s in (0.1, 0.25, 0.4, 0.6, 0.75, 0.9):
+        half = math.gamma(1.0 - 2.0 * s) * math.cos(math.pi * s) / (2.0 * s)
+        assert _interp_limit(s) == pytest.approx(4.0 * half, rel=1e-13)
+    assert _interp_limit(0.25) == pytest.approx(10.0265131, rel=1e-8)
+    assert _interp_limit(0.75) == pytest.approx(6.6843421, rel=1e-8)
+
+
+@pytest.mark.parametrize("n_elem", [8, 128, 1024])
+@pytest.mark.parametrize("s", [0.1, 0.25, 0.5, 0.75, 0.9])
+def test_young_split_certifies_with_the_continuum_constant(s, n_elem):
+    rep = young_split_audit(build_system(build_mesh(0.0, 1.0, n_elem), s, -1.0))
+    assert rep.c1 == pytest.approx(s * _interp_limit(s), rel=1e-15)
+    assert len(rep.pencils) == 3
+    assert all(top <= 1.0 + SPLIT_SLACK for _, _, top in rep.pencils)
+    assert rep.violations == 0 and rep.certified
+
+
+def test_young_split_certifies(sys64_neg5):
+    rep = young_split_audit(sys64_neg5)
     assert (rep.violations, rep.trials) == (0, 3)
     assert rep.gamma_split >= rep.gamma_exact * (1 - 1e-10)
     assert rep.certified
 
 
-def test_young_split_reads_only_eigenvalues(sys64_neg5, interp64_neg5, monkeypatch):
+def test_young_split_reads_only_eigenvalues(sys64_neg5, monkeypatch):
     # the split is decided by three top eigenvalues; no eigenvector is computed
     def no_vector(*args):
         raise AssertionError("the Young split computed an eigenvector")
 
     monkeypatch.setattr(assembly, "_top_vector", no_vector)
-    assert young_split_audit(sys64_neg5, interp64_neg5).certified
+    assert young_split_audit(sys64_neg5).certified
 
 
 def test_young_short_circuit_nonnegative_alpha(mesh64):
-    sys = build_system(mesh64, 0.5, 1.5)
-    rep = young_split_audit(sys, interpolation_constant(sys, seed=0))
+    rep = young_split_audit(build_system(mesh64, 0.5, 1.5))
     assert rep.trials == 0 and rep.pencils == []
     assert rep.gamma_split == 0.0 and rep.gamma_exact == 0.0 and rep.violations == 0
 
 
-def test_young_split_violations_match_the_dense_pencil(sys8_neg5):
+def test_young_split_violations_match_the_dense_pencil(sys8_neg5, monkeypatch):
     # the split holds for every field exactly when the top eigenvalue of
     # (S, c1 eps K + c2 M) is at most 1; a halved constant breaks it at
     # eps* and 8 eps* but not at eps*/8, and at each broken eps the top
     # eigenvector is a field that violates the split
     sys = sys8_neg5
-    interp = interpolation_constant(sys, seed=0)
-    interp = dataclasses.replace(interp, value=0.5 * interp.value)
-    rep = young_split_audit(sys, interp)
+    C = 0.5 * _interp_limit(sys.s)
+    monkeypatch.setattr(analysis, "_interp_limit", lambda s: C)
+    rep = young_split_audit(sys)
 
-    a, s, C = abs(sys.alpha), sys.s, interp.value
+    a, s = abs(sys.alpha), sys.s
     eps_star = 1.0 / (2.0 * C * s * a)
     broken = []
     for eps, (p, q, top) in zip((eps_star / 8.0, eps_star, 8.0 * eps_star), rep.pencils):

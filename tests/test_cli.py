@@ -219,12 +219,26 @@ def test_affine_linking_with_certified_saddle_reports_error(tmp_path):
     assert "solve-linear" in err["error"]["message"]
 
 
-def test_audit_with_one_eigenpair_checks_the_indefinite_side(tmp_path):
+@pytest.fixture(scope="module")
+def audit4(tmp_path_factory):
+    """The checks of one full-audit at n_elem = 4, m = 1 per alpha, each run once."""
+    runs = {}
+
+    def checks(alpha):
+        if alpha not in runs:
+            out = tmp_path_factory.mktemp("audit4") / "au"
+            cfg = RunConfig(n_elem=4, alpha=(alpha,), m=1, directory=str(out))
+            assert run(cfg, "full-audit") == 0
+            runs[alpha] = json.loads((out / "audit.json").read_text())["checks"]
+        return runs[alpha]
+
+    return checks
+
+
+def test_audit_with_one_eigenpair_checks_the_indefinite_side(audit4):
     # m = 1 computes only lambda_1 < 0; the check past the threshold solves
     # every eigenpair, so it still finds the first positive one
-    cfg = RunConfig(n_elem=4, alpha=(-5.0,), m=1, directory=str(tmp_path / "au"))
-    assert run(cfg, "full-audit") == 0
-    checks = json.loads((tmp_path / "au" / "audit.json").read_text())["checks"]
+    checks = audit4(-5.0)
     past = next(c for c in checks if c["name"] == "indefinite_past_threshold")
     assert past["passed"]
     # one eigenpair has no upper Rayleigh side: only lambda_1 on span(u_1) is checked
@@ -232,21 +246,17 @@ def test_audit_with_one_eigenpair_checks_the_indefinite_side(tmp_path):
     assert bounds["passed"] and bounds["note"].startswith("lower side only")
 
 
-def test_audit_checks_the_linking_bound_against_the_sampled_geometry(tmp_path):
-    cfg = RunConfig(n_elem=4, alpha=(-5.0,), m=1, directory=str(tmp_path / "au"))
-    assert run(cfg, "full-audit") == 0
-    checks = json.loads((tmp_path / "au" / "audit.json").read_text())["checks"]
+def test_audit_checks_the_linking_bound_against_the_sampled_geometry(audit4):
+    checks = audit4(-5.0)
     geo = next(c for c in checks if c["name"] == "linking_geometry")
     assert geo["passed"] and not geo["note"].startswith("skipped")
 
 
 @pytest.mark.parametrize("alpha", [-5.0, 0.0])
-def test_audit_checks_the_split_eigenvalue_by_inertia_bisection(tmp_path, alpha):
+def test_audit_checks_the_split_eigenvalue_by_inertia_bisection(audit4, alpha):
     # the top eigenvalue that decides the Young split at each epsilon, against
     # the inertia-bisection oracle; alpha >= 0 has no split to check
-    cfg = RunConfig(n_elem=4, alpha=(alpha,), m=1, directory=str(tmp_path / "au"))
-    assert run(cfg, "full-audit") == 0
-    checks = json.loads((tmp_path / "au" / "audit.json").read_text())["checks"]
+    checks = audit4(alpha)
     row = next(c for c in checks if c["name"] == "young_split_oracle")
     assert row["passed"] and row["tolerance"] == 1e-8
     assert row["note"].startswith("skipped") == (alpha >= 0.0)
@@ -284,6 +294,19 @@ def test_constants_runs_with_one_degree_of_freedom(tmp_path, alpha):
     report = json.loads((tmp_path / "c" / "constants.json").read_text())
     assert not report["interp_inconclusive"]
     assert report["young"]["certified"]
+
+
+def test_constants_certifies_the_split_where_the_estimate_is_too_low(tmp_path):
+    # at n_elem = 256 the multistart estimate of the interpolation constant
+    # is low enough that a split built on it fails at eps*/8; the split takes
+    # 2/C(1,s) = 2 pi, which bounds every discrete quotient
+    cfg = RunConfig(n_elem=256, alpha=(-1.0,), m=1, directory=str(tmp_path / "c"))
+    assert run(cfg, "constants") == 0
+    report = json.loads((tmp_path / "c" / "constants.json").read_text())
+    assert report["young"]["violations"] == 0 and report["young"]["trials"] == 3
+    assert report["young"]["certified"]
+    assert report["young"]["c1"] == pytest.approx(np.pi, rel=1e-15)
+    assert report["C_interp"] < 2.0 * np.pi
 
 
 def test_broken_config_no_artifacts(tmp_path):

@@ -271,6 +271,23 @@ def test_envelope_audit_catches_a_declared_bound_too_small():
     assert not steep.passed and abs(steep.witness[1]) < 1.0
 
 
+def test_spectral_floor_audit_names_its_witness():
+    # eq_1.8: F(x, t) >= lambda_k t^2 / 2; F = lam t^2/2 + t^4/4 clears any
+    # floor below lam and falls short of one above it near t = 0
+    base = PowerPerturbed(2.0, 4.0)
+    low = PowerPerturbed(2.0, 4.0, growth=replace(base.growth, lambda_k=1.5))
+    rep = {r.condition: r for r in check_hypotheses(low, X01)}["eq_1.8"]
+    assert rep.passed and rep.worst_violation <= 0.0
+    high = PowerPerturbed(2.0, 4.0, growth=replace(base.growth, lambda_k=2.5))
+    rep = check_hypotheses(high, X01, conditions=["eq_1.8"])[0]
+    assert not rep.passed and rep.worst_violation > 1e-3
+    # the floor exceeds F exactly where t^4/4 < t^2/4, that is 0 < |t| < 1
+    x, t = rep.witness
+    assert x in X01 and 0.0 < abs(t) < 1.0
+    floor, F = 2.5 * t**2 / 2.0, float(high.F(x, t))
+    assert floor > F
+
+
 def test_missing_metadata_raises():
     nl = PowerPerturbed(1.0, 4.0, growth=replace(PowerPerturbed(1.0, 4.0).growth, mu=None))
     with pytest.raises(ValueError, match="mu"):

@@ -337,7 +337,8 @@ def test_coercivity_gap_multistart_oracle(mesh8):
     theta = 0.5 * (spec.lambdas[0] + spec.lambdas[1])
     beta = coercivity_gap(sys, float(theta), k)
     # direct multistart minimization of the quotient over the complement
-    M_th = weighted_mass(mesh8, float(theta))
+    diag, off = weighted_mass(mesh8, float(theta))
+    M_th = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
     V = solve_pencil(sys, 7).vectors[:, k:]
     Ar = V.T @ (sys.A - M_th) @ V
     Kr = V.T @ sys.K @ V
