@@ -174,7 +174,7 @@ def _pipeline_spectrum(cfg: RunConfig, out_dir: Path) -> bool:
 def _pipeline_constants(cfg: RunConfig, out_dir: Path) -> bool:
     sys = _scalar_system(cfg, "constants")
     emb = embedding_constant(sys)
-    interp = interpolation_constant(sys, seed=cfg.seed)
+    interp = interpolation_constant(sys)
     young = young_split_audit(sys)
     payload = _report_base(cfg, "constants")
     payload.update(
@@ -184,12 +184,11 @@ def _pipeline_constants(cfg: RunConfig, out_dir: Path) -> bool:
             "gamma_exact": young.gamma_exact,
             "gamma_split": young.gamma_split,
             "alpha_star_bound": -1.0 / emb.value,
-            "interp_inconclusive": interp.inconclusive,
             "young": young.to_dict(),
         }
     )
     _write_json(out_dir / "constants.json", payload)
-    return (not interp.inconclusive) and (sys.alpha >= 0 or young.certified)
+    return sys.alpha >= 0 or young.certified
 
 
 def _pipeline_threshold(cfg: RunConfig, out_dir: Path) -> bool:
@@ -322,7 +321,7 @@ def _audit_checks(cfg: RunConfig, sys: OperatorSystem) -> list[dict]:
         add("two_sided_bounds", worst, 1e-9, "lower side only: lambda_1 on span(u_1)")
 
     # coercivity shift on random fields
-    interp = interpolation_constant(sys, seed=cfg.seed)
+    interp = interpolation_constant(sys)
     young = young_split_audit(sys)
     worst = 0.0
     for _ in range(1000):
@@ -483,7 +482,7 @@ def run(cfg: RunConfig, pipeline: str) -> int:
             status = 0 if certified else 1
         except ConfigError:
             raise
-        except (ResonanceError, RuntimeError, FloatingPointError, ValueError) as exc:
+        except (ResonanceError, RuntimeError, ArithmeticError, ValueError) as exc:
             payload = _report_base(cfg, pipeline)
             payload.update({"error": {"type": type(exc).__name__, "message": str(exc)}})
             _write_json(stage / "error.json", payload)

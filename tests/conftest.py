@@ -39,8 +39,8 @@ def spec64_neg5(sys64_neg5):
 
 @pytest.fixture(scope="session")
 def interp64_neg5(sys64_neg5):
-    """Seed-0 interpolation constant of ``sys64_neg5``."""
-    return interpolation_constant(sys64_neg5, seed=0)
+    """Interpolation constant of ``sys64_neg5``."""
+    return interpolation_constant(sys64_neg5)
 
 
 @pytest.fixture(scope="session")

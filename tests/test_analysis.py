@@ -64,68 +64,22 @@ def test_embedding_value_is_the_nodal_quotient_at_its_vector():
     assert 0.0 < est.residual < 1e-10
 
 
-def _one_start_at_a_time(sys, seed):
-    """The multistart ascent with each start run to the end before the next:
-    the same starts, steps and acceptance test as ``interpolation_constant``."""
-    rng = np.random.default_rng(seed)
-    s = sys.s
-    H = sys.K + sys.M
-    starts = [rng.standard_normal(sys.ndof) for _ in range(64)]
-    for p, q in ((1.0, 0.0), (0.0, 1.0)):
-        starts.append(sys.sine.top(0.0, 1.0, p, q)[1])
-    for theta in np.logspace(-6.0, 6.0, 13):
-        c = sys.sine.top(0.0, 1.0, theta, 1.0 + theta)[1]
-        for _ in range(60):
-            qs, qm, qh = (float(c @ X @ c) for X in (sys.S, sys.M, H))
-            a, b = (1.0 - s) * qs / qm, s * qs / qh
-            old = _interp_ratio(sys, c)
-            c = sys.sine.top(0.0, 1.0, b, a + b)[1]
-            if abs(_interp_ratio(sys, c) - old) < 1e-14 * max(1.0, old):
-                break
-        starts.append(c)
-
-    best_val, any_improved = -math.inf, False
-    for c in starts:
-        c = c / math.sqrt(float(c @ sys.M @ c))
-        val0 = val = _interp_ratio(sys, c)
-        for _ in range(400):
-            qs, qm, qh = (float(c @ X @ c) for X in (sys.S, sys.M, H))
-            g = 2.0 * (sys.S @ c) / qs - 2.0 * (1.0 - s) * (sys.M @ c) / qm - 2.0 * s * (H @ c) / qh
-            gn = np.linalg.norm(g)
-            if gn < 1e-13:
-                break
-            step = 1.0 / max(1.0, gn)
-            while step > 1e-15:
-                c_try = c + step * g
-                c_try /= math.sqrt(float(c_try @ sys.M @ c_try))
-                val_try = _interp_ratio(sys, c_try)
-                if val_try > val * (1.0 + 1e-15) or val_try > val + 1e-15:
-                    c, val = c_try, val_try
-                    break
-                step *= 0.5
-            else:
-                break
-        any_improved |= val > val0 + 1e-12 * max(1.0, abs(val0))
-        best_val = max(best_val, val)
-    return best_val, not any_improved
-
-
-@pytest.mark.parametrize("n_elem", [16, 32])
-@pytest.mark.parametrize("seed", [0, 1, 2])
-def test_lockstep_ascent_matches_one_start_at_a_time(n_elem, seed):
-    sys = build_system(build_mesh(0.0, 1.0, n_elem), 0.5, -5.0)
-    est = interpolation_constant(sys, seed=seed)
-    value, inconclusive = _one_start_at_a_time(sys, seed)
-    assert est.value == pytest.approx(value, rel=1e-12)
-    assert est.inconclusive == inconclusive
+@pytest.mark.parametrize("n_elem", [8, 16, 128])
+@pytest.mark.parametrize("s", [0.1, 0.25, 0.5, 0.75, 0.9])
+def test_interpolation_value_is_attained_at_its_maximizer(s, n_elem):
+    # the reported value is the quotient of the field it returns, so it is a
+    # lower bound on the sharp discrete constant, and below 2/C(1,s)
+    sys = build_system(build_mesh(0.0, 1.0, n_elem), s, -1.0)
+    est = interpolation_constant(sys)
+    assert est.value == pytest.approx(_interp_ratio(sys, est.maximizer.coeffs), rel=1e-14, abs=0.0)
+    assert est.value < _interp_limit(s)
 
 
 def test_interpolation_constant_at_128_is_pinned():
     # the value the benchmark gate holds for constants at n_elem = 128
     sys = build_system(build_mesh(0.0, 1.0, 128), 0.5, -1.0)
-    est = interpolation_constant(sys, seed=0)
+    est = interpolation_constant(sys)
     assert est.value == pytest.approx(6.236637170870844, rel=1e-12)
-    assert not est.inconclusive
 
 
 def test_interpolation_scale_invariance(sys8_neg5):
@@ -146,13 +100,12 @@ def test_interpolation_eigenfields_within_constant(sys64_neg5, spec64_neg5, inte
 
 
 def test_interpolation_matches_sampling_oracle(sys8_neg5):
-    est = interpolation_constant(sys8_neg5, seed=0)
+    est = interpolation_constant(sys8_neg5)
     best = quotient_max_oracle(
         lambda c: _interp_ratio(sys8_neg5, c), sys8_neg5.ndof, 100_000, seed=1
     )
     assert best <= est.value * (1 + 1e-8)
     assert est.value - best <= 0.01 * est.value
-    assert not est.inconclusive
     assert est.value < _interp_limit(0.5)
 
 

@@ -287,17 +287,43 @@ def test_full_audit_runs_with_one_degree_of_freedom(tmp_path):
 
 @pytest.mark.parametrize("alpha", [-1.0, 1.0])
 def test_constants_runs_with_one_degree_of_freedom(tmp_path, alpha):
-    # the interpolation quotient is constant on a one-dimensional space, so
-    # the ascent cannot raise it; that value is exact, not inconclusive
     cfg = RunConfig(n_elem=2, alpha=(alpha,), m=1, directory=str(tmp_path / "c"))
     assert run(cfg, "constants") == 0
     report = json.loads((tmp_path / "c" / "constants.json").read_text())
-    assert not report["interp_inconclusive"]
     assert report["young"]["certified"]
 
 
+def test_constants_reports_the_same_interpolation_constant_for_every_seed(tmp_path):
+    # the seed reaches only full-audit's randomized oracles
+    values = set()
+    for seed in range(5):
+        out = tmp_path / f"c{seed}"
+        assert run(RunConfig(n_elem=16, alpha=(-1.0,), m=1, seed=seed, directory=str(out)), "constants") == 0
+        values.add(json.loads((out / "constants.json").read_text())["C_interp"])
+    assert len(values) == 1
+    assert values.pop() == pytest.approx(5.9382178, rel=1e-7)
+
+
+@pytest.mark.parametrize(
+    "pipeline, body, exc",
+    [
+        # eps ** (-s / (1 - s)) in the Young split overflows a float
+        ("constants", "n_elem = 16\n[operator]\ns = 0.99\nalpha = -1\n", "OverflowError"),
+        # the pair-integrand oracle's quadrature reaches x == y
+        ("full-audit", "n_elem = 8\n[operator]\ns = 0.98\nalpha = -5\n[solver]\nm = 7\n", "ZeroDivisionError"),
+    ],
+    ids=["constants", "full-audit"],
+)
+def test_arithmetic_faults_write_a_structured_error(tmp_path, pipeline, body, exc):
+    out = tmp_path / "out"
+    cfg = write_cfg(tmp_path / "c.ini", "[domain]\n" + body)
+    assert main([pipeline, "--config", str(cfg), "--out", str(out)]) == 1
+    err = json.loads((out / "error.json").read_text())
+    assert err["error"]["type"] == exc
+
+
 def test_constants_certifies_the_split_where_the_estimate_is_too_low(tmp_path):
-    # at n_elem = 256 the multistart estimate of the interpolation constant
+    # at n_elem = 256 the reported estimate of the interpolation constant
     # is low enough that a split built on it fails at eps*/8; the split takes
     # 2/C(1,s) = 2 pi, which bounds every discrete quotient
     cfg = RunConfig(n_elem=256, alpha=(-1.0,), m=1, directory=str(tmp_path / "c"))
@@ -535,8 +561,8 @@ def test_scipy_is_imported_only_by_the_oracles_and_the_characterization_audit():
 def test_random_numbers_are_drawn_only_by_the_oracles_and_the_audits():
     # every certified flag a pipeline reports is decided by eigenvalues or
     # closed forms: np.random and default_rng appear, outside annotations,
-    # only in mixlap.oracles, the full-audit checks, the randomized bound
-    # checks and the starts of the interpolation constant's ascent
+    # only in mixlap.oracles, the full-audit checks and the randomized bound
+    # checks
     import ast
 
     import mixlap
@@ -574,7 +600,6 @@ def test_random_numbers_are_drawn_only_by_the_oracles_and_the_audits():
     assert {(m, f) for m, f in found if m != "oracles"} == {
         ("cli", "_audit_checks"),
         ("spectrum", "bound_checks"),
-        ("analysis", "interpolation_constant"),
     }
 
 
