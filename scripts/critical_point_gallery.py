@@ -16,7 +16,7 @@ import numpy as np
 
 from mixlap import build_mesh, build_system
 from mixlap.functional import PowerPerturbed
-from mixlap.solvers import SolverConfig, linking_search, mountain_pass
+from mixlap.solvers import SolverConfig, linking_search
 from mixlap.spectrum import alpha_threshold, solve_pencil
 
 
@@ -49,7 +49,7 @@ def main() -> int:
         regime = "definite" if lam1 > 0 else "indefinite"
 
         ground_slope = lam1 / 2 if lam1 > 0 else 1.5 * lam1
-        rep = mountain_pass(sys, PowerPerturbed(ground_slope, args.p), SolverConfig(tol=1e-8))
+        rep = linking_search(sys, PowerPerturbed(ground_slope, args.p), 0, SolverConfig(tol=1e-8))
         print(
             f"{alpha:10.4f} {regime:>12s} {'ground':>14s} "
             f"{rep.J_value:12.6f} {rep.grad_norm:9.1e} {str(rep.converged):>3s}"

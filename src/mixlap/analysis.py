@@ -169,7 +169,7 @@ def young_split_audit(sys: OperatorSystem) -> YoungSplitReport:
     for eps in (eps_star / 8.0, eps_star, 8.0 * eps_star):
         c2 = C * ((1.0 - s) * eps ** (-s / (1.0 - s)) + s * eps)
         # the top eigenvalue of (S, c1 eps K + c2 M) is minus the lowest of (-S, ...)
-        pencils.append((c1 * eps, c2, -sys.sine.lowest(0.0, -1.0, c1 * eps, c2)))
+        pencils.append((c1 * eps, c2, -sys.sine.lowest(0.0, -1.0, 0.0, c1 * eps, c2)))
     c2_star = pencils[1][1]
     gamma_split = abs(alpha) * c2_star
     return YoungSplitReport(

@@ -224,9 +224,9 @@ class SineBasis:
         _dst(_dst(T).T)  # rows, then the columns as rows of the transpose: T = Q S Q
         self.blocks = (T[0::2, 0::2].copy(), T[1::2, 1::2].copy())
 
-    def reduced(self, b: int, x: float, y: float, p: float, q: float) -> tuple[np.ndarray, np.ndarray]:
-        """Block b of the pencil (x K + y S, p K + q M) as the standard
-        symmetric matrix r (x D_K + y T_b) r, r = (p D_K + q D_M)^(-1/2), and r."""
+    def reduced(self, b: int, x: float, y: float, z: float, p: float, q: float) -> tuple[np.ndarray, np.ndarray]:
+        """Block b of the pencil (x K + y S + z M, p K + q M) as the standard
+        symmetric matrix r (x D_K + y T_b + z D_M) r, r = (p D_K + q D_M)^(-1/2), and r."""
         d = p * self.k[b::2] + q * self.m[b::2]
         if not np.all(d > 0.0):
             raise np.linalg.LinAlgError("p K + q M is not positive definite")
@@ -234,7 +234,7 @@ class SineBasis:
         C = self.blocks[b] * y
         C *= r
         C *= r[:, None]
-        C[np.diag_indices_from(C)] += x * self.k[b::2] * r**2
+        C[np.diag_indices_from(C)] += (x * self.k[b::2] + z * self.m[b::2]) * r**2
         return C, r
 
     def eigh(self, x: float, y: float, p: float, q: float) -> "SinePairs":
@@ -246,7 +246,7 @@ class SineBasis:
         """
 
         def solve(b):  # eigenvalues, and eigenvectors in the block's sine coordinates
-            C, r = self.reduced(b, x, y, p, q)
+            C, r = self.reduced(b, x, y, 0.0, p, q)
             w, z = np.linalg.eigh(C)
             z *= r[:, None]
             return w, z
@@ -264,7 +264,7 @@ class SineBasis:
         """
 
         def solve(b):
-            C, r = self.reduced(b, x, y, p, q)
+            C, r = self.reduced(b, x, y, 0.0, p, q)
             return np.linalg.eigvalsh(C), C, r
 
         parts = _halves(solve, self.k.size)
@@ -274,9 +274,9 @@ class SineBasis:
         u[b::2] = r * _top_vector(C, w)
         return float(w[-1]), _dst(u)
 
-    def lowest(self, x: float, y: float, p: float, q: float) -> float:
-        """Lowest eigenvalue of the pencil (x K + y S, p K + q M): the least of the blocks' lowest."""
-        lows = _halves(lambda b: np.linalg.eigvalsh(self.reduced(b, x, y, p, q)[0])[0], self.k.size)
+    def lowest(self, x: float, y: float, z: float, p: float, q: float) -> float:
+        """Lowest eigenvalue of the pencil (x K + y S + z M, p K + q M): the least of the blocks' lowest."""
+        lows = _halves(lambda b: np.linalg.eigvalsh(self.reduced(b, x, y, z, p, q)[0])[0], self.k.size)
         return float(min(lows))
 
 

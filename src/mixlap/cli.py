@@ -36,7 +36,6 @@ from .solvers import (
     _slope_at_zero,
     _splitting,
     linking_search,
-    mountain_pass,
     solve_resolvent,
 )
 from .spectrum import (
@@ -44,7 +43,6 @@ from .spectrum import (
     _violation,
     alpha_threshold,
     bound_checks,
-    first_positive_index,
     garding_constant,
     solve_pencil,
     verify_characterization,
@@ -202,9 +200,7 @@ def _pipeline_threshold(cfg: RunConfig, out_dir: Path) -> bool:
     payload.update(
         {
             "alpha_star": result.alpha_star,
-            "bracket": list(result.bracket),
             "lambda1_at_star": result.lambda1_at_star,
-            "iterations": result.iterations,
             "certified": abs(result.lambda1_at_star) <= cfg.threshold_tol,
         }
     )
@@ -222,17 +218,12 @@ def _pipeline_solve_linear(cfg: RunConfig, out_dir: Path) -> bool:
     return _write_critical_point(cfg, "solve-linear", report, out_dir)
 
 
-def _pipeline_mountain_pass(cfg: RunConfig, out_dir: Path) -> bool:
-    sys = _scalar_system(cfg, "mountain-pass")
-    report = mountain_pass(sys, _nonlinearity(cfg), _solver_config(cfg))
-    return _write_critical_point(cfg, "mountain-pass", report, out_dir)
-
-
-def _pipeline_linking(cfg: RunConfig, out_dir: Path) -> bool:
-    sys = _scalar_system(cfg, "linking")
-    report = linking_search(sys, _nonlinearity(cfg), cfg.k, _solver_config(cfg))
+def _linking(cfg: RunConfig, out_dir: Path, pipeline: str, k: int) -> bool:
+    """The linking search at level k; ``mountain-pass`` is its k = 0 case."""
+    sys = _scalar_system(cfg, pipeline)
+    report = linking_search(sys, _nonlinearity(cfg), k, _solver_config(cfg))
     return _write_critical_point(
-        cfg, "linking", report, out_dir, k=cfg.k, geometry=report.geometry.to_dict()
+        cfg, pipeline, report, out_dir, k=k, geometry=report.geometry.to_dict()
     )
 
 
@@ -388,13 +379,8 @@ def _audit_checks(cfg: RunConfig, sys: OperatorSystem) -> list[dict]:
     thr = alpha_threshold(sys, (cfg.bracket_lo, cfg.bracket_hi), tol=cfg.threshold_tol)
     orc = threshold_oracle(sys.K, sys.S, (cfg.bracket_lo, cfg.bracket_hi))
     add("threshold_oracle", abs(thr.alpha_star - orc), 1e-6)
-    if sys.ndof < 2:
-        add("indefinite_past_threshold", 0.0, 0.0, "skipped: ndof < 2 leaves no second eigenvalue")
-    else:
-        sys_past = sys.with_alpha(thr.alpha_star - 1.0)
-        spec_past = solve_pencil(sys_past, m=sys_past.ndof)
-        add("indefinite_past_threshold", 2.0 - first_positive_index(spec_past), 0.0,
-            "first positive index must be >= 2 below the threshold")
+    add("indefinite_past_threshold", _lambda1(sys, thr.alpha_star - 1.0), 0.0,
+        "lambda_1 must be <= 0 below the threshold")
 
     # certified linking bound at k = 1 vs the sampled sphere infimum and
     # half-cylinder boundary, at the slope halfway between lambda_1 and lambda_2
@@ -432,8 +418,8 @@ _DISPATCH = {
     "constants": _pipeline_constants,
     "threshold": _pipeline_threshold,
     "solve-linear": _pipeline_solve_linear,
-    "mountain-pass": _pipeline_mountain_pass,
-    "linking": _pipeline_linking,
+    "mountain-pass": lambda cfg, out_dir: _linking(cfg, out_dir, "mountain-pass", 0),
+    "linking": lambda cfg, out_dir: _linking(cfg, out_dir, "linking", cfg.k),
     "dump-matrices": _pipeline_dump_matrices,
     "full-audit": _pipeline_full_audit,
 }

@@ -109,7 +109,9 @@ def _hat_on_cell(mesh: MeshInterval, node: int, k: int) -> tuple[float, float, f
 
 def _pair_integrand(mesh: MeshInterval, s: float, i: int, j: int, k: int, m: int):
     """The Omega x Omega integrand of hats i and j for x in cell k and y in
-    cell m, where each hat is affine: one closure of float arithmetic."""
+    cell m, where each hat is affine: one closure of float arithmetic.  It
+    is 0 on the diagonal x == y, a null set that the quadrature of a
+    diagonal cell pair can still reach at its edge."""
     ai, xi, di = _hat_on_cell(mesh, i, k)
     bi, _, ei = _hat_on_cell(mesh, i, m)
     aj, xj, dj = _hat_on_cell(mesh, j, k)
@@ -117,6 +119,8 @@ def _pair_integrand(mesh: MeshInterval, s: float, i: int, j: int, k: int, m: int
     expo = 1.0 + 2.0 * s
 
     def integrand(y: float, x: float) -> float:
+        if x == y:
+            return 0.0
         return (
             ((ai - (x - xi) / di) - (bi - (y - xi) / ei))
             * ((aj - (x - xj) / dj) - (bj - (y - xj) / ej))

@@ -8,8 +8,10 @@ level matches the geometry that produced it.  The linking search, its
 geometry probe and the coercivity gap work in the spectral splitting at
 level k, span(u_1..u_k) and its M-orthogonal complement, which
 ``_splitting`` computes for all three; a linking search computes it once and
-hands it to its probe.  The probe certifies the superlinear geometry by
-closed-form inequalities (Rabinowitz, CBMS 65, 1986, proof of Thm 5.3) in
+hands it to its probe.  At k = 0 the complement is the whole space: the probe
+and the gap read it from the sine basis, and only u_1 and u_2 are lifted.
+The probe certifies the superlinear geometry by closed-form inequalities
+(Rabinowitz, CBMS 65, 1986, proof of Thm 5.3) in
 the nonlinearity's declared growth constants, and the affine kind's saddle
 geometry (Thm 4.6 there) by its exact infimum and a closed-form sphere
 bound; neither draws a random number, and ``mixlap.oracles`` keeps the
@@ -25,8 +27,7 @@ Search strategies:
   early-Newton gate: Newton refinement and the certificate are tried once
   the gradient norm has dropped to a fixed fraction of its first value, and
   the gate is quartered whenever they fail.  The mountain pass is the k = 0
-  case, started from u_1 once the ground-level geometry is checked; the
-  linking search starts from u_{k+1} once its probe certifies the geometry.
+  case; every level starts from u_{k+1} once the probe certifies its geometry.
   Each peak is found by Newton on the k + 1 coefficients of the span, with
   the reduced gradient W^T J'(W c) and Hessian W^T J''(W c) W, falling back
   to the reduced gradient where that Hessian is not negative definite; one
@@ -62,7 +63,6 @@ __all__ = [
     "ResonanceError",
     "solve_resolvent",
     "newton_refine",
-    "mountain_pass",
     "verify_geometry",
     "coercivity_gap",
     "linking_search",
@@ -74,7 +74,6 @@ class ResonanceError(RuntimeError):
 
 
 # peak-selection minimax
-T_MAX = 1e3  # largest multiple of u_1 tried as the negative-energy endpoint
 BLOWUP_BOUND = 1e6  # X-norm guard on the peak iterates
 NEWTON_MAX_ITER = 40
 NEWTON_TOL = 1e-12
@@ -106,7 +105,7 @@ class CriticalPointReport:
     status: str
     message: str = ""
     path_history: list = field(default_factory=list)
-    geometry: Optional[LinkingGeometryReport] = None  # the probe that gated a linking search
+    geometry: Optional[LinkingGeometryReport] = None  # the probe that gated a minimax search
 
     def to_dict(self) -> dict:
         return {
@@ -277,7 +276,8 @@ def newton_refine(
 
 
 def _geometry_failure(
-    sys: OperatorSystem, message: str, status: str = "geometry_violation", hist=(), geometry=None
+    sys: OperatorSystem, message: str, geometry: LinkingGeometryReport,
+    status: str = "geometry_violation", hist=(),
 ) -> CriticalPointReport:
     """The zero field, for a search that stopped before Newton after len(hist) steps."""
     return CriticalPointReport(
@@ -295,14 +295,14 @@ def _geometry_failure(
 
 
 def _certify(
-    sys: OperatorSystem, nl, c: np.ndarray, cfg: SolverConfig, radius: float, hist: list,
-    status: str, message: str, geometry=None,
+    sys: OperatorSystem, nl, c: np.ndarray, cfg: SolverConfig, hist: list, status: str,
+    message: str, geometry: LinkingGeometryReport,
 ) -> CriticalPointReport:
     """Newton-refine the descent iterate c and certify the result: gradient
-    norm <= tol, X norm >= 1e-4 * radius and J > 0; otherwise the report
-    keeps the descent's status."""
+    norm <= tol, X norm >= 1e-4 * ``geometry.rho_small`` and J > 0;
+    otherwise the report keeps the descent's status."""
     refined = newton_refine(sys, nl, FeField(c, sys.mesh), cfg)
-    classification = _classify(sys, refined.u.coeffs, 1e-4 * radius)
+    classification = _classify(sys, refined.u.coeffs, 1e-4 * geometry.rho_small)
     converged = (
         refined.grad_norm <= cfg.tol
         and classification == "nontrivial"
@@ -328,11 +328,13 @@ def _certify(
 
 
 def _splitting(sys: OperatorSystem, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The spectral splitting at level k: all pencil eigenvalues, the first k
-    eigenfields U and the remaining ones V, as columns."""
+    """The spectral splitting at level k: the pencil eigenvalues, the first k
+    eigenfields U and the remaining ones V, as columns.  At k = 0, where its
+    consumers read the complement from the sine basis, only the first
+    min(ndof, 2) pairs are lifted: V holds u_1 and u_2."""
     if not 0 <= k < sys.ndof:
         raise ValueError(f"splitting level k={k} is outside 0..{sys.ndof - 1}")
-    full = solve_pencil(sys, m=sys.ndof)
+    full = solve_pencil(sys, m=sys.ndof if k else min(sys.ndof, 2))
     if np.any(np.abs(full.lambdas[:k]) < ZERO_TOL):
         raise DegenerateSpectrumError(
             "a zero eigenvalue among the first k makes the splitting degenerate"
@@ -367,10 +369,10 @@ def verify_geometry(sys: OperatorSystem, nl, k: int) -> LinkingGeometryReport:
     slope is not below lambda_{k+1}, where J is unbounded below on the
     complement (alpha_tilde is -inf), or not above lambda_k, where the
     quadratic part does not fall on the span; and a superlinear kind whose
-    declared slope A is not below lambda_{k+1}, or at k >= 1 whose sampled
-    slope at zero does not lie above lambda_k.  Raises ``ValueError`` for k
-    outside 0..ndof-1, and for the affine kind at k = 0, whose sphere would
-    lie in an empty span.
+    sampled slope at zero is unreliable or outside (lambda_k, lambda_{k+1}),
+    lambda_0 = -inf, or whose declared slope A is not below lambda_{k+1}.
+    Raises ``ValueError`` for k outside 0..ndof-1, and for the affine kind
+    at k = 0, whose sphere would lie in an empty span.
     """
     return _probe(sys, nl, _splitting(sys, k), _slope_at_zero(sys, nl))[0]
 
@@ -400,7 +402,8 @@ def _linking_bound(sys: OperatorSystem, nl, split: tuple) -> tuple[float, float,
     at the Gauss points, whose rule integrates u_h^2 exactly, so the
     integral is at most (b/r) ||u||_inf^(r-2) ||u||_M^2; ||u||_inf <=
     (sqrt(L)/2) rho for H^1_0 on an interval of length L; and
-    ||u||_M^2 <= rho^2 / nu with nu the lowest eigenvalue of V^T K V.
+    ||u||_M^2 <= rho^2 / nu with nu the lowest eigenvalue of V^T K V, which
+    at k = 0 is that of the pencil (K, M), min(D_K / D_M) in the sine basis.
 
     The boundary side: on span(u_1..u_{k+1}), J(u) <= lambda_{k+1} m^2/2 -
     c L^(1 - mu/2) m^mu + d L in m = ||u||_M, by F >= c |t|^mu - d and
@@ -417,7 +420,10 @@ def _linking_bound(sys: OperatorSystem, nl, split: tuple) -> tuple[float, float,
     A, b, r, c, d, mu = _linking_constants(nl)
     length = sys.mesh.b - sys.mesh.a
     g = coercivity_gap(sys, A, k, split)
-    nu = float(np.linalg.eigvalsh(V.T @ sys.apply_K(V))[0])
+    if k == 0:  # K and M are diagonal in the sine basis
+        nu = float(np.min(sys.sine.k / sys.sine.m))
+    else:
+        nu = float(np.linalg.eigvalsh(V.T @ sys.apply_K(V))[0])
     c_r = b * (math.sqrt(length) / 2.0) ** (r - 2.0) / (r * nu)
     W = np.column_stack([U, V[:, 0]])
     kappa = float(np.linalg.eigvalsh(W.T @ sys.apply_K(W))[-1])
@@ -477,11 +483,18 @@ def _probe(
         ), "", None
 
     A = _linking_constants(nl)[0]
-    if k >= 1 and (theta.diverged or theta.inconclusive or not lambdas[k - 1] < theta.lower):
-        return _refusal(k, "linking", math.nan), (
+    refusal = ""
+    if theta.diverged or theta.inconclusive:
+        refusal = "slope estimate at zero is unreliable: " + ("diverged" if theta.diverged else "inconclusive")
+    elif k >= 1 and not lambdas[k - 1] < theta.lower:
+        refusal = (
             f"slope at zero [{theta.lower:.6g}, {theta.upper:.6g}] is not above "
             f"lambda_{k} = {lambdas[k - 1]:.6g}"
-        ), None
+        )
+    elif not theta.upper < lambdas[k]:
+        refusal = f"slope at zero {theta.upper:.6g} is not below lambda_{k + 1} = {lambdas[k]:.6g}"
+    if refusal:
+        return _refusal(k, "linking", math.nan), refusal, None
     bound = g, c_r, r, rho_big = _linking_bound(sys, nl, split)
     if not g > 0.0:
         return _refusal(k, "linking", math.nan), (
@@ -506,11 +519,14 @@ def _probe(
 
 def coercivity_gap(sys: OperatorSystem, theta_bar: float, k: int, split: tuple | None = None) -> float:
     """Smallest value of (B(u,u) - theta_bar |u|_L2^2) / |u|_X^2 over the
-    complement V of the first k eigenfields: the lowest eigenvalue of the
-    projected pencil (diag(lambda_j - theta_bar), V^T K V) in the
-    M-orthonormal eigenbasis, by one Cholesky of V^T K V and one symmetric
-    eigensolve.  ``split`` is the splitting at level k when the caller has
-    computed it."""
+    complement V of the first k eigenfields.  At k = 0, V is the whole space:
+    the lowest eigenvalue of the pencil (K + alpha S - theta_bar M, K), one
+    ``SineBasis.lowest``.  At k >= 1, the lowest eigenvalue of the projected
+    pencil (diag(lambda_j - theta_bar), V^T K V) in the M-orthonormal
+    eigenbasis, by one Cholesky of V^T K V and one symmetric eigensolve.
+    ``split`` is the splitting at level k when the caller has computed it."""
+    if k == 0:
+        return sys.sine.lowest(1.0, sys.alpha, -float(theta_bar), 1.0, 0.0)
     lambdas, _, V = split if split is not None else _splitting(sys, k)
     Ar = np.diag(lambdas[k:] - float(theta_bar))
     L_inv = np.linalg.inv(np.linalg.cholesky(V.T @ sys.apply_K(V)))
@@ -518,7 +534,7 @@ def coercivity_gap(sys: OperatorSystem, theta_bar: float, k: int, split: tuple |
 
 
 # ---------------------------------------------------------------------------
-# peak-selection minimax: mountain pass (k = 0) and linking search (k >= 1)
+# peak-selection minimax at every level k, the mountain pass at k = 0
 # ---------------------------------------------------------------------------
 
 
@@ -573,11 +589,12 @@ def _peak(
 
 
 def _minimax(
-    sys: OperatorSystem, nl, U: np.ndarray, v: np.ndarray, cfg: SolverConfig, radius: float,
-    message: str = "", geometry=None,
+    sys: OperatorSystem, nl, U: np.ndarray, v: np.ndarray, cfg: SolverConfig,
+    geometry: LinkingGeometryReport, message: str = "",
 ) -> CriticalPointReport:
     """Peak-selection minimax over span(U, v): the columns of U are the
-    first k eigenfields and v, M-orthogonal to them, starts the ray.
+    first k eigenfields and v, M-orthogonal to them, starts the ray, and
+    ``geometry`` is the certified probe that every report carries.
 
     Each iteration takes the peak of J over span(U, v) (``_peak``, warm
     started from the last one) and descends v along the Riesz gradient of J
@@ -607,13 +624,13 @@ def _minimax(
         hist.append((it, peak_val, gn))
         if _x_norm(sys, p) > BLOWUP_BOUND:
             return _geometry_failure(
-                sys, "peak iterate exceeded the boundedness guard", "blowup", hist, geometry
+                sys, "peak iterate exceeded the boundedness guard", geometry, "blowup", hist
             )
         if it == 0:
             gate = NEWTON_GATE_FACTOR * gn
         if gn <= 10.0 * cfg.tol or gn <= gate:
             # the peak looks localized: try to certify it right away
-            rep = _certify(sys, nl, p, cfg, radius, hist, "not_certified", message, geometry)
+            rep = _certify(sys, nl, p, cfg, hist, "not_certified", message, geometry)
             if rep.converged or gn <= 10.0 * cfg.tol:
                 return rep
             gate *= 0.25
@@ -641,67 +658,32 @@ def _minimax(
             )
             break
         sigma0 = min(1.0, sigma * 4.0)
-    return _certify(sys, nl, W @ c, cfg, radius, hist, status, message, geometry)
-
-
-def mountain_pass(sys: OperatorSystem, nl, cfg: SolverConfig | None = None) -> CriticalPointReport:
-    """Ground-level critical point: the peak-selection minimax at k = 0.
-
-    Requires the slope of f at zero to sit strictly below the first pencil
-    eigenvalue (checked via a sampled slope estimate), and J to turn
-    negative along the first eigenfield u_1 within ``T_MAX`` times its X
-    norm; otherwise a geometry violation report is returned without
-    searching.  ``_minimax`` then runs with no fixed eigenfields from the
-    ray of u_1: each peak is the maximum of J along one ray, the top of the
-    mountain-pass path from 0 through it.
-    """
-    cfg = cfg or SolverConfig()
-    spec = solve_pencil(sys, m=min(sys.ndof, 2))
-    lam1 = float(spec.lambdas[0])
-    theta = _slope_at_zero(sys, nl)
-    if theta.diverged or theta.inconclusive:
-        return _geometry_failure(sys, "slope estimate at zero is unreliable: " + (
-            "diverged" if theta.diverged else "inconclusive"))
-    if not theta.upper < lam1:
-        return _geometry_failure(
-            sys,
-            f"slope at zero {theta.upper:.6g} is not below the first eigenvalue "
-            f"{lam1:.6g}; ground-level geometry fails",
-        )
-
-    u1 = spec.vectors[:, 0]
-    x1 = u1 / _x_norm(sys, u1)
-    t = 1.0
-    while J_eval(sys, nl, FeField(t * x1, sys.mesh)) >= 0.0:
-        t *= 2.0
-        if t > T_MAX:
-            return _geometry_failure(
-                sys, f"no negative-energy endpoint along the first eigenfield up to t={T_MAX:g}"
-            )
-    return _minimax(sys, nl, np.empty((sys.ndof, 0)), u1, cfg, t)
+    return _certify(sys, nl, W @ c, cfg, hist, status, message, geometry)
 
 
 def linking_search(
     sys: OperatorSystem, nl, k: int, cfg: SolverConfig | None = None
 ) -> CriticalPointReport:
-    """Minimax search over deformations of the spectral half-cylinder.
+    """Minimax search over deformations of the spectral half-cylinder; at
+    k = 0, the mountain pass (Rabinowitz, CBMS 65, 1986, Thm 5.3 at k = 0).
 
     Requires the geometry probe to certify the linking (or saddle) structure
     first; every report carries that probe as ``geometry``, a closed-form
     bound that draws nothing.  ``_minimax`` then runs with the first k
-    eigenfields fixed from the ray of u_{k+1}; at k = 0 that is the search
-    of ``mountain_pass``.  Raises ``ValueError`` for the affine kind once its
-    geometry is certified: J is unbounded above along the ray, so there is
-    no peak to select, and its saddle point is the resolvent solve.  Every
+    eigenfields fixed from the ray of u_{k+1}: at k = 0 each peak is the
+    maximum of J along one ray, the top of the path from 0 through it.
+    Raises ``ValueError`` for the affine kind, whose saddle geometry needs
+    k >= 1 and, once certified, leaves no peak to select: J is unbounded
+    above along the ray, and its saddle point is the resolvent solve.  Every
     peak over span(U) + R+ w meets the sphere of radius ``rho_small`` in V,
     where the certified bound gives J >= ``alpha_tilde``; a level below
     ``alpha_tilde`` contradicts the declared growth constants, and the
     search is then reported as not converged (status ``below_linking_bound``).
     """
     cfg = cfg or SolverConfig()
-    lambdas, U, V = _splitting(sys, k)
+    lambdas, U, V = split = _splitting(sys, k)
     theta = _slope_at_zero(sys, nl)
-    geometry, refusal, _ = _probe(sys, nl, (lambdas, U, V), theta)
+    geometry, refusal, _ = _probe(sys, nl, split, theta)
     if not geometry.certified:
         return _geometry_failure(
             sys,
@@ -709,7 +691,7 @@ def linking_search(
                 f"alpha_tilde={geometry.alpha_tilde:.6g}, "
                 f"boundary_sup={geometry.boundary_sup:.6g}"
             )),
-            geometry=geometry,
+            geometry,
         )
     if isinstance(nl, AffineLinear):
         raise ValueError(
@@ -718,14 +700,12 @@ def linking_search(
         )
 
     message = ""
-    if k >= 1 and not theta.diverged and not theta.inconclusive:
-        lam_k = float(lambdas[k - 1])
-        if abs(theta.lower - lam_k) <= 1e-8 * (1.0 + abs(lam_k)):
-            message = (
-                f"slope at zero touches eigenvalue k={k} (boundary resonance); "
-                "search proceeds but the level may be degenerate"
-            )
-    rep = _minimax(sys, nl, U, V[:, 0], cfg, geometry.rho_small, message, geometry)
+    if k >= 1 and abs(theta.lower - lambdas[k - 1]) <= 1e-8 * (1.0 + abs(lambdas[k - 1])):
+        message = (
+            f"slope at zero touches eigenvalue k={k} (boundary resonance); "
+            "search proceeds but the level may be degenerate"
+        )
+    rep = _minimax(sys, nl, U, V[:, 0], cfg, geometry, message)
     if rep.converged and rep.J_value < geometry.alpha_tilde:
         return replace(rep, converged=False, status="below_linking_bound", message=(
             f"critical level J={rep.J_value:.6g} lies below the certified linking bound "

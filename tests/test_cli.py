@@ -166,6 +166,10 @@ def test_solver_pipeline_writes_profile(tmp_path):
     first = [float(v) for v in rows[1].split(",")]
     last = [float(v) for v in rows[-1].split(",")]
     assert first == [0.0, 0.0] and last == [1.0, 0.0]
+    # the mountain pass is the linking search at k = 0, gated by the same certified probe
+    report = json.loads((tmp_path / "mp" / "report.json").read_text())
+    assert report["k"] == 0 and report["geometry"]["k"] == 0
+    assert report["geometry"]["certified"] and report["report"]["converged"]
 
 
 def test_resonant_linear_solve_reports_error(tmp_path):
@@ -195,15 +199,17 @@ def test_linking_level_past_the_last_eigenfield_reports_error(tmp_path):
 
 
 def test_affine_linking_at_level_zero_reports_error(tmp_path):
-    # the saddle geometry of the affine kind needs a sphere in span(u_1..u_k)
-    cfg = RunConfig(
-        n_elem=16, alpha=(0.0,), kind="affine_linear", lam=5.0, a_const=1.0, m=5, k=0,
-        directory=str(tmp_path / "lk"),
-    )
-    assert run(cfg, "linking") == 1
-    err = json.loads((tmp_path / "lk" / "error.json").read_text())
-    assert err["error"]["type"] == "ValueError"
-    assert "needs k >= 1" in err["error"]["message"]
+    # the saddle geometry of the affine kind needs a sphere in span(u_1..u_k);
+    # mountain-pass is the linking search at k = 0
+    for pipeline in ("linking", "mountain-pass"):
+        cfg = RunConfig(
+            n_elem=16, alpha=(0.0,), kind="affine_linear", lam=5.0, a_const=1.0, m=5, k=0,
+            directory=str(tmp_path / pipeline),
+        )
+        assert run(cfg, pipeline) == 1
+        err = json.loads((tmp_path / pipeline / "error.json").read_text())
+        assert err["error"]["type"] == "ValueError"
+        assert "needs k >= 1" in err["error"]["message"]
 
 
 def test_affine_linking_with_certified_saddle_reports_error(tmp_path):
@@ -236,11 +242,11 @@ def audit4(tmp_path_factory):
 
 
 def test_audit_with_one_eigenpair_checks_the_indefinite_side(audit4):
-    # m = 1 computes only lambda_1 < 0; the check past the threshold solves
-    # every eigenpair, so it still finds the first positive one
+    # m = 1 computes only lambda_1 < 0; the check past the threshold reads
+    # lambda_1 there, which needs no positive eigenvalue
     checks = audit4(-5.0)
     past = next(c for c in checks if c["name"] == "indefinite_past_threshold")
-    assert past["passed"]
+    assert past["passed"] and past["metric"] < 0.0
     # one eigenpair has no upper Rayleigh side: only lambda_1 on span(u_1) is checked
     bounds = next(c for c in checks if c["name"] == "two_sided_bounds")
     assert bounds["passed"] and bounds["note"].startswith("lower side only")
@@ -272,8 +278,7 @@ def test_audit_skips_the_linking_check_without_a_level_one_splitting(tmp_path):
 
 
 def test_full_audit_runs_with_one_degree_of_freedom(tmp_path):
-    # past the threshold a one-eigenvalue spectrum has no first positive
-    # index >= 2 to check; the audit records the check as skipped
+    # past the threshold the one eigenvalue is negative, with no second one
     out = tmp_path / "one"
     text = MINIMAL.replace("n_elem = 64", "n_elem = 2") + "\n[solver]\nm = 1\n"
     code = main(["full-audit", "--config", str(write_cfg(tmp_path / "one.ini", text)), "--out", str(out)])
@@ -282,7 +287,17 @@ def test_full_audit_runs_with_one_degree_of_freedom(tmp_path):
     audit = json.loads((out / "audit.json").read_text())
     assert audit["certified"] and all(c["passed"] for c in audit["checks"])
     past = next(c for c in audit["checks"] if c["name"] == "indefinite_past_threshold")
-    assert past["note"].startswith("skipped: ndof < 2")
+    assert past["metric"] < 0.0
+
+
+def test_audit_past_the_threshold_needs_no_positive_eigenvalue(tmp_path):
+    # at s = 0.9 every eigenvalue of the mesh is negative one unit below
+    # alpha*, so no first positive index exists; lambda_1 < 0 is the check
+    cfg = RunConfig(n_elem=4, s=0.9, alpha=(-5.0,), m=1, directory=str(tmp_path / "au"))
+    assert run(cfg, "full-audit") == 0
+    checks = json.loads((tmp_path / "au" / "audit.json").read_text())["checks"]
+    past = next(c for c in checks if c["name"] == "indefinite_past_threshold")
+    assert past["passed"] and past["metric"] < 0.0
 
 
 @pytest.mark.parametrize("alpha", [-1.0, 1.0])
@@ -309,8 +324,8 @@ def test_constants_reports_the_same_interpolation_constant_for_every_seed(tmp_pa
     [
         # eps ** (-s / (1 - s)) in the Young split overflows a float
         ("constants", "n_elem = 16\n[operator]\ns = 0.99\nalpha = -1\n", "OverflowError"),
-        # the pair-integrand oracle's quadrature reaches x == y
-        ("full-audit", "n_elem = 8\n[operator]\ns = 0.98\nalpha = -5\n[solver]\nm = 7\n", "ZeroDivisionError"),
+        # the same overflow, in the audit's Young split
+        ("full-audit", "n_elem = 8\n[operator]\ns = 0.99\nalpha = -5\n[solver]\nm = 7\n", "OverflowError"),
     ],
     ids=["constants", "full-audit"],
 )
@@ -683,7 +698,7 @@ def test_spectrum_certifies_a_cluster_of_two_parities(tmp_path):
     rows = (outs[0] / "spectrum.csv").read_text().splitlines()[1:3]
     lambdas = [float(row.split(",")[1]) for row in rows]
     sine = build_system(build_mesh(0.0, 1.0, 512), 0.5, alpha).sine
-    blocks = [np.linalg.eigvalsh(sine.reduced(b, 1.0, alpha, 0.0, 1.0)[0]) for b in (0, 1)]
+    blocks = [np.linalg.eigvalsh(sine.reduced(b, 1.0, alpha, 0.0, 0.0, 1.0)[0]) for b in (0, 1)]
     scale = max(np.abs(w).max() for w in blocks)
     assert abs(lambdas[0] - blocks[0][0]) <= 1e-12 * scale
     assert abs(lambdas[1] - blocks[1][0]) <= 1e-12 * scale

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy import linalg
 
-from mixlap import FeField, build_mesh, build_system, interpolate, oracles, solvers
+from mixlap import FeField, assembly, build_mesh, build_system, interpolate, oracles, solvers
 from mixlap.functional import (
     AffineLinear,
     Custom,
@@ -25,7 +25,6 @@ from mixlap.solvers import (
     SolverConfig,
     coercivity_gap,
     linking_search,
-    mountain_pass,
     newton_refine,
     solve_resolvent,
     verify_geometry,
@@ -185,7 +184,7 @@ def test_newton_from_zero_finds_trivial(sys64_zero):
 def test_newton_polishes_mountain_pass_output(sys64_zero):
     lam1 = float(solve_pencil(sys64_zero, 1).lambdas[0])
     nl = PowerPerturbed(lam1 / 2, 4.0)
-    mp = mountain_pass(sys64_zero, nl, SolverConfig(tol=1e-8))
+    mp = linking_search(sys64_zero, nl, 0, SolverConfig(tol=1e-8))
     assert mp.converged
     rep = newton_refine(sys64_zero, nl, mp.u, SolverConfig())
     assert rep.grad_norm <= 1e-10
@@ -193,30 +192,34 @@ def test_newton_polishes_mountain_pass_output(sys64_zero):
 
 
 # ---------------------------------------------------------------------------
-# mountain pass
+# mountain pass: the minimax search at k = 0
 # ---------------------------------------------------------------------------
 
 
 def test_mountain_pass_baseline_certified(sys64_zero):
     lam1 = float(solve_pencil(sys64_zero, 1).lambdas[0])
     nl = PowerPerturbed(lam1 / 2, 4.0)
-    rep = mountain_pass(sys64_zero, nl, SolverConfig(tol=1e-8))
+    rep = linking_search(sys64_zero, nl, 0, SolverConfig(tol=1e-8))
     assert rep.converged and rep.status == "converged"
     assert rep.classification == "nontrivial"
     assert rep.J_value > 0
     assert rep.grad_norm <= 1e-8
+    assert rep.geometry.certified and rep.geometry.k == 0
+    assert rep.J_value >= rep.geometry.alpha_tilde
 
 
 def test_mountain_pass_geometry_violation(sys64_zero):
     lam1 = float(solve_pencil(sys64_zero, 1).lambdas[0])
-    rep = mountain_pass(sys64_zero, PowerPerturbed(1.1 * lam1, 4.0), SolverConfig())
+    rep = linking_search(sys64_zero, PowerPerturbed(1.1 * lam1, 4.0), 0, SolverConfig())
     assert rep.status == "geometry_violation"
     assert not rep.converged
 
 
 def test_mountain_pass_samples_the_slope_on_its_own_domain():
-    # f = c(x) t + t^3 with c = 0 on [0, 1] and c = 50 > lambda_1 beyond: on
-    # (2, 3) the slope at zero is 50, so the ground-level geometry fails
+    # f = c(x) t + t^3 with c = 0 on [0, 1] and c = 50 > lambda_1 beyond,
+    # declared with the constants of the power model at slope A = 0: on
+    # (2, 3) the slope at zero is 50, so the ground-level geometry fails, and
+    # the sampled slope refuses what the declared constants would certify
     sys = build_system(build_mesh(2.0, 3.0, 32), 0.5, 0.0)
     lam1 = float(solve_pencil(sys, 1).lambdas[0])
     assert lam1 < 50.0
@@ -224,10 +227,12 @@ def test_mountain_pass_samples_the_slope_on_its_own_domain():
     def c(x):
         return np.where(np.asarray(x) > 1.0, 50.0, 0.0)
 
-    nl = Custom(f_fn=lambda x, t: c(x) * t + t**3, F_fn=lambda x, t: c(x) * t**2 / 2 + t**4 / 4)
-    rep = mountain_pass(sys, nl, SolverConfig())
-    assert rep.status == "geometry_violation"
-    assert "slope at zero 50 is not below the first eigenvalue" in rep.message
+    growth = PowerPerturbed(0.0, 4.0).growth
+    nl = Custom(f_fn=lambda x, t: c(x) * t + t**3, F_fn=lambda x, t: c(x) * t**2 / 2 + t**4 / 4, growth=growth)
+    assert solvers._linking_bound(sys, nl, solvers._splitting(sys, 0))[0] > 0.0
+    rep = linking_search(sys, nl, 0, SolverConfig())
+    assert rep.status == "geometry_violation" and not rep.geometry.certified
+    assert f"slope at zero 50 is not below lambda_1 = {lam1:.6g}" in rep.message
 
 
 def test_mountain_pass_path_maximum_decreases(sys64_zero, monkeypatch):
@@ -236,7 +241,7 @@ def test_mountain_pass_path_maximum_decreases(sys64_zero, monkeypatch):
     # suppress early Newton so the descent history is populated
     monkeypatch.setattr(solvers, "NEWTON_GATE_FACTOR", 0.0)
     cfg = SolverConfig(tol=1e-8, max_iter=120)
-    rep = mountain_pass(sys64_zero, nl, cfg)
+    rep = linking_search(sys64_zero, nl, 0, cfg)
     descent = [j for _, j, _ in rep.path_history]
     assert len(descent) >= 2
     for a, b in zip(descent, descent[1:]):
@@ -247,7 +252,7 @@ def test_mountain_pass_blowup_guard(sys64_zero, monkeypatch):
     lam1 = float(solve_pencil(sys64_zero, 1).lambdas[0])
     nl = PowerPerturbed(lam1 / 2, 4.0)
     monkeypatch.setattr(solvers, "BLOWUP_BOUND", 1e-9)
-    rep = mountain_pass(sys64_zero, nl, SolverConfig())
+    rep = linking_search(sys64_zero, nl, 0, SolverConfig())
     assert rep.status == "blowup"
     assert not rep.converged
 
@@ -260,7 +265,7 @@ def test_blowup_reports_count_their_iterations(monkeypatch):
     assert rep.iterations == len(rep.path_history) == 1
     lam1 = float(solve_pencil(sys, 1).lambdas[0])
     monkeypatch.setattr(solvers, "BLOWUP_BOUND", 1e-9)
-    rep = mountain_pass(sys, PowerPerturbed(lam1 / 2, 4.0), SolverConfig())
+    rep = linking_search(sys, PowerPerturbed(lam1 / 2, 4.0), 0, SolverConfig())
     assert rep.status == "blowup"
     assert rep.iterations == len(rep.path_history)
 
@@ -348,6 +353,45 @@ def test_coercivity_gap_multistart_oracle(mesh8):
     assert beta == pytest.approx(direct, abs=1e-6)
 
 
+@pytest.mark.parametrize("s", [0.25, 0.5, 0.9])
+@pytest.mark.parametrize("n_elem", [8, 64, 512])
+def test_ground_level_gap_and_nu_match_the_projected_splitting(n_elem, s):
+    # at k = 0 the complement is the whole space, so the linking bound reads
+    # g and nu from the sine basis; the reference is the projected route of
+    # the levels k >= 1 through every lifted eigenfield.  theta above
+    # lambda_1 closes the gap (g < 0)
+    sys = build_system(build_mesh(0.0, 1.0, n_elem), s, -1.0)
+    full = solve_pencil(sys, sys.ndof)
+    KV = full.vectors.T @ sys.apply_K(full.vectors)
+    L_inv = np.linalg.inv(np.linalg.cholesky(KV))
+    nu_ref = float(np.linalg.eigvalsh(KV)[0])
+    split = solvers._splitting(sys, 0)
+    for theta in (float(full.lambdas[0]) - 1.0, float(full.lambdas[0]) + 1.0):
+        g_ref = float(np.linalg.eigvalsh(L_inv @ np.diag(full.lambdas - theta) @ L_inv.T)[0])
+        nl = PowerPerturbed(theta, 4.0)
+        g, c_r, r, _ = solvers._linking_bound(sys, nl, split)
+        nu = nl.growth.b_upper * (np.sqrt(sys.mesh.b - sys.mesh.a) / 2.0) ** (r - 2.0) / (r * c_r)
+        assert g == pytest.approx(g_ref, rel=1e-10) and (g > 0.0) == (theta < full.lambdas[0])
+        assert coercivity_gap(sys, theta, 0) == g
+        assert nu == pytest.approx(nu_ref, rel=1e-10)
+
+
+@pytest.mark.parametrize("n_elem", [2, 64])
+def test_ground_level_search_lifts_at_most_two_eigenvectors(n_elem, monkeypatch):
+    sys = build_system(build_mesh(0.0, 1.0, n_elem), 0.5, 0.0)
+    nl = PowerPerturbed(float(solve_pencil(sys, 1).lambdas[0]) / 2, 4.0)
+    real = assembly.SinePairs.vectors
+    lifted = []
+
+    def counting(pairs, count):
+        lifted.append(count)
+        return real(pairs, count)
+
+    monkeypatch.setattr(assembly.SinePairs, "vectors", counting)
+    assert linking_search(sys, nl, 0, SolverConfig(tol=1e-8)).converged
+    assert lifted and max(lifted) <= min(sys.ndof, 2)
+
+
 def test_solvers_leave_the_quadrature_to_functional():
     # the Gauss-point layout is private to functional: the solvers reach it
     # only through J, its gradient and Hessian, load_vector and weighted_mass
@@ -376,14 +420,19 @@ def test_linking_level_one(sys64_zero):
 
 
 def test_linking_reduces_to_mountain_pass(sys64_zero):
+    # at k = 0 the level is the mountain-pass value inf_v max_t J(t v): the
+    # point tops J on its own ray, and no higher than J tops the ray of u_1
     lam1 = float(solve_pencil(sys64_zero, 1).lambdas[0])
     nl = PowerPerturbed(lam1 / 2, 4.0)
-    mp = mountain_pass(sys64_zero, nl, SolverConfig(tol=1e-8))
     lk = linking_search(sys64_zero, nl, 0, SolverConfig(tol=1e-8))
-    assert mp.converged and lk.converged
-    # both run the one minimax engine from the same u_1
-    assert np.array_equal(mp.u.coeffs, lk.u.coeffs)
-    assert mp.J_value == lk.J_value
+    assert lk.converged and lk.geometry.certified
+    ts = np.linspace(0.0, 3.0, 301)
+    on_ray = J_values(sys64_zero, nl, np.outer(ts, lk.u.coeffs))
+    assert np.max(on_ray) <= lk.J_value * (1.0 + 1e-12)
+    u1 = solve_pencil(sys64_zero, 1).vectors[:, 0]
+    on_u1 = J_values(sys64_zero, nl, np.outer(np.linspace(0.0, 20.0, 2001), u1))
+    assert np.argmax(on_u1) < on_u1.size - 1  # the grid holds the peak on the ray of u_1
+    assert lk.J_value <= np.max(on_u1)
 
 
 def test_linking_level_two(sys64_zero):
@@ -489,7 +538,7 @@ def test_one_full_eigensolve_serves_every_consumer(monkeypatch):
     sys = build_system(build_mesh(0.0, 1.0, 16), 0.5, 0.0)
     # a solve of A, whole or as a sine-basis block, is seen by value however
     # its matrix was made
-    blocks = (sys.sine.reduced(b, 1.0, sys.alpha, 0.0, 1.0)[0] for b in (0, 1))
+    blocks = (sys.sine.reduced(b, 1.0, sys.alpha, 0.0, 0.0, 1.0)[0] for b in (0, 1))
     targets = [("whole", sys.A), *zip(("even", "odd"), blocks)]
     real_eigh = np.linalg.eigh
     full_solves = []

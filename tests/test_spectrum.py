@@ -298,7 +298,6 @@ def test_threshold_matches_inertia_bisection_oracle(n):
     sys = build_system(build_mesh(0, 1, n), 0.5, 0.0)
     tol = 1e-6
     result = alpha_threshold(sys, (-10.0, 0.0), tol=tol)
-    assert result.iterations == 0 and result.bracket == (-10.0, 0.0)
     assert abs(result.alpha_star - threshold_oracle(sys.K, sys.S, (-10.0, 0.0))) <= tol
 
 
