@@ -42,7 +42,6 @@ SPLIT_SLACK = 1e-10  # round-off allowance on the top eigenvalue that decides th
 class ConstantEstimate:
     value: float
     maximizer: FeField
-    method: str  # eigen | pencil-sweep
     residual: float
 
 
@@ -75,7 +74,7 @@ def embedding_constant(sys: OperatorSystem) -> ConstantEstimate:
     (S, K), nondecreasing under refinement (nested subspaces).  The value is
     the nodal Rayleigh quotient at the sine-basis eigenvector, which is more
     accurate than that eigenvalue; the residual is their difference."""
-    eigenvalue, vec = sys.sine.top(0.0, 1.0, 1.0, 0.0)
+    eigenvalue, vec = sys.sine.top(1.0, 0.0)
     lead = int(np.argmax(np.abs(vec)))
     if vec[lead] < 0:
         vec = -vec
@@ -83,7 +82,6 @@ def embedding_constant(sys: OperatorSystem) -> ConstantEstimate:
     return ConstantEstimate(
         value=value,
         maximizer=FeField(vec, sys.mesh),
-        method="eigen",
         residual=abs(eigenvalue - value),
     )
 
@@ -105,7 +103,7 @@ def interpolation_constant(sys: OperatorSystem) -> ConstantEstimate:
     s = sys.s
     finals = []
     for theta in np.logspace(-6.0, 6.0, 13):
-        c = sys.sine.top(0.0, 1.0, theta, 1.0 + theta)[1]
+        c = sys.sine.top(theta, 1.0 + theta)[1]
         old = math.inf
         for _ in range(60):
             qs, qk, qm = float(c @ sys.S @ c), float(c @ sys.apply_K(c)), float(c @ sys.apply_M(c))
@@ -113,7 +111,7 @@ def interpolation_constant(sys: OperatorSystem) -> ConstantEstimate:
             if abs(val - old) < 1e-14 * max(1.0, old):
                 break
             old, a, b = val, (1.0 - s) * qs / qm, s * qs / (qk + qm)
-            c = sys.sine.top(0.0, 1.0, b, a + b)[1]
+            c = sys.sine.top(b, a + b)[1]
         finals.append(c)
 
     best_c = max(finals, key=lambda c: _interp_ratio(sys, c))
@@ -127,7 +125,6 @@ def interpolation_constant(sys: OperatorSystem) -> ConstantEstimate:
     return ConstantEstimate(
         value=_interp_ratio(sys, best_c),
         maximizer=FeField(best_c, sys.mesh),
-        method="pencil-sweep",
         residual=float(np.linalg.norm(g)),
     )
 
@@ -166,8 +163,14 @@ def young_split_audit(sys: OperatorSystem) -> YoungSplitReport:
     c1 = C * s
     eps_star = 1.0 / (2.0 * c1 * abs(alpha))
     pencils = []
+    exponent = -s / (1.0 - s)
     for eps in (eps_star / 8.0, eps_star, 8.0 * eps_star):
-        c2 = C * ((1.0 - s) * eps ** (-s / (1.0 - s)) + s * eps)
+        if exponent * math.log(eps) > math.log(np.finfo(float).max):
+            raise OverflowError(
+                f"Young split: c2(eps) = C ((1-s) eps^(-s/(1-s)) + s eps) overflows a float at "
+                f"s={s:g}, exponent -s/(1-s)={exponent:.6g}, eps={eps:.6g}"
+            )
+        c2 = C * ((1.0 - s) * eps**exponent + s * eps)
         # the top eigenvalue of (S, c1 eps K + c2 M) is minus the lowest of (-S, ...)
         pencils.append((c1 * eps, c2, -sys.sine.lowest(0.0, -1.0, 0.0, c1 * eps, c2)))
     c2_star = pencils[1][1]

@@ -237,8 +237,8 @@ class SineBasis:
         C[np.diag_indices_from(C)] += (x * self.k[b::2] + z * self.m[b::2]) * r**2
         return C, r
 
-    def eigh(self, x: float, y: float, p: float, q: float) -> "SinePairs":
-        """Every eigenpair of the pencil (x K + y S, p K + q M), p K + q M positive definite.
+    def eigh(self, alpha: float) -> "SinePairs":
+        """Every eigenpair of the pencil (K + alpha S, M).
 
         Each block is solved by ``np.linalg.eigh`` as the standard problem of
         ``reduced``; its eigenvectors stay in the block's sine coordinates
@@ -246,16 +246,16 @@ class SineBasis:
         """
 
         def solve(b):  # eigenvalues, and eigenvectors in the block's sine coordinates
-            C, r = self.reduced(b, x, y, 0.0, p, q)
+            C, r = self.reduced(b, 1.0, alpha, 0.0, 0.0, 1.0)
             w, z = np.linalg.eigh(C)
             z *= r[:, None]
             return w, z
 
         return SinePairs(_halves(solve, self.k.size))
 
-    def top(self, x: float, y: float, p: float, q: float) -> tuple[float, np.ndarray]:
-        """Top eigenvalue of the pencil (x K + y S, p K + q M), p K + q M
-        positive definite, and its eigenvector at the nodes, of unit p K + q M norm.
+    def top(self, p: float, q: float) -> tuple[float, np.ndarray]:
+        """Top eigenvalue of the pencil (S, p K + q M), p K + q M positive
+        definite, and its eigenvector at the nodes, of unit p K + q M norm.
 
         ``np.linalg.eigvalsh`` gives each block's eigenvalues; the block with
         the larger top one wins, the first on a tie.  Its eigenvector comes
@@ -264,7 +264,7 @@ class SineBasis:
         """
 
         def solve(b):
-            C, r = self.reduced(b, x, y, 0.0, p, q)
+            C, r = self.reduced(b, 0.0, 1.0, 0.0, p, q)
             return np.linalg.eigvalsh(C), C, r
 
         parts = _halves(solve, self.k.size)
@@ -409,7 +409,7 @@ class OperatorSystem:
     def eigenpairs(self) -> SinePairs:
         """All eigenpairs of the pencil (A, M), ascending and unprocessed,
         solved in the sine basis (``SineBasis.eigh``)."""
-        return self.sine.eigh(1.0, self.alpha, 0.0, 1.0)
+        return self.sine.eigh(self.alpha)
 
     def with_alpha(self, alpha: float) -> "OperatorSystem":
         """Same discretization, different coupling constant (the columns and ``sine`` are shared)."""

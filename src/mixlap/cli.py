@@ -48,22 +48,6 @@ from .spectrum import (
     verify_characterization,
 )
 
-PIPELINES = (
-    "spectrum",
-    "constants",
-    "threshold",
-    "solve-linear",
-    "mountain-pass",
-    "linking",
-    "dump-matrices",
-    "full-audit",
-)
-
-
-def _write_json(path: Path, payload: dict) -> None:
-    path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
-
-
 def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
     lines = [",".join(header)]
     for row in rows:
@@ -71,8 +55,10 @@ def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
-def _report_base(cfg: RunConfig, pipeline: str) -> dict:
-    return {"pipeline": pipeline, "version": __version__, "config": cfg.to_dict()}
+def _write_report(path: Path, cfg: RunConfig, pipeline: str, **fields) -> None:
+    """A JSON report: the pipeline, the package version and the effective config, then ``fields``."""
+    payload = {"pipeline": pipeline, "version": __version__, "config": cfg.to_dict(), **fields}
+    path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
 def _nonlinearity(cfg: RunConfig):
@@ -98,9 +84,7 @@ def _write_critical_point(
     cfg: RunConfig, pipeline: str, report: CriticalPointReport, out_dir: Path, **extra
 ) -> bool:
     """report.json and solution.csv of a critical-point pipeline."""
-    payload = _report_base(cfg, pipeline)
-    payload.update({"alpha": cfg.alpha[0], "report": report.to_dict(), **extra})
-    _write_json(out_dir / "report.json", payload)
+    _write_report(out_dir / "report.json", cfg, pipeline, alpha=cfg.alpha[0], report=report.to_dict(), **extra)
     mesh = report.u.mesh
     xs = np.concatenate([[mesh.a], mesh.nodes, [mesh.b]])
     rows = [[float(x), float(v)] for x, v in zip(xs, report.u.padded())]
@@ -133,21 +117,18 @@ def _spectrum_single(cfg: RunConfig, sys: OperatorSystem, out_dir: Path) -> bool
         for k in range(spec.count)
     ]
     _write_csv(out_dir / "spectrum.csv", ["k", "lambda", "rayleigh_residual", "m_orth_residual"], rows)
-    payload = _report_base(cfg, "spectrum")
-    payload.update(
-        {
-            "alpha": sys.alpha,
-            "s": cfg.s,
-            "mesh": {"a": cfg.a, "b": cfg.b, "n_elem": cfg.n_elem, "h": sys.mesh.h},
-            "n0": spec.n0,
-            "gamma": gamma,
-            "certified": certified,
-            "max_rayleigh_residual": float(rayleigh.max()),
-            "max_m_orth_residual": float(m_orth.max()),
-            "max_b_orth_residual": float(b_orth.max()),
-        }
+    _write_report(
+        out_dir / "report.json", cfg, "spectrum",
+        alpha=sys.alpha,
+        s=cfg.s,
+        mesh={"a": cfg.a, "b": cfg.b, "n_elem": cfg.n_elem, "h": sys.mesh.h},
+        n0=spec.n0,
+        gamma=gamma,
+        certified=certified,
+        max_rayleigh_residual=float(rayleigh.max()),
+        max_m_orth_residual=float(m_orth.max()),
+        max_b_orth_residual=float(b_orth.max()),
     )
-    _write_json(out_dir / "report.json", payload)
     return certified
 
 
@@ -163,9 +144,7 @@ def _pipeline_spectrum(cfg: RunConfig, out_dir: Path) -> bool:
         ok = _spectrum_single(cfg, base.with_alpha(alpha), sub)
         summary.append({"alpha": alpha, "directory": sub.name, "certified": ok})
         all_ok = all_ok and ok
-    payload = _report_base(cfg, "spectrum")
-    payload.update({"sub_runs": summary, "certified": all_ok})
-    _write_json(out_dir / "report.json", payload)
+    _write_report(out_dir / "report.json", cfg, "spectrum", sub_runs=summary, certified=all_ok)
     return all_ok
 
 
@@ -174,18 +153,15 @@ def _pipeline_constants(cfg: RunConfig, out_dir: Path) -> bool:
     emb = embedding_constant(sys)
     interp = interpolation_constant(sys)
     young = young_split_audit(sys)
-    payload = _report_base(cfg, "constants")
-    payload.update(
-        {
-            "C_embed": emb.value,
-            "C_interp": interp.value,
-            "gamma_exact": young.gamma_exact,
-            "gamma_split": young.gamma_split,
-            "alpha_star_bound": -1.0 / emb.value,
-            "young": young.to_dict(),
-        }
+    _write_report(
+        out_dir / "constants.json", cfg, "constants",
+        C_embed=emb.value,
+        C_interp=interp.value,
+        gamma_exact=young.gamma_exact,
+        gamma_split=young.gamma_split,
+        alpha_star_bound=-1.0 / emb.value,
+        young=young.to_dict(),
     )
-    _write_json(out_dir / "constants.json", payload)
     return sys.alpha >= 0 or young.certified
 
 
@@ -196,16 +172,12 @@ def _pipeline_threshold(cfg: RunConfig, out_dir: Path) -> bool:
     grid = np.linspace(cfg.bracket_lo, cfg.bracket_hi, 9)
     rows = [[float(a), _lambda1(sys, a)] for a in grid]
     _write_csv(out_dir / "lambda1_vs_alpha.csv", ["alpha", "lambda1"], rows)
-    payload = _report_base(cfg, "threshold")
-    payload.update(
-        {
-            "alpha_star": result.alpha_star,
-            "lambda1_at_star": result.lambda1_at_star,
-            "certified": abs(result.lambda1_at_star) <= cfg.threshold_tol,
-        }
+    certified = abs(result.lambda1_at_star) <= cfg.threshold_tol
+    _write_report(
+        out_dir / "threshold.json", cfg, "threshold",
+        alpha_star=result.alpha_star, lambda1_at_star=result.lambda1_at_star, certified=certified,
     )
-    _write_json(out_dir / "threshold.json", payload)
-    return abs(result.lambda1_at_star) <= cfg.threshold_tol
+    return certified
 
 
 def _pipeline_solve_linear(cfg: RunConfig, out_dir: Path) -> bool:
@@ -232,9 +204,9 @@ def _pipeline_dump_matrices(cfg: RunConfig, out_dir: Path) -> bool:
     dump_matrix(out_dir / "K.txt", sys.K, "banded")
     dump_matrix(out_dir / "M.txt", sys.M, "banded")
     dump_matrix(out_dir / "S.txt", sys.S, "dense")
-    payload = _report_base(cfg, "dump-matrices")
-    payload.update({"alpha": cfg.alpha[0], "files": ["K.txt", "M.txt", "S.txt"]})
-    _write_json(out_dir / "manifest.json", payload)
+    _write_report(
+        out_dir / "manifest.json", cfg, "dump-matrices", alpha=cfg.alpha[0], files=["K.txt", "M.txt", "S.txt"]
+    )
     return True
 
 
@@ -405,9 +377,7 @@ def _audit_checks(cfg: RunConfig, sys: OperatorSystem) -> list[dict]:
 def _pipeline_full_audit(cfg: RunConfig, out_dir: Path) -> bool:
     checks = _audit_checks(cfg, _scalar_system(cfg, "full-audit"))
     ok = all(c["passed"] for c in checks)
-    payload = _report_base(cfg, "full-audit")
-    payload.update({"alpha": cfg.alpha[0], "checks": checks, "certified": ok})
-    _write_json(out_dir / "audit.json", payload)
+    _write_report(out_dir / "audit.json", cfg, "full-audit", alpha=cfg.alpha[0], checks=checks, certified=ok)
     rows = [[c["name"], c["metric"], c["tolerance"], c["passed"]] for c in checks]
     _write_csv(out_dir / "audit.csv", ["check", "metric", "tolerance", "passed"], rows)
     return ok
@@ -469,9 +439,8 @@ def run(cfg: RunConfig, pipeline: str) -> int:
         except ConfigError:
             raise
         except (ResonanceError, RuntimeError, ArithmeticError, ValueError) as exc:
-            payload = _report_base(cfg, pipeline)
-            payload.update({"error": {"type": type(exc).__name__, "message": str(exc)}})
-            _write_json(stage / "error.json", payload)
+            error = {"type": type(exc).__name__, "message": str(exc)}
+            _write_report(stage / "error.json", cfg, pipeline, error=error)
             status = 1
         # an earlier report is moved aside, not deleted, until the stage is in place
         aside = target.replace(stage.with_name(stage.name + ".old")) if target.exists() else None
@@ -497,7 +466,7 @@ def main(argv=None) -> int:
         description="Spectra, constants and critical points of the mixed "
         "local-nonlocal operator on an interval",
     )
-    parser.add_argument("pipeline", choices=PIPELINES)
+    parser.add_argument("pipeline", choices=list(_DISPATCH))
     parser.add_argument("--config", type=Path, default=None, help="INI configuration file")
     parser.add_argument("--out", type=Path, default=None, help="output directory")
     parser.add_argument("--seed", type=int, default=None)

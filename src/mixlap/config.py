@@ -1,7 +1,7 @@
 """Run configuration: INI-style file with sections, validated into a dataclass.
 
 Schema (all keys optional unless noted; unknown sections or keys are
-rejected):
+rejected; a ``;`` after whitespace starts an inline comment):
 
     [domain]        a, b, n_elem (required as a group for non-default runs)
     [operator]      s, alpha            alpha: scalar or grid "lo:hi:count"
@@ -93,6 +93,8 @@ class RunConfig:
             raise ConfigError(f"solver: tol must be positive, got {self.tol}")
         if self.max_iter < 1:
             raise ConfigError(f"solver: max_iter must be >= 1, got {self.max_iter}")
+        if self.seed < 0:
+            raise ConfigError(f"solver: seed must be >= 0, got {self.seed}")
         if self.m < 1:
             raise ConfigError(f"solver: m must be >= 1, got {self.m}")
         if self.m > self.n_elem - 1:
@@ -144,7 +146,7 @@ def parse_config(path: str | Path) -> RunConfig:
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")
-    parser = configparser.ConfigParser()
+    parser = configparser.ConfigParser(inline_comment_prefixes=(";",))
     try:
         parser.read(path)
     except configparser.Error as exc:

@@ -44,6 +44,7 @@ __all__ = [
     "weighted_mass",
     "check_hypotheses",
     "asymptotic_slopes",
+    "declared",
 ]
 
 _GQ_X, _GQ_W = leggauss(4)
@@ -53,6 +54,13 @@ _GQ_W = 0.5 * _GQ_W
 CONDITIONS = ("f_lg", "i", "ii", "iii", "envelope", "slopes_infinity", "slopes_zero", "eq_1.8")
 SLOPE_TOL = 1e-2  # relative precision of a sampled asymptotic slope
 HYPOTHESIS_TOL = 1e-9  # largest relative violation a sampled growth inequality passes with
+NEEDS = {  # the declared constants each growth inequality reads, in the order it reads them
+    "f_lg": ("a_bound", "b"),
+    "ii": ("a_bound", "b", "r"),
+    "iii": ("mu", "mu_tilde", "R", "c", "d", "A"),
+    "envelope": ("A", "b_upper", "r"),
+    "eq_1.8": ("lambda_k",),
+}
 _MAGS = np.logspace(-6.0, 6.0, 200)
 _T_GRID = np.concatenate([-_MAGS[::-1], _MAGS])  # sample values of t, 1e-6 <= |t| <= 1e6
 
@@ -185,9 +193,6 @@ class Custom:
             return np.asarray(self.fprime_fn(x, t), dtype=float)
         eps = 1e-6
         return (self.f(x, np.asarray(t) + eps) - self.f(x, np.asarray(t) - eps)) / (2 * eps)
-
-
-Nonlinearity = AffineLinear | PowerPerturbed | Custom
 
 
 @lru_cache(maxsize=32)
@@ -335,14 +340,13 @@ class SlopeEstimate:
     inconclusive: bool = False
 
 
-def _require(growth: GrowthConstants, names: list[str], condition: str) -> list[float]:
-    vals = []
-    for name in names:
-        v = getattr(growth, name)
-        if v is None:
-            raise ValueError(f"condition {condition!r} needs declared constant {name!r}")
-        vals.append(float(v))
-    return vals
+def declared(growth: GrowthConstants, names, purpose: str) -> list[float]:
+    """The constants ``names`` of ``growth``, in that order; ``ValueError``
+    naming every one that was not declared."""
+    missing = [name for name in names if getattr(growth, name) is None]
+    if missing:
+        raise ValueError(f"{purpose} needs declared constants " + ", ".join(map(repr, missing)))
+    return [float(getattr(growth, name)) for name in names]
 
 
 def _worst(violations: np.ndarray, xs: np.ndarray, ts: np.ndarray):
@@ -411,82 +415,23 @@ def check_hypotheses(
         if isinstance(nl, AffineLinear) or (g.r is None and g.b is not None):
             conditions = ["f_lg", "slopes_infinity"]
         else:
-            conditions = ["i", "slopes_zero"]
-            if all(getattr(g, n) is not None for n in ("a_bound", "b", "r")):
-                conditions.append("ii")
-            if all(getattr(g, n) is not None for n in ("mu", "mu_tilde", "R", "c", "d", "A")):
-                conditions.append("iii")
-            if all(getattr(g, n) is not None for n in ("A", "b_upper", "r")):
-                conditions.append("envelope")
-            if g.lambda_k is not None:
-                conditions.append("eq_1.8")
+            conditions = ["i", "slopes_zero"] + [
+                cond for cond in ("ii", "iii", "envelope", "eq_1.8")
+                if all(getattr(g, name) is not None for name in NEEDS[cond])
+            ]
     unknown = set(conditions) - set(CONDITIONS)
     if unknown:
         raise ValueError(f"unknown condition ids: {sorted(unknown)}")
     xs = np.asarray(x_samples, dtype=float)
-    ts = _T_GRID
     X = xs[:, None]
-    T = ts[None, :]
+    T = _T_GRID[None, :]
     fv = nl.f(X, T)
     Fv = nl.F(X, T)
     reports = []
 
     for cond in conditions:
-        if cond == "f_lg":
-            (b,) = _require(g, ["b"], cond)
-            if g.a_bound is not None:
-                env = g.a_bound + b * np.abs(T)
-            elif isinstance(nl, AffineLinear):
-                # envelope uses the declared a(x) itself, pointwise
-                env = np.abs(nl.a(X)) + b * np.abs(T)
-            else:
-                raise ValueError("condition 'f_lg' needs declared constant 'a_bound'")
-            viol = (np.abs(fv) - env) / np.maximum(1.0, np.abs(env))
-            worst, wit = _worst(viol, xs, ts)
-            reports.append(HypothesisReport(cond, worst <= HYPOTHESIS_TOL, worst, wit))
-        elif cond == "i":
-            f0 = np.abs(nl.f(xs, np.zeros_like(xs)))
-            i0 = int(np.argmax(f0))
-            worst = float(f0[i0])
-            reports.append(HypothesisReport(cond, worst <= HYPOTHESIS_TOL, worst, (float(xs[i0]), 0.0)))
-        elif cond == "ii":
-            a_b, b, r = _require(g, ["a_bound", "b", "r"], cond)
-            env = a_b + b * np.abs(T) ** (r - 1.0)
-            viol = (np.abs(fv) - env) / np.maximum(1.0, np.abs(env))
-            worst, wit = _worst(viol, xs, ts)
-            reports.append(HypothesisReport(cond, worst <= HYPOTHESIS_TOL, worst, wit))
-        elif cond == "iii":
-            mu, mu_t, R, c, d, A = _require(g, ["mu", "mu_tilde", "R", "c", "d", "A"], cond)
-            core = mu * (Fv - A * T**2 / 2.0)  # must stay strictly positive
-            lever = fv * T - A * T**2  # and dominate core
-            far = np.abs(T) >= R
-            denom = np.maximum(1.0, np.maximum(np.abs(core), np.abs(lever)))
-            viol_ar = np.maximum(-core, core - lever) / denom
-            viol_ar = np.where(far, viol_ar, -np.inf)
-            growth_env = c * np.abs(T) ** mu_t - d
-            denom2 = np.maximum(1.0, np.maximum(np.abs(Fv), np.abs(growth_env)))
-            viol_growth = (growth_env - Fv) / denom2
-            viol = np.maximum(viol_ar, viol_growth)
-            worst, wit = _worst(viol, xs, ts)
-            reports.append(HypothesisReport(cond, worst <= HYPOTHESIS_TOL, worst, wit))
-        elif cond == "envelope":
-            A, b_up, r = _require(g, ["A", "b_upper", "r"], cond)
-            excess = Fv - A * T**2 / 2.0  # must lie in [0, (b_upper / r) |t|^r]
-            env = b_up / r * np.abs(T) ** r
-            denom = np.maximum(1.0, np.maximum(np.abs(excess), env))
-            viol = np.maximum(-excess, excess - env) / denom
-            worst, wit = _worst(viol, xs, ts)
-            reports.append(HypothesisReport(cond, worst <= HYPOTHESIS_TOL, worst, wit))
-        elif cond == "eq_1.8":
-            (lam_k,) = _require(g, ["lambda_k"], cond)
-            floor = lam_k * T**2 / 2.0
-            denom = np.maximum(1.0, np.maximum(np.abs(Fv), np.abs(floor)))
-            viol = (floor - Fv) / denom
-            worst, wit = _worst(viol, xs, ts)
-            reports.append(HypothesisReport(cond, worst <= HYPOTHESIS_TOL, worst, wit))
-        elif cond in ("slopes_infinity", "slopes_zero"):
-            mode = "at_infinity" if cond == "slopes_infinity" else "at_zero"
-            est = asymptotic_slopes(nl, mode, x_samples)
+        if cond in ("slopes_infinity", "slopes_zero"):
+            est = asymptotic_slopes(nl, "at_infinity" if cond == "slopes_infinity" else "at_zero", xs)
             ok = not (est.diverged or est.inconclusive)
             note = "diverged" if est.diverged else ("inconclusive" if est.inconclusive else "")
             worst = math.inf if est.diverged else (abs(est.upper - est.lower))
@@ -496,5 +441,43 @@ def check_hypotheses(
                 worst = max(worst, off)
                 if off > SLOPE_TOL:
                     ok, note = False, f"slope at zero is not the declared A={g.A:g}"
-            reports.append(HypothesisReport(cond, ok, worst, (float(xs[0]), math.inf if est.diverged else 0.0), note))
+            witness = (float(xs[0]), math.inf if est.diverged else 0.0)
+            reports.append(HypothesisReport(cond, ok, worst, witness, note))
+            continue
+        ts, purpose = _T_GRID, f"condition {cond!r}"
+        if cond == "f_lg":
+            if isinstance(nl, AffineLinear) and g.a_bound is None:
+                # the envelope uses the declared a(x) itself, pointwise
+                a_b, (b,) = np.abs(nl.a(X)), declared(g, ("b",), purpose)
+            else:
+                a_b, b = declared(g, NEEDS[cond], purpose)
+            env = a_b + b * np.abs(T)
+            viol = (np.abs(fv) - env) / np.maximum(1.0, np.abs(env))
+        elif cond == "i":
+            viol, ts = np.abs(nl.f(X, np.zeros_like(X))), np.zeros(1)
+        elif cond == "ii":
+            a_b, b, r = declared(g, NEEDS[cond], purpose)
+            env = a_b + b * np.abs(T) ** (r - 1.0)
+            viol = (np.abs(fv) - env) / np.maximum(1.0, np.abs(env))
+        elif cond == "iii":
+            mu, mu_t, R, c, d, A = declared(g, NEEDS[cond], purpose)
+            core = mu * (Fv - A * T**2 / 2.0)  # must stay strictly positive
+            lever = fv * T - A * T**2  # and dominate core
+            denom = np.maximum(1.0, np.maximum(np.abs(core), np.abs(lever)))
+            viol_ar = np.where(np.abs(T) >= R, np.maximum(-core, core - lever) / denom, -np.inf)
+            growth_env = c * np.abs(T) ** mu_t - d
+            denom = np.maximum(1.0, np.maximum(np.abs(Fv), np.abs(growth_env)))
+            viol = np.maximum(viol_ar, (growth_env - Fv) / denom)
+        elif cond == "envelope":
+            A, b_up, r = declared(g, NEEDS[cond], purpose)
+            excess = Fv - A * T**2 / 2.0  # must lie in [0, (b_upper / r) |t|^r]
+            env = b_up / r * np.abs(T) ** r
+            viol = np.maximum(-excess, excess - env) / np.maximum(1.0, np.maximum(np.abs(excess), env))
+        else:  # eq_1.8
+            (lam_k,) = declared(g, NEEDS[cond], purpose)
+            floor = lam_k * T**2 / 2.0
+            viol = (floor - Fv) / np.maximum(1.0, np.maximum(np.abs(Fv), np.abs(floor)))
+        worst, wit = _worst(viol, xs, ts)
+        reports.append(HypothesisReport(cond, worst <= HYPOTHESIS_TOL, worst, wit))
     return reports
+

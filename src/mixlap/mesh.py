@@ -10,7 +10,7 @@ import numpy as np
 __all__ = ["MeshInterval", "FeField", "build_mesh", "interpolate"]
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class MeshInterval:
     """Uniform partition of (a, b) into n_elem elements.
 
@@ -23,19 +23,11 @@ class MeshInterval:
     b: float
     n_elem: int
     h: float
-    nodes: np.ndarray = field(repr=False)
+    nodes: np.ndarray = field(repr=False, compare=False)  # a function of the other fields
 
     @property
     def ndof(self) -> int:
         return self.n_elem - 1
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, MeshInterval):
-            return NotImplemented
-        return (self.a, self.b, self.n_elem) == (other.a, other.b, other.n_elem)
-
-    def __hash__(self) -> int:
-        return hash((self.a, self.b, self.n_elem))
 
 
 def build_mesh(a: float, b: float, n_elem: int) -> MeshInterval:
@@ -89,14 +81,10 @@ class FeField:
         return np.interp(np.asarray(x, dtype=float), xp, self.padded())
 
 
-def interpolate(g: Callable[[float], float], mesh: MeshInterval) -> FeField:
-    """Nodal interpolant of g on the interior nodes."""
-    try:
-        vals = np.asarray(g(mesh.nodes), dtype=float)
-        if vals.shape != mesh.nodes.shape:
-            raise TypeError
-    except Exception:
-        vals = np.array([float(g(x)) for x in mesh.nodes])
+def interpolate(g: Callable[[np.ndarray], np.ndarray], mesh: MeshInterval) -> FeField:
+    """Nodal interpolant on the interior nodes of g, which maps the array of
+    nodes to the array of values like a numpy ufunc."""
+    vals = np.broadcast_to(np.asarray(g(mesh.nodes), dtype=float), mesh.nodes.shape)
     bad = np.flatnonzero(~np.isfinite(vals))
     if bad.size:
         i = int(bad[0])

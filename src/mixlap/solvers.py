@@ -44,6 +44,7 @@ import numpy as np
 
 from .assembly import OperatorSystem, _dst
 from .functional import (
+    NEEDS,
     AffineLinear,
     J_eval,
     J_gradient,
@@ -51,6 +52,7 @@ from .functional import (
     J_values,
     _apply_rows,
     asymptotic_slopes,
+    declared,
     load_vector,
 )
 from .mesh import FeField
@@ -85,7 +87,9 @@ PEAK_LADDER = 0.5 ** np.arange(40)  # trial steps of the peak's line search
 PEAK_FIRST_RUNGS = 4  # steps ranked before the rest of the ladder (the kept one, nearly always)
 
 # linking geometry probe
-LINKING_CONSTANTS = ("A", "b_upper", "r", "c", "d", "mu_tilde")  # the growth constants the linking bound reads
+# the growth constants the linking bound reads: the envelope past the slope A
+# and the power lower bound F >= c |t|^mu_tilde - d of condition (iii)
+LINKING_CONSTANTS = NEEDS["envelope"] + ("c", "d", "mu_tilde")
 
 
 @dataclass
@@ -121,13 +125,15 @@ class CriticalPointReport:
 
 @dataclass
 class LinkingGeometryReport:
+    """A refused probe leaves NaN in what it did not compute."""
+
     k: int
-    rho_small: float
-    alpha_tilde: float
-    rho_big: float
-    boundary_sup: float
-    certified: bool
     mode: str  # linking | saddle
+    certified: bool = False
+    rho_small: float = math.nan
+    alpha_tilde: float = math.nan
+    rho_big: float = math.nan
+    boundary_sup: float = math.nan
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -303,22 +309,11 @@ def _certify(
     otherwise the report keeps the descent's status."""
     refined = newton_refine(sys, nl, FeField(c, sys.mesh), cfg)
     classification = _classify(sys, refined.u.coeffs, 1e-4 * geometry.rho_small)
-    converged = (
-        refined.grad_norm <= cfg.tol
-        and classification == "nontrivial"
-        and refined.J_value > 0.0
-    )
-    return CriticalPointReport(
-        u=refined.u,
-        J_value=refined.J_value,
-        grad_norm=refined.grad_norm,
-        classification=classification,
-        iterations=len(hist) + refined.iterations,
-        converged=converged,
-        status="converged" if converged else status,
-        message=message,
-        path_history=hist,
-        geometry=geometry,
+    converged = refined.grad_norm <= cfg.tol and classification == "nontrivial" and refined.J_value > 0.0
+    return replace(
+        refined, classification=classification, iterations=len(hist) + refined.iterations,
+        converged=converged, status="converged" if converged else status, message=message,
+        path_history=hist, geometry=geometry,
     )
 
 
@@ -340,14 +335,6 @@ def _splitting(sys: OperatorSystem, k: int) -> tuple[np.ndarray, np.ndarray, np.
             "a zero eigenvalue among the first k makes the splitting degenerate"
         )
     return full.lambdas, full.vectors[:, :k], full.vectors[:, k:]
-
-
-def _refusal(k: int, mode: str, alpha_tilde: float) -> LinkingGeometryReport:
-    nan = math.nan
-    return LinkingGeometryReport(
-        k=k, rho_small=nan, alpha_tilde=alpha_tilde, rho_big=nan, boundary_sup=nan,
-        certified=False, mode=mode,
-    )
 
 
 def verify_geometry(sys: OperatorSystem, nl, k: int) -> LinkingGeometryReport:
@@ -379,13 +366,7 @@ def verify_geometry(sys: OperatorSystem, nl, k: int) -> LinkingGeometryReport:
 
 def _linking_constants(nl) -> list[float]:
     """The nonlinearity's declared ``LINKING_CONSTANTS``, in that order."""
-    missing = [name for name in LINKING_CONSTANTS if getattr(nl.growth, name) is None]
-    if missing:
-        raise ValueError(
-            "the linking geometry bound needs declared constants "
-            + ", ".join(repr(name) for name in missing)
-        )
-    A, b, r, c, d, mu = (float(getattr(nl.growth, name)) for name in LINKING_CONSTANTS)
+    A, b, r, c, d, mu = declared(nl.growth, LINKING_CONSTANTS, "the linking geometry bound")
     if not (r > 2.0 and mu > 2.0 and b > 0.0 and c > 0.0 and d >= 0.0):
         raise ValueError(
             "the linking geometry bound needs r > 2, mu_tilde > 2, b_upper > 0, c > 0 and d >= 0"
@@ -446,12 +427,12 @@ def _probe(
     if isinstance(nl, AffineLinear):
         lam = nl.lam
         if not lam < lambdas[k]:
-            return _refusal(k, "saddle", -math.inf), (
+            return LinkingGeometryReport(k, "saddle", alpha_tilde=-math.inf), (
                 f"slope {lam:.6g} is not below lambda_{k + 1} = {lambdas[k]:.6g}: "
                 "J is unbounded below on the complement"
             ), None
         if not lam > lambdas[k - 1]:
-            return _refusal(k, "saddle", math.nan), (
+            return LinkingGeometryReport(k, "saddle"), (
                 f"slope {lam:.6g} is not above lambda_{k} = {lambdas[k - 1]:.6g}: "
                 "J does not fall on the span of the first eigenfields"
             ), None
@@ -473,13 +454,8 @@ def _probe(
         m = rho_big / root_kappa
         boundary_sup = -0.5 * g * m * m + b * m
         return LinkingGeometryReport(
-            k=k,
-            rho_small=rho_small,
-            alpha_tilde=alpha_tilde,
-            rho_big=rho_big,
-            boundary_sup=boundary_sup,
-            certified=boundary_sup < alpha_tilde,
-            mode="saddle",
+            k, "saddle", certified=boundary_sup < alpha_tilde, rho_small=rho_small,
+            alpha_tilde=alpha_tilde, rho_big=rho_big, boundary_sup=boundary_sup,
         ), "", None
 
     A = _linking_constants(nl)[0]
@@ -494,10 +470,10 @@ def _probe(
     elif not theta.upper < lambdas[k]:
         refusal = f"slope at zero {theta.upper:.6g} is not below lambda_{k + 1} = {lambdas[k]:.6g}"
     if refusal:
-        return _refusal(k, "linking", math.nan), refusal, None
+        return LinkingGeometryReport(k, "linking"), refusal, None
     bound = g, c_r, r, rho_big = _linking_bound(sys, nl, split)
     if not g > 0.0:
-        return _refusal(k, "linking", math.nan), (
+        return LinkingGeometryReport(k, "linking"), (
             f"declared slope A = {A:.6g} is not below lambda_{k + 1} = {lambdas[k]:.6g}: "
             f"the coercivity gap on the complement is {g:.6g}"
         ), bound
@@ -507,13 +483,9 @@ def _probe(
     # J(0) = 0, the bottom face is <= 0 when lambda_k <= A, the side and top faces past rho_big
     boundary_sup = 0.0 if k == 0 or lambdas[k - 1] <= A else math.inf
     return LinkingGeometryReport(
-        k=k,
-        rho_small=rho_small,
-        alpha_tilde=alpha_tilde,
+        k, "linking", certified=alpha_tilde > 0.0 >= boundary_sup, rho_small=rho_small,
+        alpha_tilde=alpha_tilde, boundary_sup=boundary_sup,
         rho_big=max(rho_big, 2.0 * rho_small),  # the sphere and the boundary link when rho_small < rho_big
-        boundary_sup=boundary_sup,
-        certified=alpha_tilde > 0.0 >= boundary_sup,
-        mode="linking",
     ), "", bound
 
 

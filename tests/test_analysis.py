@@ -188,3 +188,14 @@ def test_young_split_violations_match_the_dense_pencil(sys8_neg5, monkeypatch):
     assert broken == [eps_star, 8.0 * eps_star]
     assert (rep.violations, rep.trials) == (len(broken), 3)
     assert not rep.certified
+
+
+def test_young_split_overflow_names_the_power_that_overflows():
+    # at s = 0.99 the power eps^(-99) of the Young split exceeds the largest float
+    sys = build_system(build_mesh(0.0, 1.0, 16), 0.99, -1.0)
+    eps = 1.0 / (2.0 * _interp_limit(0.99) * 0.99) / 8.0  # eps*/8, the first one tried
+    with pytest.raises(OverflowError) as err:
+        young_split_audit(sys)
+    message = str(err.value)
+    assert "c2(eps)" in message and "s=0.99" in message
+    assert "exponent -s/(1-s)=-99" in message and f"eps={eps:.6g}" in message

@@ -399,13 +399,13 @@ def _sine_solves(sys):
     """Every solve the sine basis runs on its two halves, at the system's coupling."""
     sine = assembly.SineBasis(sys.k_col, sys.s_col, sys.m_col)
     X = np.random.default_rng(0).standard_normal((sys.ndof, sys.ndof))
-    pairs = sine.eigh(1.0, sys.alpha, 0.0, 1.0)
+    pairs = sine.eigh(sys.alpha)
     return [
         *sine.blocks,
         pairs.values,
         *pairs.halves,
         pairs.vectors(sys.ndof),
-        *sine.top(0.0, 1.0, 1.0, 0.0),
+        *sine.top(1.0, 0.0),
         sine.lowest(1.0, 2.0 * sys.alpha, 0.0, 0.0, 1.0),
         assembly._dst(X),
     ]
@@ -440,15 +440,15 @@ def test_lowest_matches_the_dense_pencil(ndof):
 def test_top_matches_the_full_eigensolve_of_the_blocks(ndof):
     # at ndof = 1023 on two threads too: test_threaded_halves_match_the_serial_ones_bit_for_bit
     sys = build_system(build_mesh(0.0, 1.0, ndof + 1), 0.5, -1.0)
-    for x, y, p, q in ((0.0, 1.0, 1.0, 0.0), (0.0, 1.0, 0.0, 1.0), (0.0, 1.0, 1e-3, 1.001), (1.0, -1.0, 0.0, 1.0)):
-        tops = [np.linalg.eigh(sys.sine.reduced(b, x, y, 0.0, p, q)[0])[0][-1] for b in range(min(ndof, 2))]
-        mu, u = sys.sine.top(x, y, p, q)
+    for p, q in ((1.0, 0.0), (0.0, 1.0), (1e-3, 1.001)):
+        tops = [np.linalg.eigh(sys.sine.reduced(b, 0.0, 1.0, 0.0, p, q)[0])[0][-1] for b in range(min(ndof, 2))]
+        mu, u = sys.sine.top(p, q)
         assert abs(mu - max(tops)) <= 1e-13 * abs(max(tops))
         # in the winning block's standard problem: a unit vector (of unit
         # p K + q M norm at the nodes) whose Rayleigh quotient is mu, with
         # its residual at round-off
         b = int(np.argmax(tops))
-        C, r = sys.sine.reduced(b, x, y, 0.0, p, q)
+        C, r = sys.sine.reduced(b, 0.0, 1.0, 0.0, p, q)
         z = _dst(u.copy())[b::2] / r
         assert abs(np.linalg.norm(z) - 1.0) <= 1e-13
         norm, Cz = np.linalg.norm(C, 2), C @ z
@@ -488,8 +488,8 @@ def test_an_error_in_the_second_half_reaches_the_caller(monkeypatch):
     monkeypatch.setattr(assembly, "_threads_allowed", lambda: True)
     monkeypatch.setattr(assembly.SineBasis, "reduced", failing)
     for solve in (
-        lambda: sys.sine.eigh(1.0, -1.0, 0.0, 1.0),
-        lambda: sys.sine.top(0.0, 1.0, 1.0, 0.0),
+        lambda: sys.sine.eigh(-1.0),
+        lambda: sys.sine.top(1.0, 0.0),
         lambda: sys.sine.lowest(1.0, -1.0, 0.0, 0.0, 1.0),
     ):
         with pytest.raises(np.linalg.LinAlgError, match="not positive definite"):

@@ -785,3 +785,25 @@ def test_linking_run_loads_no_optimizer(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "0 False"
     assert json.loads((tmp_path / "out" / "report.json").read_text())["report"]["converged"]
+
+
+def test_the_readme_example_config_parses_and_names_every_key(tmp_path):
+    # the README block carries inline "; ..." comments after its values
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("```ini\n", 1)[1].split("```", 1)[0]
+    cfg = parse_config(write_cfg(tmp_path / "readme.ini", block))
+    assert cfg.alpha == (-5.0,) and cfg.kind == "power_perturbed" and cfg.p == 4.0 and cfg.k == 1
+    named = configparser.ConfigParser(inline_comment_prefixes=(";",))
+    named.read_string(block)
+    assert {s: set(named[s]) for s in named.sections()} == {s: set(keys) for s, keys in _SCHEMA.items()}
+
+
+@pytest.mark.parametrize("extra, flags", [("seed = -1\n", []), ("", ["--seed", "-3"])], ids=["ini-key", "flag"])
+@pytest.mark.parametrize("pipeline", ["spectrum", "full-audit"])
+def test_a_negative_seed_is_a_config_error(tmp_path, capsys, pipeline, extra, flags):
+    out = tmp_path / "never"
+    text = MINIMAL.replace("n_elem = 64", "n_elem = 8") + "\n[solver]\nm = 3\n" + extra
+    cfg = write_cfg(tmp_path / "c.ini", text)
+    assert main([pipeline, "--config", str(cfg), "--out", str(out), *flags]) == 2
+    assert "seed must be >= 0" in capsys.readouterr().err
+    assert [path.name for path in tmp_path.iterdir()] == ["c.ini"]

@@ -341,3 +341,15 @@ def test_power_primitive_identity(t, lam, p):
     nl = PowerPerturbed(lam, p)
     want = 0.5 * lam * t * t + abs(t) ** p / p
     assert nl.F(0.0, t) == pytest.approx(want, rel=1e-12, abs=1e-300)
+
+
+def test_a_missing_constant_error_names_every_missing_constant():
+    bare = Custom(f_fn=lambda x, t: t**3, F_fn=lambda x, t: t**4 / 4, growth=GrowthConstants(r=4.0))
+    with pytest.raises(ValueError, match="^condition 'ii' needs declared constants 'a_bound', 'b'$"):
+        check_hypotheses(bare, X01, conditions=["ii"])
+    with pytest.raises(ValueError, match="^condition 'f_lg' needs declared constants 'a_bound', 'b'$"):
+        check_hypotheses(bare, X01, conditions=["f_lg"])
+    # the affine kind's own a(x) stands in for a_bound
+    affine = AffineLinear(2.0, lambda x: np.cos(x), growth=GrowthConstants())
+    with pytest.raises(ValueError, match="^condition 'f_lg' needs declared constants 'b'$"):
+        check_hypotheses(affine, X01, conditions=["f_lg"])

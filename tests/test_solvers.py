@@ -748,3 +748,129 @@ def test_newton_peak_from_near_zero_reaches_the_same_peak(k):
     assert val == pytest.approx(val_ref, rel=1e-12)
     assert np.allclose(c, c_ref, rtol=0.0, atol=1e-8 * np.max(np.abs(c_ref)))
     assert c[-1] >= 0.0
+
+
+# ---------------------------------------------------------------------------
+# branches of the search the workloads never reach
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def sys32_zero():
+    return build_system(build_mesh(0.0, 1.0, 32), 0.5, 0.0)
+
+
+def test_failed_certificate_quarters_the_newton_gate(sys32_zero, monkeypatch):
+    real_newton, real_certify = solvers.newton_refine, solvers._certify
+    attempts, refinements = [], []
+
+    def failing_once(*args):
+        rep = real_newton(*args)
+        refinements.append(rep)
+        return replace(rep, grad_norm=np.inf) if len(refinements) == 1 else rep
+
+    def recording(sys, nl, c, cfg, hist, *rest):
+        attempts.append(hist[-1])
+        return real_certify(sys, nl, c, cfg, hist, *rest)
+
+    monkeypatch.setattr(solvers, "newton_refine", failing_once)
+    monkeypatch.setattr(solvers, "_certify", recording)
+    rep = linking_search(sys32_zero, PowerPerturbed(5.0, 4.0), 0)
+    assert rep.converged and len(attempts) == 2
+    gate = solvers.NEWTON_GATE_FACTOR * rep.path_history[0][2]
+    (first, _, gn_first), (second, _, gn_second) = attempts
+    assert gn_first <= gate
+    # the iterations between the attempts were under the first gate, not the quartered one
+    between = [gn for it, _, gn in rep.path_history if first < it < second]
+    assert between and min(between) > 0.25 * gate >= gn_second
+
+
+def test_one_iteration_ends_at_the_final_certificate(sys32_zero):
+    nl = PowerPerturbed(5.0, 4.0)
+    capped = linking_search(sys32_zero, nl, 0, SolverConfig(tol=1e-300, max_iter=1))
+    assert capped.status == "max_iterations" and not capped.converged
+    assert len(capped.path_history) == 1 and capped.iterations > 1  # one descent step, then Newton
+    assert capped.geometry.certified
+    # with the default tolerance the same single step is polished and certified
+    assert linking_search(sys32_zero, nl, 0, SolverConfig(max_iter=1)).converged
+
+
+def test_a_descent_that_cannot_lower_the_peak_stagnates(sys32_zero, monkeypatch):
+    real_peak = solvers._peak
+    levels = []
+
+    def level(sys, nl, W, c0):
+        c, val = real_peak(sys, nl, W, c0)
+        levels.append(val)
+        return c, levels[0]  # every trial peak is as high as the first
+
+    monkeypatch.setattr(solvers, "_peak", level)
+    rep = linking_search(sys32_zero, PowerPerturbed(5.0, 4.0), 0, SolverConfig(tol=1e-300))
+    assert rep.status == "stagnation" and not rep.converged
+    assert len(rep.path_history) == 1
+    assert rep.message == f"descent stalled with gradient norm {rep.path_history[0][2]:.3e}"
+
+
+def test_newton_reports_divergence_when_no_step_lowers_the_residual(sys32_zero, monkeypatch):
+    nl = PowerPerturbed(5.0, 4.0)
+    u = linking_search(sys32_zero, nl, 0).u
+    real_hessian = solvers.J_hessian
+    # the negated Hessian points every Newton step uphill in the residual
+    monkeypatch.setattr(solvers, "J_hessian", lambda sys, nl, u: -real_hessian(sys, nl, u))
+    rep = newton_refine(sys32_zero, nl, FeField(1.001 * u.coeffs, sys32_zero.mesh))
+    assert rep.status == "diverged" and not rep.converged and rep.iterations == 0
+    assert rep.grad_norm > solvers.NEWTON_TOL
+
+
+def test_peak_keeps_the_ray_component_nonnegative(sys32_zero):
+    nl = PowerPerturbed(5.0, 4.0)
+    W = solve_pencil(sys32_zero, 1).vectors
+    c_neg, val_neg = solvers._peak(sys32_zero, nl, W, np.array([-1.0]))
+    c_pos, val_pos = solvers._peak(sys32_zero, nl, W, np.array([1.0]))
+    assert c_neg[-1] > 0.0
+    assert c_neg == pytest.approx(c_pos, rel=1e-12) and val_neg == pytest.approx(val_pos, rel=1e-12)
+
+
+def test_probe_refuses_an_unreliable_slope_at_zero(sys32_zero):
+    # f = t + |t|^0.01 t: f/t = 1 + |t|^0.01 has not settled in the last decades before 0
+    rep = linking_search(sys32_zero, PowerPerturbed(1.0, 2.01), 0)
+    assert rep.status == "geometry_violation" and not rep.converged
+    assert rep.message == "linking geometry not certified at k=0: slope estimate at zero is unreliable: inconclusive"
+    geo = rep.geometry
+    assert not geo.certified and np.isnan([geo.rho_small, geo.alpha_tilde, geo.rho_big, geo.boundary_sup]).all()
+
+
+def test_probe_refuses_a_declared_slope_not_below_the_next_eigenvalue(sys32_zero):
+    lam1 = float(solve_pencil(sys32_zero, 1).lambdas[0])
+    base = PowerPerturbed(1.0, 4.0)
+    geo, refusal, bound = solvers._probe(
+        sys32_zero, PowerPerturbed(1.0, 4.0, growth=replace(base.growth, A=lam1 + 1.0)),
+        solvers._splitting(sys32_zero, 0), solvers._slope_at_zero(sys32_zero, base),
+    )
+    assert not geo.certified and np.isnan(geo.alpha_tilde)
+    assert refusal.startswith(f"declared slope A = {lam1 + 1.0:.6g} is not below lambda_1 = {lam1:.6g}")
+    assert bound[0] <= 0.0 and f"the coercivity gap on the complement is {bound[0]:.6g}" in refusal
+
+
+def test_uncertified_geometry_without_a_refusal_names_its_bounds(sys32_zero):
+    # the slope at zero lies in (lambda_1, lambda_2), but a declared A below
+    # lambda_1 leaves the bottom face of the half-cylinder unbounded
+    lambdas = solve_pencil(sys32_zero, 2).lambdas
+    lam = 0.5 * float(lambdas[0] + lambdas[1])
+    base = PowerPerturbed(lam, 4.0)
+    rep = linking_search(sys32_zero, PowerPerturbed(lam, 4.0, growth=replace(base.growth, A=lambdas[0] - 1.0)), 1)
+    geo = rep.geometry
+    assert rep.status == "geometry_violation" and geo.alpha_tilde > 0.0 and geo.boundary_sup == np.inf
+    assert rep.message == (
+        f"linking geometry not certified at k=1: alpha_tilde={geo.alpha_tilde:.6g}, boundary_sup=inf"
+    )
+
+
+def test_slope_touching_lambda_k_is_reported_as_boundary_resonance(sys32_zero):
+    lam1 = float(solve_pencil(sys32_zero, 1).lambdas[0])
+    rep = linking_search(sys32_zero, PowerPerturbed(lam1 + 5e-8, 4.0), 1)
+    assert rep.geometry.certified
+    assert rep.message == (
+        "slope at zero touches eigenvalue k=1 (boundary resonance); "
+        "search proceeds but the level may be degenerate"
+    )
