@@ -172,7 +172,8 @@ def young_split_audit(sys: OperatorSystem) -> YoungSplitReport:
             )
         c2 = C * ((1.0 - s) * eps**exponent + s * eps)
         # the top eigenvalue of (S, c1 eps K + c2 M) is minus the lowest of (-S, ...)
-        pencils.append((c1 * eps, c2, -sys.sine.lowest(0.0, -1.0, 0.0, c1 * eps, c2)))
+        low = sys.sine.lowest(1, 0.0, -1.0, 0.0, c1 * eps, c2, vectors=False).values[0]
+        pencils.append((c1 * eps, c2, -float(low)))
     c2_star = pencils[1][1]
     gamma_split = abs(alpha) * c2_star
     return YoungSplitReport(

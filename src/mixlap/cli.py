@@ -98,7 +98,7 @@ def _write_critical_point(
 
 
 def _spectrum_single(cfg: RunConfig, sys: OperatorSystem, out_dir: Path) -> bool:
-    gamma = garding_constant(sys)  # before the eigenpairs: its workspaces are gone by then
+    gamma = garding_constant(sys)
     spec = solve_pencil(sys, cfg.m)
     V = spec.vectors
     gram_m = V.T @ sys.apply_M(V)
@@ -128,6 +128,7 @@ def _spectrum_single(cfg: RunConfig, sys: OperatorSystem, out_dir: Path) -> bool
         max_rayleigh_residual=float(rayleigh.max()),
         max_m_orth_residual=float(m_orth.max()),
         max_b_orth_residual=float(b_orth.max()),
+        solves=sys.solves,
     )
     return certified
 

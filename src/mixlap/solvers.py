@@ -498,7 +498,7 @@ def coercivity_gap(sys: OperatorSystem, theta_bar: float, k: int, split: tuple |
     eigenbasis, by one Cholesky of V^T K V and one symmetric eigensolve.
     ``split`` is the splitting at level k when the caller has computed it."""
     if k == 0:
-        return sys.sine.lowest(1.0, sys.alpha, -float(theta_bar), 1.0, 0.0)
+        return float(sys.sine.lowest(1, 1.0, sys.alpha, -float(theta_bar), 1.0, 0.0, vectors=False).values[0])
     lambdas, _, V = split if split is not None else _splitting(sys, k)
     Ar = np.diag(lambdas[k:] - float(theta_bar))
     L_inv = np.linalg.inv(np.linalg.cholesky(V.T @ sys.apply_K(V)))

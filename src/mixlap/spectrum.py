@@ -3,20 +3,20 @@
 On a uniform mesh K and M are tridiagonal Toeplitz and S is symmetric
 Toeplitz, so the orthonormal sine (DST-I) basis makes K and M diagonal in
 closed form and splits S into two half-size blocks; ``mixlap.assembly`` owns
-that basis (``OperatorSystem.sine``) and its solvers, ``SineBasis.eigh`` for
-all eigenpairs, ``SineBasis.top`` for the top one and ``SineBasis.lowest``
-for the lowest eigenvalue alone.  Each block is scaled by the inverse square
-root of the diagonal right-hand side, never factorized through the possibly
-indefinite energy form.  ``solve_pencil`` lifts to the nodes only the
-eigenvectors it reports (``SinePairs.vectors``) and checks their residuals
-with S applied by its circulant embedding (``OperatorSystem.apply_A``), so it
-builds no dense A; the audits below it still read the dense A.  The
-eigenvalue oracles in ``mixlap.oracles`` solve the unsplit nodal pencil, so
-they stay an independent check.  On top of the solver sit the certified
-quantities: the recursive variational characterization of each eigenvalue,
-the index of the first positive eigenvalue, the coercivity shift making the
-form dominate half the local energy, and the coupling threshold where the bottom
-eigenvalue crosses zero.
+that basis (``OperatorSystem.sine``) and its solvers, ``SineBasis.lowest``
+for the lowest pairs of a pencil (a certified block solver on large blocks,
+LAPACK on small ones) and ``SineBasis.top`` for the top one.  Each block is
+scaled by the inverse square root of the diagonal right-hand side, never
+factorized through the possibly indefinite energy form.  ``solve_pencil``
+lifts to the nodes only the eigenvectors it reports (``SinePairs.vectors``)
+and checks their residuals with S applied by its circulant embedding
+(``OperatorSystem.apply_A``), so it builds no dense A; the audits below it
+still read the dense A.  The eigenvalue oracles in ``mixlap.oracles`` solve
+the unsplit nodal pencil, so they stay an independent check.  On top of the
+solver sit the certified quantities: the recursive variational
+characterization of each eigenvalue, the index of the first positive
+eigenvalue, the coercivity shift making the form dominate half the local
+energy, and the coupling threshold where the bottom eigenvalue crosses zero.
 """
 
 from __future__ import annotations
@@ -90,23 +90,31 @@ class BoundCheckReport:
         return max(self.max_violation_upper, self.max_violation_lower)
 
 
+def _clusters(w: np.ndarray) -> np.ndarray:
+    """Start indices of the clusters of the ascending w, then w.size: a new
+    cluster starts at a step of ``CLUSTER_TOL`` times the largest |w| (at least 1)."""
+    scale = max(1.0, float(np.max(np.abs(w))))
+    return np.r_[0, np.flatnonzero(np.diff(w) >= CLUSTER_TOL * scale) + 1, w.size]
+
+
 def _representatives(
     sys: OperatorSystem, w: np.ndarray, vectors: Callable[[int], np.ndarray], m: int
 ) -> np.ndarray:
     """Deterministic representatives of the first m eigenvectors of (A, M).
 
     ``vectors(count)`` gives the eigenvectors of ``w[:count]`` as columns; it
-    is asked for every cluster that holds one of the first m, whole, so the
-    columns do not depend on m.  Inside each cluster the vectors are
-    re-orthonormalized symmetrically in the M inner product and replaced by
-    the Ritz vectors of (A, M) on their span, ordered by Ritz value, so each
-    column carries its own eigenvalue even when distinct eigenvalues share a
-    cluster.  Ritz values that agree to round-off (1e-13 of the largest
-    |lambda|) are ordered by the index of their vectors' dominant
-    coefficient.  Every column is sign-fixed so that coefficient is positive.
+    is asked for every cluster (``_clusters``) that holds one of the first
+    m, whole, so the columns do not depend on m.  Inside each cluster the
+    vectors are re-orthonormalized symmetrically in the M inner product and
+    replaced by the Ritz vectors of (A, M) on their span, ordered by Ritz
+    value, so each column carries its own eigenvalue even when distinct
+    eigenvalues share a cluster.  Ritz values that agree to round-off (1e-13
+    of the largest |lambda|) are ordered by the index of their vectors'
+    dominant coefficient.  Every column is sign-fixed so that coefficient is
+    positive.
     """
     scale = max(1.0, float(np.max(np.abs(w))))
-    bounds = np.r_[0, np.flatnonzero(np.diff(w) >= CLUSTER_TOL * scale) + 1, w.size]
+    bounds = _clusters(w)
     v = vectors(int(bounds[np.searchsorted(bounds, m)]))
     for start, end in zip(bounds[:-1], bounds[1:]):
         if start < m and end - start > 1:
@@ -126,17 +134,28 @@ def _representatives(
 def solve_pencil(sys: OperatorSystem, m: int) -> Spectrum:
     """m algebraically smallest eigenpairs of (K + alpha S, M).
 
-    Only the eigenvectors up to the end of the cluster holding the m-th are
-    lifted to the nodes.  Raises ``SpectrumError`` when an eigenpair residual
-    exceeds ``RESIDUAL_TOL`` relative to the matrix scale.
+    ``OperatorSystem.lowest`` solves for m + 1 pairs, and for twice as
+    many while the cluster holding the m-th reaches the last pair solved;
+    only the eigenvectors up to the end of that cluster are lifted to the
+    nodes.  The solve's counters go to ``sys.solves["pairs"]``.  Raises
+    ``SpectrumError`` when an eigenpair residual exceeds ``RESIDUAL_TOL``
+    relative to the matrix scale.
     """
     n = sys.ndof
     if not 1 <= m <= n:
         raise ValueError(f"need 1 <= m <= ndof={n}, got m={m}")
-    try:
-        pairs = sys.eigenpairs
-    except np.linalg.LinAlgError as exc:
-        raise SpectrumError("eigensolver failed") from exc
+    count = min(n, m + 1)
+    while True:
+        try:
+            pairs = sys.lowest(count)
+        except np.linalg.LinAlgError as exc:
+            raise SpectrumError("eigensolver failed") from exc
+        solved = pairs.values.size
+        bounds = _clusters(pairs.values)
+        if solved == n or bounds[np.searchsorted(bounds, m)] < solved:
+            break
+        count = min(n, 2 * count)
+    sys.solves["pairs"] = pairs.counters
     v = _representatives(sys, pairs.values, pairs.vectors, m)
     w = pairs.values[:m].copy()
 
@@ -247,17 +266,19 @@ def _violation(
 def garding_constant(sys: OperatorSystem) -> float:
     """Smallest gamma >= 0 with B(u,u) + gamma |u|_M^2 >= 0.5 |u|_K^2 for all
     discrete u.  K + alpha S - K/2 is half of K + 2 alpha S, so
-    gamma = max(0, -lambda_1(2 alpha) / 2)."""
+    gamma = max(0, -lambda_1(2 alpha) / 2).  The solve's counters go to
+    ``sys.solves["gamma"]``."""
     try:
-        lam = _lambda1(sys, 2.0 * sys.alpha)
+        pairs = sys.sine.lowest(1, 1.0, 2.0 * sys.alpha, 0.0, 0.0, 1.0, vectors=False)
     except np.linalg.LinAlgError as exc:
         raise SpectrumError("eigensolver failed while computing the coercivity shift") from exc
-    return max(0.0, -0.5 * lam)
+    sys.solves["gamma"] = pairs.counters
+    return max(0.0, -0.5 * float(pairs.values[0]))
 
 
 def _lambda1(sys: OperatorSystem, alpha: float) -> float:
     """Lowest eigenvalue of (K + alpha S, M), whatever ``sys.alpha`` is."""
-    return sys.sine.lowest(1.0, alpha, 0.0, 0.0, 1.0)
+    return float(sys.sine.lowest(1, 1.0, alpha, 0.0, 0.0, 1.0, vectors=False).values[0])
 
 
 def alpha_threshold(

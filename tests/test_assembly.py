@@ -399,14 +399,14 @@ def _sine_solves(sys):
     """Every solve the sine basis runs on its two halves, at the system's coupling."""
     sine = assembly.SineBasis(sys.k_col, sys.s_col, sys.m_col)
     X = np.random.default_rng(0).standard_normal((sys.ndof, sys.ndof))
-    pairs = sine.eigh(sys.alpha)
+    pairs = sine.lowest(sys.ndof, 1.0, sys.alpha, 0.0, 0.0, 1.0)
     return [
         *sine.blocks,
         pairs.values,
         *pairs.halves,
         pairs.vectors(sys.ndof),
         *sine.top(1.0, 0.0),
-        sine.lowest(1.0, 2.0 * sys.alpha, 0.0, 0.0, 1.0),
+        sine.lowest(1, 1.0, 2.0 * sys.alpha, 0.0, 0.0, 1.0, vectors=False).values,
         assembly._dst(X),
     ]
 
@@ -417,7 +417,7 @@ def test_threaded_halves_match_the_serial_ones_bit_for_bit(monkeypatch):
     threaded = []
     monkeypatch.setattr(assembly, "_threads_allowed", lambda: threaded.append(1) or True)
     two_threads = _sine_solves(sys)
-    # the two passes of Q S Q, eigh and its lift, top, lowest, the row DST
+    # the two passes of Q S Q, every pair and its lift, top, the lowest value, the row DST
     assert len(threaded) == 7
     monkeypatch.setattr(assembly, "_threads_allowed", lambda: False)
     one_thread = _sine_solves(sys)
@@ -432,7 +432,7 @@ def test_lowest_matches_the_dense_pencil(ndof):
     for x, y, z, p, q in ((1.0, -1.0, 0.0, 0.0, 1.0), (1.0, -1.0, -30.0, 1.0, 0.0), (0.0, -1.0, 2.0, 1e-3, 1.001)):
         left, right = x * sys.K + y * sys.S + z * sys.M, p * sys.K + q * sys.M
         want = linalg.eigh(left, right, eigvals_only=True)
-        got = sys.sine.lowest(x, y, z, p, q)
+        got = sys.sine.lowest(1, x, y, z, p, q, vectors=False).values[0]
         assert abs(got - want[0]) <= 1e-12 * max(1.0, np.max(np.abs(want)))
 
 
@@ -488,9 +488,9 @@ def test_an_error_in_the_second_half_reaches_the_caller(monkeypatch):
     monkeypatch.setattr(assembly, "_threads_allowed", lambda: True)
     monkeypatch.setattr(assembly.SineBasis, "reduced", failing)
     for solve in (
-        lambda: sys.sine.eigh(-1.0),
+        lambda: sys.sine.lowest(sys.ndof, 1.0, -1.0, 0.0, 0.0, 1.0),
         lambda: sys.sine.top(1.0, 0.0),
-        lambda: sys.sine.lowest(1.0, -1.0, 0.0, 0.0, 1.0),
+        lambda: sys.sine.lowest(1, 1.0, -1.0, 0.0, 0.0, 1.0, vectors=False),
     ):
         with pytest.raises(np.linalg.LinAlgError, match="not positive definite"):
             solve()
@@ -516,3 +516,96 @@ def test_threads_need_two_cores_and_one_blas_thread(monkeypatch, env, allowed):
     assert assembly._threads_allowed() is allowed
     monkeypatch.setattr(assembly.os, "sched_getaffinity", lambda pid: {0}, raising=False)
     assert not assembly._threads_allowed()
+
+
+ALPHAS = (-10.0, -1.0, 0.0, 1.0)
+
+
+def _caller_pencils(s, alpha):
+    """(x, y, z, p, q) of the four pencils callers pass to ``SineBasis.lowest``:
+    (K + alpha S, M); gamma's (K + 2 alpha S, M); the coercivity gap's
+    (K + alpha S - theta_bar M, K) at theta_bar = 30; and the Young split's
+    (-S, c1 eps K + c2 M) at its eps = 1 / (2 c1 |alpha|), |alpha| at least 1."""
+    from mixlap.analysis import _interp_limit
+
+    c = _interp_limit(s)
+    eps = 1.0 / (2.0 * c * s * max(abs(alpha), 1.0))
+    c2 = c * ((1.0 - s) * eps ** (-s / (1.0 - s)) + s * eps)
+    return [
+        (1.0, alpha, 0.0, 0.0, 1.0),
+        (1.0, 2.0 * alpha, 0.0, 0.0, 1.0),
+        (1.0, alpha, -30.0, 1.0, 0.0),
+        (0.0, -1.0, 0.0, c * s * eps, c2),
+    ]
+
+
+# Above n_elem = 256: two couplings per order and one pencil (an index into
+# ``_caller_pencils``) per coupling, so that each size sees every coupling
+# and every pencil, and the stall case: the coercivity gap at s = 0.9 and
+# alpha = -10, whose block has a diagonal near 1 and large off-diagonal terms.
+LARGE_CASES = {0.1: ((-10.0, 0), (0.0, 1)), 0.5: ((-1.0, 3), (1.0, 0)), 0.9: ((-10.0, 2), (0.0, 3))}
+
+
+@pytest.mark.parametrize("s", [0.1, 0.5, 0.9])
+@pytest.mark.parametrize("n_elem", [256, 1024, 2048])
+def test_block_route_encloses_the_dense_eigenvalues(n_elem, s):
+    sine = build_system(build_mesh(0.0, 1.0, n_elem), s, 0.0).sine
+    if n_elem == 256:
+        cases = [(alpha, i) for alpha in ALPHAS for i in range(4)]
+    else:
+        cases = LARGE_CASES[s]
+    for alpha, i in cases:
+        pencil = _caller_pencils(s, alpha)[i]
+        for b in (0, 1):
+            C = sine.reduced(b, *pencil)[0]
+            want = np.linalg.eigh(C)[0]
+            slack = 64 * np.finfo(float).eps * np.linalg.norm(C)
+            for count in (1, 2, 12):
+                found = assembly._block_lowest(C.copy(), count)
+                assert found is not None, (alpha, i, b, count)
+                theta, X, rho, _ = found
+                assert np.all(want[:count] >= theta - rho - slack), (alpha, i, b, count)
+                assert np.all(want[:count] <= theta + slack), (alpha, i, b, count)
+                assert np.abs(X.T @ X - np.eye(count)).max() <= 1e-13
+
+
+@pytest.mark.parametrize("failure", ["certificate", "iteration cap"])
+def test_a_failed_block_solve_falls_back_to_the_dense_one(monkeypatch, failure):
+    sys = build_system(build_mesh(0.0, 1.0, 1024), 0.5, -1.0)
+    blocks = [sys.sine.reduced(b, 1.0, -1.0, 0.0, 0.0, 1.0)[0] for b in (0, 1)]
+    if failure == "certificate":
+        # Ritz pairs that skip each block's lowest eigenpair: only the
+        # Cholesky of the certificate can tell
+        lobpcg = assembly._lobpcg
+
+        def without_the_lowest(C, count):
+            theta, X, CX, iterations = lobpcg(C, count + 1)
+            return theta[1:], X[:, 1:], CX[:, 1:], iterations
+
+        monkeypatch.setattr(assembly, "_lobpcg", without_the_lowest)
+    else:
+        monkeypatch.setattr(assembly, "_MAX_ITERATIONS", 1)
+    for C in blocks:
+        assert assembly._block_lowest(C.copy(), 12) is None
+    pairs = sys.sine.lowest(12, 1.0, -1.0, 0.0, 0.0, 1.0)
+    assert pairs.counters == {"route": "block", "iterations": [0, 0], "fallbacks": 2}
+    dense = sys.eigenpairs
+    assert np.array_equal(pairs.values, dense.values[:12])
+    assert np.array_equal(pairs.vectors(12), dense.vectors(12))
+    values = sys.sine.lowest(1, 1.0, -1.0, 0.0, 0.0, 1.0, vectors=False)
+    assert values.counters["fallbacks"] == 2
+    assert values.values[0] == min(np.linalg.eigvalsh(C)[0] for C in blocks)
+
+
+def test_the_route_follows_the_block_size_and_the_share_asked_for():
+    # ndof = 511 has blocks of 256 and 255 rows: both take the larger's route
+    assert assembly.BLOCK_ROUTE_ROWS == 256
+    cases = ((510, 1, "dense"), (512, 1, "block"), (512, 28, "block"), (512, 29, "dense"), (2048, 13, "block"))
+    for n_elem, count, route in cases:
+        sys = build_system(build_mesh(0.0, 1.0, n_elem), 0.5, -1.0)
+        pairs = sys.sine.lowest(count, 1.0, -1.0, 0.0, 0.0, 1.0)
+        assert pairs.counters["route"] == route and pairs.counters["fallbacks"] == 0
+        assert (min(pairs.counters["iterations"]) > 0) == (route == "block")
+        assert pairs.values.size == count
+        unsplit = np.sort(np.concatenate([np.linalg.eigvalsh(sys.sine.reduced(b, 1.0, -1.0, 0.0, 0.0, 1.0)[0]) for b in (0, 1)]))
+        assert np.abs(pairs.values - unsplit[:count]).max() <= 1e-11 * np.abs(unsplit).max()

@@ -807,3 +807,54 @@ def test_a_negative_seed_is_a_config_error(tmp_path, capsys, pipeline, extra, fl
     assert main([pipeline, "--config", str(cfg), "--out", str(out), *flags]) == 2
     assert "seed must be >= 0" in capsys.readouterr().err
     assert [path.name for path in tmp_path.iterdir()] == ["c.ini"]
+
+
+def test_large_spectrum_and_threshold_run_no_full_block_solve(tmp_path, monkeypatch):
+    # at n_elem = 2048 every lowest pair, gamma and every lambda_1 come from
+    # the certified block route; SineBasis.top (alpha* and C_embed) still
+    # solves its blocks whole, so its calls are let through
+    from mixlap import assembly
+
+    inside_top = []
+    top = assembly.SineBasis.top
+
+    def counted_top(self, *args):
+        inside_top.append(True)
+        try:
+            return top(self, *args)
+        finally:
+            inside_top.pop()
+
+    def guarded(solve):
+        def guard(a, *args, **kwargs):
+            if np.shape(a)[-1] >= 128 and not inside_top:
+                raise AssertionError(f"a full solve of a {np.shape(a)} block")
+            return solve(a, *args, **kwargs)
+
+        return guard
+
+    monkeypatch.setattr(assembly.SineBasis, "top", counted_top)
+    monkeypatch.setattr(assembly.np.linalg, "eigh", guarded(np.linalg.eigh))
+    monkeypatch.setattr(assembly.np.linalg, "eigvalsh", guarded(np.linalg.eigvalsh))
+    cfgfile = write_cfg(tmp_path / "c.ini", "[domain]\nn_elem = 2048\n[operator]\nalpha = -1\n")
+    outs = [tmp_path / "first", tmp_path / "second"]
+    for out in outs:
+        assert main(["spectrum", "--config", str(cfgfile), "--out", str(out)]) == 0
+    report = json.loads((outs[0] / "report.json").read_text())
+    assert report["certified"]
+    for solve in ("gamma", "pairs"):
+        counters = report["solves"][solve]
+        assert counters["route"] == "block" and counters["fallbacks"] == 0
+        assert len(counters["iterations"]) == 2 and min(counters["iterations"]) > 0
+    for name in ("report.json", "spectrum.csv"):
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+    thr = write_cfg(tmp_path / "thr.ini", "[domain]\nn_elem = 2048\n[solver]\nbracket_lo = -10\nbracket_hi = 0\n")
+    assert main(["threshold", "--config", str(thr), "--out", str(tmp_path / "thr")]) == 0
+    assert json.loads((tmp_path / "thr" / "threshold.json").read_text())["certified"]
+
+
+def test_small_spectrum_reports_the_dense_route(tmp_path):
+    cfgfile = write_cfg(tmp_path / "c.ini", MINIMAL)
+    assert main(["spectrum", "--config", str(cfgfile), "--out", str(tmp_path / "out")]) == 0
+    solves = json.loads((tmp_path / "out" / "report.json").read_text())["solves"]
+    assert solves == {s: {"route": "dense", "iterations": [0, 0], "fallbacks": 0} for s in ("gamma", "pairs")}
