@@ -73,12 +73,14 @@ def embedding_constant(sys: OperatorSystem) -> ConstantEstimate:
     """Sharp discrete constant of [u]_s^2 <= C |u|_X^2: the top eigenvalue of
     (S, K), nondecreasing under refinement (nested subspaces).  The value is
     the nodal Rayleigh quotient at the sine-basis eigenvector, which is more
-    accurate than that eigenvalue; the residual is their difference."""
-    eigenvalue, vec = sys.sine.top(1.0, 0.0)
+    accurate than that eigenvalue, with |u|_X^2 summed as squared differences
+    (the K stencil cancels); the residual is their difference."""
+    pairs = sys.sine.lowest(1, 0.0, -1.0, 0.0, 1.0, 0.0)  # the top pair of (S, K), negated
+    eigenvalue, vec = -float(pairs.values[0]), pairs.vectors(1)[:, 0]
     lead = int(np.argmax(np.abs(vec)))
     if vec[lead] < 0:
         vec = -vec
-    value = float(vec @ sys.S @ vec) / float(vec @ sys.apply_K(vec))
+    value = float(vec @ sys.S @ vec) / (float(np.sum(np.diff(np.r_[0.0, vec, 0.0]) ** 2)) / sys.mesh.h)
     return ConstantEstimate(
         value=value,
         maximizer=FeField(vec, sys.mesh),
@@ -103,15 +105,15 @@ def interpolation_constant(sys: OperatorSystem) -> ConstantEstimate:
     s = sys.s
     finals = []
     for theta in np.logspace(-6.0, 6.0, 13):
-        c = sys.sine.top(theta, 1.0 + theta)[1]
-        old = math.inf
-        for _ in range(60):
+        p, q, old = theta, 1.0 + theta, math.inf
+        for _ in range(61):  # the top eigenvector of (S, p K + q M) is the lowest of (-S, p K + q M)
+            c = sys.sine.lowest(1, 0.0, -1.0, 0.0, p, q).vectors(1)[:, 0]
             qs, qk, qm = float(c @ sys.S @ c), float(c @ sys.apply_K(c)), float(c @ sys.apply_M(c))
             val = qs / (qm ** (1.0 - s) * (qk + qm) ** s)
             if abs(val - old) < 1e-14 * max(1.0, old):
                 break
-            old, a, b = val, (1.0 - s) * qs / qm, s * qs / (qk + qm)
-            c = sys.sine.top(b, a + b)[1]
+            old, a, p = val, (1.0 - s) * qs / qm, s * qs / (qk + qm)
+            q = a + p
         finals.append(c)
 
     best_c = max(finals, key=lambda c: _interp_ratio(sys, c))

@@ -226,7 +226,9 @@ class SineBasis:
 
     def reduced(self, b: int, x: float, y: float, z: float, p: float, q: float) -> tuple[np.ndarray, np.ndarray]:
         """Block b of the pencil (x K + y S + z M, p K + q M) as the standard
-        symmetric matrix r (x D_K + y T_b + z D_M) r, r = (p D_K + q D_M)^(-1/2), and r."""
+        symmetric matrix r (x D_K + y T_b + z D_M) r, r = (p D_K + q D_M)^(-1/2), and r.
+        The DST passes and the scaling leave the triangles apart at round-off:
+        the lower one, which LAPACK reads, is mirrored, so every route solves one matrix."""
         d = p * self.k[b::2] + q * self.m[b::2]
         if not np.all(d > 0.0):
             raise np.linalg.LinAlgError("p K + q M is not positive definite")
@@ -234,7 +236,12 @@ class SineBasis:
         C = self.blocks[b] * y
         C *= r
         C *= r[:, None]
-        C[np.diag_indices_from(C)] += (x * self.k[b::2] + z * self.m[b::2]) * r**2
+        n = C.shape[0]
+        for i in range(0, n, 64):  # in panels: no n x n temporary
+            e = min(n, i + 64)
+            np.copyto(C[i:e, i:e], C[i:e, i:e].T, where=~np.tri(e - i, dtype=bool))
+            C[i:e, e:] = C[e:, i:e].T
+        C.flat[:: n + 1] += (x * self.k[b::2] + z * self.m[b::2]) * r**2
         return C, r
 
     def lowest(
@@ -248,69 +255,61 @@ class SineBasis:
         few pairs goes to ``_block_lowest``, whose certificate falls back to
         the dense solve when it fails; every other block is solved by
         LAPACK, ``np.linalg.eigvalsh`` when ``vectors`` is false and
-        ``np.linalg.eigh`` otherwise.  Eigenvectors stay in the block's sine
-        coordinates until ``SinePairs.vectors`` lifts some of them to the nodes.
+        ``np.linalg.eigh`` otherwise, save that one pair with its vector
+        takes ``eigvalsh`` there and, on either route, its vector from
+        ``_lowest_vector`` on the block that holds it.  The top pair of
+        (S, p K + q M) is minus the lowest of (-S, p K + q M).  Eigenvectors
+        stay in sine coordinates until ``SinePairs.vectors`` lifts them.
         """
         block = _block_route(self.blocks[0].shape[0], count)
+        one = vectors and count == 1
 
-        def solve(b):  # eigenvalues, sine-coordinate eigenvectors, iterations, fell back
+        def solve(b):  # eigenvalues, sine-basis vectors or inverse iteration's inputs, iterations, fell back
             C, r = self.reduced(b, x, y, z, p, q)
             k = min(count, C.shape[0])
             if block:
-                found = _block_lowest(C, k)  # overwrites C
+                found = _block_lowest(C.copy() if one else C, k)  # overwrites its argument
                 if found is not None:
                     w, Z, _, iterations = found
-                    return w, Z * r[:, None], iterations, False
-                del C  # overwritten by the failed certificate: made again after it goes
+                    # LOBPCG's residual target is relative to |C|_F, inverse iteration's to |C|_2
+                    Z = (C, w[0], float(np.linalg.norm(C)), Z[:, 0], r) if one else Z * r[:, None]
+                    return w, Z, iterations, False
+                del C  # the failed certificate overwrote it (or its copy): made again after it goes
                 C = self.reduced(b, x, y, z, p, q)[0]
             if not vectors:
                 return np.linalg.eigvalsh(C)[:k], None, 0, block
+            if one:
+                w = np.linalg.eigvalsh(C)
+                return w[:1], (C, w[0], max(-w[0], w[-1]), r), 0, block
             w, Z = np.linalg.eigh(C)
             if k < w.size:
                 w, Z = w[:k], Z[:, :k].copy()  # the copy lets the full Z go
             Z *= r[:, None]
             return w, Z, 0, block
 
-        return SinePairs(_halves(solve, self.k.size), count, "block" if block else "dense")
-
-    def top(self, p: float, q: float) -> tuple[float, np.ndarray]:
-        """Top eigenvalue of the pencil (S, p K + q M), p K + q M positive
-        definite, and its eigenvector at the nodes, of unit p K + q M norm.
-
-        ``np.linalg.eigvalsh`` gives each block's eigenvalues; the block with
-        the larger top one wins, the first on a tie.  Its eigenvector comes
-        from inverse iteration (``_top_vector``) and returns to the nodes by
-        one DST-I.
-        """
-
-        def solve(b):
-            C, r = self.reduced(b, 0.0, 1.0, 0.0, p, q)
-            return np.linalg.eigvalsh(C), C, r
-
-        parts = _halves(solve, self.k.size)
-        b = int(np.argmax([w[-1] for w, _, _ in parts]))
-        w, C, r = parts[b]
-        u = np.zeros(self.k.size)
-        u[b::2] = r * _top_vector(C, w)
-        return float(w[-1]), _dst(u)
+        pairs = SinePairs(_halves(solve, self.k.size), count, "block" if block else "dense")
+        if one:  # inverse iteration on the block that holds the pair alone
+            held = int(pairs.order[0] >= pairs.first)
+            pairs.halves = tuple(
+                (r * _lowest_vector(*job))[:, None] if b == held else np.zeros((r.size, 0))
+                for b, (*job, r) in enumerate(pairs.halves)
+            )
+        return pairs
 
 
-def _top_vector(C: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Unit eigenvector of the symmetric C for its top eigenvalue w[-1]
-    (w: all of C's eigenvalues, ascending).
-
-    At most two steps of inverse iteration at the shift w[-1], from the
-    coordinate vector of largest Rayleigh quotient (C's largest diagonal
-    entry); the first step whose residual at its own Rayleigh quotient is at
-    round-off, within 64 eps |C|, gives the vector.  Otherwise, or when the
-    shift hits an exact zero pivot (a 1 x 1 block), ``np.linalg.eigh`` of C
-    gives it.
-    """
-    tol = 64.0 * np.finfo(float).eps * max(abs(w[0]), abs(w[-1]))
+def _lowest_vector(C: np.ndarray, shift: float, scale: float, z: np.ndarray | None = None) -> np.ndarray:
+    """Unit eigenvector of the symmetric C for its lowest eigenvalue, which
+    ``shift`` approximates, by at most two steps of inverse iteration from z
+    (by default the coordinate vector of C's smallest diagonal entry): the
+    first whose residual at its own Rayleigh quotient is within 64 eps
+    ``scale``, a bound on |C|_2, gives it.  Otherwise, or when the shift hits
+    an exact zero pivot (a 1 x 1 block), ``np.linalg.eigh`` of C gives it."""
+    tol = 64.0 * np.finfo(float).eps * scale
     shifted = C.copy()
-    shifted[np.diag_indices_from(shifted)] -= w[-1]
-    z = np.zeros(w.size)
-    z[np.argmax(np.diag(C))] = 1.0
+    shifted.flat[:: C.shape[0] + 1] -= shift
+    if z is None:
+        z = np.zeros(C.shape[0])
+        z[np.argmin(np.diag(C))] = 1.0
     for _ in range(2):
         try:
             z = np.linalg.solve(shifted, z)
@@ -320,7 +319,7 @@ def _top_vector(C: np.ndarray, w: np.ndarray) -> np.ndarray:
         Cz = C @ z
         if np.linalg.norm(Cz - (z @ Cz) * z) <= tol:
             return z
-    return np.linalg.eigh(C)[1][:, -1]
+    return np.linalg.eigh(C)[1][:, 0]
 
 
 # The block route (``_block_lowest``) takes a pencil whose blocks have at least
@@ -355,10 +354,6 @@ def _block_lowest(C: np.ndarray, count: int) -> tuple | None:
     lies in [theta_i - rho, theta_i].  Returns (theta, X, rho, iterations).
     """
     n = C.shape[0]
-    for i in range(0, n, 256):  # C := the symmetric matrix of its lower triangle, as LAPACK reads it
-        e = min(n, i + 256)
-        C[i:e, i:e] = np.tril(C[i:e, i:e]) + np.tril(C[i:e, i:e], -1).T
-        C[i:e, e:] = C[e:, i:e].T
     found = _lobpcg(C, count)
     if found is None:
         return None
@@ -477,7 +472,8 @@ class SinePairs:
 
     ``values`` holds the lowest ``count`` eigenvalues, ascending (a stable
     merge of the two blocks); ``halves[b]`` holds block b's eigenvectors, as
-    columns in its sine coordinates (None when none were asked for).  Only
+    columns in its sine coordinates (None when none were asked for, no
+    column when one pair was and the other block holds it).  Only
     ``vectors`` takes eigenvectors to the nodes, as many as its caller
     reads.  ``counters`` records the solve: the route, each block's LOBPCG
     iterations and how many blocks fell back to the dense solve.

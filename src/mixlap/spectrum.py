@@ -3,11 +3,12 @@
 On a uniform mesh K and M are tridiagonal Toeplitz and S is symmetric
 Toeplitz, so the orthonormal sine (DST-I) basis makes K and M diagonal in
 closed form and splits S into two half-size blocks; ``mixlap.assembly`` owns
-that basis (``OperatorSystem.sine``) and its solvers, ``SineBasis.lowest``
+that basis (``OperatorSystem.sine``) and its one solver, ``SineBasis.lowest``,
 for the lowest pairs of a pencil (a certified block solver on large blocks,
-LAPACK on small ones) and ``SineBasis.top`` for the top one.  Each block is
-scaled by the inverse square root of the diagonal right-hand side, never
-factorized through the possibly indefinite energy form.  ``solve_pencil``
+LAPACK on small ones); the top pair of (S, K) behind the threshold is minus
+the lowest pair of (-S, K).  Each block is scaled by the inverse square root
+of the diagonal right-hand side, never factorized through the possibly
+indefinite energy form.  ``solve_pencil``
 lifts to the nodes only the eigenvectors it reports (``SinePairs.vectors``)
 and checks their residuals with S applied by its circulant embedding
 (``OperatorSystem.apply_A``), so it builds no dense A; the audits below it

@@ -400,12 +400,14 @@ def _sine_solves(sys):
     sine = assembly.SineBasis(sys.k_col, sys.s_col, sys.m_col)
     X = np.random.default_rng(0).standard_normal((sys.ndof, sys.ndof))
     pairs = sine.lowest(sys.ndof, 1.0, sys.alpha, 0.0, 0.0, 1.0)
+    top = sine.lowest(1, 0.0, -1.0, 0.0, 1.0, 0.0)
     return [
         *sine.blocks,
         pairs.values,
         *pairs.halves,
         pairs.vectors(sys.ndof),
-        *sine.top(1.0, 0.0),
+        top.values,
+        top.vectors(1),
         sine.lowest(1, 1.0, 2.0 * sys.alpha, 0.0, 0.0, 1.0, vectors=False).values,
         assembly._dst(X),
     ]
@@ -417,7 +419,7 @@ def test_threaded_halves_match_the_serial_ones_bit_for_bit(monkeypatch):
     threaded = []
     monkeypatch.setattr(assembly, "_threads_allowed", lambda: threaded.append(1) or True)
     two_threads = _sine_solves(sys)
-    # the two passes of Q S Q, every pair and its lift, top, the lowest value, the row DST
+    # the two passes of Q S Q, every pair and its lift, the top pair, the lowest value, the row DST
     assert len(threaded) == 7
     monkeypatch.setattr(assembly, "_threads_allowed", lambda: False)
     one_thread = _sine_solves(sys)
@@ -438,11 +440,17 @@ def test_lowest_matches_the_dense_pencil(ndof):
 
 @pytest.mark.parametrize("ndof", [1, 2, 7, 127, 1023])
 def test_top_matches_the_full_eigensolve_of_the_blocks(ndof):
-    # at ndof = 1023 on two threads too: test_threaded_halves_match_the_serial_ones_bit_for_bit
+    # the top pair of (S, p K + q M) is the lowest of (-S, p K + q M), negated:
+    # one pair with its vector, by inverse iteration on the dense route (1 x 1
+    # blocks through its zero pivot) and by the block route at ndof = 1023,
+    # there on two threads too (test_threaded_halves_match_the_serial_ones_bit_for_bit)
     sys = build_system(build_mesh(0.0, 1.0, ndof + 1), 0.5, -1.0)
     for p, q in ((1.0, 0.0), (0.0, 1.0), (1e-3, 1.001)):
         tops = [np.linalg.eigh(sys.sine.reduced(b, 0.0, 1.0, 0.0, p, q)[0])[0][-1] for b in range(min(ndof, 2))]
-        mu, u = sys.sine.top(p, q)
+        pairs = sys.sine.lowest(1, 0.0, -1.0, 0.0, p, q)
+        assert pairs.counters["route"] == ("block" if ndof == 1023 else "dense")
+        assert pairs.counters["fallbacks"] == 0
+        mu, u = -pairs.values[0], pairs.vectors(1)[:, 0]
         assert abs(mu - max(tops)) <= 1e-13 * abs(max(tops))
         # in the winning block's standard problem: a unit vector (of unit
         # p K + q M norm at the nodes) whose Rayleigh quotient is mu, with
@@ -489,7 +497,7 @@ def test_an_error_in_the_second_half_reaches_the_caller(monkeypatch):
     monkeypatch.setattr(assembly.SineBasis, "reduced", failing)
     for solve in (
         lambda: sys.sine.lowest(sys.ndof, 1.0, -1.0, 0.0, 0.0, 1.0),
-        lambda: sys.sine.top(1.0, 0.0),
+        lambda: sys.sine.lowest(1, 0.0, -1.0, 0.0, 1.0, 0.0),
         lambda: sys.sine.lowest(1, 1.0, -1.0, 0.0, 0.0, 1.0, vectors=False),
     ):
         with pytest.raises(np.linalg.LinAlgError, match="not positive definite"):
@@ -544,6 +552,9 @@ def _caller_pencils(s, alpha):
 # and every pencil, and the stall case: the coercivity gap at s = 0.9 and
 # alpha = -10, whose block has a diagonal near 1 and large off-diagonal terms.
 LARGE_CASES = {0.1: ((-10.0, 0), (0.0, 1)), 0.5: ((-1.0, 3), (1.0, 0)), 0.9: ((-10.0, 2), (0.0, 3))}
+# The top pairs as the embedding constant and the interpolation sweep ask for
+# them: (-S, K) and the sweep's starts (-S, theta K + (1 + theta) M).
+TOP_FAMILY = [(0.0, -1.0, 0.0, 1.0, 0.0)] + [(0.0, -1.0, 0.0, th, 1.0 + th) for th in (1e-6, 1.0, 1e6)]
 
 
 @pytest.mark.parametrize("s", [0.1, 0.5, 0.9])
@@ -551,22 +562,33 @@ LARGE_CASES = {0.1: ((-10.0, 0), (0.0, 1)), 0.5: ((-1.0, 3), (1.0, 0)), 0.9: ((-
 def test_block_route_encloses_the_dense_eigenvalues(n_elem, s):
     sine = build_system(build_mesh(0.0, 1.0, n_elem), s, 0.0).sine
     if n_elem == 256:
-        cases = [(alpha, i) for alpha in ALPHAS for i in range(4)]
+        pencils = [_caller_pencils(s, alpha)[i] for alpha in ALPHAS for i in range(4)]
     else:
-        cases = LARGE_CASES[s]
-    for alpha, i in cases:
-        pencil = _caller_pencils(s, alpha)[i]
+        pencils = [_caller_pencils(s, alpha)[i] for alpha, i in LARGE_CASES[s]]
+    if n_elem == 1024:
+        pencils += TOP_FAMILY
+    for pencil in pencils:
         for b in (0, 1):
             C = sine.reduced(b, *pencil)[0]
             want = np.linalg.eigh(C)[0]
             slack = 64 * np.finfo(float).eps * np.linalg.norm(C)
             for count in (1, 2, 12):
                 found = assembly._block_lowest(C.copy(), count)
-                assert found is not None, (alpha, i, b, count)
+                assert found is not None, (pencil, b, count)
                 theta, X, rho, _ = found
-                assert np.all(want[:count] >= theta - rho - slack), (alpha, i, b, count)
-                assert np.all(want[:count] <= theta + slack), (alpha, i, b, count)
+                assert np.all(want[:count] >= theta - rho - slack), (pencil, b, count)
+                assert np.all(want[:count] <= theta + slack), (pencil, b, count)
                 assert np.abs(X.T @ X - np.eye(count)).max() <= 1e-13
+
+
+@pytest.mark.parametrize("n_elem", [128, 1024])
+def test_reduced_blocks_are_exactly_symmetric(n_elem):
+    # every route solves the matrix of the block's lower triangle, the one LAPACK reads
+    sine = build_system(build_mesh(0.0, 1.0, n_elem), 0.5, 0.0).sine
+    for pencil in _caller_pencils(0.5, -1.0):
+        for b in (0, 1):
+            C = sine.reduced(b, *pencil)[0]
+            assert np.array_equal(C, C.T), (pencil, b)
 
 
 @pytest.mark.parametrize("failure", ["certificate", "iteration cap"])
@@ -609,3 +631,21 @@ def test_the_route_follows_the_block_size_and_the_share_asked_for():
         assert pairs.values.size == count
         unsplit = np.sort(np.concatenate([np.linalg.eigvalsh(sys.sine.reduced(b, 1.0, -1.0, 0.0, 0.0, 1.0)[0]) for b in (0, 1)]))
         assert np.abs(pairs.values - unsplit[:count]).max() <= 1e-11 * np.abs(unsplit).max()
+
+
+@pytest.mark.parametrize("n_elem", [64, 1024])
+def test_the_gagliardo_form_reaches_both_limits_in_s_at_first_order(n_elem):
+    # u = sin(pi x): s [u]^2 -> 2 |u|^2 as s -> 0 (Maz'ya & Shaposhnikova,
+    # J. Funct. Anal. 195, 2002) and (1-s) [u]^2 -> |u'|^2 as s -> 1
+    # (Bourgain, Brezis & Mironescu, 2001), each with an O(s), O(1-s) gap
+    # whose scaled size reads 4.24-4.30 and 1.44-1.47 at both sizes
+    mesh = build_mesh(0.0, 1.0, n_elem)
+    u = np.sin(np.pi * mesh.nodes)
+    for s in (1e-3, 1e-2):
+        sys = build_system(mesh, s, 0.0)
+        gap = (s * (u @ sys.apply_S(u)) / (u @ sys.apply_M(u)) - 2.0) / s
+        assert 4.0 <= gap <= 4.5, (s, gap)
+    for s in (0.99, 0.999):
+        sys = build_system(mesh, s, 0.0)
+        gap = (1.0 - (1.0 - s) * (u @ sys.apply_S(u)) / (u @ sys.apply_K(u))) / (1.0 - s)
+        assert 1.3 <= gap <= 1.6, (s, gap)

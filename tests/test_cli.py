@@ -810,30 +810,18 @@ def test_a_negative_seed_is_a_config_error(tmp_path, capsys, pipeline, extra, fl
 
 
 def test_large_spectrum_and_threshold_run_no_full_block_solve(tmp_path, monkeypatch):
-    # at n_elem = 2048 every lowest pair, gamma and every lambda_1 come from
-    # the certified block route; SineBasis.top (alpha* and C_embed) still
-    # solves its blocks whole, so its calls are let through
+    # at n_elem = 2048 every lowest pair, gamma, every lambda_1 and the top
+    # pair of (S, K) behind alpha* come from the certified block route
     from mixlap import assembly
-
-    inside_top = []
-    top = assembly.SineBasis.top
-
-    def counted_top(self, *args):
-        inside_top.append(True)
-        try:
-            return top(self, *args)
-        finally:
-            inside_top.pop()
 
     def guarded(solve):
         def guard(a, *args, **kwargs):
-            if np.shape(a)[-1] >= 128 and not inside_top:
+            if np.shape(a)[-1] >= 128:
                 raise AssertionError(f"a full solve of a {np.shape(a)} block")
             return solve(a, *args, **kwargs)
 
         return guard
 
-    monkeypatch.setattr(assembly.SineBasis, "top", counted_top)
     monkeypatch.setattr(assembly.np.linalg, "eigh", guarded(np.linalg.eigh))
     monkeypatch.setattr(assembly.np.linalg, "eigvalsh", guarded(np.linalg.eigvalsh))
     cfgfile = write_cfg(tmp_path / "c.ini", "[domain]\nn_elem = 2048\n[operator]\nalpha = -1\n")

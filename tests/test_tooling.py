@@ -36,3 +36,29 @@ def test_every_traced_name_is_a_callable_of_the_package():
     assert len(names) > 20
     unresolved = {name for name in names if not _resolves(name)}
     assert unresolved <= KNOWN_STALE, sorted(unresolved - KNOWN_STALE)
+
+
+SINE_READS = {"lowest", "k", "m"}  # what production code outside mixlap.assembly reads of the sine basis
+
+
+def test_only_assembly_solves_the_sine_blocks():
+    # outside mixlap.assembly the sine basis is reached through ``lowest`` and
+    # its diagonals alone: no block, no reduced block and no np.linalg call
+    # on either, so that no second eigensolver of the blocks grows back
+    import mixlap
+
+    found = []
+    for path in sorted(Path(mixlap.__file__).parent.glob("*.py")):
+        if path.stem == "assembly":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute):
+                on_sine = getattr(node.value, "attr", getattr(node.value, "id", None)) == "sine"
+                if node.attr in ("blocks", "reduced") or (on_sine and node.attr not in SINE_READS):
+                    found.append((path.stem, node.lineno, node.attr))
+            elif isinstance(node, ast.Name) and node.id == "SineBasis":
+                found.append((path.stem, node.lineno, node.id))
+            elif isinstance(node, ast.Call) and "linalg" in ast.unparse(node.func):
+                if any(isinstance(n, (ast.Name, ast.Attribute)) and "sine" in ast.unparse(n) for n in ast.walk(node)):
+                    found.append((path.stem, node.lineno, ast.unparse(node.func)))
+    assert found == []
