@@ -23,7 +23,7 @@ from typing import Optional
 
 import numpy as np
 
-from .assembly import OperatorSystem
+from .assembly import OperatorSystem, _toeplitz_rows
 from .mesh import FeField
 from .spectrum import garding_constant
 
@@ -73,19 +73,32 @@ def embedding_constant(sys: OperatorSystem) -> ConstantEstimate:
     """Sharp discrete constant of [u]_s^2 <= C |u|_X^2: the top eigenvalue of
     (S, K), nondecreasing under refinement (nested subspaces).  The value is
     the nodal Rayleigh quotient at the sine-basis eigenvector, which is more
-    accurate than that eigenvalue, with |u|_X^2 summed as squared differences
-    (the K stencil cancels); the residual is their difference."""
+    accurate than that eigenvalue, with [u]_s^2 summed in long double
+    (``_s_form``) and |u|_X^2 as squared differences (the K stencil
+    cancels); the residual is their difference."""
     pairs = sys.sine.lowest(1, 0.0, -1.0, 0.0, 1.0, 0.0)  # the top pair of (S, K), negated
     eigenvalue, vec = -float(pairs.values[0]), pairs.vectors(1)[:, 0]
     lead = int(np.argmax(np.abs(vec)))
     if vec[lead] < 0:
         vec = -vec
-    value = float(vec @ sys.S @ vec) / (float(np.sum(np.diff(np.r_[0.0, vec, 0.0]) ** 2)) / sys.mesh.h)
+    value = _s_form(sys, vec) / (float(np.sum(np.diff(np.r_[0.0, vec, 0.0]) ** 2)) / sys.mesh.h)
     return ConstantEstimate(
         value=value,
         maximizer=FeField(vec, sys.mesh),
         residual=abs(eigenvalue - value),
     )
+
+
+def _s_form(sys: OperatorSystem, v: np.ndarray) -> float:
+    """v^T S v summed in long double over 64-row chunks of S's rows, read as
+    Toeplitz windows of ``s_col``: no dense S.  At n_elem 1024, s 0.9 the
+    double product and the circulant ``apply_S`` lose about 1e-13 and 4e-12
+    relative."""
+    S, w = _toeplitz_rows(sys.s_col), v.astype(np.longdouble)
+    total = np.longdouble(0.0)
+    for i in range(0, v.size, 64):
+        total += w[i : i + 64] @ (S[i : i + 64].astype(np.longdouble) @ w)
+    return float(total)
 
 
 def _interp_ratio(sys: OperatorSystem, c: np.ndarray) -> float:

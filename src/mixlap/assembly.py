@@ -117,9 +117,14 @@ def assemble_gagliardo(mesh: MeshInterval, s: float) -> np.ndarray:
 
 def _toeplitz(c: np.ndarray) -> np.ndarray:
     """The dense symmetric Toeplitz matrix with first column c."""
+    return _toeplitz_rows(c).copy()
+
+
+def _toeplitz_rows(c: np.ndarray) -> np.ndarray:
+    """The rows of the symmetric Toeplitz matrix with first column c, as a
+    read-only view of 2n - 1 numbers: slices of it hold no n x n array."""
     # row i, c[i], ..., c[1], c[0], c[1], ..., is the window of [c reversed, c[1:]] at n-1-i
-    windows = np.lib.stride_tricks.sliding_window_view(np.r_[c[::-1], c[1:]], c.size)
-    return windows[::-1].copy()
+    return np.lib.stride_tricks.sliding_window_view(np.r_[c[::-1], c[1:]], c.size)[::-1]
 
 
 def _stencil(col: np.ndarray, X: np.ndarray) -> np.ndarray:
@@ -146,17 +151,16 @@ def _dst(X: np.ndarray) -> np.ndarray:
     Many rows are split in two at a whole number of 8-row FFT blocks
     (``_halves``), so each row sees the same FFT calls either way.
     """
-    n = X.shape[-1]
-    scale = -float(1.0 / np.sqrt(np.longdouble(2 * n + 2)))
     rows = np.atleast_2d(X)  # a view of X
     cut = 8 * -(-rows.shape[0] // 16)
-    _halves(lambda b: _dst_rows(rows[cut:] if b else rows[:cut], scale), rows.shape[0])
+    _halves(lambda b: _dst_rows(rows[cut:] if b else rows[:cut]), rows.shape[0])
     return X
 
 
-def _dst_rows(rows: np.ndarray, scale: float) -> None:
+def _dst_rows(rows: np.ndarray) -> None:
     """The DST-I of ``_dst`` on each row of the 2-D view ``rows``, in place."""
     n = rows.shape[1]
+    scale = -float(1.0 / np.sqrt(np.longdouble(2 * n + 2)))
     for i in range(0, rows.shape[0], 8):  # a few rows per FFT call
         block = rows[i : i + 8]
         ext = np.zeros((block.shape[0], 2 * n + 2))
@@ -214,35 +218,66 @@ class SineBasis:
     even one (the tau-algebra view, Bini & Di Benedetto, SPAA 1990), so only
     its two half-size blocks are kept: ``blocks[0]`` on the modes j = 1, 3,
     ... (even under the flip of the nodes) and ``blocks[1]`` on j = 2, 4, ...
-    Every solve runs the two blocks through ``_halves``, which decides
+
+    They are built with no n x n array.  S is centrosymmetric, so a column
+    of S Q is even under the flip for an odd mode and odd for an even one
+    (zero at the centre node): its first ceil(n/2) rows hold it.  The first
+    pass takes the DST-I of those rows of S, read as Toeplitz windows of
+    ``s_col``, 64 at a time, and writes output column 2 i + b, transposed,
+    into row i of block b.  The second pass, in 64-row chunks in place,
+    replaces each such row by the DST-I of the mirrored full column at the
+    modes of parity b, which is row i of block b.  Each block then gets its
+    upper triangle mirrored into the lower one, so it is exactly symmetric.
+    Both passes and every solve run through ``_halves``, which decides
     whether they run on two threads; no caller loops over the blocks.
     """
 
     def __init__(self, k_col: np.ndarray, s_col: np.ndarray, m_col: np.ndarray):
         self.k, self.m = _sine_diagonal(k_col), _sine_diagonal(m_col)
-        T = _toeplitz(s_col)
-        _dst(_dst(T).T)  # rows, then the columns as rows of the transpose: T = Q S Q
-        self.blocks = (T[0::2, 0::2].copy(), T[1::2, 1::2].copy())
+        n = s_col.size
+        half = (n + 1) // 2
+        self.blocks = (np.empty((half, half)), np.empty((n // 2, n // 2)))
+        S = _toeplitz_rows(s_col)
+        cut = 64 * -(-half // 128)  # whole 64-row chunks for the first thread
 
-    def reduced(self, b: int, x: float, y: float, z: float, p: float, q: float) -> tuple[np.ndarray, np.ndarray]:
+        def first(part):  # rows [0, cut) or [cut, half) of S Q, each parity into its block
+            stop = min(cut, half) if part == 0 else half
+            for i in range(cut * part, stop, 64):
+                X = S[i : min(i + 64, stop)].copy()
+                _dst_rows(X)
+                for b, B in enumerate(self.blocks):
+                    B[:, i : i + X.shape[0]] = X[: B.shape[0] - i, b::2].T
+
+        def second(b):  # each row of block b: the DST-I of its mirrored column of S Q
+            B = self.blocks[b]
+            rows = B.shape[0]
+            for i in range(0, rows, 64):
+                F = np.zeros((min(64, rows - i), n))
+                F[:, :rows] = B[i : i + 64]
+                # odd modes are even under the flip, even modes odd (the centre of odd n is 0)
+                F[:, n - rows :] = B[i : i + 64, ::-1] if b == 0 else -B[i : i + 64, ::-1]
+                _dst_rows(F)
+                B[i : i + 64] = F[:, b::2]
+            _mirror_upper(B)
+
+        _halves(first, n)
+        _halves(second, n)
+
+    def scaled(self, b: int, x: float, y: float, z: float, p: float, q: float) -> "_Reduced":
         """Block b of the pencil (x K + y S + z M, p K + q M) as the standard
-        symmetric matrix r (x D_K + y T_b + z D_M) r, r = (p D_K + q D_M)^(-1/2), and r.
-        The DST passes and the scaling leave the triangles apart at round-off:
-        the lower one, which LAPACK reads, is mirrored, so every route solves one matrix."""
+        symmetric operator r (x D_K + y B + z D_M) r, r = (p D_K + q D_M)^(-1/2),
+        which reads the stored block B and copies nothing."""
         d = p * self.k[b::2] + q * self.m[b::2]
         if not np.all(d > 0.0):
             raise np.linalg.LinAlgError("p K + q M is not positive definite")
         r = d**-0.5
-        C = self.blocks[b] * y
-        C *= r
-        C *= r[:, None]
-        n = C.shape[0]
-        for i in range(0, n, 64):  # in panels: no n x n temporary
-            e = min(n, i + 64)
-            np.copyto(C[i:e, i:e], C[i:e, i:e].T, where=~np.tri(e - i, dtype=bool))
-            C[i:e, e:] = C[e:, i:e].T
-        C.flat[:: n + 1] += (x * self.k[b::2] + z * self.m[b::2]) * r**2
-        return C, r
+        return _Reduced(self.blocks[b], r, y, (x * self.k[b::2] + z * self.m[b::2]) * r**2)
+
+    def reduced(self, b: int, x: float, y: float, z: float, p: float, q: float) -> tuple[np.ndarray, np.ndarray]:
+        """``scaled`` as a dense, exactly symmetric matrix C, and r: the copy
+        that LAPACK and inverse iteration need."""
+        C = self.scaled(b, x, y, z, p, q)
+        return C.dense(), C.r
 
     def lowest(
         self, count: int, x: float, y: float, z: float, p: float, q: float, *, vectors: bool = True
@@ -250,11 +285,12 @@ class SineBasis:
         """The lowest ``count`` eigenpairs of the pencil (x K + y S + z M, p K + q M), ascending.
 
         Each block gives its own lowest min(count, rows) pairs of the standard
-        problem of ``reduced``; ``SinePairs`` merges them.  The route is the
+        problem of ``scaled``; ``SinePairs`` merges them.  The route is the
         same for both blocks (``_block_route``): a large block asked for a
-        few pairs goes to ``_block_lowest``, whose certificate falls back to
-        the dense solve when it fails; every other block is solved by
-        LAPACK, ``np.linalg.eigvalsh`` when ``vectors`` is false and
+        few pairs goes to ``_block_lowest``, which works on the stored block
+        with no copy and whose certificate falls back to the dense solve
+        when it fails; every other block is solved by LAPACK on ``reduced``,
+        ``np.linalg.eigvalsh`` when ``vectors`` is false and
         ``np.linalg.eigh`` otherwise, save that one pair with its vector
         takes ``eigvalsh`` there and, on either route, its vector from
         ``_lowest_vector`` on the block that holds it.  The top pair of
@@ -265,17 +301,18 @@ class SineBasis:
         one = vectors and count == 1
 
         def solve(b):  # eigenvalues, sine-basis vectors or inverse iteration's inputs, iterations, fell back
-            C, r = self.reduced(b, x, y, z, p, q)
-            k = min(count, C.shape[0])
+            k = min(count, self.blocks[b].shape[0])
             if block:
-                found = _block_lowest(C.copy() if one else C, k)  # overwrites its argument
+                op = self.scaled(b, x, y, z, p, q)
+                found = _block_lowest(op, k)
                 if found is not None:
                     w, Z, _, iterations = found
+                    if not one:
+                        return w, Z * op.r[:, None], iterations, False
                     # LOBPCG's residual target is relative to |C|_F, inverse iteration's to |C|_2
-                    Z = (C, w[0], float(np.linalg.norm(C)), Z[:, 0], r) if one else Z * r[:, None]
-                    return w, Z, iterations, False
-                del C  # the failed certificate overwrote it (or its copy): made again after it goes
-                C = self.reduced(b, x, y, z, p, q)[0]
+                    C, r = self.reduced(b, x, y, z, p, q)
+                    return w, (C, w[0], float(np.linalg.norm(C)), Z[:, 0], r), iterations, False
+            C, r = self.reduced(b, x, y, z, p, q)
             if not vectors:
                 return np.linalg.eigvalsh(C)[:k], None, 0, block
             if one:
@@ -295,6 +332,66 @@ class SineBasis:
                 for b, (*job, r) in enumerate(pairs.halves)
             )
         return pairs
+
+
+def _mirror_upper(B: np.ndarray) -> None:
+    """Copy the strict upper triangle of the square B into its strict lower
+    one, in 64-row panels (no n x n temporary)."""
+    n = B.shape[0]
+    for i in range(0, n, 64):
+        e = min(n, i + 64)
+        np.copyto(B[i:e, i:e], B[i:e, i:e].T, where=np.tri(e - i, k=-1, dtype=bool))
+        B[e:, i:e] = B[i:e, e:].T
+
+
+@dataclass(frozen=True, eq=False)
+class _Reduced:
+    """C = y R B R + diag(d), R = diag(r), on a stored block B of
+    ``SineBasis`` (exactly symmetric).  Entry (i, j) is evaluated as
+    B_ij ((r_i r_j) y), plus d_i on the diagonal, so every part of C read
+    here is exactly symmetric; only ``dense`` copies B."""
+
+    B: np.ndarray
+    r: np.ndarray
+    y: float
+    d: np.ndarray
+
+    def __matmul__(self, W: np.ndarray) -> np.ndarray:
+        r = self.r[:, None]
+        return r * (self.y * (self.B @ (r * W))) + self.d[:, None] * W
+
+    def rows(self, i: int, e: int, j: int = 0) -> np.ndarray:
+        """C[i:e, j:], j <= i."""
+        C = np.multiply.outer(self.r[i:e], self.r[j:])
+        C *= self.y
+        C *= self.B[i:e, j:]
+        t = np.arange(C.shape[0])
+        C[t, i - j + t] += self.d[i:e]
+        return C
+
+    def dense(self) -> np.ndarray:
+        n = self.r.size
+        C = np.empty((n, n))
+        for i in range(0, n, 64):  # in row chunks: no second n x n array
+            C[i : i + 64] = self.rows(i, i + 64)
+        return C
+
+    def diagonal(self) -> np.ndarray:
+        return self.B.diagonal() * ((self.r * self.r) * self.y) + self.d
+
+    def norm(self) -> float:
+        """The Frobenius norm of C, in row chunks."""
+        total = 0.0
+        for i in range(0, self.r.size, 64):
+            R = self.rows(i, i + 64)
+            total += float(np.vdot(R, R))
+        return math.sqrt(total)
+
+    def columns(self, idx: np.ndarray) -> np.ndarray:
+        """C[:, idx]."""
+        C = self.B[:, idx] * (np.multiply.outer(self.r, self.r[idx]) * self.y)
+        C[idx, np.arange(idx.size)] += self.d[idx]
+        return C
 
 
 def _lowest_vector(C: np.ndarray, shift: float, scale: float, z: np.ndarray | None = None) -> np.ndarray:
@@ -339,9 +436,9 @@ def _block_route(rows: int, count: int) -> bool:
     return rows >= BLOCK_ROUTE_ROWS and 8 * (count + _GUARD) <= rows
 
 
-def _block_lowest(C: np.ndarray, count: int) -> tuple | None:
+def _block_lowest(C: _Reduced, count: int) -> tuple | None:
     """The lowest ``count`` eigenpairs of the symmetric C with a certified
-    index, or None when the certificate fails; C is overwritten.
+    index, or None when the certificate fails.
 
     ``_lobpcg`` gives orthonormal Ritz vectors X with Ritz values theta and
     the residual R = C X - X diag(theta), rho = ||R||_2.  By Poincaré,
@@ -351,9 +448,10 @@ def _block_lowest(C: np.ndarray, count: int) -> tuple | None:
     beta >= 0, at sigma > theta_count + 2 rho, shows that C has at most
     ``count`` eigenvalues below sigma (a positive definite matrix less a
     rank-``count`` one), so those are lambda_1..lambda_count and lambda_i
-    lies in [theta_i - rho, theta_i].  Returns (theta, X, rho, iterations).
+    lies in [theta_i - rho, theta_i].  That Cholesky is factored in the
+    lower triangle of C's stored block, which is restored bit for bit
+    (``_positive_definite``).  Returns (theta, X, rho, iterations).
     """
-    n = C.shape[0]
     found = _lobpcg(C, count)
     if found is None:
         return None
@@ -362,16 +460,13 @@ def _block_lowest(C: np.ndarray, count: int) -> tuple | None:
     gap = theta[count] - theta[count - 1]  # theta[count] >= lambda_(count+1)
     sigma = theta[count - 1] + max(2.0 * rho, 0.5 * gap)
     beta = sigma - theta[:count] + 0.5 * gap  # lifts the Ritz vectors to about theta[count]
-    Xc = X[:, :count]
-    for i in range(0, n, 256):  # row chunks: no n x n temporary
-        C[i : i + 256] += (Xc[i : i + 256] * beta) @ Xc.T
-    C.flat[:: n + 1] -= sigma
-    if not _positive_definite(C):
+    Xc = np.ascontiguousarray(X[:, :count])
+    if not _positive_definite(C, Xc, beta, sigma):
         return None
-    return theta[:count], np.ascontiguousarray(Xc), rho, iterations
+    return theta[:count], Xc, rho, iterations
 
 
-def _lobpcg(C: np.ndarray, count: int) -> tuple | None:
+def _lobpcg(C: _Reduced, count: int) -> tuple | None:
     """Lowest Ritz pairs of the symmetric C by preconditioned LOBPCG, or None
     at the iteration cap.
 
@@ -387,20 +482,23 @@ def _lobpcg(C: np.ndarray, count: int) -> tuple | None:
     ||C||_2, or stalls within eight times that.  Once the first count + 1
     have (the last of them, which only places the certificate's shift,
     within a quarter of its gap), X is orthonormalized again, C X recomputed
-    and a final Rayleigh-Ritz on X confirms them.  Returns (theta, X, C X,
-    iterations), X orthonormal.
+    and a final Rayleigh-Ritz on X confirms them.  C is applied as
+    r * (y * (B @ (r * W))) + d * W on its stored block B; its diagonal,
+    Frobenius norm and start columns are read from B in row chunks, so no
+    n x n array is made.  Returns (theta, X, C X, iterations), X orthonormal.
     """
-    n = C.shape[0]
+    n = C.r.size
     width = count + _GUARD
-    d = C.diagonal().copy()
+    d = C.diagonal()
     eps = np.finfo(float).eps
-    norm = float(np.linalg.norm(C))
+    norm = C.norm()
     tol = _RESIDUAL_FLOOR * eps * norm
     start = np.argsort(d, kind="stable")[:width]
-    theta, Y = np.linalg.eigh(C[np.ix_(start, start)])
+    columns = C.columns(start)
+    theta, Y = np.linalg.eigh(columns[start])
     X = np.zeros((n, width))
     X[start] = Y
-    CX = C[:, start] @ Y
+    CX = columns @ Y
     P = None
     last, refreshed = np.full(width, np.inf), False
     for iterations in range(1, _MAX_ITERATIONS + 1):
@@ -450,21 +548,33 @@ def _orthonormal(V: np.ndarray, bases: list) -> np.ndarray:
     return V
 
 
-def _positive_definite(G: np.ndarray) -> bool:
-    """Whether the symmetric G is positive definite: a left-looking Cholesky
-    in panels of 128 columns that overwrites G's lower triangle with the
-    factor, with no n x n temporary (``np.linalg.cholesky`` would take two)."""
-    n = G.shape[0]
-    for j in range(0, n, 128):
-        e = min(n, j + 128)
-        G[j:, j:e] -= G[j:, :j] @ G[j:e, :j].T
-        try:
-            L = np.linalg.cholesky(G[j:e, j:e])
-        except np.linalg.LinAlgError:
-            return False
-        G[j:e, j:e] = L
-        G[e:, j:e] = np.linalg.solve(L, G[e:, j:e].T).T
-    return True
+def _positive_definite(C: _Reduced, X: np.ndarray, beta: np.ndarray, sigma: float) -> bool:
+    """Whether G = C + X diag(beta) X^T - sigma I is positive definite: a
+    left-looking Cholesky in panels of 128 columns whose factor goes into
+    the lower triangle of C's stored block B, with no n x n temporary.  Each
+    panel of G is read from B's rows, whose upper triangle still holds the
+    block.  Afterwards B's lower triangle is mirrored back from the upper
+    one and its diagonal restored from a copy, so B is bit for bit what it
+    was, whether or not G is positive definite."""
+    B, n = C.B, C.r.size
+    diagonal = B.diagonal().copy()
+    try:
+        for j in range(0, n, 128):
+            e = min(n, j + 128)
+            G = C.rows(j, e, j)  # G[j:e, j:], the transpose of G's panel by symmetry
+            G += (X[j:e] * beta) @ X[j:].T
+            G[np.arange(e - j), np.arange(e - j)] -= sigma
+            G -= B[j:e, :j] @ B[j:, :j].T  # the factor's columns so far
+            try:
+                L = np.linalg.cholesky(G[:, : e - j])
+            except np.linalg.LinAlgError:
+                return False
+            np.copyto(B[j:e, j:e], L, where=np.tri(e - j, dtype=bool))
+            B[e:, j:e] = np.linalg.solve(L, G[:, e - j :]).T
+        return True
+    finally:
+        _mirror_upper(B)
+        B.flat[:: n + 1] = diagonal
 
 
 class SinePairs:

@@ -8,7 +8,10 @@ for the lowest pairs of a pencil (a certified block solver on large blocks,
 LAPACK on small ones); the top pair of (S, K) behind the threshold is minus
 the lowest pair of (-S, K).  Each block is scaled by the inverse square root
 of the diagonal right-hand side, never factorized through the possibly
-indefinite energy form.  ``solve_pencil``
+indefinite energy form.  The blocks are built from S's column with no
+n x n array, and the block solver applies the scaled block on the stored
+one, factoring its certificate in the block's idle lower triangle, so a
+large pencil holds the two blocks and O(n) columns.  ``solve_pencil``
 lifts to the nodes only the eigenvectors it reports (``SinePairs.vectors``)
 and checks their residuals with S applied by its circulant embedding
 (``OperatorSystem.apply_A``), so it builds no dense A; the audits below it

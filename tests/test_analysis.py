@@ -64,6 +64,29 @@ def test_embedding_value_is_the_nodal_quotient_at_its_vector():
     assert 0.0 < est.residual < 1e-10
 
 
+def test_embedding_numerator_is_the_long_double_form_of_the_dense_s():
+    # at s = 0.9 the double product v^T S v drifted up to 1.7e-13 relative
+    sys = build_system(build_mesh(0.0, 1.0, 1024), 0.9, 0.0)
+    est = embedding_constant(sys)
+    v = est.maximizer.coeffs
+    w = v.astype(np.longdouble)
+    exact = w @ sys.S.astype(np.longdouble) @ w
+    denominator = np.sum(np.diff(np.r_[0.0, w, 0.0]) ** 2) / sys.mesh.h
+    assert abs(est.value - exact / denominator) <= 1e-15 * est.value
+    assert abs(analysis._s_form(sys, v) - exact) <= 1e-15 * exact
+
+
+@pytest.mark.parametrize("n_elem", [64, 1024])
+def test_the_embedding_constant_reaches_the_local_limit_at_first_order(n_elem):
+    # (1-s) mu_h -> 1 as s -> 1 (Bourgain, Brezis & Mironescu, 2001), with an
+    # O(1-s) gap whose scaled size reads 1.25-1.28 at both sizes
+    mesh = build_mesh(0.0, 1.0, n_elem)
+    for s in (0.99, 0.999):
+        mu = embedding_constant(build_system(mesh, s, 0.0)).value
+        gap = (1.0 - (1.0 - s) * mu) / (1.0 - s)
+        assert 1.2 <= gap <= 1.35, (s, gap)
+
+
 @pytest.mark.parametrize("n_elem", [8, 16, 128])
 @pytest.mark.parametrize("s", [0.1, 0.25, 0.5, 0.75, 0.9])
 def test_interpolation_value_is_attained_at_its_maximizer(s, n_elem):

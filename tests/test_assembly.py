@@ -326,12 +326,15 @@ def test_dst_is_scipys_orthonormal_dst1_in_place(n):
 
 @pytest.mark.parametrize("n_elem", [64, 1024])
 def test_sine_blocks_match_the_two_pass_scipy_dst(n_elem):
+    # the half-row build rounds differently from two full passes (about 0.8
+    # eps max|T| at both sizes), and its mirror makes each block exactly symmetric
     from scipy.fft import dst
 
     sys = build_system(build_mesh(0.0, 1.0, n_elem), 0.5, -1.0)
     T = dst(dst(sys.S, type=1, norm="ortho", axis=1), type=1, norm="ortho", axis=0)
     for b, block in enumerate(sys.sine.blocks):
-        assert np.array_equal(block, T[b::2, b::2])
+        assert np.abs(block - T[b::2, b::2]).max() <= 4 * np.finfo(float).eps * np.abs(T).max()
+        assert np.array_equal(block, block.T)
 
 
 def _scipy_gagliardo(mesh, s):
@@ -419,7 +422,9 @@ def test_threaded_halves_match_the_serial_ones_bit_for_bit(monkeypatch):
     threaded = []
     monkeypatch.setattr(assembly, "_threads_allowed", lambda: threaded.append(1) or True)
     two_threads = _sine_solves(sys)
-    # the two passes of Q S Q, every pair and its lift, the top pair, the lowest value, the row DST
+    # the two passes of the half-row build (the rows of S Q, then each block),
+    # every pair and its lift, the top pair (its one-row lift runs on one
+    # thread), the lowest value and the row DST
     assert len(threaded) == 7
     monkeypatch.setattr(assembly, "_threads_allowed", lambda: False)
     one_thread = _sine_solves(sys)
@@ -486,15 +491,15 @@ def test_halves_run_on_two_threads_from_the_size_threshold(monkeypatch, n, threa
 
 def test_an_error_in_the_second_half_reaches_the_caller(monkeypatch):
     sys = build_system(build_mesh(0.0, 1.0, 1024), 0.5, -1.0)
-    reduced = assembly.SineBasis.reduced
+    scaled = assembly.SineBasis.scaled  # both routes start from it
 
     def failing(self, b, *args):
         if b == 1:
             raise np.linalg.LinAlgError("p K + q M is not positive definite")
-        return reduced(self, b, *args)
+        return scaled(self, b, *args)
 
     monkeypatch.setattr(assembly, "_threads_allowed", lambda: True)
-    monkeypatch.setattr(assembly.SineBasis, "reduced", failing)
+    monkeypatch.setattr(assembly.SineBasis, "scaled", failing)
     for solve in (
         lambda: sys.sine.lowest(sys.ndof, 1.0, -1.0, 0.0, 0.0, 1.0),
         lambda: sys.sine.lowest(1, 0.0, -1.0, 0.0, 1.0, 0.0),
@@ -573,7 +578,7 @@ def test_block_route_encloses_the_dense_eigenvalues(n_elem, s):
             want = np.linalg.eigh(C)[0]
             slack = 64 * np.finfo(float).eps * np.linalg.norm(C)
             for count in (1, 2, 12):
-                found = assembly._block_lowest(C.copy(), count)
+                found = assembly._block_lowest(sine.scaled(b, *pencil), count)
                 assert found is not None, (pencil, b, count)
                 theta, X, rho, _ = found
                 assert np.all(want[:count] >= theta - rho - slack), (pencil, b, count)
@@ -591,10 +596,7 @@ def test_reduced_blocks_are_exactly_symmetric(n_elem):
             assert np.array_equal(C, C.T), (pencil, b)
 
 
-@pytest.mark.parametrize("failure", ["certificate", "iteration cap"])
-def test_a_failed_block_solve_falls_back_to_the_dense_one(monkeypatch, failure):
-    sys = build_system(build_mesh(0.0, 1.0, 1024), 0.5, -1.0)
-    blocks = [sys.sine.reduced(b, 1.0, -1.0, 0.0, 0.0, 1.0)[0] for b in (0, 1)]
+def _fail_the_block_route(monkeypatch, failure):
     if failure == "certificate":
         # Ritz pairs that skip each block's lowest eigenpair: only the
         # Cholesky of the certificate can tell
@@ -605,10 +607,17 @@ def test_a_failed_block_solve_falls_back_to_the_dense_one(monkeypatch, failure):
             return theta[1:], X[:, 1:], CX[:, 1:], iterations
 
         monkeypatch.setattr(assembly, "_lobpcg", without_the_lowest)
-    else:
+    elif failure == "iteration cap":
         monkeypatch.setattr(assembly, "_MAX_ITERATIONS", 1)
-    for C in blocks:
-        assert assembly._block_lowest(C.copy(), 12) is None
+
+
+@pytest.mark.parametrize("failure", ["certificate", "iteration cap"])
+def test_a_failed_block_solve_falls_back_to_the_dense_one(monkeypatch, failure):
+    sys = build_system(build_mesh(0.0, 1.0, 1024), 0.5, -1.0)
+    blocks = [sys.sine.reduced(b, 1.0, -1.0, 0.0, 0.0, 1.0)[0] for b in (0, 1)]
+    _fail_the_block_route(monkeypatch, failure)
+    for b in (0, 1):
+        assert assembly._block_lowest(sys.sine.scaled(b, 1.0, -1.0, 0.0, 0.0, 1.0), 12) is None
     pairs = sys.sine.lowest(12, 1.0, -1.0, 0.0, 0.0, 1.0)
     assert pairs.counters == {"route": "block", "iterations": [0, 0], "fallbacks": 2}
     dense = sys.eigenpairs
@@ -617,6 +626,22 @@ def test_a_failed_block_solve_falls_back_to_the_dense_one(monkeypatch, failure):
     values = sys.sine.lowest(1, 1.0, -1.0, 0.0, 0.0, 1.0, vectors=False)
     assert values.counters["fallbacks"] == 2
     assert values.values[0] == min(np.linalg.eigvalsh(C)[0] for C in blocks)
+
+
+@pytest.mark.parametrize("failure", ["none", "certificate", "iteration cap"])
+def test_the_block_route_leaves_the_blocks_bit_for_bit(monkeypatch, failure):
+    # the certificate's Cholesky is factored in each block's lower triangle
+    # (on two threads here) and undone, whether or not it passes
+    monkeypatch.setattr(assembly, "_threads_allowed", lambda: True)
+    sine = build_system(build_mesh(0.0, 1.0, 1024), 0.5, -1.0).sine
+    before = [B.copy() for B in sine.blocks]
+    _fail_the_block_route(monkeypatch, failure)
+    for count in (1, 12):
+        pairs = sine.lowest(count, 1.0, -1.0, 0.0, 0.0, 1.0)
+        assert pairs.counters["route"] == "block"
+        assert pairs.counters["fallbacks"] == (0 if failure == "none" else 2)
+        for B, want in zip(sine.blocks, before):
+            assert np.array_equal(B, want)
 
 
 def test_the_route_follows_the_block_size_and_the_share_asked_for():

@@ -811,7 +811,8 @@ def test_a_negative_seed_is_a_config_error(tmp_path, capsys, pipeline, extra, fl
 
 def test_large_spectrum_and_threshold_run_no_full_block_solve(tmp_path, monkeypatch):
     # at n_elem = 2048 every lowest pair, gamma, every lambda_1 and the top
-    # pair of (S, K) behind alpha* come from the certified block route
+    # pair of (S, K) behind alpha* come from the certified block route, and
+    # neither pipeline builds the dense S or A
     from mixlap import assembly
 
     def guarded(solve):
@@ -822,8 +823,16 @@ def test_large_spectrum_and_threshold_run_no_full_block_solve(tmp_path, monkeypa
 
         return guard
 
+    def refused(name):
+        def read(self):
+            raise AssertionError(f"the dense {name} was read")
+
+        return property(read)
+
     monkeypatch.setattr(assembly.np.linalg, "eigh", guarded(np.linalg.eigh))
     monkeypatch.setattr(assembly.np.linalg, "eigvalsh", guarded(np.linalg.eigvalsh))
+    for name in ("S", "A"):
+        monkeypatch.setattr(assembly.OperatorSystem, name, refused(name))
     cfgfile = write_cfg(tmp_path / "c.ini", "[domain]\nn_elem = 2048\n[operator]\nalpha = -1\n")
     outs = [tmp_path / "first", tmp_path / "second"]
     for out in outs:
@@ -839,6 +848,22 @@ def test_large_spectrum_and_threshold_run_no_full_block_solve(tmp_path, monkeypa
     thr = write_cfg(tmp_path / "thr.ini", "[domain]\nn_elem = 2048\n[solver]\nbracket_lo = -10\nbracket_hi = 0\n")
     assert main(["threshold", "--config", str(thr), "--out", str(tmp_path / "thr")]) == 0
     assert json.loads((tmp_path / "thr" / "threshold.json").read_text())["certified"]
+
+
+def test_large_spectrum_traces_no_more_than_its_blocks_and_8_mb(tmp_path):
+    # the half-row build and the certificate in each block's idle triangle
+    # hold no n x n array beyond the two blocks of Q S Q
+    import tracemalloc
+
+    cfgfile = write_cfg(tmp_path / "c.ini", "[domain]\nn_elem = 2048\n[operator]\nalpha = -1\n")
+    tracemalloc.start()
+    try:
+        assert main(["spectrum", "--config", str(cfgfile), "--out", str(tmp_path / "out")]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    blocks = 8 * (1024**2 + 1023**2)  # ndof 2047: blocks of 1024 and 1023 rows
+    assert peak <= blocks + 8e6, peak / 1e6
 
 
 def test_small_spectrum_reports_the_dense_route(tmp_path):

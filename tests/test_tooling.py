@@ -62,3 +62,32 @@ def test_only_assembly_solves_the_sine_blocks():
                 if any(isinstance(n, (ast.Name, ast.Attribute)) and "sine" in ast.unparse(n) for n in ast.walk(node)):
                     found.append((path.stem, node.lineno, ast.unparse(node.func)))
     assert found == []
+
+
+# the callers of assembly._toeplitz, the one builder of a dense n x n Toeplitz matrix
+TOEPLITZ_CALLERS = {"assembly.assemble_gagliardo", "assembly.OperatorSystem.A", "assembly.OperatorSystem.K",
+                    "assembly.OperatorSystem.S", "assembly.OperatorSystem.M"}
+
+
+def test_only_the_dense_forms_build_a_dense_toeplitz_matrix():
+    # no solve path builds an n x n S: the sine blocks, the block route and
+    # the embedding constant read S's rows as windows of its column
+    import mixlap
+
+    def owners(node, name):  # the qualified owner of each _toeplitz call under node
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                yield from owners(child, f"{name}.{child.name}")
+            elif isinstance(child, ast.Assign) and isinstance(node, ast.ClassDef):
+                yield from owners(child, f"{name}.{ast.unparse(child.targets[0])}")
+            elif isinstance(child, ast.Call) and ast.unparse(child.func).split(".")[-1] == "_toeplitz":
+                yield name
+                yield from owners(child, name)
+            else:
+                yield from owners(child, name)
+
+    found = set()
+    for path in sorted(Path(mixlap.__file__).parent.glob("*.py")):
+        found |= set(owners(ast.parse(path.read_text()), path.stem))
+    assert "assembly.assemble_gagliardo" in found
+    assert found <= TOEPLITZ_CALLERS, sorted(found - TOEPLITZ_CALLERS)
