@@ -23,7 +23,7 @@ from typing import Optional
 
 import numpy as np
 
-from .assembly import OperatorSystem, _toeplitz_rows
+from .assembly import OperatorSystem
 from .mesh import FeField
 from .spectrum import garding_constant
 
@@ -94,15 +94,22 @@ def _s_form(sys: OperatorSystem, v: np.ndarray) -> float:
     Toeplitz windows of ``s_col``: no dense S.  At n_elem 1024, s 0.9 the
     double product and the circulant ``apply_S`` lose about 1e-13 and 4e-12
     relative."""
-    S, w = _toeplitz_rows(sys.s_col), v.astype(np.longdouble)
+    S, w = sys.s_rows, v.astype(np.longdouble)
     total = np.longdouble(0.0)
     for i in range(0, v.size, 64):
         total += w[i : i + 64] @ (S[i : i + 64].astype(np.longdouble) @ w)
     return float(total)
 
 
+def _s_product(sys: OperatorSystem, v: np.ndarray) -> np.ndarray:
+    """S v in double, from 64-row chunks of S's rows read as Toeplitz windows
+    of ``s_col``: no dense S.  ``apply_S`` would lose about 4e-12 relative."""
+    S = sys.s_rows
+    return np.concatenate([np.ascontiguousarray(S[i : i + 64]) @ v for i in range(0, v.size, 64)])
+
+
 def _interp_ratio(sys: OperatorSystem, c: np.ndarray) -> float:
-    qs, qk, qm = float(c @ sys.S @ c), float(c @ sys.apply_K(c)), float(c @ sys.apply_M(c))
+    qs, qk, qm = float(c @ _s_product(sys, c)), float(c @ sys.apply_K(c)), float(c @ sys.apply_M(c))
     return qs / (qm ** (1.0 - sys.s) * (qk + qm) ** sys.s)
 
 
@@ -121,7 +128,7 @@ def interpolation_constant(sys: OperatorSystem) -> ConstantEstimate:
         p, q, old = theta, 1.0 + theta, math.inf
         for _ in range(61):  # the top eigenvector of (S, p K + q M) is the lowest of (-S, p K + q M)
             c = sys.sine.lowest(1, 0.0, -1.0, 0.0, p, q).vectors(1)[:, 0]
-            qs, qk, qm = float(c @ sys.S @ c), float(c @ sys.apply_K(c)), float(c @ sys.apply_M(c))
+            qs, qk, qm = float(c @ _s_product(sys, c)), float(c @ sys.apply_K(c)), float(c @ sys.apply_M(c))
             val = qs / (qm ** (1.0 - s) * (qk + qm) ** s)
             if abs(val - old) < 1e-14 * max(1.0, old):
                 break
@@ -134,7 +141,7 @@ def interpolation_constant(sys: OperatorSystem) -> ConstantEstimate:
     if best_c[lead] < 0:
         best_c = -best_c
     c = best_c / math.sqrt(float(best_c @ sys.apply_M(best_c)))
-    Sc, Mc = sys.S @ c, sys.apply_M(c)
+    Sc, Mc = _s_product(sys, c), sys.apply_M(c)
     Hc = sys.apply_K(c) + Mc
     g = 2.0 * Sc / float(c @ Sc) - 2.0 * (1.0 - s) * Mc / float(c @ Mc) - 2.0 * s * Hc / float(c @ Hc)
     return ConstantEstimate(

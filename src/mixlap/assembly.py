@@ -263,6 +263,14 @@ class SineBasis:
         _halves(first, n)
         _halves(second, n)
 
+    @cached_property
+    def s_diagonal(self) -> np.ndarray:
+        """diag(Q S Q): the two blocks' diagonals, interleaved (mode j = 1, 3, ... from ``blocks[0]``)."""
+        d = np.empty(self.k.size)
+        for b, B in enumerate(self.blocks):
+            d[b::2] = B.diagonal()
+        return d
+
     def scaled(self, b: int, x: float, y: float, z: float, p: float, q: float) -> "_Reduced":
         """Block b of the pencil (x K + y S + z M, p K + q M) as the standard
         symmetric operator r (x D_K + y B + z D_M) r, r = (p D_K + q D_M)^(-1/2),
@@ -623,7 +631,9 @@ class OperatorSystem:
     the energy pairing is B(u, v) = u^T (K + alpha S) v.  All three are
     symmetric Toeplitz, held by their first columns; ``apply_K`` and
     ``apply_M`` are the three-term stencils of K and M, ``apply_S`` the
-    circulant embedding of S and ``apply_A`` their sum.  The dense K, S, M and
+    circulant embedding of S and ``apply_A`` their sum, ``s_rows`` S's rows as
+    a window view of its column, and ``tau_solve`` the inverse of A's absolute
+    sine-basis diagonal.  The dense K, S, M and
     A = K + alpha S, ``sine`` and ``eigenpairs`` are built on first use and kept;
     ``eigenpairs`` holds the eigenvectors in sine coordinates and lifts them
     to the nodes on request.  ``solves`` maps each quantity solved on this
@@ -668,8 +678,7 @@ class OperatorSystem:
         applied to X padded with n zero rows, O(n log n) per column.  Columns
         go 64 at a time, so the FFT buffers stay O(n) however wide X is.
         """
-        n = self.ndof
-        symbol = np.fft.rfft(np.r_[self.s_col, 0.0, self.s_col[:0:-1]]).real[:, None]
+        n, symbol = self.ndof, self._s_symbol
         X2 = X.reshape(n, -1)
         Y = np.empty(X2.shape)
         for j in range(0, X2.shape[1], 64):
@@ -677,9 +686,32 @@ class OperatorSystem:
             Y[:, j : j + 64] = np.fft.irfft(F, 2 * n, axis=0)[:n]
         return Y.reshape(X.shape)
 
+    @cached_property
+    def s_rows(self) -> np.ndarray:
+        """The rows of S as a read-only view of 2n - 1 numbers (``_toeplitz_rows``): no dense S."""
+        return _toeplitz_rows(self.s_col)
+
+    @cached_property
+    def _s_symbol(self) -> np.ndarray:
+        """The eigenvalues of the circulant that embeds S, as a column (``apply_S``)."""
+        return np.fft.rfft(np.r_[self.s_col, 0.0, self.s_col[:0:-1]]).real[:, None]
+
     def apply_A(self, X: np.ndarray) -> np.ndarray:
         """(K + alpha S) @ X by the stencil of K and the circulant product ``apply_S``."""
         return self.apply_K(X) + self.alpha * self.apply_S(X)
+
+    @cached_property
+    def _tau(self) -> np.ndarray:
+        return np.abs(self.sine.k + self.alpha * self.sine.s_diagonal)
+
+    def tau_solve(self, x: np.ndarray) -> np.ndarray:
+        """Q diag(1/p) Q x for a vector x, p = |D_K + alpha diag(Q S Q)|: the
+        inverse of the absolute sine-basis (tau) diagonal of A (Bini & Di
+        Benedetto, SPAA 1990), symmetric positive definite, by two DSTs.
+        Raises ``LinAlgError`` when some p_j is 0."""
+        if not np.all(self._tau > 0.0):
+            raise np.linalg.LinAlgError("the sine diagonal of A has a zero entry")
+        return _dst(_dst(np.array(x, dtype=float)) / self._tau)
 
     @cached_property
     def sine(self) -> SineBasis:

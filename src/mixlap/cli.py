@@ -26,7 +26,7 @@ from . import __version__
 from .assembly import OperatorSystem, assemble_gagliardo, build_system, dump_matrix, load_matrix
 from .analysis import _interp_ratio, embedding_constant, interpolation_constant, young_split_audit
 from .config import ConfigError, RunConfig, parse_config
-from .functional import AffineLinear, J_eval, J_gradient, PowerPerturbed
+from .functional import AffineLinear, J_eval, J_gradient, J_hessian_operator, PowerPerturbed
 from .mesh import FeField, build_mesh, interpolate
 from .solvers import (
     CriticalPointReport,
@@ -218,6 +218,7 @@ def _audit_checks(cfg: RunConfig, sys: OperatorSystem) -> list[dict]:
         _delta_boundary_max,
         _sphere_min,
         gagliardo_matrix_oracle,
+        hessian_oracle,
         pencil_eigenvalues_oracle,
         quotient_max_oracle,
         threshold_oracle,
@@ -329,6 +330,15 @@ def _audit_checks(cfg: RunConfig, sys: OperatorSystem) -> list[dict]:
                 ) / (2 * eps)
             worst = max(worst, float(np.linalg.norm(g - fd) / max(1e-300, np.linalg.norm(g))))
     add("gradient_fd", worst, 1e-6)
+
+    # the Hessian operator's product with the identity vs the dense Hessian
+    u = FeField(np.random.default_rng(cfg.seed).standard_normal(sys.ndof), mesh)
+    worst = 0.0
+    for nl in nls:
+        H = hessian_oracle(sys, nl, u)
+        worst = max(worst, float(np.max(np.abs(J_hessian_operator(sys, nl, u) @ np.eye(sys.ndof) - H))
+                                 / max(1e-300, float(np.max(np.abs(H))))))
+    add("hessian_operator", worst, 1e-12, "apply_A less the weighted-mass band, against the dense A less it")
 
     # interpolation constant audit: the eigenfields and 1000 random fields
     worst = max(

@@ -8,11 +8,15 @@ The energy of a discrete field u is
 with the integral evaluated by a fixed 4-point Gauss rule per element on the
 piecewise-linear reconstruction u_h.  The gradient uses the same rule, so it
 is the exact derivative of the discrete energy, not merely a consistent
-approximation of the continuum one, and ``J_hessian`` is its exact second
-derivative under the same rule.  ``J_values`` and ``J_gradients`` evaluate
-a block of fields, the rows of a (batch, ndof) array, in one pass;
-``J_eval`` and ``J_gradient`` are the same code with a batch of one.  The
-Gauss-point layout stays inside this module.
+approximation of the continuum one, and ``J_hessian_operator`` is its exact
+second derivative under the same rule.  ``J_values`` and ``J_gradients``
+evaluate a block of fields, the rows of a (batch, ndof) array, in one pass;
+``J_eval`` and ``J_gradient`` are the same code with a batch of one.  No
+n x n array is formed: A = K + alpha S acts by ``OperatorSystem.apply_A``
+(the stencil of K and the circulant product of S), and the Hessian
+A - W_f(u) is an operator that holds the tridiagonal band of W_f(u), the
+weighted mass of f'(x, u); ``mixlap.oracles.hessian_oracle`` is its dense
+check.  The Gauss-point layout stays inside this module.
 """
 
 from __future__ import annotations
@@ -39,7 +43,8 @@ __all__ = [
     "J_gradient",
     "J_values",
     "J_gradients",
-    "J_hessian",
+    "HessianOperator",
+    "J_hessian_operator",
     "load_vector",
     "weighted_mass",
     "check_hypotheses",
@@ -247,15 +252,22 @@ def _block(sys: OperatorSystem, U) -> np.ndarray:
     return U
 
 
+def _apply_A_rows(sys: OperatorSystem, U: np.ndarray) -> np.ndarray:
+    """A u for every row u of U, as a C-contiguous (batch, ndof) array:
+    ``apply_A`` on the columns of U^T, each column by its own FFT calls, so
+    every row is bit-identical to its product alone."""
+    return np.ascontiguousarray(sys.apply_A(U.T).T)
+
+
 def J_values(sys: OperatorSystem, nl, U) -> np.ndarray:
     """Energies 0.5 B(u, u) - int F(x, u_h) of the fields in the rows of U,
     shape (batch, ndof); returns shape (batch,)."""
-    U = _block(sys, U)
+    U = np.ascontiguousarray(_block(sys, U))
     xq, wq, _ = _quad_points(sys.mesh)
     Fq = nl.F(xq, _field_at_quad(sys.mesh, U))
     if not np.all(np.isfinite(Fq)):
         raise FloatingPointError("non-finite primitive value at a quadrature point")
-    quadratic = 0.5 * _dot_rows(U, _apply_rows(sys.A, U))
+    quadratic = 0.5 * _dot_rows(U, _apply_A_rows(sys, U))
     return quadratic - np.sum(Fq * wq, axis=(1, 2))
 
 
@@ -267,7 +279,7 @@ def J_gradients(sys: OperatorSystem, nl, U) -> np.ndarray:
     fq = nl.f(xq, _field_at_quad(sys.mesh, U))
     if not np.all(np.isfinite(fq)):
         raise FloatingPointError("non-finite nonlinearity value at a quadrature point")
-    return _apply_rows(sys.A, U) - _scatter_quad(sys.mesh, fq)
+    return _apply_A_rows(sys, U) - _scatter_quad(sys.mesh, fq)
 
 
 def J_eval(sys: OperatorSystem, nl, u: FeField) -> float:
@@ -284,16 +296,37 @@ def J_gradient(sys: OperatorSystem, nl, u: FeField) -> FeField:
     return FeField(J_gradients(sys, nl, u.coeffs[None, :])[0], sys.mesh)
 
 
-def J_hessian(sys: OperatorSystem, nl, u: FeField) -> np.ndarray:
-    """Exact Hessian of the discrete energy: (K + alpha S) - quad(f'(x, u) phi_i phi_j)."""
+@dataclass(frozen=True, eq=False)
+class HessianOperator:
+    """J''(u) = (K + alpha S) - W_f, W_f = quad(f'(x, u) phi_i phi_j), as an
+    operator: ``H @ X`` is ``sys.apply_A(X)`` less the product of the
+    tridiagonal W_f, held as its ``weighted_mass`` band (``diag``, ``off``),
+    for X of shape (ndof,) or (ndof, m).  No n x n array is formed."""
+
+    sys: OperatorSystem
+    diag: np.ndarray
+    off: np.ndarray
+
+    def __matmul__(self, X: np.ndarray) -> np.ndarray:
+        return self.sys.apply_A(X) - _band_product(self.diag, self.off, X)
+
+
+def _band_product(diag: np.ndarray, off: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """T @ X for the symmetric tridiagonal T with diagonal ``diag`` and off-diagonal ``off``."""
+    shape = (-1,) + (1,) * (X.ndim - 1)
+    d, o = diag.reshape(shape), off.reshape(shape)
+    Y = d * X
+    Y[1:] += o * X[:-1]
+    Y[:-1] += o * X[1:]
+    return Y
+
+
+def J_hessian_operator(sys: OperatorSystem, nl, u: FeField) -> HessianOperator:
+    """Exact Hessian of the discrete energy at u, (K + alpha S) - quad(f'(x, u) phi_i phi_j)."""
     if u.mesh != sys.mesh:
         raise ValueError("field mesh does not match the assembled system")
     diag, off = weighted_mass(sys.mesh, lambda x: nl.fprime(x, _field_at_quad(sys.mesh, u.coeffs)))
-    H, n = sys.A.copy(), sys.ndof
-    H.flat[:: n + 1] -= diag
-    H.flat[1 :: n + 1] -= off
-    H.flat[n :: n + 1] -= off
-    return H
+    return HessianOperator(sys, diag, off)
 
 
 def load_vector(mesh: MeshInterval, fn: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:

@@ -7,6 +7,8 @@ diagonal where the kernel is singular, and with the exterior integral mapped
 to a finite domain instead of using its closed form), the pencil oracle
 locates eigenvalues by inertia bisection on LDL^T factorizations, the
 threshold oracle bisects the coupling on the same inertia count, the
+Hessian oracle subtracts the weighted-mass band from a copy of the dense A
+where production applies A by its circulant embedding, the
 quotient oracles use direct randomized search, and the linking-geometry
 oracle samples J by multistart descent on spheres and along the boundary of
 the half-cylinder, where production bounds it by inequalities.  They are
@@ -22,8 +24,8 @@ import numpy as np
 from scipy import integrate, linalg
 
 from .assembly import OperatorSystem
-from .functional import J_gradients, J_values, _apply_rows, _dot_rows
-from .mesh import MeshInterval
+from .functional import J_gradients, J_values, _apply_rows, _dot_rows, _field_at_quad, weighted_mass
+from .mesh import FeField, MeshInterval
 from .solvers import _x_norm
 
 __all__ = [
@@ -31,6 +33,7 @@ __all__ = [
     "gagliardo_matrix_oracle",
     "pencil_eigenvalues_oracle",
     "threshold_oracle",
+    "hessian_oracle",
     "rayleigh_min_oracle",
     "quotient_max_oracle",
 ]
@@ -254,6 +257,20 @@ def threshold_oracle(K: np.ndarray, S: np.ndarray, bracket: tuple[float, float])
         else:
             hi = mid
     return 0.5 * (lo + hi)
+
+
+def hessian_oracle(sys: OperatorSystem, nl, u: FeField) -> np.ndarray:
+    """The dense Hessian of the discrete energy at u, (K + alpha S) -
+    quad(f'(x, u) phi_i phi_j): the weighted-mass band subtracted from a copy
+    of the dense A, the check of ``functional.J_hessian_operator``."""
+    if u.mesh != sys.mesh:
+        raise ValueError("field mesh does not match the assembled system")
+    diag, off = weighted_mass(sys.mesh, lambda x: nl.fprime(x, _field_at_quad(sys.mesh, u.coeffs)))
+    H, n = sys.A.copy(), sys.ndof
+    H.flat[:: n + 1] -= diag
+    H.flat[1 :: n + 1] -= off
+    H.flat[n :: n + 1] -= off
+    return H
 
 
 def rayleigh_min_oracle(

@@ -32,6 +32,13 @@ Search strategies:
   the reduced gradient W^T J'(W c) and Hessian W^T J''(W c) W, falling back
   to the reduced gradient where that Hessian is not negative definite; one
   ``J_values`` block ranks the backtracking steps.
+
+No n x n array is formed on the critical-point path: J and its gradient
+apply A by ``OperatorSystem.apply_A``, the reduced Hessian is W^T (H W) from
+the Hessian operator of ``mixlap.functional``, and Newton refinement solves
+J''(u) delta = -J'(u) by ``_minres`` on that operator, preconditioned by the
+sine-basis diagonal (``OperatorSystem.tau_solve``).  Only the resolvent
+solve reads the dense A.
 """
 
 from __future__ import annotations
@@ -48,7 +55,7 @@ from .functional import (
     AffineLinear,
     J_eval,
     J_gradient,
-    J_hessian,
+    J_hessian_operator,
     J_values,
     _apply_rows,
     asymptotic_slopes,
@@ -85,6 +92,8 @@ PEAK_GTOL = 1e-12  # max-norm tolerance on the reduced gradient at a peak
 PEAK_FLAT = 1e-14  # relative J gain below which a Newton step is taken unranked
 PEAK_LADDER = 0.5 ** np.arange(40)  # trial steps of the peak's line search
 PEAK_FIRST_RUNGS = 4  # steps ranked before the rest of the ladder (the kept one, nearly always)
+MINRES_RTOL = 1e-14  # preconditioned residual, relative to the first, at which a Newton solve stops
+MINRES_MAX_ITER = 200  # MINRES steps before a Newton step falls back to the Riesz direction
 
 # linking geometry probe
 # the growth constants the linking bound reads: the envelope past the slope A
@@ -110,6 +119,9 @@ class CriticalPointReport:
     message: str = ""
     path_history: list = field(default_factory=list)
     geometry: Optional[LinkingGeometryReport] = None  # the probe that gated a minimax search
+    # the MINRES iterations of each Newton step (0 for a step that fell back
+    # to the Riesz direction) and the number of such fallbacks
+    krylov_iterations: dict = field(default_factory=lambda: {"steps": [], "fallbacks": 0})
 
     def to_dict(self) -> dict:
         return {
@@ -120,6 +132,7 @@ class CriticalPointReport:
             "converged": self.converged,
             "status": self.status,
             "message": self.message,
+            "krylov_iterations": self.krylov_iterations,
         }
 
 
@@ -222,17 +235,58 @@ def solve_resolvent(
 # ---------------------------------------------------------------------------
 
 
+def _minres(op, b: np.ndarray, precondition) -> tuple[np.ndarray, int]:
+    """x with op @ x = b for the symmetric, possibly indefinite op, and the
+    iteration count, by MINRES (Paige & Saunders, SIAM J. Numer. Anal. 12,
+    1975) preconditioned by the symmetric positive definite map
+    ``precondition``.  It stops once the preconditioned residual norm of its
+    recurrence is at most ``MINRES_RTOL`` times the first; after
+    ``MINRES_MAX_ITER`` steps it raises ``LinAlgError``."""
+    x, w, w2 = np.zeros(b.size), np.zeros(b.size), np.zeros(b.size)
+    r1 = r2 = b
+    y = precondition(b)
+    beta1 = beta = math.sqrt(max(0.0, float(b @ y)))
+    if beta1 == 0.0:
+        return x, 0
+    oldb, dbar, epsln, phibar, cs, sn = 0.0, 0.0, 0.0, beta1, -1.0, 0.0
+    for it in range(1, MINRES_MAX_ITER + 1):
+        v = y / beta
+        y = op @ v
+        if it >= 2:
+            y = y - (beta / oldb) * r1
+        alfa = float(v @ y)
+        y = y - (alfa / beta) * r2
+        r1, r2 = r2, y
+        y = precondition(r2)
+        oldb, beta = beta, math.sqrt(max(0.0, float(r2 @ y)))
+        # the Lanczos step's QR update: one plane rotation
+        oldeps, delta = epsln, cs * dbar + sn * alfa
+        gbar, epsln, dbar = sn * dbar - cs * alfa, sn * beta, -cs * beta
+        gamma = max(math.hypot(gbar, beta), np.finfo(float).eps)
+        cs, sn = gbar / gamma, beta / gamma
+        phi, phibar = cs * phibar, sn * phibar
+        w2, w = w, (v - oldeps * w2 - delta * w) / gamma
+        x = x + phi * w
+        if phibar <= MINRES_RTOL * beta1:
+            return x, it
+    raise np.linalg.LinAlgError(f"MINRES did not converge in {MINRES_MAX_ITER} steps")
+
+
 def newton_refine(
     sys: OperatorSystem, nl, u0: FeField, cfg: SolverConfig | None = None
 ) -> CriticalPointReport:
     """Damped Newton on J'(u) = 0 with the analytic Jacobian K + alpha S - M_{f'(u)}.
 
-    The merit function is the dual gradient norm; steps fall back to the
-    Riesz gradient direction when the Jacobian solve fails.
+    Each step solves J''(u) delta = -J'(u) by ``_minres`` on the operator
+    ``J_hessian_operator``, preconditioned by ``OperatorSystem.tau_solve``;
+    no n x n array is formed.  The merit function is the dual gradient norm;
+    a step falls back to the Riesz gradient direction when the solve fails.
+    The report's ``krylov_iterations`` counts the MINRES work of each step.
     """
     cfg = cfg or SolverConfig()
     u = FeField(u0.coeffs, sys.mesh)
     hist: list[tuple[int, float, float]] = []
+    krylov = {"steps": [], "fallbacks": 0}
     status = "max_iterations"
     it = 0
     g = J_gradient(sys, nl, u).coeffs
@@ -243,9 +297,11 @@ def newton_refine(
             status = "converged"
             break
         try:
-            delta = np.linalg.solve(J_hessian(sys, nl, u), -g)
+            delta, steps = _minres(J_hessian_operator(sys, nl, u), -g, sys.tau_solve)
         except np.linalg.LinAlgError:
-            delta = -_riesz(sys, g)
+            delta, steps = -_riesz(sys, g), 0
+            krylov["fallbacks"] += 1
+        krylov["steps"].append(steps)
         sigma = 1.0
         accepted = False
         while sigma >= 2.0**-24:
@@ -273,6 +329,7 @@ def newton_refine(
         converged=converged,
         status=status,
         path_history=hist,
+        krylov_iterations=krylov,
     )
 
 
@@ -534,7 +591,8 @@ def _peak(
         g = W.T @ J_gradient(sys, nl, u).coeffs
         if np.max(np.abs(g)) <= PEAK_GTOL:
             break
-        H = W.T @ J_hessian(sys, nl, u) @ W
+        H = W.T @ (J_hessian_operator(sys, nl, u) @ W)
+        H = 0.5 * (H + H.T)
         try:
             np.linalg.cholesky(-H)  # raises unless -H is positive definite
         except np.linalg.LinAlgError:

@@ -871,3 +871,81 @@ def test_small_spectrum_reports_the_dense_route(tmp_path):
     assert main(["spectrum", "--config", str(cfgfile), "--out", str(tmp_path / "out")]) == 0
     solves = json.loads((tmp_path / "out" / "report.json").read_text())["solves"]
     assert solves == {s: {"route": "dense", "iterations": [0, 0], "fallbacks": 0} for s in ("gamma", "pairs")}
+
+
+def _refuse_dense_a_and_s(monkeypatch):
+    from mixlap import assembly
+
+    def refused(name):
+        def read(self):
+            raise AssertionError(f"the dense {name} was read")
+
+        return property(read)
+
+    for name in ("S", "A"):
+        monkeypatch.setattr(assembly.OperatorSystem, name, refused(name))
+
+
+def test_large_mountain_pass_reads_no_dense_a_or_s_and_traces_its_blocks_and_8_mb(tmp_path, monkeypatch):
+    # J, its gradient, the peak Hessian and Newton's MINRES act through
+    # apply_A: the run holds the sine blocks and O(n) vectors
+    import tracemalloc
+
+    _refuse_dense_a_and_s(monkeypatch)
+    cfgfile = write_cfg(
+        tmp_path / "c.ini", "[domain]\nn_elem = 2048\n[operator]\nalpha = -1\n[nonlinearity]\nlambda = -9\n"
+    )
+    tracemalloc.start()
+    try:
+        assert main(["mountain-pass", "--config", str(cfgfile), "--out", str(tmp_path / "out")]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    report = json.loads((tmp_path / "out" / "report.json").read_text())["report"]
+    assert report["converged"]
+    krylov = report["krylov_iterations"]
+    assert krylov["fallbacks"] == 0 and krylov["steps"] and all(0 < n <= 200 for n in krylov["steps"])
+    blocks = 8 * (1024**2 + 1023**2)  # ndof 2047: blocks of 1024 and 1023 rows
+    assert peak <= blocks + 8e6, peak / 1e6
+
+
+def test_constants_reads_no_dense_a_or_s(tmp_path, monkeypatch):
+    # the interpolation sweep reads S's rows as Toeplitz windows of its column
+    _refuse_dense_a_and_s(monkeypatch)
+    cfgfile = write_cfg(tmp_path / "c.ini", "[domain]\nn_elem = 256\n[operator]\nalpha = -1\n")
+    assert main(["constants", "--config", str(cfgfile), "--out", str(tmp_path / "out")]) == 0
+
+
+def test_critical_point_reports_carry_their_krylov_work(tmp_path):
+    runs = {
+        "mountain-pass": "[domain]\nn_elem = 64\n[operator]\nalpha = 0\n[nonlinearity]\nlambda = 5\n",
+        "solve-linear": "[domain]\nn_elem = 64\n[nonlinearity]\nkind = affine_linear\nlambda = 10\na_const = 1\n",
+    }
+    for pipeline, text in runs.items():
+        cfgfile = write_cfg(tmp_path / f"{pipeline}.ini", text)
+        outs = [tmp_path / f"{pipeline}-{i}" for i in range(2)]
+        for out in outs:
+            assert main([pipeline, "--config", str(cfgfile), "--out", str(out)]) == 0
+        assert (outs[0] / "report.json").read_bytes() == (outs[1] / "report.json").read_bytes()
+        krylov = json.loads((outs[0] / "report.json").read_text())["report"]["krylov_iterations"]
+        if pipeline == "solve-linear":  # the resolvent solve takes no Newton step
+            assert krylov == {"steps": [], "fallbacks": 0}
+        else:
+            assert krylov["fallbacks"] == 0 and krylov["steps"] and min(krylov["steps"]) > 0
+
+
+def test_audit_checks_the_hessian_operator_and_catches_a_wrong_band_sign(tmp_path, monkeypatch):
+    from mixlap import functional
+
+    cfgfile = write_cfg(tmp_path / "c.ini", "[domain]\nn_elem = 8\n[operator]\nalpha = -5\n[solver]\nm = 7\nbracket_lo = -10\n")
+
+    def hessian_row(out):
+        main(["full-audit", "--config", str(cfgfile), "--out", str(out)])
+        checks = json.loads((out / "audit.json").read_text())["checks"]
+        return next(c for c in checks if c["name"] == "hessian_operator")
+
+    good = hessian_row(tmp_path / "good")
+    assert good["passed"] and good["metric"] <= 1e-12
+    real_band = functional._band_product
+    monkeypatch.setattr(functional, "_band_product", lambda d, o, X: -real_band(d, o, X))
+    assert not hessian_row(tmp_path / "wrong_sign")["passed"]

@@ -15,7 +15,7 @@ from mixlap.functional import (
     J_eval,
     J_gradient,
     J_gradients,
-    J_hessian,
+    J_hessian_operator,
     J_values,
     asymptotic_slopes,
     check_hypotheses,
@@ -146,7 +146,7 @@ def test_hessian_finite_difference(sys64_neg5):
     eps = 1e-6
     for nl in (PowerPerturbed(2.0, 4.0), AffineLinear(1.5, lambda x: np.cos(3 * x))):
         u = FeField(rng.standard_normal(mesh.ndof), mesh)
-        H = J_hessian(sys64_neg5, nl, u)
+        H = J_hessian_operator(sys64_neg5, nl, u)
         for _ in range(3):
             d = rng.standard_normal(mesh.ndof)
             fd = (
@@ -219,6 +219,19 @@ def test_block_energy_matches_single_fields(sys64_neg5, nl):
         assert abs(val - want) <= 1e-13 * max(1.0, abs(want))
         want_g = J_gradient(sys64_neg5, nl, FeField(u, mesh)).coeffs
         assert np.max(np.abs(grad - want_g)) <= 1e-13 * max(1.0, np.max(np.abs(want_g)))
+
+
+@pytest.mark.parametrize("batch", [1, 3, 64, 65])
+def test_block_rows_are_bit_identical_to_single_fields(sys64_neg5, batch):
+    # A acts by apply_A, whose circulant product runs 64 columns per FFT call;
+    # each column still sees the FFT calls of a product alone
+    nl = PowerPerturbed(-3.0, 4.5)
+    mesh = sys64_neg5.mesh
+    U = np.random.default_rng(5).standard_normal((batch, mesh.ndof))
+    vals, grads = J_values(sys64_neg5, nl, U), J_gradients(sys64_neg5, nl, U)
+    for u, val, grad in zip(U, vals, grads):
+        assert val == J_eval(sys64_neg5, nl, FeField(u, mesh))
+        assert np.array_equal(grad, J_gradient(sys64_neg5, nl, FeField(u, mesh)).coeffs)
 
 
 def test_block_energy_rejects_a_nonfinite_row(sys64_zero):

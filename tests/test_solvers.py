@@ -12,7 +12,7 @@ from mixlap.functional import (
     J_eval,
     J_gradient,
     J_gradients,
-    J_hessian,
+    J_hessian_operator,
     J_values,
     PowerPerturbed,
     _apply_rows,
@@ -710,7 +710,8 @@ def _peak_setup(k):
 
 def _reduced(sys, nl, W, c):
     u = FeField(W @ c, sys.mesh)
-    return W.T @ J_gradient(sys, nl, u).coeffs, W.T @ J_hessian(sys, nl, u) @ W
+    H = W.T @ (J_hessian_operator(sys, nl, u) @ W)
+    return W.T @ J_gradient(sys, nl, u).coeffs, 0.5 * (H + H.T)
 
 
 @pytest.mark.parametrize("k, points", [(1, 241), (2, 41)])
@@ -814,9 +815,17 @@ def test_a_descent_that_cannot_lower_the_peak_stagnates(sys32_zero, monkeypatch)
 def test_newton_reports_divergence_when_no_step_lowers_the_residual(sys32_zero, monkeypatch):
     nl = PowerPerturbed(5.0, 4.0)
     u = linking_search(sys32_zero, nl, 0).u
-    real_hessian = solvers.J_hessian
+    real_hessian = solvers.J_hessian_operator
+
+    class Negated:
+        def __init__(self, op):
+            self.op = op
+
+        def __matmul__(self, X):
+            return -(self.op @ X)
+
     # the negated Hessian points every Newton step uphill in the residual
-    monkeypatch.setattr(solvers, "J_hessian", lambda sys, nl, u: -real_hessian(sys, nl, u))
+    monkeypatch.setattr(solvers, "J_hessian_operator", lambda sys, nl, u: Negated(real_hessian(sys, nl, u)))
     rep = newton_refine(sys32_zero, nl, FeField(1.001 * u.coeffs, sys32_zero.mesh))
     assert rep.status == "diverged" and not rep.converged and rep.iterations == 0
     assert rep.grad_norm > solvers.NEWTON_TOL
@@ -874,3 +883,72 @@ def test_slope_touching_lambda_k_is_reported_as_boundary_resonance(sys32_zero):
         "slope at zero touches eigenvalue k=1 (boundary resonance); "
         "search proceeds but the level may be degenerate"
     )
+
+
+# ---------------------------------------------------------------------------
+# Newton by preconditioned MINRES
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("n_elem", [64, 512])
+@pytest.mark.parametrize("s", [0.1, 0.5, 0.9])
+@pytest.mark.parametrize("alpha", [-10.0, -1.0, 0.0, 1.0])
+def test_each_newton_solve_leaves_a_residual_below_1e12_of_the_gradient(n_elem, s, alpha, monkeypatch):
+    # the residual of every MINRES solve J''(u) delta = -g, measured with the
+    # dense Hessian oracle in the K^-1 dual norm
+    sys = build_system(build_mesh(0.0, 1.0, n_elem), s, alpha)
+    nl = PowerPerturbed(5.0, 4.0)
+    real_operator, real_minres = solvers.J_hessian_operator, solvers._minres
+    fields, solves = [], []
+
+    def operator(sys_, nl_, u):
+        fields.append(u)
+        return real_operator(sys_, nl_, u)
+
+    def minres(op, b, precondition):
+        x, steps = real_minres(op, b, precondition)
+        solves.append((fields[-1], b, x, steps))
+        return x, steps
+
+    monkeypatch.setattr(solvers, "J_hessian_operator", operator)
+    monkeypatch.setattr(solvers, "_minres", minres)
+    x = sys.mesh.nodes
+    rep = newton_refine(sys, nl, FeField(4.0 * np.sin(np.pi * x) + x * (1.0 - x), sys.mesh))
+    assert solves and rep.krylov_iterations["fallbacks"] == 0
+    assert rep.krylov_iterations["steps"] == [steps for *_, steps in solves]
+    for u, b, delta, steps in solves:
+        H = oracles.hessian_oracle(sys, nl, u)
+        scale = solvers._dual_norm(sys, b)
+        # against the operator MINRES ran on, the residual is at its target
+        assert solvers._dual_norm(sys, real_operator(sys, nl, u) @ delta - b) <= 1e-12 * scale, steps
+        # the dense product's own rounding, eps |H| |delta|, reaches 7e-12 of
+        # g at n_elem 512: the dense residual is held to it where it is larger
+        floor = solvers._dual_norm(sys, np.finfo(float).eps * (np.abs(H) @ np.abs(delta)))
+        assert solvers._dual_norm(sys, H @ delta - b) <= max(1e-12 * scale, floor), steps
+        assert 0 < steps <= solvers.MINRES_MAX_ITER
+
+
+def test_minres_solves_an_indefinite_system_and_raises_at_its_cap(sys32_zero, monkeypatch):
+    n = sys32_zero.ndof
+    op = np.diag(np.linspace(-3.0, 5.0, n)) + 0.1 * np.eye(n, k=1) + 0.1 * np.eye(n, k=-1)
+    b = np.sin(np.arange(1, n + 1))
+    x, steps = solvers._minres(op, b, lambda r: r.copy())
+    assert np.linalg.norm(op @ x - b) <= 1e-12 * np.linalg.norm(b) and 0 < steps < solvers.MINRES_MAX_ITER
+    zero, none = solvers._minres(op, np.zeros(n), lambda r: r.copy())
+    assert none == 0 and not zero.any()
+    monkeypatch.setattr(solvers, "MINRES_MAX_ITER", steps - 1)
+    with pytest.raises(np.linalg.LinAlgError, match="MINRES"):
+        solvers._minres(op, b, lambda r: r.copy())
+
+
+def test_a_zero_sine_diagonal_falls_back_to_the_riesz_step(sys32_zero, monkeypatch):
+    nl = PowerPerturbed(5.0, 4.0)
+    u = linking_search(sys32_zero, nl, 0).u
+    singular = np.array(sys32_zero._tau)
+    singular[3] = 0.0
+    monkeypatch.setitem(sys32_zero.__dict__, "_tau", singular)
+    with pytest.raises(np.linalg.LinAlgError, match="zero"):
+        sys32_zero.tau_solve(np.ones(sys32_zero.ndof))
+    rep = newton_refine(sys32_zero, nl, FeField(1.001 * u.coeffs, sys32_zero.mesh))
+    steps = rep.krylov_iterations["steps"]
+    assert steps and set(steps) == {0} and rep.krylov_iterations["fallbacks"] == len(steps)

@@ -91,3 +91,43 @@ def test_only_the_dense_forms_build_a_dense_toeplitz_matrix():
         found |= set(owners(ast.parse(path.read_text()), path.stem))
     assert "assembly.assemble_gagliardo" in found
     assert found <= TOEPLITZ_CALLERS, sorted(found - TOEPLITZ_CALLERS)
+
+
+def _dense_system_reads(source: str) -> list[tuple[str, int, str]]:
+    """(function, line, attribute) of every ``.A`` or ``.S`` read on a system,
+    a parameter named ``sys`` or annotated ``OperatorSystem``, outside
+    ``solve_resolvent``."""
+    found = []
+
+    def visit(node, func, names):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.Lambda)):
+                args = child.args.posonlyargs + child.args.args + child.args.kwonlyargs
+                systems = {
+                    a.arg for a in args
+                    if a.arg == "sys" or (a.annotation is not None and "OperatorSystem" in ast.unparse(a.annotation))
+                }
+                visit(child, getattr(child, "name", func), names | systems)
+                continue
+            if (isinstance(child, ast.Attribute) and child.attr in ("A", "S") and isinstance(child.value, ast.Name)
+                    and child.value.id in names and func != "solve_resolvent"):
+                found.append((func, child.lineno, child.attr))
+            visit(child, func, names)
+
+    visit(ast.parse(source), "<module>", set())
+    return found
+
+
+def test_the_critical_point_path_reads_no_dense_a_or_s():
+    # J, its gradient, the peak Hessian and Newton act through apply_A; only
+    # the resolvent solve of solve-linear reads the dense A
+    import mixlap
+
+    root = Path(mixlap.__file__).parent
+    for stem in ("functional", "solvers"):
+        assert _dense_system_reads((root / f"{stem}.py").read_text()) == [], stem
+    # the guard sees a dense product restored in J_gradients
+    source = (root / "functional.py").read_text()
+    restored = source.replace("return _apply_A_rows(sys, U) - _scatter_quad", "return _apply_rows(sys.A, U) - _scatter_quad")
+    assert restored != source
+    assert [(func, attr) for func, _, attr in _dense_system_reads(restored)] == [("J_gradients", "A")]
