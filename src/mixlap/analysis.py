@@ -74,14 +74,15 @@ def embedding_constant(sys: OperatorSystem) -> ConstantEstimate:
     (S, K), nondecreasing under refinement (nested subspaces).  The value is
     the nodal Rayleigh quotient at the sine-basis eigenvector, which is more
     accurate than that eigenvalue, with [u]_s^2 summed in long double
-    (``_s_form``) and |u|_X^2 as squared differences (the K stencil
+    (``_s_product``) and |u|_X^2 as squared differences (the K stencil
     cancels); the residual is their difference."""
     pairs = sys.sine.lowest(1, 0.0, -1.0, 0.0, 1.0, 0.0)  # the top pair of (S, K), negated
     eigenvalue, vec = -float(pairs.values[0]), pairs.vectors(1)[:, 0]
     lead = int(np.argmax(np.abs(vec)))
     if vec[lead] < 0:
         vec = -vec
-    value = _s_form(sys, vec) / (float(np.sum(np.diff(np.r_[0.0, vec, 0.0]) ** 2)) / sys.mesh.h)
+    w = vec.astype(np.longdouble)
+    value = float(w @ _s_product(sys, w)) / (float(np.sum(np.diff(np.r_[0.0, vec, 0.0]) ** 2)) / sys.mesh.h)
     return ConstantEstimate(
         value=value,
         maximizer=FeField(vec, sys.mesh),
@@ -89,23 +90,14 @@ def embedding_constant(sys: OperatorSystem) -> ConstantEstimate:
     )
 
 
-def _s_form(sys: OperatorSystem, v: np.ndarray) -> float:
-    """v^T S v summed in long double over 64-row chunks of S's rows, read as
-    Toeplitz windows of ``s_col``: no dense S.  At n_elem 1024, s 0.9 the
-    double product and the circulant ``apply_S`` lose about 1e-13 and 4e-12
-    relative."""
-    S, w = sys.s_rows, v.astype(np.longdouble)
-    total = np.longdouble(0.0)
-    for i in range(0, v.size, 64):
-        total += w[i : i + 64] @ (S[i : i + 64].astype(np.longdouble) @ w)
-    return float(total)
-
-
 def _s_product(sys: OperatorSystem, v: np.ndarray) -> np.ndarray:
-    """S v in double, from 64-row chunks of S's rows read as Toeplitz windows
-    of ``s_col``: no dense S.  ``apply_S`` would lose about 4e-12 relative."""
+    """S v in v's precision (double, or long double for the embedding
+    constant's v^T S v), from 64-row chunks of S's rows read as Toeplitz
+    windows of ``s_col`` (``OperatorSystem.s_rows``): no dense S.  At n_elem
+    1024, s 0.9 the circulant ``apply_S`` loses about 4e-12 relative and
+    v^T S v in double about 1e-13."""
     S = sys.s_rows
-    return np.concatenate([np.ascontiguousarray(S[i : i + 64]) @ v for i in range(0, v.size, 64)])
+    return np.concatenate([np.ascontiguousarray(S[i : i + 64], v.dtype) @ v for i in range(0, v.size, 64)])
 
 
 def _interp_ratio(sys: OperatorSystem, c: np.ndarray) -> float:

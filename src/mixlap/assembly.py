@@ -40,6 +40,7 @@ __all__ = [
     "stiffness_column",
     "mass_column",
     "gagliardo_column",
+    "tridiagonal_product",
     "build_system",
     "dump_matrix",
     "load_matrix",
@@ -127,19 +128,31 @@ def _toeplitz_rows(c: np.ndarray) -> np.ndarray:
     return np.lib.stride_tricks.sliding_window_view(np.r_[c[::-1], c[1:]], c.size)[::-1]
 
 
-def _stencil(col: np.ndarray, X: np.ndarray) -> np.ndarray:
-    """T @ X for X of shape (n,) or (n, m), T = tridiag(b, a, b) with first column (a, b, 0, ...)."""
-    a, b = col[0], (col[1] if col.size > 1 else 0.0)
-    Y = a * X
-    Y[1:] += b * X[:-1]
-    Y[:-1] += b * X[1:]
+def _band(col: np.ndarray) -> tuple:
+    """(a, b) of T = tridiag(b, a, b) with first column col = (a, b, 0, ...)."""
+    return col[0], (col[1] if col.size > 1 else 0.0)
+
+
+def tridiagonal_product(diag, off, X: np.ndarray) -> np.ndarray:
+    """T @ X for X of shape (n,) or (n, m), T the symmetric tridiagonal matrix
+    with diagonal ``diag`` and off-diagonal ``off``: two numbers for a
+    Toeplitz T (``_band``), else arrays of n and n - 1 rows with as many
+    axes as X (shapes (n,) and (n - 1,), or (n, 1) and (n - 1, 1))."""
+    Y = diag * X
+    Y[1:] += off * X[:-1]
+    Y[:-1] += off * X[1:]
     return Y
 
 
 def _sine_diagonal(col: np.ndarray) -> np.ndarray:
     """Eigenvalues a + 2 b cos(j pi/(n+1)), j = 1..n, of tridiag(b, a, b) with first column col."""
-    n, a, b = col.size, col[0], (col[1] if col.size > 1 else 0.0)
+    (a, b), n = _band(col), col.size
     return a + 2.0 * b * np.cos(np.arange(1, n + 1) * (math.pi / (n + 1)))
+
+
+def _sine_solve(x: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """Q diag(1/d) Q x for a vector x, Q the orthonormal DST-I (its own inverse), by two DSTs."""
+    return _dst(_dst(np.array(x, dtype=float)) / d)
 
 
 def _dst(X: np.ndarray) -> np.ndarray:
@@ -281,12 +294,6 @@ class SineBasis:
         r = d**-0.5
         return _Reduced(self.blocks[b], r, y, (x * self.k[b::2] + z * self.m[b::2]) * r**2)
 
-    def reduced(self, b: int, x: float, y: float, z: float, p: float, q: float) -> tuple[np.ndarray, np.ndarray]:
-        """``scaled`` as a dense, exactly symmetric matrix C, and r: the copy
-        that LAPACK and inverse iteration need."""
-        C = self.scaled(b, x, y, z, p, q)
-        return C.dense(), C.r
-
     def lowest(
         self, count: int, x: float, y: float, z: float, p: float, q: float, *, vectors: bool = True
     ) -> "SinePairs":
@@ -297,11 +304,11 @@ class SineBasis:
         same for both blocks (``_block_route``): a large block asked for a
         few pairs goes to ``_block_lowest``, which works on the stored block
         with no copy and whose certificate falls back to the dense solve
-        when it fails; every other block is solved by LAPACK on ``reduced``,
-        ``np.linalg.eigvalsh`` when ``vectors`` is false and
-        ``np.linalg.eigh`` otherwise, save that one pair with its vector
-        takes ``eigvalsh`` there and, on either route, its vector from
-        ``_lowest_vector`` on the block that holds it.  The top pair of
+        when it fails; every other block is solved by LAPACK on the copy
+        ``scaled(...).dense()``, ``np.linalg.eigvalsh`` when ``vectors`` is
+        false and ``np.linalg.eigh`` otherwise, save that one pair with its
+        vector takes ``eigvalsh`` there and, on either route, its vector
+        from ``_lowest_vector`` on the block that holds it.  The top pair of
         (S, p K + q M) is minus the lowest of (-S, p K + q M).  Eigenvectors
         stay in sine coordinates until ``SinePairs.vectors`` lifts them.
         """
@@ -310,17 +317,18 @@ class SineBasis:
 
         def solve(b):  # eigenvalues, sine-basis vectors or inverse iteration's inputs, iterations, fell back
             k = min(count, self.blocks[b].shape[0])
+            op = self.scaled(b, x, y, z, p, q)
+            r = op.r
             if block:
-                op = self.scaled(b, x, y, z, p, q)
                 found = _block_lowest(op, k)
                 if found is not None:
                     w, Z, _, iterations = found
                     if not one:
-                        return w, Z * op.r[:, None], iterations, False
+                        return w, Z * r[:, None], iterations, False
                     # LOBPCG's residual target is relative to |C|_F, inverse iteration's to |C|_2
-                    C, r = self.reduced(b, x, y, z, p, q)
+                    C = op.dense()
                     return w, (C, w[0], float(np.linalg.norm(C)), Z[:, 0], r), iterations, False
-            C, r = self.reduced(b, x, y, z, p, q)
+            C = op.dense()
             if not vectors:
                 return np.linalg.eigvalsh(C)[:k], None, 0, block
             if one:
@@ -630,10 +638,11 @@ class OperatorSystem:
     K is the Dirichlet stiffness, S the Gagliardo form, M the mass matrix;
     the energy pairing is B(u, v) = u^T (K + alpha S) v.  All three are
     symmetric Toeplitz, held by their first columns; ``apply_K`` and
-    ``apply_M`` are the three-term stencils of K and M, ``apply_S`` the
-    circulant embedding of S and ``apply_A`` their sum, ``s_rows`` S's rows as
-    a window view of its column, and ``tau_solve`` the inverse of A's absolute
-    sine-basis diagonal.  The dense K, S, M and
+    ``apply_M`` multiply by K and M with ``tridiagonal_product``, ``apply_S``
+    is the circulant embedding of S and ``apply_A`` their sum, ``s_rows`` S's
+    rows as a window view of its column, and ``riesz`` (K^-1) and
+    ``tau_solve`` (the inverse of A's absolute sine-basis diagonal) the two
+    sine-diagonal solves.  The dense K, S, M and
     A = K + alpha S, ``sine`` and ``eigenpairs`` are built on first use and kept;
     ``eigenpairs`` holds the eigenvectors in sine coordinates and lifts them
     to the nodes on request.  ``solves`` maps each quantity solved on this
@@ -663,11 +672,16 @@ class OperatorSystem:
     S = cached_property(lambda self: _toeplitz(self.s_col))
     M = cached_property(lambda self: _toeplitz(self.m_col))
 
+    _k_band = cached_property(lambda self: _band(self.k_col))
+    _m_band = cached_property(lambda self: _band(self.m_col))
+
     def apply_K(self, X: np.ndarray) -> np.ndarray:
-        return _stencil(self.k_col, X)
+        a, b = self._k_band
+        return tridiagonal_product(a, b, X)
 
     def apply_M(self, X: np.ndarray) -> np.ndarray:
-        return _stencil(self.m_col, X)
+        a, b = self._m_band
+        return tridiagonal_product(a, b, X)
 
     def apply_S(self, X: np.ndarray) -> np.ndarray:
         """S @ X for X of shape (n,) or (n, m), without a dense S.
@@ -711,7 +725,13 @@ class OperatorSystem:
         Raises ``LinAlgError`` when some p_j is 0."""
         if not np.all(self._tau > 0.0):
             raise np.linalg.LinAlgError("the sine diagonal of A has a zero entry")
-        return _dst(_dst(np.array(x, dtype=float)) / self._tau)
+        return _sine_solve(x, self._tau)
+
+    def riesz(self, g: np.ndarray) -> np.ndarray:
+        """K^-1 g for a vector g, by two DSTs (K = Q diag(``sine.k``) Q): the
+        Riesz representative in X = H^1_0 of the functional g, so that
+        sqrt(g^T K^-1 g) is g's norm in the dual X*."""
+        return _sine_solve(g, self.sine.k)
 
     @cached_property
     def sine(self) -> SineBasis:

@@ -29,7 +29,7 @@ from typing import Callable, Optional
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .assembly import OperatorSystem
+from .assembly import OperatorSystem, tridiagonal_product
 from .mesh import FeField, MeshInterval
 
 __all__ = [
@@ -308,17 +308,8 @@ class HessianOperator:
     off: np.ndarray
 
     def __matmul__(self, X: np.ndarray) -> np.ndarray:
-        return self.sys.apply_A(X) - _band_product(self.diag, self.off, X)
-
-
-def _band_product(diag: np.ndarray, off: np.ndarray, X: np.ndarray) -> np.ndarray:
-    """T @ X for the symmetric tridiagonal T with diagonal ``diag`` and off-diagonal ``off``."""
-    shape = (-1,) + (1,) * (X.ndim - 1)
-    d, o = diag.reshape(shape), off.reshape(shape)
-    Y = d * X
-    Y[1:] += o * X[:-1]
-    Y[:-1] += o * X[1:]
-    return Y
+        d, o = (self.diag, self.off) if X.ndim == 1 else (self.diag[:, None], self.off[:, None])
+        return self.sys.apply_A(X) - tridiagonal_product(d, o, X)
 
 
 def J_hessian_operator(sys: OperatorSystem, nl, u: FeField) -> HessianOperator:

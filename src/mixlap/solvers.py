@@ -1,7 +1,7 @@
 """Certified critical-point searches for the semilinear problem.
 
 Solvers produce a ``CriticalPointReport`` carrying the dual norm, in the
-K^{-1} inner product, of the discrete energy gradient
+K^{-1} inner product (``OperatorSystem.riesz``), of the discrete energy gradient
 phi -> B(u, phi) - int f(x, u) phi.  A report claims convergence only when
 that norm is below tolerance, the iterate is nontrivial, and the energy
 level matches the geometry that produced it.  The linking search, its
@@ -37,8 +37,7 @@ No n x n array is formed on the critical-point path: J and its gradient
 apply A by ``OperatorSystem.apply_A``, the reduced Hessian is W^T (H W) from
 the Hessian operator of ``mixlap.functional``, and Newton refinement solves
 J''(u) delta = -J'(u) by ``_minres`` on that operator, preconditioned by the
-sine-basis diagonal (``OperatorSystem.tau_solve``).  Only the resolvent
-solve reads the dense A.
+sine-basis diagonal (``OperatorSystem.tau_solve``).
 """
 
 from __future__ import annotations
@@ -49,7 +48,7 @@ from typing import Optional
 
 import numpy as np
 
-from .assembly import OperatorSystem, _dst
+from .assembly import OperatorSystem
 from .functional import (
     NEEDS,
     AffineLinear,
@@ -157,13 +156,8 @@ class LinkingGeometryReport:
 # ---------------------------------------------------------------------------
 
 
-def _riesz(sys: OperatorSystem, g: np.ndarray) -> np.ndarray:
-    """K^{-1} g, solved in the sine basis (K = Q diag(sine.k) Q): the Riesz representative."""
-    return _dst(_dst(g.copy()) / sys.sine.k)
-
-
 def _dual_norm(sys: OperatorSystem, g: np.ndarray) -> float:
-    return math.sqrt(max(0.0, float(g @ _riesz(sys, g))))
+    return math.sqrt(max(0.0, float(g @ sys.riesz(g))))
 
 
 def _x_norm(sys: OperatorSystem, c: np.ndarray) -> float:
@@ -211,7 +205,7 @@ def solve_resolvent(
     rhs = sys.apply_M(a.coeffs)
     x = np.zeros(sys.ndof)
     for _ in range(4):  # the solve, then iterative refinement to push the residual to round-off
-        r = rhs - (sys.A @ x - lam * sys.apply_M(x))
+        r = rhs - (sys.apply_A(x) - lam * sys.apply_M(x))
         if np.max(np.abs(r)) == 0.0:
             break
         x = x + V @ ((V.T @ r) / (eigs - lam))
@@ -299,7 +293,7 @@ def newton_refine(
         try:
             delta, steps = _minres(J_hessian_operator(sys, nl, u), -g, sys.tau_solve)
         except np.linalg.LinAlgError:
-            delta, steps = -_riesz(sys, g), 0
+            delta, steps = -sys.riesz(g), 0
             krylov["fallbacks"] += 1
         krylov["steps"].append(steps)
         sigma = 1.0
@@ -649,7 +643,7 @@ def _minimax(
     for it in range(cfg.max_iter):
         p = W @ c
         g = J_gradient(sys, nl, FeField(p, sys.mesh)).coeffs
-        gd = _riesz(sys, g)
+        gd = sys.riesz(g)
         gn = math.sqrt(max(0.0, float(g @ gd)))
         hist.append((it, peak_val, gn))
         if _x_norm(sys, p) > BLOWUP_BOUND:

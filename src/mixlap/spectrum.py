@@ -40,7 +40,6 @@ __all__ = [
     "DegenerateSpectrumError",
     "solve_pencil",
     "verify_characterization",
-    "first_positive_index",
     "bound_checks",
     "garding_constant",
     "alpha_threshold",
@@ -177,16 +176,6 @@ def solve_pencil(sys: OperatorSystem, m: int) -> Spectrum:
     if pos.size:
         n0 = int(pos[0]) + 1
     return Spectrum(lambdas=w, vectors=v, n0=n0)
-
-
-def first_positive_index(spec: Spectrum) -> int:
-    """Smallest 1-based k with lambda_k > 0 (``spec.n0``)."""
-    if spec.n0 is None:
-        raise SpectrumError(
-            "all computed eigenvalues are nonpositive; increase m to locate the "
-            "first positive eigenvalue"
-        )
-    return spec.n0
 
 
 def _feasible_basis(sys: OperatorSystem, vectors: np.ndarray, k: int) -> np.ndarray:

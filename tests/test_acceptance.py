@@ -41,7 +41,6 @@ from mixlap.solvers import (
 )
 from mixlap.spectrum import (
     bound_checks,
-    first_positive_index,
     garding_constant,
     solve_pencil,
     verify_characterization,
@@ -106,10 +105,11 @@ def test_criterion_05_indefinite_threshold(threshold256):
     C_h = embedding_constant(sys).value
     a_star = threshold256.alpha_star
     past = build_system(mesh, 0.5, a_star - 1.0)
-    n0 = first_positive_index(solve_pencil(past, 12))
+    n0 = solve_pencil(past, 12).n0
     ok = (
         abs(threshold256.lambda1_at_star) <= 1e-6
         and a_star <= -1.0 / C_h + 1e-6
+        and n0 is not None
         and n0 >= 2
     )
     check(

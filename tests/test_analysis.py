@@ -73,7 +73,7 @@ def test_embedding_numerator_is_the_long_double_form_of_the_dense_s():
     exact = w @ sys.S.astype(np.longdouble) @ w
     denominator = np.sum(np.diff(np.r_[0.0, w, 0.0]) ** 2) / sys.mesh.h
     assert abs(est.value - exact / denominator) <= 1e-15 * est.value
-    assert abs(analysis._s_form(sys, v) - exact) <= 1e-15 * exact
+    assert abs(float(w @ analysis._s_product(sys, w)) - exact) <= 1e-15 * exact
 
 
 @pytest.mark.parametrize("n_elem", [64, 1024])

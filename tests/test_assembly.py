@@ -362,9 +362,20 @@ def test_gagliardo_matches_the_scipy_exprel_formula(s):
 def test_stencil_products_match_the_dense_forms(ndof):
     sys = build_system(build_mesh(0.0, 1.0, ndof + 1), 0.5, -5.0)
     rng = np.random.default_rng(ndof)
+    # the one tridiagonal product serves K and M by two numbers and a
+    # non-Toeplitz band (the Hessian's weighted mass) by two arrays
+    diag, off = rng.standard_normal(ndof), rng.standard_normal(ndof - 1)
+    band = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
     for X in (rng.standard_normal(ndof), rng.standard_normal((ndof, 5))):
-        for dense, product in ((sys.K, sys.apply_K), (sys.M, sys.apply_M)):
+        shape = (-1,) + (1,) * (X.ndim - 1)  # a band has as many axes as X
+        products = (
+            (sys.K, sys.apply_K),
+            (sys.M, sys.apply_M),
+            (band, lambda X: assembly.tridiagonal_product(diag.reshape(shape), off.reshape(shape), X)),
+        )
+        for dense, product in products:
             scale = np.abs(dense).max() * np.abs(X).max()
+            assert product(X).shape == X.shape
             assert np.abs(product(X) - dense @ X).max() <= 4 * np.finfo(float).eps * scale
 
 
@@ -451,7 +462,7 @@ def test_top_matches_the_full_eigensolve_of_the_blocks(ndof):
     # there on two threads too (test_threaded_halves_match_the_serial_ones_bit_for_bit)
     sys = build_system(build_mesh(0.0, 1.0, ndof + 1), 0.5, -1.0)
     for p, q in ((1.0, 0.0), (0.0, 1.0), (1e-3, 1.001)):
-        tops = [np.linalg.eigh(sys.sine.reduced(b, 0.0, 1.0, 0.0, p, q)[0])[0][-1] for b in range(min(ndof, 2))]
+        tops = [np.linalg.eigh(sys.sine.scaled(b, 0.0, 1.0, 0.0, p, q).dense())[0][-1] for b in range(min(ndof, 2))]
         pairs = sys.sine.lowest(1, 0.0, -1.0, 0.0, p, q)
         assert pairs.counters["route"] == ("block" if ndof == 1023 else "dense")
         assert pairs.counters["fallbacks"] == 0
@@ -461,7 +472,8 @@ def test_top_matches_the_full_eigensolve_of_the_blocks(ndof):
         # p K + q M norm at the nodes) whose Rayleigh quotient is mu, with
         # its residual at round-off
         b = int(np.argmax(tops))
-        C, r = sys.sine.reduced(b, 0.0, 1.0, 0.0, p, q)
+        op = sys.sine.scaled(b, 0.0, 1.0, 0.0, p, q)
+        C, r = op.dense(), op.r
         z = _dst(u.copy())[b::2] / r
         assert abs(np.linalg.norm(z) - 1.0) <= 1e-13
         norm, Cz = np.linalg.norm(C, 2), C @ z
@@ -574,7 +586,7 @@ def test_block_route_encloses_the_dense_eigenvalues(n_elem, s):
         pencils += TOP_FAMILY
     for pencil in pencils:
         for b in (0, 1):
-            C = sine.reduced(b, *pencil)[0]
+            C = sine.scaled(b, *pencil).dense()
             want = np.linalg.eigh(C)[0]
             slack = 64 * np.finfo(float).eps * np.linalg.norm(C)
             for count in (1, 2, 12):
@@ -592,7 +604,7 @@ def test_reduced_blocks_are_exactly_symmetric(n_elem):
     sine = build_system(build_mesh(0.0, 1.0, n_elem), 0.5, 0.0).sine
     for pencil in _caller_pencils(0.5, -1.0):
         for b in (0, 1):
-            C = sine.reduced(b, *pencil)[0]
+            C = sine.scaled(b, *pencil).dense()
             assert np.array_equal(C, C.T), (pencil, b)
 
 
@@ -614,7 +626,7 @@ def _fail_the_block_route(monkeypatch, failure):
 @pytest.mark.parametrize("failure", ["certificate", "iteration cap"])
 def test_a_failed_block_solve_falls_back_to_the_dense_one(monkeypatch, failure):
     sys = build_system(build_mesh(0.0, 1.0, 1024), 0.5, -1.0)
-    blocks = [sys.sine.reduced(b, 1.0, -1.0, 0.0, 0.0, 1.0)[0] for b in (0, 1)]
+    blocks = [sys.sine.scaled(b, 1.0, -1.0, 0.0, 0.0, 1.0).dense() for b in (0, 1)]
     _fail_the_block_route(monkeypatch, failure)
     for b in (0, 1):
         assert assembly._block_lowest(sys.sine.scaled(b, 1.0, -1.0, 0.0, 0.0, 1.0), 12) is None
@@ -654,7 +666,7 @@ def test_the_route_follows_the_block_size_and_the_share_asked_for():
         assert pairs.counters["route"] == route and pairs.counters["fallbacks"] == 0
         assert (min(pairs.counters["iterations"]) > 0) == (route == "block")
         assert pairs.values.size == count
-        unsplit = np.sort(np.concatenate([np.linalg.eigvalsh(sys.sine.reduced(b, 1.0, -1.0, 0.0, 0.0, 1.0)[0]) for b in (0, 1)]))
+        unsplit = np.sort(np.concatenate([np.linalg.eigvalsh(sys.sine.scaled(b, 1.0, -1.0, 0.0, 0.0, 1.0).dense()) for b in (0, 1)]))
         assert np.abs(pairs.values - unsplit[:count]).max() <= 1e-11 * np.abs(unsplit).max()
 
 

@@ -698,7 +698,7 @@ def test_spectrum_certifies_a_cluster_of_two_parities(tmp_path):
     rows = (outs[0] / "spectrum.csv").read_text().splitlines()[1:3]
     lambdas = [float(row.split(",")[1]) for row in rows]
     sine = build_system(build_mesh(0.0, 1.0, 512), 0.5, alpha).sine
-    blocks = [np.linalg.eigvalsh(sine.reduced(b, 1.0, alpha, 0.0, 0.0, 1.0)[0]) for b in (0, 1)]
+    blocks = [np.linalg.eigvalsh(sine.scaled(b, 1.0, alpha, 0.0, 0.0, 1.0).dense()) for b in (0, 1)]
     scale = max(np.abs(w).max() for w in blocks)
     assert abs(lambdas[0] - blocks[0][0]) <= 1e-12 * scale
     assert abs(lambdas[1] - blocks[1][0]) <= 1e-12 * scale
@@ -916,6 +916,20 @@ def test_constants_reads_no_dense_a_or_s(tmp_path, monkeypatch):
     assert main(["constants", "--config", str(cfgfile), "--out", str(tmp_path / "out")]) == 0
 
 
+def test_solve_linear_reads_no_dense_a_or_s_and_certifies_at_round_off(tmp_path, monkeypatch):
+    # the resolvent refinement applies A by the same apply_A as the gradient
+    # its certificate reads, so the two agree to round-off
+    _refuse_dense_a_and_s(monkeypatch)
+    cfgfile = write_cfg(
+        tmp_path / "c.ini",
+        "[domain]\nn_elem = 256\n[operator]\nalpha = -1\n[nonlinearity]\nkind = affine_linear\nlambda = 10\na_const = 1\n",
+    )
+    assert main(["solve-linear", "--config", str(cfgfile), "--out", str(tmp_path / "out")]) == 0
+    report = json.loads((tmp_path / "out" / "report.json").read_text())["report"]
+    assert report["converged"] and report["status"] == "converged"
+    assert report["grad_norm"] <= 1e-14, report["grad_norm"]
+
+
 def test_critical_point_reports_carry_their_krylov_work(tmp_path):
     runs = {
         "mountain-pass": "[domain]\nn_elem = 64\n[operator]\nalpha = 0\n[nonlinearity]\nlambda = 5\n",
@@ -946,6 +960,7 @@ def test_audit_checks_the_hessian_operator_and_catches_a_wrong_band_sign(tmp_pat
 
     good = hessian_row(tmp_path / "good")
     assert good["passed"] and good["metric"] <= 1e-12
-    real_band = functional._band_product
-    monkeypatch.setattr(functional, "_band_product", lambda d, o, X: -real_band(d, o, X))
+    # negate the band where HessianOperator looks it up, not the product K and M share
+    real_band = functional.tridiagonal_product
+    monkeypatch.setattr(functional, "tridiagonal_product", lambda d, o, X: -real_band(d, o, X))
     assert not hessian_row(tmp_path / "wrong_sign")["passed"]

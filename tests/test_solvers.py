@@ -538,7 +538,7 @@ def test_one_full_eigensolve_serves_every_consumer(monkeypatch):
     sys = build_system(build_mesh(0.0, 1.0, 16), 0.5, 0.0)
     # a solve of A, whole or as a sine-basis block, is seen by value however
     # its matrix was made
-    blocks = (sys.sine.reduced(b, 1.0, sys.alpha, 0.0, 0.0, 1.0)[0] for b in (0, 1))
+    blocks = (sys.sine.scaled(b, 1.0, sys.alpha, 0.0, 0.0, 1.0).dense() for b in (0, 1))
     targets = [("whole", sys.A), *zip(("even", "odd"), blocks)]
     real_eigh = np.linalg.eigh
     full_solves = []

@@ -8,11 +8,9 @@ from mixlap.analysis import embedding_constant
 from mixlap.oracles import pencil_eigenvalues_oracle, rayleigh_min_oracle, threshold_oracle
 from mixlap.spectrum import (
     DegenerateSpectrumError,
-    Spectrum,
     SpectrumError,
     alpha_threshold,
     bound_checks,
-    first_positive_index,
     garding_constant,
     solve_pencil,
     verify_characterization,
@@ -150,27 +148,23 @@ def test_zero_eigenvalue_degeneracy_flagged(threshold256):
 
 def test_first_positive_index_baseline(sys64_zero):
     spec = solve_pencil(sys64_zero, 5)
-    assert first_positive_index(spec) == 1 and spec.n0 == 1
+    assert spec.n0 == 1
 
 
 def test_first_positive_index_definition(mesh8):
     # alpha = -1.5 leaves two negative eigenvalues at n = 8
     spec = solve_pencil(build_system(mesh8, 0.5, -1.5), 4)
     assert spec.lambdas[1] <= 0.0 < spec.lambdas[2]
-    assert first_positive_index(spec) == spec.n0 == 3
-
-
-def test_first_positive_index_needs_positive():
-    spec = Spectrum(lambdas=np.array([-2.0, -0.5]), vectors=np.eye(7)[:, :2], n0=None)
-    with pytest.raises(SpectrumError, match="increase m"):
-        first_positive_index(spec)
+    assert spec.n0 == 3
+    # no positive eigenvalue among those computed
+    assert solve_pencil(build_system(mesh8, 0.5, -1.5), 2).n0 is None
 
 
 def test_first_positive_past_threshold(threshold256):
     mesh = build_mesh(0, 1, 256)
     sys = build_system(mesh, 0.5, threshold256.alpha_star - 1.0)
     spec = solve_pencil(sys, 12)
-    assert first_positive_index(spec) >= 2
+    assert spec.n0 is not None and spec.n0 >= 2
 
 
 def test_bound_identity_at_eigenfield(spec64_neg5, sys64_neg5):

@@ -43,8 +43,9 @@ SINE_READS = {"lowest", "k", "m"}  # what production code outside mixlap.assembl
 
 def test_only_assembly_solves_the_sine_blocks():
     # outside mixlap.assembly the sine basis is reached through ``lowest`` and
-    # its diagonals alone: no block, no reduced block and no np.linalg call
-    # on either, so that no second eigensolver of the blocks grows back
+    # its diagonals alone: no block, no scaled block or dense copy of one and
+    # no np.linalg call on either, so that no second eigensolver of the
+    # blocks grows back
     import mixlap
 
     found = []
@@ -54,7 +55,7 @@ def test_only_assembly_solves_the_sine_blocks():
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, ast.Attribute):
                 on_sine = getattr(node.value, "attr", getattr(node.value, "id", None)) == "sine"
-                if node.attr in ("blocks", "reduced") or (on_sine and node.attr not in SINE_READS):
+                if node.attr in ("blocks", "scaled", "reduced") or (on_sine and node.attr not in SINE_READS):
                     found.append((path.stem, node.lineno, node.attr))
             elif isinstance(node, ast.Name) and node.id == "SineBasis":
                 found.append((path.stem, node.lineno, node.id))
@@ -95,8 +96,7 @@ def test_only_the_dense_forms_build_a_dense_toeplitz_matrix():
 
 def _dense_system_reads(source: str) -> list[tuple[str, int, str]]:
     """(function, line, attribute) of every ``.A`` or ``.S`` read on a system,
-    a parameter named ``sys`` or annotated ``OperatorSystem``, outside
-    ``solve_resolvent``."""
+    a parameter named ``sys`` or annotated ``OperatorSystem``."""
     found = []
 
     def visit(node, func, names):
@@ -110,7 +110,7 @@ def _dense_system_reads(source: str) -> list[tuple[str, int, str]]:
                 visit(child, getattr(child, "name", func), names | systems)
                 continue
             if (isinstance(child, ast.Attribute) and child.attr in ("A", "S") and isinstance(child.value, ast.Name)
-                    and child.value.id in names and func != "solve_resolvent"):
+                    and child.value.id in names):
                 found.append((func, child.lineno, child.attr))
             visit(child, func, names)
 
@@ -119,8 +119,8 @@ def _dense_system_reads(source: str) -> list[tuple[str, int, str]]:
 
 
 def test_the_critical_point_path_reads_no_dense_a_or_s():
-    # J, its gradient, the peak Hessian and Newton act through apply_A; only
-    # the resolvent solve of solve-linear reads the dense A
+    # J, its gradient, the peak Hessian, Newton and the resolvent refinement
+    # act through apply_A
     import mixlap
 
     root = Path(mixlap.__file__).parent
@@ -131,3 +131,32 @@ def test_the_critical_point_path_reads_no_dense_a_or_s():
     restored = source.replace("return _apply_A_rows(sys, U) - _scatter_quad", "return _apply_rows(sys.A, U) - _scatter_quad")
     assert restored != source
     assert [(func, attr) for func, _, attr in _dense_system_reads(restored)] == [("J_gradients", "A")]
+    # and sees the dense refinement restored in the resolvent solve
+    source = (root / "solvers.py").read_text()
+    restored = source.replace("rhs - (sys.apply_A(x) - lam", "rhs - (sys.A @ x - lam")
+    assert restored != source
+    assert [(func, attr) for func, _, attr in _dense_system_reads(restored)] == [("solve_resolvent", "A")]
+
+
+def _private_imports(source: str, module: str) -> list[str]:
+    """The underscore names that ``source`` imports from ``module`` (relative or absolute)."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[-1] == module:
+            found += [alias.name for alias in node.names if alias.name.startswith("_")]
+        elif isinstance(node, ast.Attribute) and node.attr.startswith("_") and ast.unparse(node.value).endswith(module):
+            found.append(node.attr)
+    return found
+
+
+def test_solvers_import_no_private_name_of_assembly():
+    # the Riesz map and the tau preconditioner are OperatorSystem methods;
+    # the sine-diagonal solve behind them stays inside mixlap.assembly
+    import mixlap
+
+    source = (Path(mixlap.__file__).parent / "solvers.py").read_text()
+    assert _private_imports(source, "assembly") == []
+    # the check sees the import this module used to make
+    restored = source.replace("from .assembly import OperatorSystem\n", "from .assembly import OperatorSystem, _dst\n")
+    assert restored != source
+    assert _private_imports(restored, "assembly") == ["_dst"]
